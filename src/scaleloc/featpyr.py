@@ -8,7 +8,9 @@ tensors so externally produced features can be plugged in.
 RoI pooling maps a pixel-space box onto a layer grid and resamples it to
 a fixed ``roi_size`` x ``roi_size`` window. Regions smaller than the
 window are symmetrically expanded first, pulling in surrounding context
-instead of upsampling a couple of cells.
+instead of upsampling a couple of cells. When only a linear map of the
+pooled block is wanted, ``roi_pool_project`` applies the map to the grid
+first and samples the result, which never builds the pooled blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "build_pyramid",
     "roi_pool",
     "roi_pool_many",
+    "roi_pool_project",
     "write_features",
     "read_features",
     "SyntheticProvider",
@@ -106,14 +109,15 @@ class FeaturePyramid:
                     f"layer {layer_id}: expected spatial shape {want}, got {grid.shape[1:]}"
                 )
             if not np.all(np.isfinite(grid)):
-                raise ValueError(f"layer {layer_id}: non-finite feature values")
+                raise FeatureShapeError(f"layer {layer_id}: non-finite feature values")
 
     def layer_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.grids))
 
 
 class FeatureShapeError(ValueError):
-    """Feature tensor does not match the expected pyramid geometry."""
+    """Feature tensor is malformed or does not match the expected pyramid
+    geometry."""
 
 
 def _block_reduce(img: np.ndarray, stride: int, reducer) -> np.ndarray:
@@ -124,35 +128,36 @@ def _block_reduce(img: np.ndarray, stride: int, reducer) -> np.ndarray:
     out_c = -(-cols // stride)
     pad_r = out_r * stride - rows
     pad_c = out_c * stride - cols
-    padded = np.pad(img, ((0, pad_r), (0, pad_c)), mode="edge")
-    blocks = padded.reshape(out_r, stride, out_c, stride)
+    if pad_r or pad_c:
+        img = np.pad(img, ((0, pad_r), (0, pad_c)), mode="edge")
+    blocks = img.reshape(out_r, stride, out_c, stride)
     return reducer(blocks, axis=(1, 3))
 
 
-def _base_channels(img: np.ndarray, stride: int) -> list[np.ndarray]:
-    """The eight block statistics the synthetic provider cycles through."""
+_N_BASE = 8  # block statistics the layers cycle through (see build_pyramid)
+
+
+def _gradient_fields(img: np.ndarray):
+    """Yield (channel, field) for the five gradient channels one field at
+    a time, so that only one full-resolution field is alive at once."""
     gy, gx = np.gradient(img)
-    g45 = (gx + gy) / np.sqrt(2.0)
-    g135 = (gx - gy) / np.sqrt(2.0)
-    mean = _block_reduce(img, stride, np.mean)
-    stats = [
-        mean,
-        _block_reduce(np.abs(gx), stride, np.mean),
-        _block_reduce(np.abs(gy), stride, np.mean),
-        _block_reduce(np.abs(g45), stride, np.mean),
-        _block_reduce(np.abs(g135), stride, np.mean),
-        _block_reduce(img, stride, np.std),
-        _block_reduce(img, stride, np.max) - _block_reduce(img, stride, np.min),
-        _block_reduce(np.hypot(gx, gy), stride, np.mean),
-    ]
-    return stats
+    yield 1, np.abs(gx)
+    yield 2, np.abs(gy)
+    yield 3, np.abs((gx + gy) / np.sqrt(2.0))
+    yield 4, np.abs((gx - gy) / np.sqrt(2.0))
+    yield 7, np.hypot(gx, gy)
 
 
 def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
     """Compute the synthetic block-statistics pyramid for a grayscale image.
 
-    Channel 0 of every layer is the block mean; the remaining channels
-    cycle through oriented gradient energies and local-contrast stats.
+    Channel ``c`` of a layer is base statistic ``c % 8`` over the layer's
+    stride x stride blocks: 0 block mean; 1-4 mean absolute gradient
+    along x, y and the two diagonals; 5 block std; 6 block max - min;
+    7 mean gradient magnitude. The image gradient is computed once per
+    image, and each gradient field is reduced at every stride before the
+    next one is made, so peak memory holds one full-resolution field.
+    Statistics no layer uses are not reduced.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -161,10 +166,21 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
     grids = {}
     strides = {}
     for spec in cfg.layers:
-        base = _base_channels(image, spec.stride)
-        chans = [base[c % len(base)] for c in range(spec.channels)]
-        grids[spec.layer_id] = np.stack(chans, axis=0)
+        grids[spec.layer_id] = np.empty(
+            (spec.channels, -(-height // spec.stride), -(-width // spec.stride))
+        )
         strides[spec.layer_id] = spec.stride
+
+    def fill(channel, stat):
+        for spec in cfg.layers:
+            if channel < spec.channels:
+                grids[spec.layer_id][channel::_N_BASE] = stat(spec.stride)
+
+    fill(0, lambda s: _block_reduce(image, s, np.mean))
+    fill(5, lambda s: _block_reduce(image, s, np.std))
+    fill(6, lambda s: _block_reduce(image, s, np.max) - _block_reduce(image, s, np.min))
+    for channel, field in _gradient_fields(image):
+        fill(channel, lambda s: _block_reduce(field, s, np.mean))
     return FeaturePyramid(
         extent=(width, height), strides=strides, grids=grids, roi_size=cfg.roi_size
     )
@@ -195,42 +211,90 @@ def _bilinear_axis(coords: np.ndarray, size: int):
     return i0, i1, frac
 
 
-def roi_pool_many(
-    pyramid: FeaturePyramid, layer_id: int, boxes: np.ndarray
-) -> np.ndarray:
-    """Pool many (x, y, w, h) boxes at once; returns (N, roi, roi, C)."""
+def _grid(pyramid: FeaturePyramid, layer_id: int) -> np.ndarray:
     if layer_id not in pyramid.grids:
         raise KeyError(f"pyramid has no layer {layer_id}")
-    grid = pyramid.grids[layer_id]
+    return pyramid.grids[layer_id]
+
+
+def _pool(pyramid: FeaturePyramid, layer_id: int, boxes, gather) -> np.ndarray:
+    """Bilinearly sample each box's roi x roi window from a layer grid.
+
+    ``gather(rows, cols)`` returns the values of the cells at integer
+    rows (N, roi, 1) and columns (N, 1, roi) as a fresh
+    (N, roi, roi, ...) array; the four gathered buffers are blended in
+    place.
+    """
+    _, grid_h, grid_w = _grid(pyramid, layer_id).shape
     stride = pyramid.strides[layer_id]
     roi = pyramid.roi_size
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
 
     xs = _sample_axis(boxes[:, 0] / stride, (boxes[:, 0] + boxes[:, 2]) / stride, roi)
     ys = _sample_axis(boxes[:, 1] / stride, (boxes[:, 1] + boxes[:, 3]) / stride, roi)
-
-    _, grid_h, grid_w = grid.shape
     x0, x1, fx = _bilinear_axis(xs, grid_w)
     y0, y1, fy = _bilinear_axis(ys, grid_h)
+    y0, y1 = y0[:, :, None], y1[:, :, None]
+    x0, x1 = x0[:, None, :], x1[:, None, :]
+    fy = fy[:, :, None, None]
+    fx = fx[:, None, :, None]
 
-    n = boxes.shape[0]
-    rows = np.arange(n)[:, None, None]
-    y0b = y0[:, :, None]
-    y1b = y1[:, :, None]
-    x0b = x0[:, None, :]
-    x1b = x1[:, None, :]
-    fyb = fy[:, :, None, None]
-    fxb = fx[:, None, :, None]
+    top = gather(y0, x0)
+    top *= 1 - fx
+    right = gather(y0, x1)
+    right *= fx
+    top += right
+    del right
+    bot = gather(y1, x0)
+    bot *= 1 - fx
+    right = gather(y1, x1)
+    right *= fx
+    bot += right
+    del right
+    top *= 1 - fy
+    bot *= fy
+    top += bot
+    return top
 
-    g = np.moveaxis(grid, 0, -1)  # (H, W, C)
-    v00 = g[y0b, x0b]
-    v01 = g[y0b, x1b]
-    v10 = g[y1b, x0b]
-    v11 = g[y1b, x1b]
-    del rows
-    top = v00 * (1 - fxb) + v01 * fxb
-    bot = v10 * (1 - fxb) + v11 * fxb
-    return top * (1 - fyb) + bot * fyb
+
+def roi_pool_many(
+    pyramid: FeaturePyramid, layer_id: int, boxes: np.ndarray
+) -> np.ndarray:
+    """Pool many (x, y, w, h) boxes at once; returns (N, roi, roi, C)."""
+    g = np.moveaxis(_grid(pyramid, layer_id), 0, -1)  # (H, W, C)
+    return _pool(pyramid, layer_id, boxes, lambda rows, cols: g[rows, cols])
+
+
+def roi_pool_project(
+    pyramid: FeaturePyramid, layer_id: int, boxes: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Linear map of pooled boxes, without pooling them; returns (N, K).
+
+    Equal, up to the order of floating-point sums, to
+    ``roi_pool_many(pyramid, layer_id, boxes).reshape(N, -1) @ weights.T``
+    for ``weights`` of shape (K, roi * roi * C). Bilinear sampling is
+    linear in the grid, so the weights are first contracted with every
+    grid cell, (K * roi^2, C) @ (C, H * W), and each box then samples
+    those K * roi^2 maps at its own sample points and sums over the
+    window. This touches K values per sample point instead of C, which
+    pays off when many boxes share one grid and K is small.
+    """
+    grid = _grid(pyramid, layer_id)
+    c, grid_h, grid_w = grid.shape
+    roi = pyramid.roi_size
+    weights = np.asarray(weights, dtype=np.float64)
+    k = weights.shape[0]
+    if weights.shape != (k, roi * roi * c):
+        raise ValueError(
+            f"layer {layer_id}: expected (K, {roi * roi * c}) weights, got {weights.shape}"
+        )
+    maps = weights.reshape(k * roi * roi, c) @ grid.reshape(c, -1)
+    # (roi, roi, H, W, K): maps[i, j] applies the weights of window cell (i, j).
+    maps = np.ascontiguousarray(np.moveaxis(maps.reshape(k, roi, roi, grid_h, grid_w), 0, -1))
+    win_i = np.arange(roi)[:, None]
+    win_j = np.arange(roi)[None, :]
+    blocks = _pool(pyramid, layer_id, boxes, lambda rows, cols: maps[win_i, win_j, rows, cols])
+    return blocks.sum(axis=(1, 2))
 
 
 def roi_pool(pyramid: FeaturePyramid, layer_id: int, box: BBox) -> np.ndarray:
@@ -268,7 +332,14 @@ def read_features(path) -> FeaturePyramid:
     if version != _VERSION:
         raise FeatureShapeError(f"unsupported feature file version {version}")
     offset = struct.calcsize("<4sHHii")
+    header_len = offset + 2 + n_layers * struct.calcsize("<iiiii") + 4
+    if len(raw) < header_len:
+        raise FeatureShapeError(
+            f"truncated header: {n_layers} layers need {header_len} bytes, file has {len(raw)}"
+        )
     (roi_size,) = struct.unpack_from("<H", raw, offset)
+    if roi_size < 1:
+        raise FeatureShapeError("roi_size must be at least 1")
     offset += 2
     shapes = []
     for _ in range(n_layers):
@@ -279,6 +350,18 @@ def read_features(path) -> FeaturePyramid:
     body = raw[offset:]
     if zlib.crc32(body) != crc:
         raise FeatureShapeError("feature file checksum mismatch")
+    if len({shape[0] for shape in shapes}) != len(shapes):
+        raise FeatureShapeError("duplicate layer ids in feature file header")
+    for layer_id, stride, c, h, w in shapes:
+        if stride < 1 or min(c, h, w) < 0:
+            raise FeatureShapeError(
+                f"layer {layer_id}: bad stride {stride} or shape {(c, h, w)}"
+            )
+    want = 4 * sum(c * h * w for _, _, c, h, w in shapes)
+    if len(body) != want:
+        raise FeatureShapeError(
+            f"body has {len(body)} bytes, the layer shapes need {want}"
+        )
 
     grids = {}
     strides = {}
@@ -299,6 +382,10 @@ def _check_matches_config(pyramid: FeaturePyramid, cfg: PyramidConfig, extent) -
     if pyramid.extent != (width, height):
         raise FeatureShapeError(
             f"extent mismatch: expected {(width, height)}, got {pyramid.extent}"
+        )
+    if pyramid.roi_size != cfg.roi_size:
+        raise FeatureShapeError(
+            f"roi_size mismatch: expected {cfg.roi_size}, got {pyramid.roi_size}"
         )
     for spec in cfg.layers:
         if spec.layer_id not in pyramid.grids:

@@ -30,6 +30,9 @@ __all__ = [
 # Decoded widths/heights are floored here so a box never degenerates to
 # zero area; anything a caller actually cares about sits far above it.
 _DECODE_SIZE_FLOOR = 1e-6
+# Normalized log size ratios are clamped here before exp, as in Faster
+# R-CNN, so a diverging head cannot overflow the decode.
+_DECODE_LOG_RATIO_MAX = math.log(1000.0 / 16.0)
 
 
 @dataclass(frozen=True)
@@ -251,18 +254,25 @@ def encode_regression(anchor: BBox, target: BBox, mode: str = "raw") -> np.ndarr
 
 
 def decode_regression(anchor: BBox, vec: np.ndarray, mode: str = "raw") -> BBox:
-    """Invert :func:`encode_regression`: decode(anchor, encode(anchor, t)) == t."""
+    """Invert :func:`encode_regression`: decode(anchor, encode(anchor, t)) == t.
+
+    Decoded sides are floored at ``_DECODE_SIZE_FLOOR``. In ``normalized``
+    mode the log size ratios are first clamped at log(1000 / 16), so a
+    side grows at most 62.5-fold; the round trip holds below that.
+    """
     v0, v1, v2, v3 = (float(v) for v in vec)
     if mode == "raw":
         w = max(anchor.w + v2, _DECODE_SIZE_FLOOR)
         h = max(anchor.h + v3, _DECODE_SIZE_FLOOR)
         return BBox(anchor.x + v0, anchor.y + v1, w, h)
     if mode == "normalized":
+        w = anchor.w * math.exp(min(v2, _DECODE_LOG_RATIO_MAX))
+        h = anchor.h * math.exp(min(v3, _DECODE_LOG_RATIO_MAX))
         return BBox(
             anchor.x + v0 * anchor.w,
             anchor.y + v1 * anchor.h,
-            anchor.w * math.exp(v2),
-            anchor.h * math.exp(v3),
+            max(w, _DECODE_SIZE_FLOOR),
+            max(h, _DECODE_SIZE_FLOOR),
         )
     raise ValueError(f"unknown regression mode {mode!r}")
 

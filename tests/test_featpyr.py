@@ -1,5 +1,10 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaleloc.featpyr import (
     FeaturePyramid,
@@ -12,6 +17,7 @@ from scaleloc.featpyr import (
     read_features,
     roi_pool,
     roi_pool_many,
+    roi_pool_project,
     write_features,
 )
 from scaleloc.geometry import BBox
@@ -36,6 +42,90 @@ def brute_force_block_mean(img, stride):
                     acc += img[r, c]
             out[i, j] = acc / (stride * stride)
     return out
+
+
+def _oracle_block_reduce(img, stride, reducer):
+    rows, cols = img.shape
+    out_r = -(-rows // stride)
+    out_c = -(-cols // stride)
+    pad_r = out_r * stride - rows
+    pad_c = out_c * stride - cols
+    padded = np.pad(img, ((0, pad_r), (0, pad_c)), mode="edge")
+    blocks = padded.reshape(out_r, stride, out_c, stride)
+    return reducer(blocks, axis=(1, 3))
+
+
+def oracle_build_pyramid(image, cfg):
+    """The per-layer pyramid: all eight statistics, gradient included,
+    recomputed for every layer. The one-pass build must equal it bit for bit."""
+    image = np.asarray(image, dtype=np.float64)
+    grids = {}
+    for spec in cfg.layers:
+        gy, gx = np.gradient(image)
+        g45 = (gx + gy) / np.sqrt(2.0)
+        g135 = (gx - gy) / np.sqrt(2.0)
+        s = spec.stride
+        base = [
+            _oracle_block_reduce(image, s, np.mean),
+            _oracle_block_reduce(np.abs(gx), s, np.mean),
+            _oracle_block_reduce(np.abs(gy), s, np.mean),
+            _oracle_block_reduce(np.abs(g45), s, np.mean),
+            _oracle_block_reduce(np.abs(g135), s, np.mean),
+            _oracle_block_reduce(image, s, np.std),
+            _oracle_block_reduce(image, s, np.max) - _oracle_block_reduce(image, s, np.min),
+            _oracle_block_reduce(np.hypot(gx, gy), s, np.mean),
+        ]
+        grids[spec.layer_id] = np.stack([base[c % 8] for c in range(spec.channels)], axis=0)
+    return grids
+
+
+def oracle_roi_pool_many(pyramid, layer_id, boxes):
+    """Out-of-place bilinear pooling; the in-place blend must equal it bit for bit."""
+    grid = pyramid.grids[layer_id]
+    stride = pyramid.strides[layer_id]
+    roi = pyramid.roi_size
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+
+    def sample_axis(lo, hi):
+        narrow = hi - lo < roi
+        center = (lo + hi) / 2.0
+        lo = np.where(narrow, center - roi / 2.0, lo)
+        hi = np.where(narrow, center + roi / 2.0, hi)
+        offsets = (np.arange(roi) + 0.5) / roi
+        return lo[:, None] + offsets[None, :] * (hi - lo)[:, None]
+
+    def bilinear_axis(coords, size):
+        u = np.clip(coords - 0.5, 0.0, size - 1.0)
+        i0 = np.minimum(np.floor(u).astype(np.int64), size - 1)
+        return i0, np.minimum(i0 + 1, size - 1), u - i0
+
+    xs = sample_axis(boxes[:, 0] / stride, (boxes[:, 0] + boxes[:, 2]) / stride)
+    ys = sample_axis(boxes[:, 1] / stride, (boxes[:, 1] + boxes[:, 3]) / stride)
+    _, grid_h, grid_w = grid.shape
+    x0, x1, fx = bilinear_axis(xs, grid_w)
+    y0, y1, fy = bilinear_axis(ys, grid_h)
+    y0b, y1b = y0[:, :, None], y1[:, :, None]
+    x0b, x1b = x0[:, None, :], x1[:, None, :]
+    fyb = fy[:, :, None, None]
+    fxb = fx[:, None, :, None]
+    g = np.moveaxis(grid, 0, -1)
+    top = g[y0b, x0b] * (1 - fxb) + g[y0b, x1b] * fxb
+    bot = g[y1b, x0b] * (1 - fxb) + g[y1b, x1b] * fxb
+    return top * (1 - fyb) + bot * fyb
+
+
+def random_boxes(rng, n, extent):
+    """Boxes over and around an extent, a third of them narrower than a
+    few cells so that the window expansion is exercised."""
+    width, height = extent
+    w = np.where(np.arange(n) % 3 == 0, rng.uniform(0.5, 12, n), rng.uniform(2, width, n))
+    h = np.where(np.arange(n) % 3 == 0, rng.uniform(0.5, 12, n), rng.uniform(2, height, n))
+    return np.stack(
+        [rng.uniform(-20, width, n), rng.uniform(-20, height, n), w, h], axis=1
+    )
+
+
+CYCLING = PyramidConfig(layers=(LayerSpec(3, 8, 11), LayerSpec(4, 16, 17), LayerSpec(5, 32, 3)))
 
 
 def single_layer_pyramid(grid, stride=8, extent=None):
@@ -89,6 +179,78 @@ class TestBuildPyramid:
         pyr = build_pyramid(img, cfg)
         np.testing.assert_array_equal(pyr.grids[3][8], pyr.grids[3][0])
         np.testing.assert_array_equal(pyr.grids[3][9], pyr.grids[3][1])
+
+
+class TestOneShotPyramidAndInPlacePooling:
+    @pytest.mark.parametrize("shape", [(64, 96), (50, 70), (33, 17), (97, 131)])
+    @pytest.mark.parametrize("cfg", [CFG, CYCLING], ids=["desk", "cycling"])
+    def test_build_pyramid_equals_per_layer_oracle(self, shape, cfg):
+        img = np.random.default_rng(sum(shape)).uniform(0, 1, size=shape)
+        pyr = build_pyramid(img, cfg)
+        want = oracle_build_pyramid(img, cfg)
+        for layer_id in cfg.layer_ids():
+            assert np.array_equal(pyr.grids[layer_id], want[layer_id])
+
+    def test_build_pyramid_equals_oracle_on_rendered_scene(self):
+        from scaleloc.scenegen import GenConfig, rasterize, sample_dataset
+
+        (scene,) = sample_dataset(GenConfig(scenes=1, extent=(200, 150)), seed=5)
+        img = rasterize(scene)
+        pyr = build_pyramid(img, CYCLING)
+        want = oracle_build_pyramid(img, CYCLING)
+        for layer_id in CYCLING.layer_ids():
+            assert np.array_equal(pyr.grids[layer_id], want[layer_id])
+
+    @pytest.mark.parametrize("shape", [(64, 96), (50, 70), (33, 17)])
+    def test_roi_pool_many_equals_out_of_place_oracle(self, shape):
+        rng = np.random.default_rng(shape[0])
+        pyr = build_pyramid(rng.uniform(0, 1, size=shape), CYCLING)
+        boxes = random_boxes(rng, 60, pyr.extent)
+        for layer_id in CYCLING.layer_ids():
+            got = roi_pool_many(pyr, layer_id, boxes)
+            assert np.array_equal(got, oracle_roi_pool_many(pyr, layer_id, boxes))
+
+
+class TestRoiPoolProject:
+    @staticmethod
+    def check(pyr, layer_id, boxes, k, rng):
+        pooled = roi_pool_many(pyr, layer_id, boxes).reshape(len(boxes), -1)
+        weights = rng.normal(size=(k, pooled.shape[1]))
+        got = roi_pool_project(pyr, layer_id, boxes, weights)
+        assert got.shape == (len(boxes), k)
+        np.testing.assert_allclose(got, pooled @ weights.T, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_pooling_on_cycled_channels(self, k):
+        rng = np.random.default_rng(20 + k)
+        pyr = build_pyramid(rng.uniform(0, 1, size=(50, 70)), CYCLING)
+        boxes = random_boxes(rng, 80, pyr.extent)
+        for layer_id in CYCLING.layer_ids():
+            self.check(pyr, layer_id, boxes, k, rng)
+
+    @pytest.mark.parametrize("grid_shape,stride,extent", [
+        ((5, 7, 9), 8, (70, 50)),  # ragged: 70 and 50 are not multiples of 8
+        ((3, 1, 4), 16, (49, 3)),  # a one-row grid
+        ((6, 12, 12), 8, (96, 96)),
+    ])
+    def test_matches_pooling_on_random_grids(self, grid_shape, stride, extent):
+        rng = np.random.default_rng(grid_shape[0])
+        grid = rng.uniform(-1, 1, size=grid_shape)
+        pyr = single_layer_pyramid(grid, stride, extent)
+        self.check(pyr, 3, random_boxes(rng, 50, extent), 3, rng)
+
+    def test_boxes_narrower_than_the_window(self):
+        rng = np.random.default_rng(23)
+        pyr = single_layer_pyramid(rng.uniform(-1, 1, size=(4, 10, 10)))
+        boxes = np.array([[8, 8, 16, 16], [0, 0, 2, 2], [78, 78, 1, 1], [30, 5, 0.5, 60]])
+        self.check(pyr, 3, boxes, 2, rng)
+
+    def test_rejects_misshapen_weights_and_unknown_layers(self):
+        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        with pytest.raises(ValueError, match="weights"):
+            roi_pool_project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros((1, 31)))
+        with pytest.raises(KeyError):
+            roi_pool_project(pyr, 9, np.array([[0, 0, 8, 8]]), np.zeros((1, 32)))
 
 
 class TestConfigValidation:
@@ -214,6 +376,71 @@ class TestFeatureFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(FeatureShapeError, match="checksum"):
             read_features(path)
+
+    def test_short_body_with_valid_checksum(self, tmp_path):
+        pyr = build_pyramid(np.random.default_rng(16).uniform(0, 1, size=(32, 32)), CFG)
+        path = tmp_path / "feat.bin"
+        write_features(path, pyr)
+        raw = path.read_bytes()
+        crc_at = 18 + 20 * len(pyr.layer_ids())
+        body = raw[crc_at + 4 : -8]
+        path.write_bytes(raw[:crc_at] + struct.pack("<I", zlib.crc32(body)) + body)
+        with pytest.raises(FeatureShapeError, match="body"):
+            read_features(path)
+
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+        keep=st.one_of(st.none(), st.integers(0, 10**6)),
+        fix_crc=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_file_fails_only_with_feature_shape_error(
+        self, tmp_path_factory, edits, keep, fix_crc
+    ):
+        """Bytes overwritten anywhere, the file cut short, and the
+        checksum optionally recomputed so body edits reach the parser."""
+        pyr = build_pyramid(np.random.default_rng(17).uniform(0, 1, size=(24, 40)), CFG)
+        path = tmp_path_factory.mktemp("fuzz") / "feat.bin"
+        write_features(path, pyr)
+        raw = bytearray(path.read_bytes())
+        for pos, value in edits:
+            raw[pos % len(raw)] = value
+        if keep is not None:
+            del raw[keep % len(raw) :]
+        crc_at = 18 + 20 * len(pyr.layer_ids())
+        if fix_crc and len(raw) >= crc_at + 4:
+            raw[crc_at : crc_at + 4] = struct.pack("<I", zlib.crc32(bytes(raw[crc_at + 4 :])))
+        path.write_bytes(bytes(raw))
+        try:
+            back = read_features(path)
+        except FeatureShapeError:
+            return
+        for layer_id in back.layer_ids():
+            assert np.all(np.isfinite(back.grids[layer_id]))
+
+    def test_duplicate_layer_ids_rejected(self, tmp_path):
+        pyr = build_pyramid(np.random.default_rng(19).uniform(0, 1, size=(32, 48)), CFG)
+        path = tmp_path / "feat.bin"
+        write_features(path, pyr)
+        raw = bytearray(path.read_bytes())
+        raw[38:42] = struct.pack("<i", 3)  # the second layer claims id 3 too
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FeatureShapeError, match="duplicate"):
+            read_features(path)
+
+    def test_roi_size_zero_or_unlike_the_config_rejected(self, tmp_path):
+        pyr = build_pyramid(np.random.default_rng(18).uniform(0, 1, size=(32, 32)), CFG)
+        path = tmp_path / "feat.bin"
+        write_features(path, pyr)
+        raw = bytearray(path.read_bytes())
+        raw[16:18] = struct.pack("<H", 0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FeatureShapeError, match="roi_size"):
+            read_features(path)
+        raw[16:18] = struct.pack("<H", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FeatureShapeError, match="roi_size"):
+            FileFeatureProvider(CFG, path).provide(np.zeros((32, 32)))
 
     def test_provider_shape_mismatch_lists_expected_and_actual(self, tmp_path):
         img = np.random.default_rng(14).uniform(0, 1, size=(32, 32))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaleloc.geometry import (
@@ -225,6 +225,24 @@ class TestRegressionEncoding:
         a = BBox(0, 0, 1, 1)
         with pytest.raises(ValueError):
             encode_regression(a, a, "affine")
+
+    @given(
+        offsets=st.lists(st.floats(-1e4, 1e4), min_size=4, max_size=4),
+        w=st.floats(0.5, 500),
+        h=st.floats(0.5, 500),
+        mode=st.sampled_from(["raw", "normalized"]),
+    )
+    @example(offsets=[0.0, 0.0, 800.0, 800.0], w=20.0, h=48.0, mode="normalized")
+    @example(offsets=[0.0, 0.0, -800.0, -800.0], w=20.0, h=48.0, mode="normalized")
+    @settings(max_examples=300, deadline=None)
+    def test_decode_survives_extreme_offsets(self, offsets, w, h, mode):
+        anchor = BBox(10.0, 20.0, w, h)
+        out = decode_regression(anchor, np.array(offsets), mode)
+        assert all(math.isfinite(v) for v in out.as_tuple())
+        assert out.w >= 1e-6 and out.h >= 1e-6
+        if mode == "normalized":
+            assert out.w <= anchor.w * 62.5 * (1 + 1e-12)
+            assert out.h <= anchor.h * 62.5 * (1 + 1e-12)
 
 
 class TestStepConfig:

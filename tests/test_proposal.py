@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaleloc.anchors import generate_anchors
 from scaleloc.featpyr import LayerSpec, PyramidConfig, SyntheticProvider, build_pyramid
@@ -79,6 +82,19 @@ class TestLayerWeights:
         alpha_hat = 1.0 / (1.0 + np.exp(-(hs[:, None] - hbar) / gam))
         assert np.all(np.diff(alpha_hat, axis=0) > 0)
 
+    @given(h=st.floats(0.0, 2000.0))
+    @settings(max_examples=200, deadline=None)
+    def test_weights_are_capped_and_layer_3_leads_from_32px(self, h):
+        """What the weights really do: a softmax of sigmoids can never
+        give one layer more than e / (e + 2), and with the default
+        constants layer 3 gets the most weight at every height from
+        32 px up, so the weights do not track the matching scale."""
+        w = layer_weights(h)
+        assert w.max() <= math.e / (math.e + 2.0) + 1e-12
+        assert w[2] <= max(w[0], w[1]) + 1e-12  # layer 5 never leads
+        if h >= 32.0:
+            assert w[0] == w.max()
+
     def test_vectorized_heights(self):
         hs = np.array([48.0, 96.0, 156.0])
         out = layer_weights(hs)
@@ -90,6 +106,9 @@ class TestLayerWeights:
             LayerWeightConfig(mean_heights=(48.0, 96.0))
         with pytest.raises(ValueError):
             LayerWeightConfig(balance=0.5)
+        with pytest.raises(ValueError, match="whole number"):
+            LayerWeightConfig(balance=2.5)
+        assert LayerWeightConfig(balance=4).balance == 4
 
 
 class TestSmoothL1:
@@ -341,6 +360,48 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_proposal_model([], self.train_cfg())
+
+    def test_each_scene_rendered_once_per_call(self):
+        data = self.small_dataset()
+        provided = []
+
+        class CountingProvider(SyntheticProvider):
+            def provide(self, image):
+                provided.append(hashlib.sha256(image.tobytes()).hexdigest())
+                return super().provide(image)
+
+        log = []
+        train_proposal_model(data, self.train_cfg(steps=40), CountingProvider(TINY_PYR), log)
+        assert len(log) == 40
+        assert len(provided) == len(set(provided)) <= len(data)
+
+    # sha256 of the trained parameters (name, then bytes, in name order),
+    # recorded before scenes were cached, the pyramid was built in one
+    # pass and bootstrap negatives were scored from head maps.
+    PARAM_DIGESTS = {
+        "linear": (
+            dict(pyramid=TINY_PYR),
+            "c834c5748d33deea62ae3669729f4837705ba7ec330913c0f9382b713bd560df",
+        ),
+        "hidden": (
+            dict(pyramid=TINY_PYR, hidden_dim=6),
+            "6495a2f663876293084f7dccc7aa7469ac698446a6393713507404457dd8b640",
+        ),
+        "desk-raw": (
+            dict(pyramid=PyramidConfig(), regression_mode="raw"),
+            "69cdeb9f5289576b628240346e14c35fb3258c9f73419a0c8425787517979b7c",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PARAM_DIGESTS))
+    def test_params_match_recorded_digest(self, case):
+        overrides, want = self.PARAM_DIGESTS[case]
+        model = train_proposal_model(self.small_dataset(), self.train_cfg(**overrides))
+        digest = hashlib.sha256()
+        for name in sorted(model.params):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(model.params[name]).tobytes())
+        assert digest.hexdigest() == want
 
     def test_checkpoint_arrays_round_trip(self):
         data = self.small_dataset()
