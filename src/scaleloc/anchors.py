@@ -1,9 +1,12 @@
 """Sliding-window anchors: generation, labeling, minibatch sampling.
 
 One anchor per lattice cell per pyramid layer, with a single base height
-per layer (the layer is the scale). Labeling follows the two positive
-rules (IoU above the high threshold; per-ground-truth best match),
-negatives fall below the low threshold, everything else is ignored.
+per layer (the layer is the scale). The anchors of an image are one
+:class:`AnchorSet` of aligned arrays; labels and matches are per-anchor
+arrays aligned with it, and minibatches are index arrays into it.
+Labeling follows the two positive rules (IoU above the high threshold;
+per-ground-truth best match), negatives fall below the low threshold,
+everything else is ignored.
 """
 
 from __future__ import annotations
@@ -13,114 +16,105 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featpyr import PyramidConfig
-from .geometry import BBox, clip_boxes_array, iou_matrix
+from .geometry import clip_boxes_array, iou_matrix
+from .scenegen import ASPECT_RATIO
 
 __all__ = [
     "POSITIVE",
     "NEGATIVE",
     "IGNORE",
-    "ASPECT_RATIO",
-    "DEFAULT_BASE_HEIGHTS",
-    "Anchor",
-    "LabeledAnchor",
+    "AnchorSet",
     "generate_anchors",
     "label_arrays",
-    "label_anchors",
     "sample_minibatch_indices",
-    "sample_minibatch",
 ]
 
 POSITIVE = 1
 NEGATIVE = 0
 IGNORE = -1
 
-ASPECT_RATIO = 0.41
-DEFAULT_BASE_HEIGHTS = {3: 48.0, 4: 96.0, 5: 156.0}
-
 IOU_POSITIVE = 0.5
 IOU_NEGATIVE = 0.3
 
 
 @dataclass(frozen=True)
-class Anchor:
-    box: BBox
-    layer_id: int
-    base_height: float
+class AnchorSet:
+    """Anchors as aligned arrays: (x, y, w, h) ``boxes`` (N, 4), the
+    pyramid ``layer_ids`` (N,) and the ``base_heights`` (N,)."""
 
+    boxes: np.ndarray
+    layer_ids: np.ndarray
+    base_heights: np.ndarray
 
-@dataclass(frozen=True)
-class LabeledAnchor:
-    anchor: Anchor
-    label: int
-    matched_gt: BBox | None
-    target_height: float
-
-    def __post_init__(self):
-        if self.label == POSITIVE and self.matched_gt is None:
-            raise ValueError("positive anchors need a matched ground truth")
+    def __len__(self) -> int:
+        return len(self.layer_ids)
 
 
 def generate_anchors(
     cfg: PyramidConfig,
     extent: tuple[int, int],
-    base_heights: dict[int, float] | None = None,
-) -> list[Anchor]:
+    base_heights: dict[int, float],
+) -> AnchorSet:
     """One anchor per lattice cell per layer, centered on the cell.
 
-    Anchors sticking out of the image are kept; scoring clips them.
+    Anchors come layer by layer in config order, each layer's cells in
+    row-major order. Anchors sticking out of the image are kept; scoring
+    clips them.
     """
-    base_heights = base_heights or DEFAULT_BASE_HEIGHTS
     width, height = extent
-    anchors = []
+    boxes, layer_ids, heights = [], [], []
     for spec in cfg.layers:
         h = float(base_heights[spec.layer_id])
         w = ASPECT_RATIO * h
-        cells_y = -(-height // spec.stride)
-        cells_x = -(-width // spec.stride)
-        for i in range(cells_y):
-            cy = (i + 0.5) * spec.stride
-            for j in range(cells_x):
-                cx = (j + 0.5) * spec.stride
-                anchors.append(
-                    Anchor(
-                        box=BBox(cx - w / 2.0, cy - h / 2.0, w, h),
-                        layer_id=spec.layer_id,
-                        base_height=h,
-                    )
-                )
-    return anchors
+        cy = (np.arange(-(-height // spec.stride)) + 0.5) * spec.stride
+        cx = (np.arange(-(-width // spec.stride)) + 0.5) * spec.stride
+        cy, cx = np.meshgrid(cy, cx, indexing="ij")
+        n = cx.size
+        boxes.append(
+            np.stack(
+                [cx.ravel() - w / 2.0, cy.ravel() - h / 2.0, np.full(n, w), np.full(n, h)],
+                axis=1,
+            )
+        )
+        layer_ids.append(np.full(n, spec.layer_id, dtype=np.int64))
+        heights.append(np.full(n, h))
+    return AnchorSet(
+        boxes=np.concatenate(boxes),
+        layer_ids=np.concatenate(layer_ids),
+        base_heights=np.concatenate(heights),
+    )
 
 
 def label_arrays(
-    anchor_boxes: np.ndarray,
-    base_heights: np.ndarray,
+    anchors: AnchorSet,
     gt_boxes: np.ndarray,
     extent: tuple[int, int],
     iou_positive: float = IOU_POSITIVE,
     iou_negative: float = IOU_NEGATIVE,
 ):
-    """Array labeling core.
+    """Label anchors against (G, 4) ground-truth boxes.
 
-    Returns (labels, matched_gt_index, target_height, best_iou). IoU is
+    Returns per-anchor (labels, matched_gt_index, target_height). IoU is
     computed on anchors clipped to the image. An anchor is positive when
     its best IoU exceeds ``iou_positive`` or when it is some ground
     truth's best anchor (ties to the lowest anchor index; zero-overlap
     ground truths claim nobody). Positives match their own best ground
-    truth (ties to the lowest index). Remaining anchors with best IoU
-    strictly below ``iou_negative`` are negative, the rest ignored.
+    truth (ties to the lowest index); every other anchor has match -1
+    and keeps its base height as target height. Remaining anchors with
+    best IoU strictly below ``iou_negative`` are negative, the rest
+    ignored.
     """
-    anchor_boxes = np.asarray(anchor_boxes, dtype=np.float64).reshape(-1, 4)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    n = anchor_boxes.shape[0]
+    n = len(anchors)
     g = gt_boxes.shape[0]
 
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     matched = np.full(n, -1, dtype=np.int64)
-    target_h = np.asarray(base_heights, dtype=np.float64).copy()
+    target_h = np.array(anchors.base_heights, dtype=np.float64)
     if g == 0:
-        return labels, matched, target_h, np.zeros(n)
+        return labels, matched, target_h
 
-    clipped = clip_boxes_array(anchor_boxes, extent)
+    clipped = clip_boxes_array(anchors.boxes, extent)
     ious = iou_matrix(clipped, gt_boxes)
     best_gt = np.argmax(ious, axis=1)
     best_iou = ious[np.arange(n), best_gt]
@@ -137,35 +131,7 @@ def label_arrays(
 
     matched[positive] = best_gt[positive]
     target_h[positive] = gt_boxes[best_gt[positive], 3]
-    return labels, matched, target_h, best_iou
-
-
-def label_anchors(
-    anchors: list[Anchor],
-    gts: list[BBox],
-    extent: tuple[int, int],
-    iou_positive: float = IOU_POSITIVE,
-    iou_negative: float = IOU_NEGATIVE,
-) -> list[LabeledAnchor]:
-    """Label a list of anchors against ground-truth boxes."""
-    boxes = np.array([a.box.as_tuple() for a in anchors], dtype=np.float64).reshape(-1, 4)
-    heights = np.array([a.base_height for a in anchors], dtype=np.float64)
-    gt_arr = np.array([b.as_tuple() for b in gts], dtype=np.float64).reshape(-1, 4)
-    labels, matched, target_h, _ = label_arrays(
-        boxes, heights, gt_arr, extent, iou_positive, iou_negative
-    )
-    out = []
-    for i, anchor in enumerate(anchors):
-        gt = gts[matched[i]] if labels[i] == POSITIVE else None
-        out.append(
-            LabeledAnchor(
-                anchor=anchor,
-                label=int(labels[i]),
-                matched_gt=gt,
-                target_height=float(target_h[i]),
-            )
-        )
-    return out
+    return labels, matched, target_h
 
 
 def sample_minibatch_indices(
@@ -177,9 +143,10 @@ def sample_minibatch_indices(
 ):
     """Pick minibatch indices: uniform positives plus bootstrapped negatives.
 
-    Negatives are drawn uniformly when ``scores`` is None (first pass)
-    and as the highest-scoring (hardest) ones afterwards. The negative
-    quota is gamma times the positives actually taken, or gamma times
+    Returns (positive indices, negative indices). Negatives are drawn
+    uniformly when ``scores`` is None (first pass) and as the
+    highest-scoring (hardest) ones afterwards. The negative quota is
+    gamma times the positives actually taken, or gamma times
     ``pos_count`` when the image has no positives at all.
     """
     if gamma < 1:
@@ -205,16 +172,3 @@ def sample_minibatch_indices(
         order = np.lexsort((neg_idx, -scores[neg_idx]))
         neg_take = neg_idx[order[:neg_quota]]
     return pos_take, neg_take
-
-
-def sample_minibatch(
-    labeled: list[LabeledAnchor],
-    scores: np.ndarray | None,
-    rng: np.random.Generator,
-    pos_count: int = 32,
-    gamma: int = 3,
-) -> list[LabeledAnchor]:
-    """Minibatch of labeled anchors, positives first."""
-    labels = np.array([la.label for la in labeled])
-    pos_take, neg_take = sample_minibatch_indices(labels, scores, rng, pos_count, gamma)
-    return [labeled[i] for i in pos_take] + [labeled[i] for i in neg_take]

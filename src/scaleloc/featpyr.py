@@ -1,9 +1,10 @@
 """Multi-layer feature pyramid and RoI pooling.
 
 A pyramid holds one feature grid per layer (ids 3..5 by convention) at
-strictly increasing strides. The default provider computes block
-statistics of the grayscale image; a file provider replays precomputed
-tensors so externally produced features can be plugged in.
+strictly increasing strides. A feature provider is any
+``image -> FeaturePyramid`` callable; by default :func:`build_pyramid`
+computes block statistics of the grayscale image. Pyramids can be
+written to and read back from a checked binary file.
 
 RoI pooling maps a pixel-space box onto a layer grid and resamples it to
 a fixed ``roi_size`` x ``roi_size`` window. Regions smaller than the
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BBox
+from .geometry import BBox, boxes_to_array
 
 __all__ = [
     "LayerSpec",
@@ -34,8 +35,6 @@ __all__ = [
     "roi_pool_project",
     "write_features",
     "read_features",
-    "SyntheticProvider",
-    "FileFeatureProvider",
 ]
 
 _MAGIC = b"SLFT"
@@ -73,21 +72,12 @@ class PyramidConfig:
         if any(l.channels < 1 or l.stride < 1 for l in self.layers):
             raise ValueError("strides and channel counts must be positive")
 
-    def layer(self, layer_id: int) -> LayerSpec:
-        for spec in self.layers:
-            if spec.layer_id == layer_id:
-                return spec
-        raise KeyError(f"no layer {layer_id} in pyramid config")
-
     def layer_ids(self) -> tuple[int, ...]:
         return tuple(l.layer_id for l in self.layers)
 
-    def flat_dim(self, layer_id: int) -> int:
-        """Length of a flattened pooled block for one layer."""
-        return self.roi_size * self.roi_size * self.layer(layer_id).channels
-
     def flat_dims(self) -> dict[int, int]:
-        return {l.layer_id: self.flat_dim(l.layer_id) for l in self.layers}
+        """Length of a flattened pooled block, per layer."""
+        return {l.layer_id: self.roi_size * self.roi_size * l.channels for l in self.layers}
 
 
 @dataclass(frozen=True)
@@ -299,8 +289,7 @@ def roi_pool_project(
 
 def roi_pool(pyramid: FeaturePyramid, layer_id: int, box: BBox) -> np.ndarray:
     """Pool one box to a (roi, roi, C) block; flatten for the policy nets."""
-    out = roi_pool_many(pyramid, layer_id, np.array([box.as_tuple()]))
-    return out[0]
+    return roi_pool_many(pyramid, layer_id, boxes_to_array([box]))[0]
 
 
 def write_features(path, pyramid: FeaturePyramid) -> None:
@@ -375,52 +364,3 @@ def read_features(path) -> FeaturePyramid:
     return FeaturePyramid(
         extent=(width, height), strides=strides, grids=grids, roi_size=roi_size
     )
-
-
-def _check_matches_config(pyramid: FeaturePyramid, cfg: PyramidConfig, extent) -> None:
-    width, height = extent
-    if pyramid.extent != (width, height):
-        raise FeatureShapeError(
-            f"extent mismatch: expected {(width, height)}, got {pyramid.extent}"
-        )
-    if pyramid.roi_size != cfg.roi_size:
-        raise FeatureShapeError(
-            f"roi_size mismatch: expected {cfg.roi_size}, got {pyramid.roi_size}"
-        )
-    for spec in cfg.layers:
-        if spec.layer_id not in pyramid.grids:
-            raise FeatureShapeError(f"missing layer {spec.layer_id} in feature file")
-        grid = pyramid.grids[spec.layer_id]
-        want = (
-            spec.channels,
-            -(-height // spec.stride),
-            -(-width // spec.stride),
-        )
-        if grid.shape != want:
-            raise FeatureShapeError(
-                f"layer {spec.layer_id}: expected shape {want}, got {grid.shape}"
-            )
-
-
-class SyntheticProvider:
-    """Default provider: block statistics computed from the image."""
-
-    def __init__(self, cfg: PyramidConfig):
-        self.cfg = cfg
-
-    def provide(self, image: np.ndarray) -> FeaturePyramid:
-        return build_pyramid(image, self.cfg)
-
-
-class FileFeatureProvider:
-    """Replays one precomputed tensor file, validating its geometry."""
-
-    def __init__(self, cfg: PyramidConfig, path):
-        self.cfg = cfg
-        self.path = path
-
-    def provide(self, image: np.ndarray) -> FeaturePyramid:
-        pyramid = read_features(self.path)
-        height, width = np.asarray(image).shape
-        _check_matches_config(pyramid, self.cfg, (width, height))
-        return pyramid

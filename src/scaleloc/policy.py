@@ -13,7 +13,7 @@ gradient can be audited against finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,6 +181,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _tanh_step(params: PolicyParams, o: np.ndarray, state: PolicyState):
+    s = np.tanh(params.params["theta_s1"] @ o + params.params["theta_s2"] @ state.s)
+    return PolicyState(s=s, c=None, t=state.t + 1), (o, state.s)
+
+
 def _gated_step(params: PolicyParams, o: np.ndarray, state: PolicyState):
     n = params.cfg.state_dim
     z = params.params["wx"] @ o + params.params["wh"] @ state.s
@@ -196,11 +201,8 @@ def _gated_step(params: PolicyParams, o: np.ndarray, state: PolicyState):
 
 def recur(params: PolicyParams, o: np.ndarray, state: PolicyState) -> PolicyState:
     """Advance the recurrent state by one observation."""
-    if params.cfg.mode == "tanh":
-        s = np.tanh(params.params["theta_s1"] @ o + params.params["theta_s2"] @ state.s)
-        return PolicyState(s=s, c=None, t=state.t + 1)
-    new_state, _ = _gated_step(params, o, state)
-    return new_state
+    step = _tanh_step if params.cfg.mode == "tanh" else _gated_step
+    return step(params, o, state)[0]
 
 
 def action_distribution(params: PolicyParams, state: PolicyState) -> np.ndarray:
@@ -239,18 +241,13 @@ def episode_backward(
 
     # Forward replay with caches.
     state = PolicyState.initial(cfg)
+    step_fn = _tanh_step if mode == "tanh" else _gated_step
     forward: list[tuple] = []
     for step in steps:
         phi = np.asarray(step.features, dtype=np.float64)
         z_obs = params.theta_o(step.layer_id) @ phi
         o = np.maximum(z_obs, 0.0)
-        if mode == "tanh":
-            s_prev = state.s
-            s = np.tanh(params.params["theta_s1"] @ o + params.params["theta_s2"] @ s_prev)
-            state = PolicyState(s=s, c=None, t=state.t + 1)
-            cache = (o, s_prev)
-        else:
-            state, cache = _gated_step(params, o, state)
+        state, cache = step_fn(params, o, state)
         dist = action_distribution(params, state)
         forward.append((step, phi, z_obs, o, cache, state, dist))
 

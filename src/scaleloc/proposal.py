@@ -1,33 +1,41 @@
 """Initial-proposal scorer and its training objective.
 
 Each pyramid layer gets its own small head mapping flattened RoI
-features to an objectness logit plus four box-regression outputs. The
-training objective weights every example by a height-dependent softmax
-over per-layer sigmoids, and balances positives against bootstrapped
-hard negatives. The softmax of values in [0, 1] caps any weight at
-e / (e + 2) ~ 0.58, so no layer ever dominates: with the default
-constants layer 3 gets the largest weight at every height from 32 px up
-(at most 0.545, near 64-72 px), layer 4 peaks at 0.386 near 140 px,
-layer 5 never leads, and above about 200 px all three sit at 1/3.
+features to an objectness logit plus four box-regression outputs,
+evaluated for the anchors of an :class:`~scaleloc.anchors.AnchorSet`.
+The trained objective is :func:`proposal_loss_and_grad`: it weights
+every example by a height-dependent softmax over per-layer sigmoids,
+balances positives against bootstrapped hard negatives, and averages
+the box regression over the positives. Features come from a provider,
+any ``image -> FeaturePyramid`` callable.
+
+The softmax of values in [0, 1] caps any weight at e / (e + 2) ~ 0.58,
+so no layer ever dominates: with the default constants layer 3 gets the
+largest weight at every height from 32 px up (at most 0.545, near
+64-72 px), layer 4 peaks at 0.386 near 140 px, layer 5 never leads, and
+above about 200 px all three sit at 1/3.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import anchors as anchors_mod
-from .anchors import Anchor, sample_minibatch_indices
-from .featpyr import (
-    FeaturePyramid,
-    PyramidConfig,
-    SyntheticProvider,
-    roi_pool_many,
-    roi_pool_project,
+from . import featpyr
+from .anchors import AnchorSet, sample_minibatch_indices
+from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
+from .geometry import (
+    BBox,
+    boxes_to_array,
+    clip,
+    clip_boxes_array,
+    decode_regression,
+    encode_regression,
 )
-from .geometry import BBox, clip, clip_boxes_array, decode_regression, encode_regression
+from .policy import _glorot
 from .scenegen import Scene, rasterize
 
 __all__ = [
@@ -39,9 +47,6 @@ __all__ = [
     "layer_weights",
     "smooth_l1",
     "smooth_l1_grad",
-    "cls_loss",
-    "multitask_loss",
-    "total_objective",
     "score_proposals",
     "top_k",
     "train_proposal_model",
@@ -74,9 +79,6 @@ class LayerWeightConfig:
         if not float(self.balance).is_integer():
             # The sampler keeps balance negatives per positive, a count.
             raise ValueError(f"balance must be a whole number, got {self.balance}")
-
-    def layer_index(self, layer_id: int) -> int:
-        return self.layer_ids.index(layer_id)
 
     def base_heights(self) -> dict[int, float]:
         return dict(zip(self.layer_ids, self.mean_heights))
@@ -114,73 +116,6 @@ def smooth_l1_grad(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def cls_loss(labels, p_hats, gamma: float = 3.0, eps: float = PROB_EPS) -> float:
-    """Balance-weighted cross-entropy over a scored batch.
-
-    The positive and negative populations each contribute their mean
-    log-loss, mixed 1/(1+gamma) to gamma/(1+gamma). An empty population
-    contributes zero.
-    """
-    labels = np.asarray(labels)
-    p = np.clip(np.asarray(p_hats, dtype=np.float64), eps, 1.0 - eps)
-    pos = labels == 1
-    neg = labels == 0
-    loss = 0.0
-    if pos.any():
-        loss += (1.0 / (1.0 + gamma)) * float(np.mean(-np.log(p[pos])))
-    if neg.any():
-        loss += (gamma / (1.0 + gamma)) * float(np.mean(-np.log(1.0 - p[neg])))
-    return loss
-
-
-def multitask_loss(
-    p: int,
-    anchor: BBox,
-    gt: BBox | None,
-    p_hat: float,
-    pred_offsets: np.ndarray,
-    lam: float = 10.0,
-    mode: str = "raw",
-    eps: float = PROB_EPS,
-) -> float:
-    """Per-example loss: log-loss plus lam-weighted box regression.
-
-    The regression term is active only for positives and measures the
-    smooth-L1 of the residual between the encoded target and the
-    predicted offsets, so it vanishes when the prediction is exact.
-    """
-    p_hat = min(max(p_hat, eps), 1.0 - eps)
-    if p == 1:
-        loss = -math.log(p_hat)
-        residual = encode_regression(anchor, gt, mode) - np.asarray(pred_offsets)
-        loss += lam * smooth_l1(residual)
-        return loss
-    return -math.log(1.0 - p_hat)
-
-
-def total_objective(
-    batches: dict[int, list],
-    cfg: LayerWeightConfig = LayerWeightConfig(),
-    mode: str = "raw",
-) -> float:
-    """Double sum over layers and examples of alpha-weighted losses.
-
-    ``batches`` maps layer id to tuples (p, anchor_box, gt_box,
-    target_height, p_hat, pred_offsets). The weight alpha is taken from
-    the example's own target height, so even a single populated layer
-    sees alpha < 1.
-    """
-    total = 0.0
-    for layer_id, examples in batches.items():
-        m = cfg.layer_index(layer_id)
-        for p, anchor, gt, target_h, p_hat, offsets in examples:
-            alpha = float(layer_weights(target_h, cfg)[m])
-            total += alpha * multitask_loss(
-                p, anchor, gt, p_hat, offsets, lam=cfg.tradeoff, mode=mode
-            )
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Model
 
@@ -213,15 +148,9 @@ class ProposalModel:
         dims = pyramid_cfg.flat_dims()
         params: dict[str, np.ndarray] = {}
         for layer_id in pyramid_cfg.layer_ids():
-            d = dims[layer_id]
-            if hidden_dim > 0:
-                params[f"head{layer_id}/w1"] = _glorot(rng, hidden_dim, d)
-                params[f"head{layer_id}/b1"] = np.zeros(hidden_dim)
-                params[f"head{layer_id}/w2"] = _glorot(rng, cls.N_OUT, hidden_dim)
-                params[f"head{layer_id}/b2"] = np.zeros(cls.N_OUT)
-            else:
-                params[f"head{layer_id}/w"] = _glorot(rng, cls.N_OUT, d)
-                params[f"head{layer_id}/b"] = np.zeros(cls.N_OUT)
+            for name, shape in cls._head_shapes(layer_id, dims[layer_id], hidden_dim).items():
+                # Weights draw in table order; biases start at zero.
+                params[name] = _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
         return cls(
             layer_ids=pyramid_cfg.layer_ids(),
             feature_dims=dims,
@@ -298,21 +227,22 @@ class ProposalModel:
         model.validate_shapes()
         return model
 
+    @classmethod
+    def _head_shapes(cls, layer_id: int, d: int, hidden_dim: int) -> dict[str, tuple]:
+        """Names and shapes of one layer's head parameters."""
+        head = f"head{layer_id}/"
+        if hidden_dim > 0:
+            return {
+                head + "w1": (hidden_dim, d),
+                head + "b1": (hidden_dim,),
+                head + "w2": (cls.N_OUT, hidden_dim),
+                head + "b2": (cls.N_OUT,),
+            }
+        return {head + "w": (cls.N_OUT, d), head + "b": (cls.N_OUT,)}
+
     def validate_shapes(self) -> None:
         for layer_id in self.layer_ids:
-            d = self.feature_dims[layer_id]
-            if self.hidden_dim > 0:
-                want = {
-                    f"head{layer_id}/w1": (self.hidden_dim, d),
-                    f"head{layer_id}/b1": (self.hidden_dim,),
-                    f"head{layer_id}/w2": (self.N_OUT, self.hidden_dim),
-                    f"head{layer_id}/b2": (self.N_OUT,),
-                }
-            else:
-                want = {
-                    f"head{layer_id}/w": (self.N_OUT, d),
-                    f"head{layer_id}/b": (self.N_OUT,),
-                }
+            want = self._head_shapes(layer_id, self.feature_dims[layer_id], self.hidden_dim)
             for name, shape in want.items():
                 if name not in self.params:
                     raise ValueError(f"missing parameter {name}")
@@ -320,11 +250,6 @@ class ProposalModel:
                     raise ValueError(
                         f"{name}: expected shape {shape}, got {self.params[name].shape}"
                     )
-
-
-def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +280,7 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg:
         n = batch.labels.shape[0]
         if n == 0:
             continue
-        m = cfg.layer_index(batch.layer_id)
+        m = cfg.layer_ids.index(batch.layer_id)
         logits, offsets, cache = model.forward(batch.layer_id, batch.features)
         p_hat = 1.0 / (1.0 + np.exp(-logits))
         p_clamped = np.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
@@ -408,42 +333,31 @@ class ScoredBox:
 def score_proposals(
     model: ProposalModel,
     pyramid: FeaturePyramid,
-    anchor_list: list[Anchor],
+    anchors: AnchorSet,
 ) -> list[ScoredBox]:
-    """Objectness and decoded box for every anchor."""
+    """Objectness and decoded, clipped box for every anchor, in anchor order."""
     extent = pyramid.extent
-    scored: list[ScoredBox | None] = [None] * len(anchor_list)
-    by_layer: dict[int, list[int]] = {}
-    for i, a in enumerate(anchor_list):
-        by_layer.setdefault(a.layer_id, []).append(i)
-
-    for layer_id, indices in by_layer.items():
-        boxes = np.array([anchor_list[i].box.as_tuple() for i in indices])
-        clipped = clip_boxes_array(boxes, extent)
-        blocks = roi_pool_many(pyramid, layer_id, clipped)
-        feats = blocks.reshape(len(indices), -1)
-        logits, offsets, _ = model.forward(layer_id, feats)
+    scored: list[ScoredBox] = [None] * len(anchors)
+    for layer_id in np.unique(anchors.layer_ids).tolist():
+        sel = np.flatnonzero(anchors.layer_ids == layer_id)
+        boxes = anchors.boxes[sel]
+        feats = roi_pool_many(pyramid, layer_id, clip_boxes_array(boxes, extent))
+        logits, offsets, _ = model.forward(layer_id, feats.reshape(len(sel), -1))
         probs = 1.0 / (1.0 + np.exp(-logits))
-        for row, i in enumerate(indices):
-            decoded = decode_regression(
-                anchor_list[i].box, offsets[row], model.regression_mode
-            )
+        rows = zip(sel.tolist(), boxes.tolist(), offsets.tolist(), probs.tolist())
+        for i, box, vec, prob in rows:
+            decoded = decode_regression(BBox(*box), vec, model.regression_mode)
             if decoded.w < 1.0 or decoded.h < 1.0:
                 decoded = BBox(decoded.x, decoded.y, max(decoded.w, 1.0), max(decoded.h, 1.0))
-            scored[i] = ScoredBox(
-                box=clip(decoded, extent),
-                score=float(probs[row]),
-                layer_id=layer_id,
-            )
-    return [s for s in scored if s is not None]
+            scored[i] = ScoredBox(box=clip(decoded, extent), score=prob, layer_id=layer_id)
+    return scored
 
 
 def top_k(scored: list[ScoredBox], k: int) -> list[ScoredBox]:
     """Best k proposals by objectness, ties broken by input order."""
     if k <= 0:
         return []
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
-    return [scored[i] for i in order[:k]]
+    return sorted(scored, key=lambda s: -s.score)[:k]  # stable sort keeps input order
 
 
 # ---------------------------------------------------------------------------
@@ -472,42 +386,36 @@ class ProposalTrainConfig:
 
 
 def _scene_tensors(scene: Scene, cfg: ProposalTrainConfig, provider, anchor_cache):
-    """Pyramid, anchor arrays, and labels for one scene."""
+    """Pyramid, anchors, and labels for one scene."""
     extent = scene.extent
     if extent not in anchor_cache:
-        anchor_list = anchors_mod.generate_anchors(
+        anchor_cache[extent] = anchors_mod.generate_anchors(
             cfg.pyramid, extent, cfg.loss.base_heights()
         )
-        boxes = np.array([a.box.as_tuple() for a in anchor_list])
-        layers = np.array([a.layer_id for a in anchor_list])
-        heights = np.array([a.base_height for a in anchor_list])
-        anchor_cache[extent] = (anchor_list, boxes, layers, heights)
-    anchor_list, boxes, layers, heights = anchor_cache[extent]
+    anchors = anchor_cache[extent]
 
-    pyramid = provider.provide(rasterize(scene))
-    gt_arr = np.array([b.as_tuple() for b in scene.gt_boxes]).reshape(-1, 4)
-    labels, matched, target_h, _ = anchors_mod.label_arrays(
-        boxes, heights, gt_arr, extent
-    )
-    return pyramid, anchor_list, boxes, layers, labels, matched, target_h, gt_arr
+    pyramid = provider(rasterize(scene))
+    gt_arr = boxes_to_array(scene.gt_boxes)
+    labels, matched, target_h = anchors_mod.label_arrays(anchors, gt_arr, extent)
+    return pyramid, anchors, labels, matched, target_h, gt_arr
 
 
-def _by_layer(pyramid, boxes, layers, indices, pyramid_cfg):
+def _by_layer(pyramid: FeaturePyramid, anchors: AnchorSet, indices: np.ndarray):
     """(layer id, anchor indices, clipped boxes) for each layer that the
-    given anchor indices reach, in layer order."""
-    for layer_id in pyramid_cfg.layer_ids():
-        sel = indices[layers[indices] == layer_id]
-        if len(sel):
-            yield layer_id, sel, clip_boxes_array(boxes[sel], pyramid.extent)
+    given anchor indices reach, in ascending layer id order."""
+    layer_ids = anchors.layer_ids[indices]
+    for layer_id in np.unique(layer_ids).tolist():
+        sel = indices[layer_ids == layer_id]
+        yield layer_id, sel, clip_boxes_array(anchors.boxes[sel], pyramid.extent)
 
 
-def _pool_features(pyramid, boxes, layers, indices, pyramid_cfg):
+def _pool_features(pyramid: FeaturePyramid, anchors: AnchorSet, indices: np.ndarray):
     """Flattened pooled features for a set of anchor indices, grouped by layer."""
-    for layer_id, sel, clipped in _by_layer(pyramid, boxes, layers, indices, pyramid_cfg):
+    for layer_id, sel, clipped in _by_layer(pyramid, anchors, indices):
         yield layer_id, sel, roi_pool_many(pyramid, layer_id, clipped).reshape(len(sel), -1)
 
 
-def _objectness(model, pyramid, boxes, layers, indices, pyramid_cfg):
+def _objectness(model: ProposalModel, pyramid: FeaturePyramid, anchors: AnchorSet, indices):
     """Objectness logits of the given anchors, -inf for all others.
 
     A linear head is applied to the layer grids before sampling
@@ -515,12 +423,12 @@ def _objectness(model, pyramid, boxes, layers, indices, pyramid_cfg):
     equal the pooled forward pass up to the order of floating-point sums.
     A hidden-layer head pools the boxes and runs its forward pass.
     """
-    scores = np.full(len(layers), -np.inf)
+    scores = np.full(len(anchors), -np.inf)
     if model.hidden_dim > 0:
-        for layer_id, sel, feats in _pool_features(pyramid, boxes, layers, indices, pyramid_cfg):
+        for layer_id, sel, feats in _pool_features(pyramid, anchors, indices):
             scores[sel] = model.forward(layer_id, feats)[0]
         return scores
-    for layer_id, sel, clipped in _by_layer(pyramid, boxes, layers, indices, pyramid_cfg):
+    for layer_id, sel, clipped in _by_layer(pyramid, anchors, indices):
         w = model.params[f"head{layer_id}/w"]
         b = model.params[f"head{layer_id}/b"]
         scores[sel] = roi_pool_project(pyramid, layer_id, clipped, w[:1])[:, 0] + b[0]
@@ -541,15 +449,18 @@ def train_proposal_model(
 
     Each scene is rendered, turned into a pyramid and labelled once per
     call: the result is cached by dataset index for the life of the
-    call, so ``provider.provide`` must return the same pyramid for the
-    same image. The cache holds every scene the call visits, about
-    0.5 MB per 640x480 scene at the desk channels (8/16/32) and 17 MB at
-    the full-size ones (256/512/1024). It draws no random numbers, so
-    the trained parameters do not depend on it.
+    call, so ``provider``, an ``image -> FeaturePyramid`` callable that
+    defaults to :func:`~scaleloc.featpyr.build_pyramid` with
+    ``cfg.pyramid``, must return the same pyramid for the same image.
+    The cache holds every scene the call visits, about 0.5 MB per
+    640x480 scene at the desk channels (8/16/32) and 17 MB at the
+    full-size ones (256/512/1024). It draws no random numbers, so the
+    trained parameters do not depend on it.
     """
     if not dataset:
         raise ValueError("dataset must not be empty")
-    provider = provider or SyntheticProvider(cfg.pyramid)
+    # Looked up at call time, so a rebound featpyr.build_pyramid is used.
+    provider = provider or (lambda image: featpyr.build_pyramid(image, cfg.pyramid))
     rng = np.random.default_rng(cfg.seed)
     model = ProposalModel.init(
         cfg.pyramid, cfg.hidden_dim, cfg.regression_mode, seed=cfg.seed
@@ -562,9 +473,7 @@ def train_proposal_model(
         index = int(rng.integers(len(dataset)))
         if index not in scene_cache:
             scene_cache[index] = _scene_tensors(dataset[index], cfg, provider, anchor_cache)
-        pyramid, anchor_list, boxes, layers, labels, matched, target_h, gt_arr = (
-            scene_cache[index]
-        )
+        pyramid, anchors, labels, matched, target_h, gt_arr = scene_cache[index]
 
         scores = None
         if step >= len(dataset):
@@ -574,12 +483,11 @@ def train_proposal_model(
             pool = rng.choice(
                 neg_idx, size=min(cfg.neg_pool, len(neg_idx)), replace=False
             )
-            scores = _objectness(model, pyramid, boxes, layers, pool, cfg.pyramid)
+            scores = _objectness(model, pyramid, anchors, pool)
             # Anything outside the pool must not be picked.
-            mask = np.ones(len(labels), dtype=bool)
-            mask[pool] = False
             labels_for_sampling = labels.copy()
-            labels_for_sampling[(labels == anchors_mod.NEGATIVE) & mask] = anchors_mod.IGNORE
+            labels_for_sampling[neg_idx] = anchors_mod.IGNORE
+            labels_for_sampling[pool] = anchors_mod.NEGATIVE
         else:
             labels_for_sampling = labels
 
@@ -591,15 +499,13 @@ def train_proposal_model(
             continue
 
         batches = []
-        for layer_id, sel, feats in _pool_features(pyramid, boxes, layers, chosen, cfg.pyramid):
+        for layer_id, sel, feats in _pool_features(pyramid, anchors, chosen):
             sel_labels = (labels[sel] == anchors_mod.POSITIVE).astype(np.int64)
             vecs = np.zeros((len(sel), 4))
-            for row, idx in enumerate(sel):
-                if labels[idx] == anchors_mod.POSITIVE:
-                    gt_box = BBox(*gt_arr[matched[idx]])
-                    vecs[row] = encode_regression(
-                        anchor_list[idx].box, gt_box, cfg.regression_mode
-                    )
+            for row in np.flatnonzero(sel_labels):
+                anchor = BBox(*anchors.boxes[sel[row]].tolist())
+                gt_box = BBox(*gt_arr[matched[sel[row]]])
+                vecs[row] = encode_regression(anchor, gt_box, cfg.regression_mode)
             batches.append(
                 LayerBatch(
                     layer_id=layer_id,

@@ -9,7 +9,7 @@ function of (config, seed), so datasets regenerate bit-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,30 +1,55 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaleloc.anchors import (
-    ASPECT_RATIO,
     IGNORE,
     NEGATIVE,
     POSITIVE,
-    Anchor,
-    LabeledAnchor,
     generate_anchors,
-    label_anchors,
-    sample_minibatch,
+    label_arrays,
     sample_minibatch_indices,
 )
 from scaleloc.featpyr import PyramidConfig
-from scaleloc.geometry import BBox, clip, iou
-from scaleloc.scenegen import GenConfig, sample_dataset
+from scaleloc.geometry import BBox, boxes_to_array, clip, iou
+from scaleloc.proposal import LayerWeightConfig
+from scaleloc.scenegen import ASPECT_RATIO, GenConfig, sample_dataset
 
 
 CFG = PyramidConfig()
+HEIGHTS = LayerWeightConfig().base_heights()
+
+
+def per_cell_anchors(cfg, extent, base_heights):
+    """Independent generation oracle: one loop iteration per lattice cell."""
+    width, height = extent
+    boxes, layers, heights = [], [], []
+    for spec in cfg.layers:
+        h = float(base_heights[spec.layer_id])
+        w = ASPECT_RATIO * h
+        for i in range(-(-height // spec.stride)):
+            cy = (i + 0.5) * spec.stride
+            for j in range(-(-width // spec.stride)):
+                cx = (j + 0.5) * spec.stride
+                boxes.append((cx - w / 2.0, cy - h / 2.0, w, h))
+                layers.append(spec.layer_id)
+                heights.append(h)
+    return np.array(boxes), np.array(layers), np.array(heights)
+
+
+def anchor_bboxes(anchors):
+    return [BBox(*row) for row in anchors.boxes.tolist()]
 
 
 def brute_force_labels(anchors, gts, extent, iou_pos=0.5, iou_neg=0.3):
-    """Independent O(A*G) labeling oracle, plain loops only."""
-    n = len(anchors)
-    ious = [[iou(clip(a.box, extent), g) for g in gts] for a in anchors]
+    """Independent O(A*G) labeling oracle, plain loops only.
+
+    Returns per-anchor labels, matched ground-truth indices (-1 when
+    unmatched) and target heights."""
+    boxes = anchor_bboxes(anchors)
+    n = len(boxes)
+    ious = [[iou(clip(a, extent), g) for g in gts] for a in boxes]
 
     def best_gt(i):
         row = ious[i]
@@ -52,177 +77,215 @@ def brute_force_labels(anchors, gts, extent, iou_pos=0.5, iou_neg=0.3):
         if positive[i]:
             j, _ = best_gt(i)
             labels.append(POSITIVE)
-            matched.append(gts[j])
+            matched.append(j)
             target_h.append(gts[j].h)
         elif not gts or best_gt(i)[1] < iou_neg:
             labels.append(NEGATIVE)
-            matched.append(None)
-            target_h.append(anchors[i].base_height)
+            matched.append(-1)
+            target_h.append(anchors.base_heights[i])
         else:
             labels.append(IGNORE)
-            matched.append(None)
-            target_h.append(anchors[i].base_height)
+            matched.append(-1)
+            target_h.append(anchors.base_heights[i])
     return labels, matched, target_h
+
+
+def label(anchors, gts, extent):
+    """(labels, matched, target heights) of an anchor set against BBoxes."""
+    return label_arrays(anchors, boxes_to_array(gts), extent)
 
 
 class TestGenerateAnchors:
     def test_layer3_count_for_vga(self):
-        anchors = generate_anchors(CFG, (640, 480))
-        layer3 = [a for a in anchors if a.layer_id == 3]
-        assert len(layer3) == 4800
+        anchors = generate_anchors(CFG, (640, 480), HEIGHTS)
+        assert int((anchors.layer_ids == 3).sum()) == 4800
 
     def test_total_count_matches_lattice_sum(self):
         extent = (300, 220)
-        anchors = generate_anchors(CFG, extent)
+        anchors = generate_anchors(CFG, extent, HEIGHTS)
         expect = 0
         for spec in CFG.layers:
             expect += (-(-extent[0] // spec.stride)) * (-(-extent[1] // spec.stride))
         assert len(anchors) == expect
+        assert anchors.boxes.shape == (expect, 4)
+        assert anchors.base_heights.shape == (expect,)
 
     def test_aspect_ratio_exact(self):
-        for a in generate_anchors(CFG, (160, 120)):
-            assert a.box.w == ASPECT_RATIO * a.box.h
+        anchors = generate_anchors(CFG, (160, 120), HEIGHTS)
+        assert np.all(anchors.boxes[:, 2] == ASPECT_RATIO * anchors.boxes[:, 3])
+        assert np.all(anchors.boxes[:, 3] == anchors.base_heights)
 
     def test_centers_on_stride_lattice(self):
-        anchors = generate_anchors(CFG, (80, 80))
-        for a in anchors:
-            stride = CFG.layer(a.layer_id).stride
-            assert (a.box.cx / stride) % 1.0 == pytest.approx(0.5)
-            assert (a.box.cy / stride) % 1.0 == pytest.approx(0.5)
+        anchors = generate_anchors(CFG, (80, 80), HEIGHTS)
+        strides = {spec.layer_id: spec.stride for spec in CFG.layers}
+        for a, layer_id in zip(anchor_bboxes(anchors), anchors.layer_ids.tolist()):
+            stride = strides[layer_id]
+            assert (a.cx / stride) % 1.0 == pytest.approx(0.5)
+            assert (a.cy / stride) % 1.0 == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("extent", [(640, 480), (300, 220), (97, 61), (1, 1)])
+    def test_equals_per_cell_loop(self, extent):
+        anchors = generate_anchors(CFG, extent, HEIGHTS)
+        boxes, layers, heights = per_cell_anchors(CFG, extent, HEIGHTS)
+        assert np.array_equal(anchors.boxes, boxes)
+        assert np.array_equal(anchors.layer_ids, layers)
+        assert np.array_equal(anchors.base_heights, heights)
 
 
 class TestLabeling:
     extent = (160, 120)
 
     def anchors(self):
-        return generate_anchors(CFG, self.extent)
+        return generate_anchors(CFG, self.extent, HEIGHTS)
 
     def test_high_iou_is_positive(self):
         anchors = self.anchors()
         # Ground truth exactly on top of a layer-3 anchor.
-        target = anchors[150].box
-        labeled = label_anchors(anchors, [target], self.extent)
-        assert labeled[150].label == POSITIVE
-        assert labeled[150].matched_gt == target
-        assert labeled[150].target_height == target.h
+        target = anchor_bboxes(anchors)[150]
+        labels, matched, target_h = label(anchors, [target], self.extent)
+        assert labels[150] == POSITIVE
+        assert matched[150] == 0
+        assert target_h[150] == target.h
 
     def test_low_iou_is_negative_and_target_height_is_anchor_height(self):
         anchors = self.anchors()
         gt = BBox(1, 1, 4, 10)
-        labeled = label_anchors(anchors, [gt], self.extent)
-        far_away = labeled[-1]
-        assert far_away.label == NEGATIVE
-        assert far_away.matched_gt is None
-        assert far_away.target_height == far_away.anchor.base_height
+        labels, matched, target_h = label(anchors, [gt], self.extent)
+        assert labels[-1] == NEGATIVE
+        assert matched[-1] == -1
+        assert target_h[-1] == anchors.base_heights[-1]
 
     def test_best_anchor_rescues_midband_iou(self):
         # A ground truth whose best anchor sits in the ignore band still
         # gets exactly that anchor as positive.
         anchors = self.anchors()
+        boxes = anchor_bboxes(anchors)
         gt = BBox(40, 30, 30, 73)  # aspect 0.41-ish but offset from lattice
-        labeled = label_anchors(anchors, [gt], self.extent)
+        labels, _, _ = label(anchors, [gt], self.extent)
         best = max(
-            range(len(anchors)),
-            key=lambda i: iou(clip(anchors[i].box, self.extent), gt),
+            range(len(boxes)),
+            key=lambda i: iou(clip(boxes[i], self.extent), gt),
         )
-        assert labeled[best].label == POSITIVE
+        assert labels[best] == POSITIVE
 
     def test_empty_gt_list_all_negative(self):
-        labeled = label_anchors(self.anchors(), [], self.extent)
-        assert all(la.label == NEGATIVE for la in labeled)
+        labels, matched, _ = label(self.anchors(), [], self.extent)
+        assert np.all(labels == NEGATIVE)
+        assert np.all(matched == -1)
 
     def test_every_overlapped_gt_has_a_positive(self):
-        rng = np.random.default_rng(0)
         cfg = GenConfig(scenes=10, extent=self.extent, objects_min=2, objects_max=5)
         anchors = self.anchors()
+        boxes = anchor_bboxes(anchors)
         for scene in sample_dataset(cfg, seed=31):
-            labeled = label_anchors(anchors, scene.gt_boxes, self.extent)
+            labels, matched, _ = label(anchors, scene.gt_boxes, self.extent)
             for gt in scene.gt_boxes:
-                overlapped = any(
-                    iou(clip(a.box, self.extent), gt) > 0 for a in anchors
-                )
+                overlapped = any(iou(clip(a, self.extent), gt) > 0 for a in boxes)
                 if overlapped:
-                    assert any(
-                        la.label == POSITIVE and la.matched_gt is not None
-                        for la in labeled
-                    )
+                    assert np.any((labels == POSITIVE) & (matched >= 0))
 
     def test_matches_brute_force_oracle(self):
         cfg = GenConfig(scenes=12, extent=self.extent, objects_min=1, objects_max=5)
         anchors = self.anchors()
         for scene in sample_dataset(cfg, seed=77):
-            got = label_anchors(anchors, scene.gt_boxes, self.extent)
+            got = label(anchors, scene.gt_boxes, self.extent)
             labels, matched, target_h = brute_force_labels(
                 anchors, scene.gt_boxes, self.extent
             )
-            for i, la in enumerate(got):
-                assert la.label == labels[i], f"anchor {i} in {scene.id}"
-                assert la.matched_gt == matched[i]
-                assert la.target_height == pytest.approx(target_h[i])
+            for i in range(len(anchors)):
+                assert got[0][i] == labels[i], f"anchor {i} in {scene.id}"
+                assert got[1][i] == matched[i]
+                assert got[2][i] == pytest.approx(target_h[i])
 
     def test_label_partition_is_exhaustive_and_disjoint(self):
         anchors = self.anchors()
         gt = BBox(50, 40, 20, 48)
-        labeled = label_anchors(anchors, [gt], self.extent)
-        assert {la.label for la in labeled} <= {POSITIVE, NEGATIVE, IGNORE}
+        labels, _, _ = label(anchors, [gt], self.extent)
+        assert set(labels.tolist()) <= {POSITIVE, NEGATIVE, IGNORE}
 
-    def test_positive_without_gt_rejected(self):
-        a = Anchor(BBox(0, 0, 4, 10), 3, 48.0)
-        with pytest.raises(ValueError):
-            LabeledAnchor(anchor=a, label=POSITIVE, matched_gt=None, target_height=10)
+    def test_positive_has_a_matched_gt(self):
+        anchors = self.anchors()
+        gts = [BBox(50, 40, 20, 48), BBox(100, 20, 30, 70)]
+        labels, matched, target_h = label(anchors, gts, self.extent)
+        pos = labels == POSITIVE
+        assert pos.any()
+        assert np.all(matched[pos] >= 0) and np.all(matched[~pos] == -1)
+        np.testing.assert_array_equal(target_h[pos], boxes_to_array(gts)[matched[pos], 3])
+
+    @given(
+        extent=st.tuples(st.integers(1, 97), st.integers(1, 61)),
+        gts=st.lists(
+            st.tuples(
+                st.floats(-40, 100), st.floats(-40, 70), st.floats(1, 60), st.floats(1, 120)
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_scenes_match_brute_force_oracle(self, extent, gts):
+        """Random ground truths, some off the image, on ragged extents."""
+        anchors = generate_anchors(CFG, extent, HEIGHTS)
+        gts = [BBox(*g) for g in gts]
+        labels, matched, target_h = label(anchors, gts, extent)
+        want = brute_force_labels(anchors, gts, extent)
+        assert labels.tolist() == want[0]
+        assert matched.tolist() == want[1]
+        assert target_h.tolist() == want[2]
+
+        # The three labels partition the anchors.
+        counts = [int((labels == v).sum()) for v in (POSITIVE, NEGATIVE, IGNORE)]
+        assert sum(counts) == len(anchors)
+        # Every ground truth that overlaps some anchor claims a positive.
+        clipped = [clip(a, extent) for a in anchor_bboxes(anchors)]
+        for gt in gts:
+            overlaps = [iou(a, gt) for a in clipped]
+            if max(overlaps) > 0:
+                assert labels[int(np.argmax(overlaps))] == POSITIVE
 
 
 class TestMinibatch:
     def build(self, n_pos, n_neg, n_ign=5):
-        anchors = []
-        labeled = []
-        k = 0
-        for label, count in ((POSITIVE, n_pos), (NEGATIVE, n_neg), (IGNORE, n_ign)):
-            for _ in range(count):
-                a = Anchor(BBox(k * 10.0, 5.0, 4.0, 10.0), 3, 48.0)
-                gt = a.box if label == POSITIVE else None
-                labeled.append(
-                    LabeledAnchor(anchor=a, label=label, matched_gt=gt, target_height=10.0)
-                )
-                k += 1
-        return labeled
+        return np.array([POSITIVE] * n_pos + [NEGATIVE] * n_neg + [IGNORE] * n_ign)
+
+    def sample(self, labels, rng, **kw):
+        pos_take, neg_take = sample_minibatch_indices(labels, None, rng, **kw)
+        return np.concatenate([pos_take, neg_take])
 
     def test_batch_composition_32_96(self):
-        labeled = self.build(n_pos=50, n_neg=500)
-        batch = sample_minibatch(labeled, None, np.random.default_rng(1))
+        labels = self.build(n_pos=50, n_neg=500)
+        batch = labels[self.sample(labels, np.random.default_rng(1))]
         assert len(batch) == 128
-        assert sum(la.label == POSITIVE for la in batch) == 32
-        assert sum(la.label == NEGATIVE for la in batch) == 96
+        assert sum(batch == POSITIVE) == 32
+        assert sum(batch == NEGATIVE) == 96
 
     def test_uniform_draw_reproducible(self):
-        labeled = self.build(n_pos=40, n_neg=400)
-        a = sample_minibatch(labeled, None, np.random.default_rng(9))
-        b = sample_minibatch(labeled, None, np.random.default_rng(9))
-        assert a == b
+        labels = self.build(n_pos=40, n_neg=400)
+        a = self.sample(labels, np.random.default_rng(9))
+        b = self.sample(labels, np.random.default_rng(9))
+        assert np.array_equal(a, b)
 
     def test_hard_negatives_are_top_scored(self):
-        labeled = self.build(n_pos=40, n_neg=400)
+        labels = self.build(n_pos=40, n_neg=400)
         rng = np.random.default_rng(3)
-        scores = rng.uniform(0, 1, size=len(labeled))
-        labels = np.array([la.label for la in labeled])
+        scores = rng.uniform(0, 1, size=len(labels))
         _, neg_take = sample_minibatch_indices(labels, scores, rng, pos_count=32, gamma=3)
         neg_idx = np.flatnonzero(labels == NEGATIVE)
         expect = neg_idx[np.argsort(-scores[neg_idx], kind="stable")][:96]
         assert sorted(neg_take.tolist()) == sorted(expect.tolist())
 
     def test_no_positives_gives_full_negative_batch(self):
-        labeled = self.build(n_pos=0, n_neg=500)
-        batch = sample_minibatch(labeled, None, np.random.default_rng(4))
+        labels = self.build(n_pos=0, n_neg=500)
+        batch = labels[self.sample(labels, np.random.default_rng(4))]
         assert len(batch) == 96
-        assert all(la.label == NEGATIVE for la in batch)
+        assert all(batch == NEGATIVE)
 
     def test_few_positives_scale_negatives(self):
-        labeled = self.build(n_pos=5, n_neg=500)
-        batch = sample_minibatch(labeled, None, np.random.default_rng(5))
-        assert sum(la.label == POSITIVE for la in batch) == 5
-        assert sum(la.label == NEGATIVE for la in batch) == 15
+        labels = self.build(n_pos=5, n_neg=500)
+        batch = labels[self.sample(labels, np.random.default_rng(5))]
+        assert sum(batch == POSITIVE) == 5
+        assert sum(batch == NEGATIVE) == 15
 
     def test_gamma_validated(self):
-        labeled = self.build(n_pos=2, n_neg=10)
+        labels = self.build(n_pos=2, n_neg=10)
         with pytest.raises(ValueError):
-            sample_minibatch(labeled, None, np.random.default_rng(0), gamma=0)
+            self.sample(labels, np.random.default_rng(0), gamma=0)

@@ -1,0 +1,127 @@
+"""Static checks of the source with the standard-library ``ast`` module:
+every exported name exists and every imported name is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "scaleloc").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def imported(node):
+    """Names an import statement binds, except ``from __future__``."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+def top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        else:
+            names.update(imported(node))
+    return names
+
+
+def bound_in(fn):
+    """Names a function or lambda binds locally (arguments, assignments,
+    loop targets, nested definitions and imports)."""
+    names = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif node is not fn and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:
+            names.update(imported(node))
+    return names
+
+
+def global_loads(tree):
+    """Names read somewhere they resolve to a module-level binding: a
+    function-local variable of the same name does not count."""
+    loads = set()
+
+    def visit(node, local):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local:
+                loads.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | bound_in(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return loads
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_exports_are_defined(path):
+    tree = parse(path)
+    missing = set(exported(tree)) - top_level_names(tree)
+    assert not missing, f"{path.name}: __all__ lists undefined names {sorted(missing)}"
+
+
+def unused_imports(tree):
+    """Imported names never read in the scope that imports them: the
+    module for top-level imports, the outermost enclosing function for
+    the others."""
+    unused, in_function = [], set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn not in in_function:
+            names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+            loads = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            for node in ast.walk(fn):
+                in_function.add(node)
+                unused += [name for name in imported(node) if name not in loads]
+    used = global_loads(tree) | set(exported(tree))
+    for node in ast.walk(tree):
+        if node not in in_function:
+            unused += [name for name in imported(node) if name not in used]
+    return unused
+
+
+@pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_are_used(path):
+    unused = unused_imports(parse(path))
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_checks_catch_a_stale_export_and_a_shadowed_import():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "__all__ = ['Anchor', 'f']\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    x: int\n"
+        "def f():\n"
+        "    field = 1\n"
+        "    return field\n"
+    )
+    assert set(exported(tree)) - top_level_names(tree) == {"Anchor"}
+    assert unused_imports(tree) == ["field"]

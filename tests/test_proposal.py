@@ -7,28 +7,84 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scaleloc.anchors import generate_anchors
-from scaleloc.featpyr import LayerSpec, PyramidConfig, SyntheticProvider, build_pyramid
-from scaleloc.geometry import BBox
+from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid
+from scaleloc.geometry import BBox, encode_regression
 from scaleloc.proposal import (
+    PROB_EPS,
     LayerBatch,
     LayerWeightConfig,
     ProposalModel,
     ProposalTrainConfig,
-    cls_loss,
     layer_weights,
-    multitask_loss,
     proposal_loss_and_grad,
     score_proposals,
     smooth_l1,
     smooth_l1_grad,
     top_k,
-    total_objective,
     train_proposal_model,
 )
 from scaleloc.scenegen import GenConfig, sample_dataset
 
 
 TINY_PYR = PyramidConfig(layers=(LayerSpec(3, 8, 2), LayerSpec(4, 16, 3), LayerSpec(5, 32, 2)))
+
+
+# Scalar reference forms of the objective. Training minimises
+# proposal_loss_and_grad; these are its oracles (see TestTrainedLossOracle).
+
+
+def cls_loss(labels, p_hats, gamma: float = 3.0, eps: float = PROB_EPS) -> float:
+    """Balance-weighted cross-entropy over a scored batch.
+
+    The positive and negative populations each contribute their mean
+    log-loss, mixed 1/(1+gamma) to gamma/(1+gamma). An empty population
+    contributes zero.
+    """
+    labels = np.asarray(labels)
+    p = np.clip(np.asarray(p_hats, dtype=np.float64), eps, 1.0 - eps)
+    pos = labels == 1
+    neg = labels == 0
+    loss = 0.0
+    if pos.any():
+        loss += (1.0 / (1.0 + gamma)) * float(np.mean(-np.log(p[pos])))
+    if neg.any():
+        loss += (gamma / (1.0 + gamma)) * float(np.mean(-np.log(1.0 - p[neg])))
+    return loss
+
+
+def multitask_loss(p, anchor, gt, p_hat, pred_offsets, lam=10.0, mode="raw", eps=PROB_EPS):
+    """Per-example loss: log-loss plus lam-weighted box regression.
+
+    The regression term is active only for positives and measures the
+    smooth-L1 of the residual between the encoded target and the
+    predicted offsets, so it vanishes when the prediction is exact.
+    """
+    p_hat = min(max(p_hat, eps), 1.0 - eps)
+    if p == 1:
+        loss = -math.log(p_hat)
+        residual = encode_regression(anchor, gt, mode) - np.asarray(pred_offsets)
+        loss += lam * smooth_l1(residual)
+        return loss
+    return -math.log(1.0 - p_hat)
+
+
+def total_objective(batches, cfg=LayerWeightConfig(), mode="raw") -> float:
+    """Double sum over layers and examples of alpha-weighted losses.
+
+    ``batches`` maps layer id to tuples (p, anchor_box, gt_box,
+    target_height, p_hat, pred_offsets). The weight alpha is taken from
+    the example's own target height, so even a single populated layer
+    sees alpha < 1.
+    """
+    total = 0.0
+    for layer_id, examples in batches.items():
+        m = cfg.layer_ids.index(layer_id)
+        for p, anchor, gt, target_h, p_hat, offsets in examples:
+            alpha = float(layer_weights(target_h, cfg)[m])
+            total += alpha * multitask_loss(
+                p, anchor, gt, p_hat, offsets, lam=cfg.tradeoff, mode=mode
+            )
+    return total
 
 
 def scalar_alpha(h, cfg=LayerWeightConfig()):
@@ -183,16 +239,12 @@ class TestMultitaskLoss:
         assert a == b
 
     def test_exact_regression_prediction(self):
-        from scaleloc.geometry import encode_regression
-
         vec = encode_regression(self.anchor, self.gt, "raw")
         loss = multitask_loss(1, self.anchor, self.gt, 0.5, vec, mode="raw")
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["raw", "normalized"])
     def test_offset_gradient_matches_finite_differences(self, mode):
-        from scaleloc.geometry import encode_regression
-
         lam = 10.0
         pred = np.array([0.4, -0.2, 0.1, 0.3])
         target = encode_regression(self.anchor, self.gt, mode)
@@ -286,6 +338,48 @@ class TestLossGradient:
         assert worst < 1e-5
 
 
+class TestTrainedLossOracle:
+    """With one layer every alpha is exactly 1, and the trained loss is
+    the balance-weighted cross-entropy plus the positives' mean box
+    regression term of the per-example multitask loss."""
+
+    cfg = LayerWeightConfig(layer_ids=(3,), mean_heights=(48.0,), scale_factors=(5.0,))
+    pyr = PyramidConfig(layers=(LayerSpec(3, 8, 2),))
+
+    @pytest.mark.parametrize("mode", ["raw", "normalized"])
+    @pytest.mark.parametrize("n_pos, n_neg", [(3, 9), (5, 0), (0, 7)])
+    def test_value_equals_scalar_oracles(self, mode, n_pos, n_neg):
+        rng = np.random.default_rng(n_pos * 10 + n_neg)
+        model = ProposalModel.init(self.pyr, regression_mode=mode, seed=4)
+        n = n_pos + n_neg
+        labels = np.array([1] * n_pos + [0] * n_neg)
+        anchors = [BBox(*rng.uniform(0, 50, 2), *rng.uniform(5, 40, 2)) for _ in range(n)]
+        gts = [
+            BBox(a.x + rng.uniform(-3, 3), a.y, a.w * rng.uniform(0.7, 1.4), a.h) for a in anchors
+        ]
+        vecs = np.zeros((n, 4))
+        for i in range(n_pos):
+            vecs[i] = encode_regression(anchors[i], gts[i], mode)
+        heights = rng.uniform(20, 200, size=n)
+        feats = rng.uniform(-1, 1, size=(n, model.feature_dims[3]))
+        batch = LayerBatch(3, feats, labels, vecs, heights)
+
+        assert np.all(layer_weights(heights, self.cfg) == 1.0)
+        loss, _ = proposal_loss_and_grad(model, [batch], self.cfg)
+
+        logits, offsets, _ = model.forward(3, feats)
+        p_hat = 1.0 / (1.0 + np.exp(-logits))
+        expect = cls_loss(labels, p_hat, gamma=self.cfg.balance)
+        reg = [
+            multitask_loss(1, anchors[i], gts[i], p_hat[i], offsets[i], self.cfg.tradeoff, mode)
+            + math.log(p_hat[i])
+            for i in range(n_pos)
+        ]
+        if reg:
+            expect += float(np.mean(reg))
+        assert loss == pytest.approx(expect, rel=0, abs=1e-12)
+
+
 class TestScoring:
     def setup_scene(self):
         cfg = GenConfig(scenes=1, extent=(160, 120), objects_min=2, objects_max=2)
@@ -293,7 +387,7 @@ class TestScoring:
         from scaleloc.scenegen import rasterize
 
         pyramid = build_pyramid(rasterize(scene), TINY_PYR)
-        anchors = generate_anchors(TINY_PYR, scene.extent)
+        anchors = generate_anchors(TINY_PYR, scene.extent, LayerWeightConfig().base_heights())
         model = ProposalModel.init(TINY_PYR, seed=3)
         return model, pyramid, anchors
 
@@ -365,13 +459,12 @@ class TestTraining:
         data = self.small_dataset()
         provided = []
 
-        class CountingProvider(SyntheticProvider):
-            def provide(self, image):
-                provided.append(hashlib.sha256(image.tobytes()).hexdigest())
-                return super().provide(image)
+        def counting_provider(image):
+            provided.append(hashlib.sha256(image.tobytes()).hexdigest())
+            return build_pyramid(image, TINY_PYR)
 
         log = []
-        train_proposal_model(data, self.train_cfg(steps=40), CountingProvider(TINY_PYR), log)
+        train_proposal_model(data, self.train_cfg(steps=40), counting_provider, log)
         assert len(log) == 40
         assert len(provided) == len(set(provided)) <= len(data)
 
