@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featpyr import PyramidConfig
-from .geometry import clip_boxes_array, iou_matrix
+from .geometry import clip_boxes, iou_matrix
 from .scenegen import ASPECT_RATIO
 
 __all__ = [
@@ -114,7 +114,7 @@ def label_arrays(
     if g == 0:
         return labels, matched, target_h
 
-    clipped = clip_boxes_array(anchors.boxes, extent)
+    clipped = clip_boxes(anchors.boxes, extent)
     ious = iou_matrix(clipped, gt_boxes)
     best_gt = np.argmax(ious, axis=1)
     best_iou = ious[np.arange(n), best_gt]

@@ -1,7 +1,11 @@
 """Axis-aligned bounding-box arithmetic.
 
 Boxes are (x, y, w, h) with (x, y) the top-left corner, in image pixels.
-Everything here is pure and safe to call concurrently.
+Box arithmetic (clip, IoU, regression encode and decode) works on
+(N, 4) arrays of such rows. :class:`BBox` is the one-box record that
+scenes and policy episodes carry; :func:`clip` and :func:`iou` are
+one-row calls of the array functions. Everything here is pure and safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -21,15 +25,15 @@ __all__ = [
     "iou_matrix",
     "apply_transform",
     "clip",
-    "clip_boxes_array",
+    "clip_boxes",
     "encode_regression",
     "decode_regression",
     "boxes_to_array",
 ]
 
-# Decoded widths/heights are floored here so a box never degenerates to
-# zero area; anything a caller actually cares about sits far above it.
-_DECODE_SIZE_FLOOR = 1e-6
+# Decoded widths/heights are floored here, at one pixel, so a box never
+# degenerates below what an image can show.
+_DECODE_SIZE_FLOOR = 1.0
 # Normalized log size ratios are clamped here before exp, as in Faster
 # R-CNN, so a diverging head cannot overflow the decode.
 _DECODE_LOG_RATIO_MAX = math.log(1000.0 / 16.0)
@@ -86,16 +90,7 @@ class TransformAction(Enum):
 
 
 # Canonical ordering; env indexes its action space against this tuple.
-TRANSFORM_ACTIONS: tuple[TransformAction, ...] = (
-    TransformAction.MOVE_LEFT,
-    TransformAction.MOVE_RIGHT,
-    TransformAction.MOVE_UP,
-    TransformAction.MOVE_DOWN,
-    TransformAction.TALLER,
-    TransformAction.SHORTER,
-    TransformAction.WIDER,
-    TransformAction.NARROWER,
-)
+TRANSFORM_ACTIONS: tuple[TransformAction, ...] = tuple(TransformAction)
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,6 @@ class StepConfig:
 
     move_ratio: float = 0.1
     scale_factor: float = 1.2
-    aspect_ratio_step: float = 0.1
     min_side: float = 2.0
 
     def __post_init__(self):
@@ -116,20 +110,13 @@ class StepConfig:
             raise ValueError("move_ratio must be positive")
         if self.scale_factor <= 1:
             raise ValueError("scale_factor must exceed 1")
-        if self.aspect_ratio_step <= 0:
-            raise ValueError("aspect_ratio_step must be positive")
         if self.min_side <= 0:
             raise ValueError("min_side must be positive")
 
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes, in [0, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x, b.x)
-    iy = min(a.y2, b.y2) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return float(iou_matrix([a.as_tuple()], [b.as_tuple()])[0, 0])
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
@@ -187,97 +174,72 @@ def apply_transform(b: BBox, action: TransformAction, cfg: StepConfig) -> BBox:
 
 
 def clip(b: BBox, extent: tuple[float, float], min_side: float = 2.0) -> BBox:
-    """Intersect a box with the image rectangle [0, W] x [0, H].
+    """One-box form of :func:`clip_boxes`."""
+    return BBox(*clip_boxes([b.as_tuple()], extent, min_side)[0].tolist())
 
-    If the intersection is empty along either axis, the result is a
-    ``min_side`` square inside the image as close as possible to the
-    original box center.
+
+def clip_boxes(boxes, extent: tuple[float, float], min_side: float = 2.0) -> np.ndarray:
+    """Intersect (N, 4) boxes with the image rectangle [0, W] x [0, H].
+
+    A box whose intersection is empty along either axis becomes a
+    ``min_side`` square (narrowed to the image if it is smaller) inside
+    the image, as close as possible to the box center.
     """
     width, height = extent
     if width <= 0 or height <= 0:
         raise ValueError("extent sides must be positive")
-    x0 = max(b.x, 0.0)
-    y0 = max(b.y, 0.0)
-    x1 = min(b.x2, float(width))
-    y1 = min(b.y2, float(height))
-    if x1 > x0 and y1 > y0:
-        return BBox(x0, y0, x1 - x0, y1 - y0)
-
-    side_w = min(min_side, float(width))
-    side_h = min(min_side, float(height))
-    cx = min(max(b.cx, side_w / 2.0), width - side_w / 2.0)
-    cy = min(max(b.cy, side_h / 2.0), height - side_h / 2.0)
-    return BBox(cx - side_w / 2.0, cy - side_h / 2.0, side_w, side_h)
-
-
-def clip_boxes_array(boxes: np.ndarray, extent: tuple[float, float]) -> np.ndarray:
-    """Vectorized clip for (N, 4) boxes known to intersect the image.
-
-    Callers with possibly-disjoint boxes should use :func:`clip`, which
-    handles the empty-intersection fallback.
-    """
-    width, height = extent
-    boxes = np.asarray(boxes, dtype=np.float64)
-    x0 = np.clip(boxes[:, 0], 0.0, None)
-    y0 = np.clip(boxes[:, 1], 0.0, None)
-    x1 = np.minimum(boxes[:, 0] + boxes[:, 2], float(width))
-    y1 = np.minimum(boxes[:, 1] + boxes[:, 3], float(height))
-    return np.stack([x0, y0, x1 - x0, y1 - y0], axis=1)
+    # Contiguous (2, N) rows of corners and of sides, so that every
+    # operation runs along N values rather than along pairs.
+    rows = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T.copy()
+    corner, sides = rows[:2], rows[2:]
+    size = np.array([[width], [height]], dtype=np.float64)
+    side = np.minimum(min_side, size)
+    lo = np.maximum(corner, 0.0)
+    hi = np.minimum(corner + sides, size)
+    center = np.minimum(np.maximum(corner + sides / 2.0, side / 2.0), size - side / 2.0)
+    inside = (hi > lo).all(axis=0)
+    fallback = center - side / 2.0
+    return np.concatenate([np.where(inside, lo, fallback), np.where(inside, hi - lo, side)]).T
 
 
-def encode_regression(anchor: BBox, target: BBox, mode: str = "raw") -> np.ndarray:
-    """Encode a target box relative to an anchor as a 4-vector.
+def encode_regression(anchors, targets, mode: str = "raw") -> np.ndarray:
+    """Encode (N, 4) target boxes relative to (N, 4) anchors, row by row.
 
     ``raw`` is the componentwise difference target - anchor. ``normalized``
     divides the corner offsets by the anchor sides and uses log size
     ratios, which conditions the values for learning.
     """
+    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 4)
     if mode == "raw":
-        return np.array(
-            [
-                target.x - anchor.x,
-                target.y - anchor.y,
-                target.w - anchor.w,
-                target.h - anchor.h,
-            ]
-        )
+        return targets - anchors
     if mode == "normalized":
-        return np.array(
-            [
-                (target.x - anchor.x) / anchor.w,
-                (target.y - anchor.y) / anchor.h,
-                math.log(target.w / anchor.w),
-                math.log(target.h / anchor.h),
-            ]
-        )
+        corner = (targets[:, :2] - anchors[:, :2]) / anchors[:, 2:]
+        return np.concatenate([corner, np.log(targets[:, 2:] / anchors[:, 2:])], axis=1)
     raise ValueError(f"unknown regression mode {mode!r}")
 
 
-def decode_regression(anchor: BBox, vec: np.ndarray, mode: str = "raw") -> BBox:
-    """Invert :func:`encode_regression`: decode(anchor, encode(anchor, t)) == t.
+def decode_regression(anchors, offsets, mode: str = "raw") -> np.ndarray:
+    """Invert :func:`encode_regression` row by row on (N, 4) arrays.
 
-    Decoded sides are floored at ``_DECODE_SIZE_FLOOR``. In ``normalized``
-    mode the log size ratios are first clamped at log(1000 / 16), so a
-    side grows at most 62.5-fold; the round trip holds below that.
+    Decoded sides are floored at 1 px. In ``normalized`` mode the log
+    size ratios are first clamped at log(1000 / 16), so a side grows at
+    most 62.5-fold. decode(a, encode(a, t)) == t for targets inside
+    those limits.
     """
-    v0, v1, v2, v3 = (float(v) for v in vec)
+    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
+    offsets = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
     if mode == "raw":
-        w = max(anchor.w + v2, _DECODE_SIZE_FLOOR)
-        h = max(anchor.h + v3, _DECODE_SIZE_FLOOR)
-        return BBox(anchor.x + v0, anchor.y + v1, w, h)
-    if mode == "normalized":
-        w = anchor.w * math.exp(min(v2, _DECODE_LOG_RATIO_MAX))
-        h = anchor.h * math.exp(min(v3, _DECODE_LOG_RATIO_MAX))
-        return BBox(
-            anchor.x + v0 * anchor.w,
-            anchor.y + v1 * anchor.h,
-            max(w, _DECODE_SIZE_FLOOR),
-            max(h, _DECODE_SIZE_FLOOR),
-        )
-    raise ValueError(f"unknown regression mode {mode!r}")
+        corner = anchors[:, :2] + offsets[:, :2]
+        sides = anchors[:, 2:] + offsets[:, 2:]
+    elif mode == "normalized":
+        corner = anchors[:, :2] + offsets[:, :2] * anchors[:, 2:]
+        sides = anchors[:, 2:] * np.exp(np.minimum(offsets[:, 2:], _DECODE_LOG_RATIO_MAX))
+    else:
+        raise ValueError(f"unknown regression mode {mode!r}")
+    return np.concatenate([corner, np.maximum(sides, _DECODE_SIZE_FLOOR)], axis=1)
 
 
 def boxes_to_array(boxes) -> np.ndarray:
     """Stack an iterable of BBox into an (N, 4) float array."""
-    out = np.array([b.as_tuple() for b in boxes], dtype=np.float64)
-    return out.reshape(-1, 4)
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)

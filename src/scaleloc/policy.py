@@ -97,6 +97,7 @@ class PolicyParams:
             mode="tanh" if arrays["meta/mode"][0] == 0.0 else "gated",
         )
         params = {k: np.array(v) for k, v in arrays.items() if not k.startswith("meta/")}
+        _require_finite(params)
         out = cls(cfg=cfg, params=params)
         out.validate_shapes()
         return out
@@ -132,6 +133,13 @@ class PolicyState:
     def initial(cls, cfg: PolicyConfig) -> "PolicyState":
         c = None if cfg.mode == "tanh" else np.zeros(cfg.state_dim)
         return cls(s=np.zeros(cfg.state_dim), c=c, t=0)
+
+
+def _require_finite(params: dict[str, np.ndarray]) -> None:
+    """Reject a loaded parameter set holding NaN or infinite values."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"parameter {name} has non-finite values")
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:

@@ -27,15 +27,8 @@ from . import anchors as anchors_mod
 from . import featpyr
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
-from .geometry import (
-    BBox,
-    boxes_to_array,
-    clip,
-    clip_boxes_array,
-    decode_regression,
-    encode_regression,
-)
-from .policy import _glorot
+from .geometry import BBox, boxes_to_array, clip_boxes, decode_regression, encode_regression
+from .policy import _glorot, _require_finite, _sigmoid
 from .scenegen import Scene, rasterize
 
 __all__ = [
@@ -94,7 +87,7 @@ def layer_weights(h, cfg: LayerWeightConfig = LayerWeightConfig()) -> np.ndarray
     h = np.asarray(h, dtype=np.float64)
     hbar = np.array(cfg.mean_heights)
     gamma = np.array(cfg.scale_factors)
-    alpha_hat = 1.0 / (1.0 + np.exp(-(h[..., None] - hbar) / gamma))
+    alpha_hat = _sigmoid((h[..., None] - hbar) / gamma)
     shifted = np.exp(alpha_hat - alpha_hat.max(axis=-1, keepdims=True))
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
@@ -217,6 +210,7 @@ class ProposalModel:
         hidden = int(arrays["meta/hidden_dim"][0])
         mode = "raw" if arrays["meta/regression_mode"][0] == 0.0 else "normalized"
         params = {k: np.array(v) for k, v in arrays.items() if not k.startswith("meta/")}
+        _require_finite(params)
         model = cls(
             layer_ids=layer_ids,
             feature_dims=dims,
@@ -282,7 +276,7 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg:
             continue
         m = cfg.layer_ids.index(batch.layer_id)
         logits, offsets, cache = model.forward(batch.layer_id, batch.features)
-        p_hat = 1.0 / (1.0 + np.exp(-logits))
+        p_hat = _sigmoid(logits)
         p_clamped = np.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
         alpha = layer_weights(batch.target_heights, cfg)[:, m]
 
@@ -336,20 +330,14 @@ def score_proposals(
     anchors: AnchorSet,
 ) -> list[ScoredBox]:
     """Objectness and decoded, clipped box for every anchor, in anchor order."""
-    extent = pyramid.extent
     scored: list[ScoredBox] = [None] * len(anchors)
-    for layer_id in np.unique(anchors.layer_ids).tolist():
-        sel = np.flatnonzero(anchors.layer_ids == layer_id)
-        boxes = anchors.boxes[sel]
-        feats = roi_pool_many(pyramid, layer_id, clip_boxes_array(boxes, extent))
+    for layer_id, sel, clipped in _by_layer(pyramid, anchors, np.arange(len(anchors))):
+        feats = roi_pool_many(pyramid, layer_id, clipped)
         logits, offsets, _ = model.forward(layer_id, feats.reshape(len(sel), -1))
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        rows = zip(sel.tolist(), boxes.tolist(), offsets.tolist(), probs.tolist())
-        for i, box, vec, prob in rows:
-            decoded = decode_regression(BBox(*box), vec, model.regression_mode)
-            if decoded.w < 1.0 or decoded.h < 1.0:
-                decoded = BBox(decoded.x, decoded.y, max(decoded.w, 1.0), max(decoded.h, 1.0))
-            scored[i] = ScoredBox(box=clip(decoded, extent), score=prob, layer_id=layer_id)
+        decoded = decode_regression(anchors.boxes[sel], offsets, model.regression_mode)
+        boxes = clip_boxes(decoded, pyramid.extent)
+        for i, box, prob in zip(sel.tolist(), boxes.tolist(), _sigmoid(logits).tolist()):
+            scored[i] = ScoredBox(box=BBox(*box), score=prob, layer_id=layer_id)
     return scored
 
 
@@ -406,7 +394,7 @@ def _by_layer(pyramid: FeaturePyramid, anchors: AnchorSet, indices: np.ndarray):
     layer_ids = anchors.layer_ids[indices]
     for layer_id in np.unique(layer_ids).tolist():
         sel = indices[layer_ids == layer_id]
-        yield layer_id, sel, clip_boxes_array(anchors.boxes[sel], pyramid.extent)
+        yield layer_id, sel, clip_boxes(anchors.boxes[sel], pyramid.extent)
 
 
 def _pool_features(pyramid: FeaturePyramid, anchors: AnchorSet, indices: np.ndarray):
@@ -500,17 +488,17 @@ def train_proposal_model(
 
         batches = []
         for layer_id, sel, feats in _pool_features(pyramid, anchors, chosen):
-            sel_labels = (labels[sel] == anchors_mod.POSITIVE).astype(np.int64)
+            is_pos = labels[sel] == anchors_mod.POSITIVE
+            pos = sel[is_pos]
             vecs = np.zeros((len(sel), 4))
-            for row in np.flatnonzero(sel_labels):
-                anchor = BBox(*anchors.boxes[sel[row]].tolist())
-                gt_box = BBox(*gt_arr[matched[sel[row]]])
-                vecs[row] = encode_regression(anchor, gt_box, cfg.regression_mode)
+            vecs[is_pos] = encode_regression(
+                anchors.boxes[pos], gt_arr[matched[pos]], cfg.regression_mode
+            )
             batches.append(
                 LayerBatch(
                     layer_id=layer_id,
                     features=feats,
-                    labels=sel_labels,
+                    labels=is_pos.astype(np.int64),
                     target_vecs=vecs,
                     target_heights=target_h[sel],
                 )

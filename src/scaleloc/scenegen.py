@@ -9,6 +9,7 @@ function of (config, seed), so datasets regenerate bit-identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,7 @@ class Scene:
 
 
 class DatasetFormatError(ValueError):
-    """Raised when a dataset file does not parse."""
+    """Raised when a dataset file does not parse or holds an impossible value."""
 
 
 def _sample_height(rng: np.random.Generator, cfg: GenConfig) -> float:
@@ -213,16 +214,26 @@ def _scene_to_record(scene: Scene) -> dict:
     }
 
 
+def _whole(value, what: str, least: int) -> int:
+    """``value`` as an int, if it is a whole number >= ``least``."""
+    if type(value) not in (int, float) or not (value == int(value) and value >= least):
+        raise ValueError(f"{what} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
 def _scene_from_record(rec: dict) -> Scene:
-    objects = tuple(
-        GroundTruth(box=BBox(*o["box"]), appearance_seed=int(o["appearance_seed"]))
-        for o in rec["objects"]
-    )
+    objects = []
+    for o in rec["objects"]:
+        if not all(math.isfinite(v) for v in o["box"]):
+            raise ValueError(f"box values must be finite, got {o['box']!r}")
+        seed = _whole(o["appearance_seed"], "appearance seed", 0)
+        objects.append(GroundTruth(box=BBox(*o["box"]), appearance_seed=seed))
+    width, height = rec["extent"]
     return Scene(
         id=str(rec["id"]),
-        extent=(int(rec["extent"][0]), int(rec["extent"][1])),
-        objects=objects,
-        seed=int(rec["seed"]),
+        extent=(_whole(width, "extent width", 1), _whole(height, "extent height", 1)),
+        objects=tuple(objects),
+        seed=_whole(rec["seed"], "scene seed", 0),
     )
 
 
@@ -243,7 +254,7 @@ def read_dataset(path) -> list[Scene]:
             try:
                 rec = json.loads(line)
                 scenes.append(_scene_from_record(rec))
-            except (ValueError, KeyError, TypeError, IndexError) as exc:
+            except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
                 raise DatasetFormatError(f"line {lineno}: {exc}") from exc
     ids = [s.id for s in scenes]
     if len(set(ids)) != len(ids):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import box_oracles as oracle
 from scaleloc.anchors import (
     IGNORE,
     NEGATIVE,
@@ -12,7 +13,7 @@ from scaleloc.anchors import (
     sample_minibatch_indices,
 )
 from scaleloc.featpyr import PyramidConfig
-from scaleloc.geometry import BBox, boxes_to_array, clip, iou
+from scaleloc.geometry import BBox, boxes_to_array
 from scaleloc.proposal import LayerWeightConfig
 from scaleloc.scenegen import ASPECT_RATIO, GenConfig, sample_dataset
 
@@ -49,7 +50,7 @@ def brute_force_labels(anchors, gts, extent, iou_pos=0.5, iou_neg=0.3):
     unmatched) and target heights."""
     boxes = anchor_bboxes(anchors)
     n = len(boxes)
-    ious = [[iou(clip(a, extent), g) for g in gts] for a in boxes]
+    ious = [[oracle.iou(oracle.clip(a, extent), g) for g in gts] for a in boxes]
 
     def best_gt(i):
         row = ious[i]
@@ -164,7 +165,7 @@ class TestLabeling:
         labels, _, _ = label(anchors, [gt], self.extent)
         best = max(
             range(len(boxes)),
-            key=lambda i: iou(clip(boxes[i], self.extent), gt),
+            key=lambda i: oracle.iou(oracle.clip(boxes[i], self.extent), gt),
         )
         assert labels[best] == POSITIVE
 
@@ -180,7 +181,9 @@ class TestLabeling:
         for scene in sample_dataset(cfg, seed=31):
             labels, matched, _ = label(anchors, scene.gt_boxes, self.extent)
             for gt in scene.gt_boxes:
-                overlapped = any(iou(clip(a, self.extent), gt) > 0 for a in boxes)
+                overlapped = any(
+                    oracle.iou(oracle.clip(a, self.extent), gt) > 0 for a in boxes
+                )
                 if overlapped:
                     assert np.any((labels == POSITIVE) & (matched >= 0))
 
@@ -236,9 +239,9 @@ class TestLabeling:
         counts = [int((labels == v).sum()) for v in (POSITIVE, NEGATIVE, IGNORE)]
         assert sum(counts) == len(anchors)
         # Every ground truth that overlaps some anchor claims a positive.
-        clipped = [clip(a, extent) for a in anchor_bboxes(anchors)]
+        clipped = [oracle.clip(a, extent) for a in anchor_bboxes(anchors)]
         for gt in gts:
-            overlaps = [iou(a, gt) for a in clipped]
+            overlaps = [oracle.iou(a, gt) for a in clipped]
             if max(overlaps) > 0:
                 assert labels[int(np.argmax(overlaps))] == POSITIVE
 

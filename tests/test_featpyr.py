@@ -251,6 +251,63 @@ class TestRoiPoolProject:
             roi_pool_project(pyr, 9, np.array([[0, 0, 8, 8]]), np.zeros((1, 32)))
 
 
+class TestRoiPoolManyProperties:
+    """Bilinear pooling is linear in the grid, which score maps
+    (``roi_pool_project``) rely on, and never leaves a channel's range."""
+
+    @given(
+        channels=st.integers(1, 4),
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 9),
+        stride=st.sampled_from([1, 3, 8]),
+        ragged=st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        a=st.floats(-10, 10),
+        b=st.floats(-10, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_linear_in_the_grid_and_within_channel_bounds(
+        self, channels, rows, cols, stride, ragged, a, b, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # A ragged extent still needs rows x cols cells at this stride.
+        extent = (
+            (cols - 1) * stride + 1 + ragged[0] % stride,
+            (rows - 1) * stride + 1 + ragged[1] % stride,
+        )
+        g1 = rng.uniform(-1, 1, size=(channels, rows, cols))
+        g2 = rng.normal(0, 3, size=(channels, rows, cols))
+        # Boxes over and around the image, a third narrower than the
+        # window, and three wholly off it.
+        width, height = extent
+        narrow = np.arange(21) % 3 == 0
+        boxes = np.stack(
+            [
+                rng.uniform(-20, width + 20, 21),
+                rng.uniform(-20, height + 20, 21),
+                np.where(narrow, rng.uniform(0.25, 3, 21), rng.uniform(1, 2 * width + 2, 21)),
+                np.where(narrow, rng.uniform(0.25, 3, 21), rng.uniform(1, 2 * height + 2, 21)),
+            ],
+            axis=1,
+        )
+        off = [[-60, -60, 10, 10], [width + 5, 2, 4, 30], [3, height + 40, 0.25, 0.5]]
+        boxes = np.concatenate([boxes, off])
+
+        def pool(grid):
+            return roi_pool_many(single_layer_pyramid(grid, stride, extent), 3, boxes)
+
+        p1, p2 = pool(g1), pool(g2)
+        scale = abs(a) * np.abs(g1).max() + abs(b) * np.abs(g2).max()
+        np.testing.assert_allclose(
+            pool(a * g1 + b * g2), a * p1 + b * p2, rtol=1e-12, atol=1e-12 * scale
+        )
+
+        for grid, pooled in ((g1, p1), (g2, p2)):
+            lo = grid.min(axis=(1, 2)) - 1e-12 * np.abs(grid).max()
+            hi = grid.max(axis=(1, 2)) + 1e-12 * np.abs(grid).max()
+            assert np.all((pooled >= lo) & (pooled <= hi))
+
+
 class TestConfigValidation:
     def test_strides_must_increase(self):
         with pytest.raises(ValueError):

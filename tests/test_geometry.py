@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import box_oracles as oracle
 from scaleloc.geometry import (
     TRANSFORM_ACTIONS,
     BBox,
@@ -13,7 +14,7 @@ from scaleloc.geometry import (
     apply_transform,
     boxes_to_array,
     clip,
-    clip_boxes_array,
+    clip_boxes,
     decode_regression,
     encode_regression,
     iou,
@@ -38,6 +39,13 @@ def random_int_box(rng, lo=0, hi=100, max_side=28) -> BBox:
     w = int(rng.integers(1, min(max_side, hi - x)))
     h = int(rng.integers(1, min(max_side, hi - y)))
     return BBox(float(x), float(y), float(w), float(h))
+
+
+def random_float_boxes(rng, n, lo=-60.0, hi=160.0, max_side=80.0) -> list[BBox]:
+    """Boxes anywhere in [lo, hi), many partly or wholly off a 100 px image."""
+    corners = rng.uniform(lo, hi, size=(n, 2))
+    sides = rng.uniform(0.25, max_side, size=(n, 2))
+    return [BBox(*c, *s) for c, s in zip(corners.tolist(), sides.tolist())]
 
 
 class TestBBox:
@@ -90,7 +98,15 @@ class TestIoU:
         mat = iou_matrix(boxes_to_array(boxes_a), boxes_to_array(boxes_b))
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
-                assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+                assert mat[i, j] == pytest.approx(oracle.iou(a, b), abs=1e-12)
+
+    def test_one_box_call_equals_scalar_oracle_exactly(self):
+        rng = np.random.default_rng(13)
+        boxes = random_float_boxes(rng, 400)
+        for a, b in zip(boxes[::2], boxes[1::2]):
+            got = iou(a, b)
+            assert type(got) is float
+            assert got == oracle.iou(a, b)
 
     def test_matrix_empty_sides(self):
         assert iou_matrix(np.zeros((0, 4)), np.zeros((3, 4))).shape == (0, 3)
@@ -176,55 +192,83 @@ class TestClip:
         assert got.y == pytest.approx(54.0)
 
     def test_array_clip_matches_scalar(self):
-        # The array helper assumes boxes that intersect the image.
+        # Boxes inside, straddling and wholly off the image, the last
+        # taking the min_side fallback (narrowed on a 1 px wide image).
         rng = np.random.default_rng(5)
-        boxes = []
-        for _ in range(50):
-            w, h = rng.uniform(5, 60, size=2)
-            x = rng.uniform(-w + 1, 99)
-            y = rng.uniform(-h + 1, 99)
-            boxes.append(BBox(x, y, w, h))
-        arr = clip_boxes_array(boxes_to_array(boxes), (100, 100))
-        for row, b in zip(arr, boxes):
-            expect = clip(b, (100, 100))
-            np.testing.assert_allclose(row, expect.as_tuple(), atol=1e-12)
+        boxes = random_float_boxes(rng, 300)
+        for extent in [(100, 100), (37, 120), (1, 3)]:
+            for min_side in [2.0, 0.5]:
+                arr = clip_boxes(boxes_to_array(boxes), extent, min_side)
+                assert arr.shape == (300, 4)
+                for row, b in zip(arr.tolist(), boxes):
+                    want = oracle.clip(b, extent, min_side)
+                    assert tuple(row) == want.as_tuple()
+                    assert clip(b, extent, min_side) == want
+
+    def test_disjoint_rows_take_the_fallback(self):
+        arr = clip_boxes([[-30, -30, 10, 10], [10, 20, 30, 40], [105, 50, 10, 10]], (100, 100))
+        np.testing.assert_array_equal(
+            arr, [[0, 0, 2, 2], [10, 20, 30, 40], [98, 54, 2, 2]]
+        )
+
+    def test_empty_and_bad_extent(self):
+        assert clip_boxes(np.zeros((0, 4)), (10, 10)).shape == (0, 4)
+        with pytest.raises(ValueError):
+            clip_boxes(np.zeros((1, 4)), (0, 10))
+        with pytest.raises(ValueError):
+            clip(BBox(0, 0, 1, 1), (10, -1))
 
 
 class TestRegressionEncoding:
     def test_identity_target(self):
-        a = BBox(3, 4, 10, 20)
-        np.testing.assert_array_equal(encode_regression(a, a, "raw"), np.zeros(4))
-        np.testing.assert_allclose(encode_regression(a, a, "normalized"), np.zeros(4), atol=0)
+        a = [[3, 4, 10, 20]]
+        np.testing.assert_array_equal(encode_regression(a, a, "raw"), np.zeros((1, 4)))
+        np.testing.assert_allclose(encode_regression(a, a, "normalized"), np.zeros((1, 4)), atol=0)
 
     def test_raw_is_componentwise_difference(self):
-        a = BBox(0, 0, 10, 20)
-        t = BBox(2, 1, 10, 20)
-        np.testing.assert_array_equal(encode_regression(a, t, "raw"), [2, 1, 0, 0])
+        a = [[0, 0, 10, 20]]
+        t = [[2, 1, 10, 20]]
+        np.testing.assert_array_equal(encode_regression(a, t, "raw"), [[2, 1, 0, 0]])
 
     @pytest.mark.parametrize("mode", ["raw", "normalized"])
     def test_round_trip(self, mode):
         rng = np.random.default_rng(17)
-        worst = 0.0
-        for _ in range(100):
-            a = BBox(rng.uniform(0, 80), rng.uniform(0, 80), rng.uniform(1, 50), rng.uniform(1, 50))
-            t = BBox(rng.uniform(0, 80), rng.uniform(0, 80), rng.uniform(1, 50), rng.uniform(1, 50))
-            back = decode_regression(a, encode_regression(a, t, mode), mode)
-            worst = max(
-                worst,
-                max(abs(u - v) for u, v in zip(back.as_tuple(), t.as_tuple())),
-            )
-        assert worst < 1e-9
+        a = np.concatenate([rng.uniform(0, 80, (100, 2)), rng.uniform(1, 50, (100, 2))], axis=1)
+        t = np.concatenate([rng.uniform(0, 80, (100, 2)), rng.uniform(1, 50, (100, 2))], axis=1)
+        back = decode_regression(a, encode_regression(a, t, mode), mode)
+        assert back.shape == (100, 4)
+        assert np.abs(back - t).max() < 1e-9
 
     def test_normalized_log_sizes(self):
-        a = BBox(0, 0, 10, 20)
-        t = BBox(5, 10, 20, 10)
-        vec = encode_regression(a, t, "normalized")
-        np.testing.assert_allclose(vec, [0.5, 0.5, math.log(2.0), math.log(0.5)], atol=1e-12)
+        vec = encode_regression([[0, 0, 10, 20]], [[5, 10, 20, 10]], "normalized")
+        np.testing.assert_allclose(vec, [[0.5, 0.5, math.log(2.0), math.log(0.5)]], atol=1e-12)
 
     def test_unknown_mode_rejected(self):
-        a = BBox(0, 0, 1, 1)
+        a = [[0, 0, 1, 1]]
         with pytest.raises(ValueError):
             encode_regression(a, a, "affine")
+        with pytest.raises(ValueError):
+            decode_regression(a, np.zeros((1, 4)), "affine")
+
+    @pytest.mark.parametrize("mode", ["raw", "normalized"])
+    def test_rows_match_scalar_oracles(self, mode):
+        rng = np.random.default_rng(23)
+        anchors = random_float_boxes(rng, 200, max_side=60.0)
+        targets = random_float_boxes(rng, 200, max_side=60.0)
+        vecs = encode_regression(boxes_to_array(anchors), boxes_to_array(targets), mode)
+        offsets = rng.uniform(-3, 3, size=(200, 4)) * [1, 1, 40, 40]
+        decoded = decode_regression(boxes_to_array(anchors), offsets, mode)
+        for i, (a, t) in enumerate(zip(anchors, targets)):
+            np.testing.assert_allclose(vecs[i], oracle.encode(a, t, mode), rtol=1e-12, atol=0)
+            want = oracle.decode(a, offsets[i], mode).as_tuple()
+            np.testing.assert_allclose(decoded[i], want, rtol=1e-12, atol=0)
+
+    def test_sides_floored_at_one_pixel(self):
+        a = [[10, 20, 5, 8], [10, 20, 5, 8]]
+        raw = decode_regression(a, [[0, 0, -4.5, -20], [0, 0, -5, 0]], "raw")
+        np.testing.assert_array_equal(raw[:, 2:], [[1, 1], [1, 8]])
+        norm = decode_regression(a, [[0, 0, -800, -3], [0, 0, 0, 0]], "normalized")
+        np.testing.assert_array_equal(norm[:, 2:], [[1, 1], [5, 8]])
 
     @given(
         offsets=st.lists(st.floats(-1e4, 1e4), min_size=4, max_size=4),
@@ -236,13 +280,13 @@ class TestRegressionEncoding:
     @example(offsets=[0.0, 0.0, -800.0, -800.0], w=20.0, h=48.0, mode="normalized")
     @settings(max_examples=300, deadline=None)
     def test_decode_survives_extreme_offsets(self, offsets, w, h, mode):
-        anchor = BBox(10.0, 20.0, w, h)
-        out = decode_regression(anchor, np.array(offsets), mode)
-        assert all(math.isfinite(v) for v in out.as_tuple())
-        assert out.w >= 1e-6 and out.h >= 1e-6
+        anchor = [[10.0, 20.0, w, h]]
+        out = decode_regression(anchor, [offsets], mode)[0]
+        assert np.all(np.isfinite(out))
+        assert out[2] >= 1.0 and out[3] >= 1.0
         if mode == "normalized":
-            assert out.w <= anchor.w * 62.5 * (1 + 1e-12)
-            assert out.h <= anchor.h * 62.5 * (1 + 1e-12)
+            assert out[2] <= max(w * 62.5 * (1 + 1e-12), 1.0)
+            assert out[3] <= max(h * 62.5 * (1 + 1e-12), 1.0)
 
 
 class TestStepConfig:

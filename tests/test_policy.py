@@ -266,6 +266,14 @@ class TestCheckpointAdapters:
         with pytest.raises(ValueError, match="parameter names"):
             PolicyParams.from_arrays(arrays)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["theta_o/4", "wh", "theta_a"])
+    def test_non_finite_parameter_rejected(self, name, bad):
+        arrays = init_params(24, SMALL).to_arrays()
+        arrays[name].flat[3] = bad
+        with pytest.raises(ValueError, match=f"parameter {name} has non-finite"):
+            PolicyParams.from_arrays(arrays)
+
     def test_zero_grads_mirror_shapes(self):
         params = init_params(23, SMALL)
         grads = zero_grads(params)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import box_oracles as oracle
 from scaleloc.anchors import generate_anchors
-from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid
-from scaleloc.geometry import BBox, encode_regression
+from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid, roi_pool_many
+from scaleloc.geometry import BBox, boxes_to_array, encode_regression
 from scaleloc.proposal import (
     PROB_EPS,
     LayerBatch,
@@ -62,7 +63,7 @@ def multitask_loss(p, anchor, gt, p_hat, pred_offsets, lam=10.0, mode="raw", eps
     p_hat = min(max(p_hat, eps), 1.0 - eps)
     if p == 1:
         loss = -math.log(p_hat)
-        residual = encode_regression(anchor, gt, mode) - np.asarray(pred_offsets)
+        residual = oracle.encode(anchor, gt, mode) - np.asarray(pred_offsets)
         loss += lam * smooth_l1(residual)
         return loss
     return -math.log(1.0 - p_hat)
@@ -239,7 +240,7 @@ class TestMultitaskLoss:
         assert a == b
 
     def test_exact_regression_prediction(self):
-        vec = encode_regression(self.anchor, self.gt, "raw")
+        vec = oracle.encode(self.anchor, self.gt, "raw")
         loss = multitask_loss(1, self.anchor, self.gt, 0.5, vec, mode="raw")
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -247,7 +248,7 @@ class TestMultitaskLoss:
     def test_offset_gradient_matches_finite_differences(self, mode):
         lam = 10.0
         pred = np.array([0.4, -0.2, 0.1, 0.3])
-        target = encode_regression(self.anchor, self.gt, mode)
+        target = oracle.encode(self.anchor, self.gt, mode)
         analytic = -lam * smooth_l1_grad(target - pred)
         fd = np.zeros(4)
         for i in range(4):
@@ -358,8 +359,9 @@ class TestTrainedLossOracle:
             BBox(a.x + rng.uniform(-3, 3), a.y, a.w * rng.uniform(0.7, 1.4), a.h) for a in anchors
         ]
         vecs = np.zeros((n, 4))
-        for i in range(n_pos):
-            vecs[i] = encode_regression(anchors[i], gts[i], mode)
+        vecs[:n_pos] = encode_regression(
+            boxes_to_array(anchors[:n_pos]), boxes_to_array(gts[:n_pos]), mode
+        )
         heights = rng.uniform(20, 200, size=n)
         feats = rng.uniform(-1, 1, size=(n, model.feature_dims[3]))
         batch = LayerBatch(3, feats, labels, vecs, heights)
@@ -414,6 +416,37 @@ class TestScoring:
         model, pyramid, anchors = self.setup_scene()
         scored = score_proposals(model, pyramid, anchors)
         assert len(top_k(scored, 10**6)) == len(scored)
+
+    @pytest.mark.parametrize("mode", ["raw", "normalized"])
+    @pytest.mark.parametrize("gain", [1.0, 300.0])
+    def test_boxes_match_scalar_oracles(self, mode, gain):
+        """Every decoded, clipped box equals the one-box oracles. A large
+        gain on the regression rows pushes offsets into the 1 px floor,
+        the size-ratio clamp and the disjoint-box fallback."""
+        _, pyramid, anchors = self.setup_scene()
+        model = ProposalModel.init(TINY_PYR, regression_mode=mode, seed=3)
+        for layer_id in model.layer_ids:
+            model.params[f"head{layer_id}/w"][1:] *= gain
+        scored = score_proposals(model, pyramid, anchors)
+        assert len(scored) == len(anchors)
+        extent = pyramid.extent
+        fallbacks = 0
+        for layer_id in model.layer_ids:
+            sel = np.flatnonzero(anchors.layer_ids == layer_id)
+            cells = [BBox(*row) for row in anchors.boxes[sel].tolist()]
+            pooled = boxes_to_array(oracle.clip(a, extent) for a in cells)
+            feats = roi_pool_many(pyramid, layer_id, pooled)
+            logits, offsets, _ = model.forward(layer_id, feats.reshape(len(sel), -1))
+            probs = 1.0 / (1.0 + np.exp(-logits))
+            for i, cell, vec, prob in zip(sel.tolist(), cells, offsets, probs.tolist()):
+                decoded = oracle.decode(cell, vec, mode)
+                want = oracle.clip(decoded, extent)
+                fallbacks += want.as_tuple()[2:] == (2.0, 2.0)
+                got = scored[i]
+                np.testing.assert_allclose(got.box.as_tuple(), want.as_tuple(), rtol=1e-12)
+                assert (got.score, got.layer_id) == (prob, layer_id)
+                assert type(got.score) is float and type(got.layer_id) is int
+        assert (fallbacks > 0) == (gain > 1.0)
 
     def test_boxes_clipped_and_layer_tagged(self):
         model, pyramid, anchors = self.setup_scene()
@@ -495,6 +528,16 @@ class TestTraining:
             digest.update(name.encode())
             digest.update(np.ascontiguousarray(model.params[name]).tobytes())
         assert digest.hexdigest() == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "hidden, name", [(0, "head3/w"), (0, "head5/b"), (6, "head4/w1"), (6, "head3/b2")]
+    )
+    def test_checkpoint_with_non_finite_parameter_rejected(self, hidden, name, bad):
+        arrays = ProposalModel.init(TINY_PYR, hidden_dim=hidden, seed=1).to_arrays()
+        arrays[name].flat[2] = bad
+        with pytest.raises(ValueError, match=f"parameter {name} has non-finite"):
+            ProposalModel.from_arrays(arrays)
 
     def test_checkpoint_arrays_round_trip(self):
         data = self.small_dataset()

@@ -1,11 +1,18 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scaleloc.geometry import BBox
 from scaleloc.scenegen import (
     ASPECT_BAND,
     DatasetFormatError,
     GenConfig,
+    GroundTruth,
     RenderConfig,
+    Scene,
     read_dataset,
     rasterize,
     sample_dataset,
@@ -125,3 +132,74 @@ class TestDatasetIO:
         write_dataset(path, scenes + scenes)
         with pytest.raises(DatasetFormatError, match="duplicate"):
             read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("extent", [-5, 10], "extent width must be a whole number >= 1"),
+            ("extent", [64, 0], "extent height must be a whole number >= 1"),
+            ("extent", [64.7, 48], "extent width must be a whole number >= 1, got 64.7"),
+            ("extent", [64, "48"], "extent height must be a whole number >= 1, got '48'"),
+            ("extent", [64, 48, 1], "too many values"),
+            ("seed", -1, "scene seed must be a whole number >= 0"),
+            ("seed", 2.5, "scene seed must be a whole number >= 0, got 2.5"),
+            ("seed", float("inf"), "line 1: cannot convert float infinity"),
+            ("appearance_seed", True, "appearance seed must be a whole number"),
+            ("appearance_seed", -3, "appearance seed must be a whole number >= 0"),
+            ("box", [1.0, 2.0, float("inf"), 4.0], "box values must be finite"),
+            ("box", [float("nan"), 2.0, 3.0, 4.0], "box values must be finite"),
+            ("box", [1.0, 2.0, 10**400, 4.0], "line 1: int too large"),
+        ],
+    )
+    def test_malformed_record_rejected(self, tmp_path, field, value, message):
+        """Bad extents, seeds and boxes fail on reading with the module's
+        error, not later inside rasterize."""
+        rec = {
+            "id": "s",
+            "extent": [64, 48],
+            "seed": 5,
+            "objects": [{"box": [1.0, 2.0, 3.0, 4.0], "appearance_seed": 7}],
+        }
+        if field in rec:
+            rec[field] = value
+        else:
+            rec["objects"][0][field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(DatasetFormatError, match=message):
+            read_dataset(path)
+
+    @given(
+        scenes=st.lists(
+            st.builds(
+                lambda extent, seed, boxes: (extent, seed, boxes),
+                st.tuples(st.integers(1, 4096), st.integers(1, 4096)),
+                st.integers(0, 2**64),
+                st.lists(
+                    st.tuples(
+                        st.floats(-1e6, 1e6),
+                        st.floats(-1e6, 1e6),
+                        st.floats(1e-6, 1e6),
+                        st.floats(1e-6, 1e6),
+                        st.integers(0, 2**31 - 1),
+                    ),
+                    max_size=4,
+                ),
+            ),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_write_read_round_trip_property(self, tmp_path_factory, scenes):
+        want = [
+            Scene(
+                id=f"scene-{i}",
+                extent=extent,
+                objects=tuple(GroundTruth(BBox(*box[:4]), box[4]) for box in boxes),
+                seed=seed,
+            )
+            for i, (extent, seed, boxes) in enumerate(scenes)
+        ]
+        path = tmp_path_factory.mktemp("io") / "data.jsonl"
+        write_dataset(path, want)
+        assert read_dataset(path) == want
