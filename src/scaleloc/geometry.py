@@ -2,10 +2,11 @@
 
 Boxes are (x, y, w, h) with (x, y) the top-left corner, in image pixels.
 Box arithmetic (clip, IoU, regression encode and decode) works on
-(N, 4) arrays of such rows. :class:`BBox` is the one-box record that
-scenes and policy episodes carry; :func:`clip` and :func:`iou` are
-one-row calls of the array functions. Everything here is pure and safe
-to call concurrently.
+(N, 4) arrays of such rows. Regression offsets are Faster R-CNN's:
+corner shifts in anchor sides, and log size ratios. :class:`BBox` is
+the one-box record that scenes and policy episodes carry; :func:`clip`
+and :func:`iou` are one-row calls of the array functions. Everything
+here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ class BBox:
     @property
     def y2(self) -> float:
         return self.y + self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
@@ -188,9 +185,7 @@ def clip_boxes(boxes, extent: tuple[float, float], min_side: float = 2.0) -> np.
     width, height = extent
     if width <= 0 or height <= 0:
         raise ValueError("extent sides must be positive")
-    # Contiguous (2, N) rows of corners and of sides, so that every
-    # operation runs along N values rather than along pairs.
-    rows = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T.copy()
+    rows = _rows(boxes)
     corner, sides = rows[:2], rows[2:]
     size = np.array([[width], [height]], dtype=np.float64)
     side = np.minimum(min_side, size)
@@ -202,42 +197,33 @@ def clip_boxes(boxes, extent: tuple[float, float], min_side: float = 2.0) -> np.
     return np.concatenate([np.where(inside, lo, fallback), np.where(inside, hi - lo, side)]).T
 
 
-def encode_regression(anchors, targets, mode: str = "raw") -> np.ndarray:
+def encode_regression(anchors, targets) -> np.ndarray:
     """Encode (N, 4) target boxes relative to (N, 4) anchors, row by row.
 
-    ``raw`` is the componentwise difference target - anchor. ``normalized``
-    divides the corner offsets by the anchor sides and uses log size
-    ratios, which conditions the values for learning.
+    The corner offsets are divided by the anchor sides and the sizes
+    become log ratios, which conditions the values for learning.
     """
-    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 4)
-    if mode == "raw":
-        return targets - anchors
-    if mode == "normalized":
-        corner = (targets[:, :2] - anchors[:, :2]) / anchors[:, 2:]
-        return np.concatenate([corner, np.log(targets[:, 2:] / anchors[:, 2:])], axis=1)
-    raise ValueError(f"unknown regression mode {mode!r}")
+    a, t = _rows(anchors), _rows(targets)
+    return np.concatenate([(t[:2] - a[:2]) / a[2:], np.log(t[2:] / a[2:])]).T
 
 
-def decode_regression(anchors, offsets, mode: str = "raw") -> np.ndarray:
+def decode_regression(anchors, offsets) -> np.ndarray:
     """Invert :func:`encode_regression` row by row on (N, 4) arrays.
 
-    Decoded sides are floored at 1 px. In ``normalized`` mode the log
-    size ratios are first clamped at log(1000 / 16), so a side grows at
-    most 62.5-fold. decode(a, encode(a, t)) == t for targets inside
-    those limits.
+    The log size ratios are clamped at log(1000 / 16), so a side grows at
+    most 62.5-fold, and decoded sides are floored at 1 px.
+    decode(a, encode(a, t)) == t for targets inside those limits.
     """
-    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
-    offsets = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
-    if mode == "raw":
-        corner = anchors[:, :2] + offsets[:, :2]
-        sides = anchors[:, 2:] + offsets[:, 2:]
-    elif mode == "normalized":
-        corner = anchors[:, :2] + offsets[:, :2] * anchors[:, 2:]
-        sides = anchors[:, 2:] * np.exp(np.minimum(offsets[:, 2:], _DECODE_LOG_RATIO_MAX))
-    else:
-        raise ValueError(f"unknown regression mode {mode!r}")
-    return np.concatenate([corner, np.maximum(sides, _DECODE_SIZE_FLOOR)], axis=1)
+    a, v = _rows(anchors), _rows(offsets)
+    corner = a[:2] + v[:2] * a[2:]
+    sides = a[2:] * np.exp(np.minimum(v[2:], _DECODE_LOG_RATIO_MAX))
+    return np.concatenate([corner, np.maximum(sides, _DECODE_SIZE_FLOOR)]).T
+
+
+def _rows(boxes) -> np.ndarray:
+    """Contiguous (4, N) rows x, y, w, h of (N, 4) boxes, so that every
+    operation runs along N values rather than along pairs."""
+    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T.copy()
 
 
 def boxes_to_array(boxes) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Initial-proposal scorer and its training objective.
 
-Each pyramid layer gets its own small head mapping flattened RoI
-features to an objectness logit plus four box-regression outputs,
+Each pyramid layer gets its own linear head mapping flattened RoI
+features to an objectness logit plus four box-regression offsets,
 evaluated for the anchors of an :class:`~scaleloc.anchors.AnchorSet`.
+The offsets are normalized corner shifts and log size ratios relative
+to the anchor (:func:`~scaleloc.geometry.encode_regression`).
 The trained objective is :func:`proposal_loss_and_grad`: it weights
 every example by a height-dependent softmax over per-layer sigmoids,
 balances positives against bootstrapped hard negatives, and averages
@@ -28,7 +30,7 @@ from . import featpyr
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
 from .geometry import BBox, boxes_to_array, clip_boxes, decode_regression, encode_regression
-from .policy import _glorot, _require_finite, _sigmoid
+from .policy import _check_shapes, _glorot, _sigmoid, _split_checkpoint
 from .scenegen import Scene, rasterize
 
 __all__ = [
@@ -115,78 +117,47 @@ def smooth_l1_grad(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProposalModel:
-    """Per-layer heads over flattened RoI features.
-
-    ``hidden_dim`` 0 means a plain linear head; otherwise one ReLU
-    hidden layer of that width sits in front of the outputs.
-    """
+    """Per-layer linear heads over flattened RoI features."""
 
     layer_ids: tuple[int, ...]
     feature_dims: dict[int, int]
-    hidden_dim: int
-    regression_mode: str
     params: dict[str, np.ndarray]
 
     N_OUT = 5  # objectness logit + 4 regression outputs
 
     @classmethod
-    def init(
-        cls,
-        pyramid_cfg: PyramidConfig,
-        hidden_dim: int = 0,
-        regression_mode: str = "normalized",
-        seed: int = 0,
-    ) -> "ProposalModel":
+    def init(cls, pyramid_cfg: PyramidConfig, seed: int = 0) -> "ProposalModel":
         rng = np.random.default_rng(seed)
         dims = pyramid_cfg.flat_dims()
         params: dict[str, np.ndarray] = {}
         for layer_id in pyramid_cfg.layer_ids():
-            for name, shape in cls._head_shapes(layer_id, dims[layer_id], hidden_dim).items():
+            for name, shape in cls._head_shapes(layer_id, dims[layer_id]).items():
                 # Weights draw in table order; biases start at zero.
                 params[name] = _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-        return cls(
-            layer_ids=pyramid_cfg.layer_ids(),
-            feature_dims=dims,
-            hidden_dim=hidden_dim,
-            regression_mode=regression_mode,
-            params=params,
-        )
+        return cls(layer_ids=pyramid_cfg.layer_ids(), feature_dims=dims, params=params)
 
     def forward(self, layer_id: int, features: np.ndarray):
-        """Map (N, D) features to (logits (N,), offsets (N, 4), cache)."""
+        """Map (N, D) features to (logits (N,), offsets (N, 4), cache).
+
+        The cache is the features, which :meth:`backward` needs.
+        """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.feature_dims[layer_id]:
             raise ValueError(
                 f"layer {layer_id}: expected (N, {self.feature_dims[layer_id]}) features, "
                 f"got {features.shape}"
             )
-        if self.hidden_dim > 0:
-            z1 = features @ self.params[f"head{layer_id}/w1"].T + self.params[f"head{layer_id}/b1"]
-            a1 = np.maximum(z1, 0.0)
-            out = a1 @ self.params[f"head{layer_id}/w2"].T + self.params[f"head{layer_id}/b2"]
-            cache = (features, z1, a1)
-        else:
-            out = features @ self.params[f"head{layer_id}/w"].T + self.params[f"head{layer_id}/b"]
-            cache = (features,)
-        return out[:, 0], out[:, 1:], cache
+        out = features @ self.params[f"head{layer_id}/w"].T + self.params[f"head{layer_id}/b"]
+        return out[:, 0], out[:, 1:], features
 
     def backward(self, layer_id: int, cache, dlogits: np.ndarray, doffsets: np.ndarray):
-        """Gradients of the head parameters given output gradients."""
+        """Gradients of the head parameters given output gradients;
+        ``cache`` is the features that :meth:`forward` returned."""
         dout = np.concatenate([dlogits[:, None], doffsets], axis=1)
-        grads: dict[str, np.ndarray] = {}
-        if self.hidden_dim > 0:
-            features, z1, a1 = cache
-            grads[f"head{layer_id}/w2"] = dout.T @ a1
-            grads[f"head{layer_id}/b2"] = dout.sum(axis=0)
-            da1 = dout @ self.params[f"head{layer_id}/w2"]
-            dz1 = da1 * (z1 > 0)
-            grads[f"head{layer_id}/w1"] = dz1.T @ features
-            grads[f"head{layer_id}/b1"] = dz1.sum(axis=0)
-        else:
-            (features,) = cache
-            grads[f"head{layer_id}/w"] = dout.T @ features
-            grads[f"head{layer_id}/b"] = dout.sum(axis=0)
-        return grads
+        return {
+            f"head{layer_id}/w": dout.T @ cache,
+            f"head{layer_id}/b": dout.sum(axis=0),
+        }
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         arrays = dict(self.params)
@@ -194,56 +165,28 @@ class ProposalModel:
         arrays["meta/feature_dims"] = np.array(
             [self.feature_dims[i] for i in self.layer_ids], dtype=np.float64
         )
-        arrays["meta/hidden_dim"] = np.array([self.hidden_dim], dtype=np.float64)
-        arrays["meta/regression_mode"] = np.array(
-            [0.0 if self.regression_mode == "raw" else 1.0]
-        )
         return arrays
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ProposalModel":
-        layer_ids = tuple(int(v) for v in arrays["meta/layer_ids"])
-        dims = {
-            layer_id: int(d)
-            for layer_id, d in zip(layer_ids, arrays["meta/feature_dims"])
-        }
-        hidden = int(arrays["meta/hidden_dim"][0])
-        mode = "raw" if arrays["meta/regression_mode"][0] == 0.0 else "normalized"
-        params = {k: np.array(v) for k, v in arrays.items() if not k.startswith("meta/")}
-        _require_finite(params)
-        model = cls(
-            layer_ids=layer_ids,
-            feature_dims=dims,
-            hidden_dim=hidden,
-            regression_mode=mode,
-            params=params,
-        )
+        """Load what :meth:`to_arrays` wrote; any other name set is a ``ValueError``."""
+        meta, params = _split_checkpoint(arrays, ("meta/layer_ids", "meta/feature_dims"))
+        layer_ids = tuple(int(v) for v in meta["meta/layer_ids"])
+        dims = {layer_id: int(d) for layer_id, d in zip(layer_ids, meta["meta/feature_dims"])}
+        model = cls(layer_ids=layer_ids, feature_dims=dims, params=params)
         model.validate_shapes()
         return model
 
     @classmethod
-    def _head_shapes(cls, layer_id: int, d: int, hidden_dim: int) -> dict[str, tuple]:
+    def _head_shapes(cls, layer_id: int, d: int) -> dict[str, tuple]:
         """Names and shapes of one layer's head parameters."""
-        head = f"head{layer_id}/"
-        if hidden_dim > 0:
-            return {
-                head + "w1": (hidden_dim, d),
-                head + "b1": (hidden_dim,),
-                head + "w2": (cls.N_OUT, hidden_dim),
-                head + "b2": (cls.N_OUT,),
-            }
-        return {head + "w": (cls.N_OUT, d), head + "b": (cls.N_OUT,)}
+        return {f"head{layer_id}/w": (cls.N_OUT, d), f"head{layer_id}/b": (cls.N_OUT,)}
 
     def validate_shapes(self) -> None:
+        want: dict[str, tuple] = {}
         for layer_id in self.layer_ids:
-            want = self._head_shapes(layer_id, self.feature_dims[layer_id], self.hidden_dim)
-            for name, shape in want.items():
-                if name not in self.params:
-                    raise ValueError(f"missing parameter {name}")
-                if self.params[name].shape != shape:
-                    raise ValueError(
-                        f"{name}: expected shape {shape}, got {self.params[name].shape}"
-                    )
+            want.update(self._head_shapes(layer_id, self.feature_dims[layer_id]))
+        _check_shapes(want, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +277,7 @@ def score_proposals(
     for layer_id, sel, clipped in _by_layer(pyramid, anchors, np.arange(len(anchors))):
         feats = roi_pool_many(pyramid, layer_id, clipped)
         logits, offsets, _ = model.forward(layer_id, feats.reshape(len(sel), -1))
-        decoded = decode_regression(anchors.boxes[sel], offsets, model.regression_mode)
+        decoded = decode_regression(anchors.boxes[sel], offsets)
         boxes = clip_boxes(decoded, pyramid.extent)
         for i, box, prob in zip(sel.tolist(), boxes.tolist(), _sigmoid(logits).tolist()):
             scored[i] = ScoredBox(box=BBox(*box), score=prob, layer_id=layer_id)
@@ -356,8 +299,6 @@ def top_k(scored: list[ScoredBox], k: int) -> list[ScoredBox]:
 class ProposalTrainConfig:
     pyramid: PyramidConfig = PyramidConfig()
     loss: LayerWeightConfig = LayerWeightConfig()
-    regression_mode: str = "normalized"
-    hidden_dim: int = 0
     steps: int = 2000
     lr: float = 0.001
     momentum: float = 0.9
@@ -369,8 +310,6 @@ class ProposalTrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if self.regression_mode not in ("raw", "normalized"):
-            raise ValueError("regression_mode must be 'raw' or 'normalized'")
 
 
 def _scene_tensors(scene: Scene, cfg: ProposalTrainConfig, provider, anchor_cache):
@@ -397,25 +336,14 @@ def _by_layer(pyramid: FeaturePyramid, anchors: AnchorSet, indices: np.ndarray):
         yield layer_id, sel, clip_boxes(anchors.boxes[sel], pyramid.extent)
 
 
-def _pool_features(pyramid: FeaturePyramid, anchors: AnchorSet, indices: np.ndarray):
-    """Flattened pooled features for a set of anchor indices, grouped by layer."""
-    for layer_id, sel, clipped in _by_layer(pyramid, anchors, indices):
-        yield layer_id, sel, roi_pool_many(pyramid, layer_id, clipped).reshape(len(sel), -1)
-
-
 def _objectness(model: ProposalModel, pyramid: FeaturePyramid, anchors: AnchorSet, indices):
     """Objectness logits of the given anchors, -inf for all others.
 
-    A linear head is applied to the layer grids before sampling
+    The head is applied to the layer grids before sampling
     (:func:`roi_pool_project`), so no pooled block is built; the logits
     equal the pooled forward pass up to the order of floating-point sums.
-    A hidden-layer head pools the boxes and runs its forward pass.
     """
     scores = np.full(len(anchors), -np.inf)
-    if model.hidden_dim > 0:
-        for layer_id, sel, feats in _pool_features(pyramid, anchors, indices):
-            scores[sel] = model.forward(layer_id, feats)[0]
-        return scores
     for layer_id, sel, clipped in _by_layer(pyramid, anchors, indices):
         w = model.params[f"head{layer_id}/w"]
         b = model.params[f"head{layer_id}/b"]
@@ -450,9 +378,7 @@ def train_proposal_model(
     # Looked up at call time, so a rebound featpyr.build_pyramid is used.
     provider = provider or (lambda image: featpyr.build_pyramid(image, cfg.pyramid))
     rng = np.random.default_rng(cfg.seed)
-    model = ProposalModel.init(
-        cfg.pyramid, cfg.hidden_dim, cfg.regression_mode, seed=cfg.seed
-    )
+    model = ProposalModel.init(cfg.pyramid, seed=cfg.seed)
     velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
     anchor_cache: dict = {}
     scene_cache: dict[int, tuple] = {}
@@ -487,13 +413,12 @@ def train_proposal_model(
             continue
 
         batches = []
-        for layer_id, sel, feats in _pool_features(pyramid, anchors, chosen):
+        for layer_id, sel, clipped in _by_layer(pyramid, anchors, chosen):
+            feats = roi_pool_many(pyramid, layer_id, clipped).reshape(len(sel), -1)
             is_pos = labels[sel] == anchors_mod.POSITIVE
             pos = sel[is_pos]
             vecs = np.zeros((len(sel), 4))
-            vecs[is_pos] = encode_regression(
-                anchors.boxes[pos], gt_arr[matched[pos]], cfg.regression_mode
-            )
+            vecs[is_pos] = encode_regression(anchors.boxes[pos], gt_arr[matched[pos]])
             batches.append(
                 LayerBatch(
                     layer_id=layer_id,

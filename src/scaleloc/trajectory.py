@@ -33,9 +33,5 @@ class Trajectory:
             raise ValueError("log-probabilities cannot be positive")
 
     @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
     def final_box(self) -> BBox | None:
         return self.steps[-1].box if self.steps else None

@@ -21,7 +21,7 @@ def iou(a: BBox, b: BBox) -> float:
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return inter / (a.w * a.h + b.w * b.h - inter)
 
 
 def clip(b: BBox, extent, min_side: float = 2.0) -> BBox:
@@ -44,45 +44,28 @@ def clip(b: BBox, extent, min_side: float = 2.0) -> BBox:
     return BBox(cx - side_w / 2.0, cy - side_h / 2.0, side_w, side_h)
 
 
-def encode(anchor: BBox, target: BBox, mode: str = "raw") -> np.ndarray:
-    """Target relative to anchor: differences, or normalized corner
-    offsets and log size ratios."""
-    if mode == "raw":
-        return np.array(
-            [
-                target.x - anchor.x,
-                target.y - anchor.y,
-                target.w - anchor.w,
-                target.h - anchor.h,
-            ]
-        )
-    if mode == "normalized":
-        return np.array(
-            [
-                (target.x - anchor.x) / anchor.w,
-                (target.y - anchor.y) / anchor.h,
-                math.log(target.w / anchor.w),
-                math.log(target.h / anchor.h),
-            ]
-        )
-    raise ValueError(f"unknown regression mode {mode!r}")
+def encode(anchor: BBox, target: BBox) -> np.ndarray:
+    """Target relative to anchor: corner offsets in anchor sides, and log
+    size ratios."""
+    return np.array(
+        [
+            (target.x - anchor.x) / anchor.w,
+            (target.y - anchor.y) / anchor.h,
+            math.log(target.w / anchor.w),
+            math.log(target.h / anchor.h),
+        ]
+    )
 
 
-def decode(anchor: BBox, vec, mode: str = "raw") -> BBox:
-    """Invert :func:`encode`, flooring sides at ``SIZE_FLOOR`` and
-    clamping normalized log size ratios at ``LOG_RATIO_MAX``."""
+def decode(anchor: BBox, vec) -> BBox:
+    """Invert :func:`encode`, clamping log size ratios at
+    ``LOG_RATIO_MAX`` and flooring sides at ``SIZE_FLOOR``."""
     v0, v1, v2, v3 = (float(v) for v in vec)
-    if mode == "raw":
-        w = max(anchor.w + v2, SIZE_FLOOR)
-        h = max(anchor.h + v3, SIZE_FLOOR)
-        return BBox(anchor.x + v0, anchor.y + v1, w, h)
-    if mode == "normalized":
-        w = anchor.w * math.exp(min(v2, LOG_RATIO_MAX))
-        h = anchor.h * math.exp(min(v3, LOG_RATIO_MAX))
-        return BBox(
-            anchor.x + v0 * anchor.w,
-            anchor.y + v1 * anchor.h,
-            max(w, SIZE_FLOOR),
-            max(h, SIZE_FLOOR),
-        )
-    raise ValueError(f"unknown regression mode {mode!r}")
+    w = anchor.w * math.exp(min(v2, LOG_RATIO_MAX))
+    h = anchor.h * math.exp(min(v3, LOG_RATIO_MAX))
+    return BBox(
+        anchor.x + v0 * anchor.w,
+        anchor.y + v1 * anchor.h,
+        max(w, SIZE_FLOOR),
+        max(h, SIZE_FLOOR),
+    )

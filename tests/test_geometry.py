@@ -59,7 +59,7 @@ class TestBBox:
         b = BBox(2, 3, 10, 20)
         assert (b.cx, b.cy) == (7, 13)
         assert (b.x2, b.y2) == (12, 23)
-        assert b.area == 200
+        assert b.as_tuple() == (2, 3, 10, 20)
 
 
 class TestIoU:
@@ -222,71 +222,68 @@ class TestClip:
 class TestRegressionEncoding:
     def test_identity_target(self):
         a = [[3, 4, 10, 20]]
-        np.testing.assert_array_equal(encode_regression(a, a, "raw"), np.zeros((1, 4)))
-        np.testing.assert_allclose(encode_regression(a, a, "normalized"), np.zeros((1, 4)), atol=0)
+        np.testing.assert_allclose(encode_regression(a, a), np.zeros((1, 4)), atol=0)
+        np.testing.assert_array_equal(decode_regression(a, np.zeros((1, 4))), a)
 
-    def test_raw_is_componentwise_difference(self):
-        a = [[0, 0, 10, 20]]
-        t = [[2, 1, 10, 20]]
-        np.testing.assert_array_equal(encode_regression(a, t, "raw"), [[2, 1, 0, 0]])
-
-    @pytest.mark.parametrize("mode", ["raw", "normalized"])
-    def test_round_trip(self, mode):
+    def test_round_trip(self):
         rng = np.random.default_rng(17)
         a = np.concatenate([rng.uniform(0, 80, (100, 2)), rng.uniform(1, 50, (100, 2))], axis=1)
         t = np.concatenate([rng.uniform(0, 80, (100, 2)), rng.uniform(1, 50, (100, 2))], axis=1)
-        back = decode_regression(a, encode_regression(a, t, mode), mode)
+        back = decode_regression(a, encode_regression(a, t))
         assert back.shape == (100, 4)
         assert np.abs(back - t).max() < 1e-9
 
     def test_normalized_log_sizes(self):
-        vec = encode_regression([[0, 0, 10, 20]], [[5, 10, 20, 10]], "normalized")
+        vec = encode_regression([[0, 0, 10, 20]], [[5, 10, 20, 10]])
         np.testing.assert_allclose(vec, [[0.5, 0.5, math.log(2.0), math.log(0.5)]], atol=1e-12)
 
-    def test_unknown_mode_rejected(self):
-        a = [[0, 0, 1, 1]]
-        with pytest.raises(ValueError):
-            encode_regression(a, a, "affine")
-        with pytest.raises(ValueError):
-            decode_regression(a, np.zeros((1, 4)), "affine")
-
-    @pytest.mark.parametrize("mode", ["raw", "normalized"])
-    def test_rows_match_scalar_oracles(self, mode):
+    def test_rows_match_scalar_oracles(self):
         rng = np.random.default_rng(23)
         anchors = random_float_boxes(rng, 200, max_side=60.0)
         targets = random_float_boxes(rng, 200, max_side=60.0)
-        vecs = encode_regression(boxes_to_array(anchors), boxes_to_array(targets), mode)
+        vecs = encode_regression(boxes_to_array(anchors), boxes_to_array(targets))
         offsets = rng.uniform(-3, 3, size=(200, 4)) * [1, 1, 40, 40]
-        decoded = decode_regression(boxes_to_array(anchors), offsets, mode)
+        decoded = decode_regression(boxes_to_array(anchors), offsets)
         for i, (a, t) in enumerate(zip(anchors, targets)):
-            np.testing.assert_allclose(vecs[i], oracle.encode(a, t, mode), rtol=1e-12, atol=0)
-            want = oracle.decode(a, offsets[i], mode).as_tuple()
+            np.testing.assert_allclose(vecs[i], oracle.encode(a, t), rtol=1e-12, atol=0)
+            want = oracle.decode(a, offsets[i]).as_tuple()
             np.testing.assert_allclose(decoded[i], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 4800])
+    def test_row_layout_equals_column_pairs(self, n):
+        """The codec computes on (4, N) rows; the same arithmetic on (N, 2)
+        column pairs of the (N, 4) arrays gives the same bits."""
+        rng = np.random.default_rng(n)
+        a = np.concatenate([rng.uniform(0, 600, (n, 2)), rng.uniform(1, 300, (n, 2))], axis=1)
+        t = np.concatenate([rng.uniform(0, 600, (n, 2)), rng.uniform(1, 300, (n, 2))], axis=1)
+        v = rng.normal(0.0, 3.0, (n, 4))
+        pairs = np.concatenate([(t[:, :2] - a[:, :2]) / a[:, 2:], np.log(t[:, 2:] / a[:, 2:])], 1)
+        sides = a[:, 2:] * np.exp(np.minimum(v[:, 2:], oracle.LOG_RATIO_MAX))
+        decoded = np.concatenate([a[:, :2] + v[:, :2] * a[:, 2:], np.maximum(sides, 1.0)], 1)
+        assert encode_regression(a, t).shape == decode_regression(a, v).shape == (n, 4)
+        np.testing.assert_array_equal(encode_regression(a, t), pairs)
+        np.testing.assert_array_equal(decode_regression(a, v), decoded)
 
     def test_sides_floored_at_one_pixel(self):
         a = [[10, 20, 5, 8], [10, 20, 5, 8]]
-        raw = decode_regression(a, [[0, 0, -4.5, -20], [0, 0, -5, 0]], "raw")
-        np.testing.assert_array_equal(raw[:, 2:], [[1, 1], [1, 8]])
-        norm = decode_regression(a, [[0, 0, -800, -3], [0, 0, 0, 0]], "normalized")
+        norm = decode_regression(a, [[0, 0, -800, -3], [0, 0, 0, 0]])
         np.testing.assert_array_equal(norm[:, 2:], [[1, 1], [5, 8]])
 
     @given(
         offsets=st.lists(st.floats(-1e4, 1e4), min_size=4, max_size=4),
         w=st.floats(0.5, 500),
         h=st.floats(0.5, 500),
-        mode=st.sampled_from(["raw", "normalized"]),
     )
-    @example(offsets=[0.0, 0.0, 800.0, 800.0], w=20.0, h=48.0, mode="normalized")
-    @example(offsets=[0.0, 0.0, -800.0, -800.0], w=20.0, h=48.0, mode="normalized")
+    @example(offsets=[0.0, 0.0, 800.0, 800.0], w=20.0, h=48.0)
+    @example(offsets=[0.0, 0.0, -800.0, -800.0], w=20.0, h=48.0)
     @settings(max_examples=300, deadline=None)
-    def test_decode_survives_extreme_offsets(self, offsets, w, h, mode):
+    def test_decode_survives_extreme_offsets(self, offsets, w, h):
         anchor = [[10.0, 20.0, w, h]]
-        out = decode_regression(anchor, [offsets], mode)[0]
+        out = decode_regression(anchor, [offsets])[0]
         assert np.all(np.isfinite(out))
         assert out[2] >= 1.0 and out[3] >= 1.0
-        if mode == "normalized":
-            assert out[2] <= max(w * 62.5 * (1 + 1e-12), 1.0)
-            assert out[3] <= max(h * 62.5 * (1 + 1e-12), 1.0)
+        assert out[2] <= max(w * 62.5 * (1 + 1e-12), 1.0)
+        assert out[3] <= max(h * 62.5 * (1 + 1e-12), 1.0)
 
 
 class TestStepConfig:

@@ -1,5 +1,6 @@
 """Static checks of the source with the standard-library ``ast`` module:
-every exported name exists and every imported name is used."""
+every exported name exists, every imported name is used, and every
+``*Config`` field is read by some code outside its own class."""
 
 import ast
 from pathlib import Path
@@ -125,3 +126,72 @@ def test_checks_catch_a_stale_export_and_a_shadowed_import():
     )
     assert set(exported(tree)) - top_level_names(tree) == {"Anchor"}
     assert unused_imports(tree) == ["field"]
+
+
+def config_fields(tree):
+    """(class node, field names) for each ``*Config`` dataclass in a module."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name.endswith("Config")):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            fields = [
+                s.target.id
+                for s in node.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            ]
+            yield node, fields
+
+
+def attribute_reads(trees, skip):
+    """Attribute names loaded anywhere in ``trees`` except inside ``skip``."""
+    reads = set()
+
+    def visit(node):
+        if node is skip:
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for tree in trees:
+        visit(tree)
+    return reads
+
+
+def unread_config_fields(tree, package_trees):
+    """``Class.field`` for each config field of ``tree`` that no code in
+    ``package_trees`` reads as an attribute outside the class body, such
+    as a knob that only its own ``__post_init__`` validates."""
+    unread = []
+    for cls, fields in config_fields(tree):
+        reads = attribute_reads(package_trees, cls)
+        unread += [f"{cls.name}.{name}" for name in fields if name not in reads]
+    return unread
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_config_fields_are_read(path):
+    trees = {p: parse(p) for p in PACKAGE}
+    unread = unread_config_fields(trees[path], trees.values())
+    assert not unread, f"{path.name}: config fields that nothing reads {unread}"
+
+
+def test_config_check_flags_a_field_only_its_own_class_reads():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class StepConfig:\n"
+        "    move_ratio: float = 0.1\n"
+        "    aspect_ratio_step: float = 0.1\n"
+        "    def __post_init__(self):\n"
+        "        if self.move_ratio <= 0 or self.aspect_ratio_step <= 0:\n"
+        "            raise ValueError('steps must be positive')\n"
+        "class PlainConfig:\n"
+        "    unused: int = 0\n"
+        "def step(cfg):\n"
+        "    return cfg.move_ratio\n"
+    )
+    assert [cls.name for cls, _ in config_fields(tree)] == ["StepConfig"]
+    assert unread_config_fields(tree, [tree]) == ["StepConfig.aspect_ratio_step"]

@@ -21,8 +21,7 @@ from scaleloc.policy import (
 from scaleloc.trajectory import TrajStep
 
 
-SMALL = PolicyConfig(feature_dims={3: 8, 4: 6, 5: 10}, obs_dim=6, state_dim=4, mode="gated")
-SMALL_TANH = PolicyConfig(feature_dims={3: 8, 4: 6, 5: 10}, obs_dim=6, state_dim=4, mode="tanh")
+SMALL = PolicyConfig(feature_dims={3: 8, 4: 6, 5: 10}, obs_dim=6, state_dim=4)
 
 
 def episode_logprob_sum(params, steps):
@@ -79,13 +78,14 @@ class TestInit:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
     def test_entries_within_glorot_bound(self):
-        params = init_params(4, SMALL_TANH)
+        params = init_params(4, SMALL)
+        # Each gate's block of wx and wh draws with a single-gate fan.
         bounds = {
             "theta_o/3": math.sqrt(6 / (8 + 6)),
             "theta_o/4": math.sqrt(6 / (6 + 6)),
             "theta_o/5": math.sqrt(6 / (10 + 6)),
-            "theta_s1": math.sqrt(6 / (6 + 4)),
-            "theta_s2": math.sqrt(6 / (4 + 4)),
+            "wx": math.sqrt(6 / (6 + 4)),
+            "wh": math.sqrt(6 / (4 + 4)),
             "theta_a": math.sqrt(6 / (4 + N_ACTIONS)),
         }
         for name, bound in bounds.items():
@@ -106,14 +106,13 @@ class TestInit:
             feature_dims={3: 4096, 4: 8192, 5: 16384},
             obs_dim=1024,
             state_dim=64,
-            mode="tanh",
         )
         params = init_params(0, cfg)
         assert params.params["theta_o/3"].shape == (1024, 4096)
         assert params.params["theta_o/4"].shape == (1024, 8192)
         assert params.params["theta_o/5"].shape == (1024, 16384)
-        assert params.params["theta_s1"].shape == (64, 1024)
-        assert params.params["theta_s2"].shape == (64, 64)
+        assert params.params["wx"].shape == (4 * 64, 1024)
+        assert params.params["wh"].shape == (4 * 64, 64)
         assert params.params["theta_a"].shape == (10, 64)
 
 
@@ -146,42 +145,61 @@ class TestObserve:
 
 
 class TestRecur:
-    def test_tanh_zero_params_give_zero_state(self):
-        params = init_params(9, SMALL_TANH)
-        for name in ("theta_s1", "theta_s2"):
+    def test_zero_params_give_zero_state(self):
+        # Every gate sits at 1/2 and the candidate cell at tanh(0) = 0.
+        params = init_params(9, SMALL)
+        for name in ("wx", "wh"):
             params.params[name][:] = 0.0
-        state = PolicyState.initial(SMALL_TANH)
+        state = PolicyState.initial(SMALL)
         new = recur(params, np.ones(6), state)
         np.testing.assert_array_equal(new.s, np.zeros(4))
+        np.testing.assert_array_equal(new.c, np.zeros(4))
 
-    def test_tanh_outputs_inside_open_interval(self):
+    def test_state_inside_open_interval(self):
         rng = np.random.default_rng(10)
-        params = init_params(10, SMALL_TANH)
-        state = PolicyState.initial(SMALL_TANH)
+        params = init_params(10, SMALL)
+        state = PolicyState.initial(SMALL)
         for _ in range(20):
             state = recur(params, rng.uniform(-3, 3, size=6), state)
             assert np.all(np.abs(state.s) < 1.0)
 
-    def test_step_counter_advances(self):
+    def test_each_step_advances_the_state(self):
         params = init_params(11, SMALL)
-        state = PolicyState.initial(SMALL)
-        state = recur(params, np.ones(6), state)
-        assert state.t == 1
-        assert state.c is not None
+        one = recur(params, np.ones(6), PolicyState.initial(SMALL))
+        two = recur(params, np.ones(6), one)
+        assert one.c.shape == (4,) and one.c.any()
+        assert not np.array_equal(one.s, two.s)
+
+    def test_step_matches_scalar_oracle(self):
+        """One step of the four-gate recurrence written out per unit."""
+        rng = np.random.default_rng(12)
+        params = init_params(12, SMALL)
+        s0, c0, o = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), rng.uniform(0, 2, 6)
+        new = recur(params, o, PolicyState(s=s0, c=c0))
+        wx, wh = params.params["wx"], params.params["wh"]
+
+        def sig(v):
+            return 1.0 / (1.0 + math.exp(-v))
+
+        for k in range(4):
+            z = [float(wx[g * 4 + k] @ o + wh[g * 4 + k] @ s0) for g in range(4)]
+            c = sig(z[1]) * c0[k] + sig(z[0]) * math.tanh(z[2])
+            assert new.c[k] == pytest.approx(c, abs=1e-12)
+            assert new.s[k] == pytest.approx(sig(z[3]) * math.tanh(c), abs=1e-12)
 
 
 class TestActionDistribution:
     def test_zero_matrix_gives_uniform(self):
         params = init_params(12, SMALL)
         params.params["theta_a"][:] = 0.0
-        state = PolicyState(s=np.ones(4), c=np.zeros(4), t=1)
+        state = PolicyState(s=np.ones(4), c=np.zeros(4))
         np.testing.assert_allclose(action_distribution(params, state), 0.1, atol=1e-15)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(13)
         params = init_params(13, SMALL)
         for _ in range(100):
-            state = PolicyState(s=rng.uniform(-5, 5, size=4), c=None, t=1)
+            state = PolicyState(s=rng.uniform(-5, 5, size=4), c=np.zeros(4))
             dist = action_distribution(params, state)
             assert abs(dist.sum() - 1.0) < 1e-12
             assert np.all(dist > 0)
@@ -189,7 +207,7 @@ class TestActionDistribution:
     def test_logit_shift_invariance(self):
         rng = np.random.default_rng(14)
         params = init_params(14, SMALL)
-        state = PolicyState(s=rng.uniform(-1, 1, size=4), c=None, t=1)
+        state = PolicyState(s=rng.uniform(-1, 1, size=4), c=np.zeros(4))
         base = action_distribution(params, state)
         # Adding a constant row-wise to theta_a @ s shifts all logits
         # equally when s has unit projection; emulate via direct logits.
@@ -228,18 +246,16 @@ class TestEpisodeBackward:
         for arr in grads.values():
             assert not arr.any()
 
-    @pytest.mark.parametrize("cfg", [SMALL, SMALL_TANH], ids=["gated", "tanh"])
-    def test_matches_finite_differences_3_steps(self, cfg):
+    def test_matches_finite_differences_3_steps(self):
         rng = np.random.default_rng(18)
-        params = init_params(18, cfg)
-        steps = make_steps(cfg, rng, 3)
+        params = init_params(18, SMALL)
+        steps = make_steps(SMALL, rng, 3)
         assert fd_check(params, steps) < 1e-4
 
-    @pytest.mark.parametrize("cfg", [SMALL, SMALL_TANH], ids=["gated", "tanh"])
-    def test_matches_finite_differences_5_steps(self, cfg):
+    def test_matches_finite_differences_5_steps(self):
         rng = np.random.default_rng(19)
-        params = init_params(19, cfg)
-        steps = make_steps(cfg, rng, 5)
+        params = init_params(19, SMALL)
+        steps = make_steps(SMALL, rng, 5)
         assert fd_check(params, steps) < 1e-4
 
     def test_unvisited_layer_gets_zero_gradient(self):
@@ -259,11 +275,31 @@ class TestCheckpointAdapters:
         for name in params.params:
             np.testing.assert_array_equal(back.params[name], params.params[name])
 
-    def test_tanh_arrays_refuse_gated_shape_check(self):
-        tanh_params = init_params(22, SMALL_TANH)
-        arrays = tanh_params.to_arrays()
-        arrays["meta/mode"] = np.array([1.0])  # claim gated
+    def test_tanh_core_checkpoint_rejected(self):
+        """The former plain tanh core: theta_s1 and theta_s2 in place of
+        wx and wh, and a meta/mode entry of 0."""
+        arrays = init_params(22, SMALL).to_arrays()
+        del arrays["wx"], arrays["wh"]
+        arrays["theta_s1"] = np.zeros((4, 6))
+        arrays["theta_s2"] = np.zeros((4, 4))
+        arrays["meta/mode"] = np.array([0.0])
+        with pytest.raises(ValueError, match="meta names"):
+            PolicyParams.from_arrays(arrays)
+        del arrays["meta/mode"]
         with pytest.raises(ValueError, match="parameter names"):
+            PolicyParams.from_arrays(arrays)
+
+    @pytest.mark.parametrize("name", ["meta/mode", "meta/junk"])
+    def test_unknown_meta_entry_rejected(self, name):
+        arrays = init_params(22, SMALL).to_arrays()
+        arrays[name] = np.array([1.0])
+        with pytest.raises(ValueError, match="meta names"):
+            PolicyParams.from_arrays(arrays)
+
+    def test_missing_meta_entry_rejected(self):
+        arrays = init_params(22, SMALL).to_arrays()
+        del arrays["meta/obs_dim"]
+        with pytest.raises(ValueError, match="meta names"):
             PolicyParams.from_arrays(arrays)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

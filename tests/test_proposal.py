@@ -24,7 +24,7 @@ from scaleloc.proposal import (
     top_k,
     train_proposal_model,
 )
-from scaleloc.scenegen import GenConfig, sample_dataset
+from scaleloc.scenegen import GenConfig, rasterize, sample_dataset
 
 
 TINY_PYR = PyramidConfig(layers=(LayerSpec(3, 8, 2), LayerSpec(4, 16, 3), LayerSpec(5, 32, 2)))
@@ -53,7 +53,7 @@ def cls_loss(labels, p_hats, gamma: float = 3.0, eps: float = PROB_EPS) -> float
     return loss
 
 
-def multitask_loss(p, anchor, gt, p_hat, pred_offsets, lam=10.0, mode="raw", eps=PROB_EPS):
+def multitask_loss(p, anchor, gt, p_hat, pred_offsets, lam=10.0, eps=PROB_EPS):
     """Per-example loss: log-loss plus lam-weighted box regression.
 
     The regression term is active only for positives and measures the
@@ -63,13 +63,13 @@ def multitask_loss(p, anchor, gt, p_hat, pred_offsets, lam=10.0, mode="raw", eps
     p_hat = min(max(p_hat, eps), 1.0 - eps)
     if p == 1:
         loss = -math.log(p_hat)
-        residual = oracle.encode(anchor, gt, mode) - np.asarray(pred_offsets)
+        residual = oracle.encode(anchor, gt) - np.asarray(pred_offsets)
         loss += lam * smooth_l1(residual)
         return loss
     return -math.log(1.0 - p_hat)
 
 
-def total_objective(batches, cfg=LayerWeightConfig(), mode="raw") -> float:
+def total_objective(batches, cfg=LayerWeightConfig()) -> float:
     """Double sum over layers and examples of alpha-weighted losses.
 
     ``batches`` maps layer id to tuples (p, anchor_box, gt_box,
@@ -82,9 +82,7 @@ def total_objective(batches, cfg=LayerWeightConfig(), mode="raw") -> float:
         m = cfg.layer_ids.index(layer_id)
         for p, anchor, gt, target_h, p_hat, offsets in examples:
             alpha = float(layer_weights(target_h, cfg)[m])
-            total += alpha * multitask_loss(
-                p, anchor, gt, p_hat, offsets, lam=cfg.tradeoff, mode=mode
-            )
+            total += alpha * multitask_loss(p, anchor, gt, p_hat, offsets, lam=cfg.tradeoff)
     return total
 
 
@@ -240,22 +238,21 @@ class TestMultitaskLoss:
         assert a == b
 
     def test_exact_regression_prediction(self):
-        vec = oracle.encode(self.anchor, self.gt, "raw")
-        loss = multitask_loss(1, self.anchor, self.gt, 0.5, vec, mode="raw")
+        vec = oracle.encode(self.anchor, self.gt)
+        loss = multitask_loss(1, self.anchor, self.gt, 0.5, vec)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
-    @pytest.mark.parametrize("mode", ["raw", "normalized"])
-    def test_offset_gradient_matches_finite_differences(self, mode):
+    def test_offset_gradient_matches_finite_differences(self):
         lam = 10.0
         pred = np.array([0.4, -0.2, 0.1, 0.3])
-        target = oracle.encode(self.anchor, self.gt, mode)
+        target = oracle.encode(self.anchor, self.gt)
         analytic = -lam * smooth_l1_grad(target - pred)
         fd = np.zeros(4)
         for i in range(4):
             e = np.zeros(4)
             e[i] = 1e-4
-            hi = multitask_loss(1, self.anchor, self.gt, 0.5, pred + e, lam, mode)
-            lo = multitask_loss(1, self.anchor, self.gt, 0.5, pred - e, lam, mode)
+            hi = multitask_loss(1, self.anchor, self.gt, 0.5, pred + e, lam)
+            lo = multitask_loss(1, self.anchor, self.gt, 0.5, pred - e, lam)
             fd[i] = (hi - lo) / 2e-4
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-9)
 
@@ -312,10 +309,9 @@ def make_batches(model, rng, n_per_layer=2):
 
 
 class TestLossGradient:
-    @pytest.mark.parametrize("hidden", [0, 6])
-    def test_parameter_gradient_matches_finite_differences(self, hidden):
+    def test_parameter_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        model = ProposalModel.init(TINY_PYR, hidden_dim=hidden, seed=5)
+        model = ProposalModel.init(TINY_PYR, seed=5)
         cfg = LayerWeightConfig()
         batches = make_batches(model, rng)
         _, grads = proposal_loss_and_grad(model, batches, cfg)
@@ -347,11 +343,10 @@ class TestTrainedLossOracle:
     cfg = LayerWeightConfig(layer_ids=(3,), mean_heights=(48.0,), scale_factors=(5.0,))
     pyr = PyramidConfig(layers=(LayerSpec(3, 8, 2),))
 
-    @pytest.mark.parametrize("mode", ["raw", "normalized"])
     @pytest.mark.parametrize("n_pos, n_neg", [(3, 9), (5, 0), (0, 7)])
-    def test_value_equals_scalar_oracles(self, mode, n_pos, n_neg):
+    def test_value_equals_scalar_oracles(self, n_pos, n_neg):
         rng = np.random.default_rng(n_pos * 10 + n_neg)
-        model = ProposalModel.init(self.pyr, regression_mode=mode, seed=4)
+        model = ProposalModel.init(self.pyr, seed=4)
         n = n_pos + n_neg
         labels = np.array([1] * n_pos + [0] * n_neg)
         anchors = [BBox(*rng.uniform(0, 50, 2), *rng.uniform(5, 40, 2)) for _ in range(n)]
@@ -360,7 +355,7 @@ class TestTrainedLossOracle:
         ]
         vecs = np.zeros((n, 4))
         vecs[:n_pos] = encode_regression(
-            boxes_to_array(anchors[:n_pos]), boxes_to_array(gts[:n_pos]), mode
+            boxes_to_array(anchors[:n_pos]), boxes_to_array(gts[:n_pos])
         )
         heights = rng.uniform(20, 200, size=n)
         feats = rng.uniform(-1, 1, size=(n, model.feature_dims[3]))
@@ -373,7 +368,7 @@ class TestTrainedLossOracle:
         p_hat = 1.0 / (1.0 + np.exp(-logits))
         expect = cls_loss(labels, p_hat, gamma=self.cfg.balance)
         reg = [
-            multitask_loss(1, anchors[i], gts[i], p_hat[i], offsets[i], self.cfg.tradeoff, mode)
+            multitask_loss(1, anchors[i], gts[i], p_hat[i], offsets[i], self.cfg.tradeoff)
             + math.log(p_hat[i])
             for i in range(n_pos)
         ]
@@ -383,15 +378,34 @@ class TestTrainedLossOracle:
 
 
 class TestScoring:
-    def setup_scene(self):
+    def setup_scene(self, pyramid_cfg=TINY_PYR):
         cfg = GenConfig(scenes=1, extent=(160, 120), objects_min=2, objects_max=2)
         scene = sample_dataset(cfg, seed=2)[0]
-        from scaleloc.scenegen import rasterize
-
-        pyramid = build_pyramid(rasterize(scene), TINY_PYR)
-        anchors = generate_anchors(TINY_PYR, scene.extent, LayerWeightConfig().base_heights())
-        model = ProposalModel.init(TINY_PYR, seed=3)
+        pyramid = build_pyramid(rasterize(scene), pyramid_cfg)
+        anchors = generate_anchors(pyramid_cfg, scene.extent, LayerWeightConfig().base_heights())
+        model = ProposalModel.init(pyramid_cfg, seed=3)
         return model, pyramid, anchors
+
+    # sha256 of score_proposals' boxes (N, 4), scores (N,) as float64 and
+    # layer ids (N,) as int64, recorded before the hidden-layer heads, the
+    # raw box regression and the column-pair box codec were removed.
+    SCORE_DIGESTS = {
+        "tiny": (TINY_PYR, "a2bfda5d655b73630b9e602a4aeb0cd8e828365d16e8732d3d8fdbaa2c9dce73"),
+        "desk": (
+            PyramidConfig(),
+            "fc01a65b23249bb3dbc78ee4f9e4a78bf3cab3742929c344e9c24599db25f907",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SCORE_DIGESTS))
+    def test_scores_match_recorded_digest(self, case):
+        pyramid_cfg, want = self.SCORE_DIGESTS[case]
+        scored = score_proposals(*self.setup_scene(pyramid_cfg))
+        digest = hashlib.sha256()
+        digest.update(np.array([s.box.as_tuple() for s in scored], dtype=np.float64).tobytes())
+        digest.update(np.array([s.score for s in scored], dtype=np.float64).tobytes())
+        digest.update(np.array([s.layer_id for s in scored], dtype=np.int64).tobytes())
+        assert digest.hexdigest() == want
 
     def test_top_k_zero(self):
         model, pyramid, anchors = self.setup_scene()
@@ -417,14 +431,13 @@ class TestScoring:
         scored = score_proposals(model, pyramid, anchors)
         assert len(top_k(scored, 10**6)) == len(scored)
 
-    @pytest.mark.parametrize("mode", ["raw", "normalized"])
     @pytest.mark.parametrize("gain", [1.0, 300.0])
-    def test_boxes_match_scalar_oracles(self, mode, gain):
+    def test_boxes_match_scalar_oracles(self, gain):
         """Every decoded, clipped box equals the one-box oracles. A large
         gain on the regression rows pushes offsets into the 1 px floor,
         the size-ratio clamp and the disjoint-box fallback."""
         _, pyramid, anchors = self.setup_scene()
-        model = ProposalModel.init(TINY_PYR, regression_mode=mode, seed=3)
+        model = ProposalModel.init(TINY_PYR, seed=3)
         for layer_id in model.layer_ids:
             model.params[f"head{layer_id}/w"][1:] *= gain
         scored = score_proposals(model, pyramid, anchors)
@@ -439,7 +452,7 @@ class TestScoring:
             logits, offsets, _ = model.forward(layer_id, feats.reshape(len(sel), -1))
             probs = 1.0 / (1.0 + np.exp(-logits))
             for i, cell, vec, prob in zip(sel.tolist(), cells, offsets, probs.tolist()):
-                decoded = oracle.decode(cell, vec, mode)
+                decoded = oracle.decode(cell, vec)
                 want = oracle.clip(decoded, extent)
                 fallbacks += want.as_tuple()[2:] == (2.0, 2.0)
                 got = scored[i]
@@ -501,21 +514,19 @@ class TestTraining:
         assert len(log) == 40
         assert len(provided) == len(set(provided)) <= len(data)
 
-    # sha256 of the trained parameters (name, then bytes, in name order),
-    # recorded before scenes were cached, the pyramid was built in one
-    # pass and bootstrap negatives were scored from head maps.
+    # sha256 of the trained parameters (name, then bytes, in name order).
+    # "linear" was recorded before scenes were cached, the pyramid was
+    # built in one pass and bootstrap negatives were scored from head
+    # maps; "desk" before the hidden-layer heads, the raw box regression
+    # and the column-pair box codec were removed.
     PARAM_DIGESTS = {
         "linear": (
             dict(pyramid=TINY_PYR),
             "c834c5748d33deea62ae3669729f4837705ba7ec330913c0f9382b713bd560df",
         ),
-        "hidden": (
-            dict(pyramid=TINY_PYR, hidden_dim=6),
-            "6495a2f663876293084f7dccc7aa7469ac698446a6393713507404457dd8b640",
-        ),
-        "desk-raw": (
-            dict(pyramid=PyramidConfig(), regression_mode="raw"),
-            "69cdeb9f5289576b628240346e14c35fb3258c9f73419a0c8425787517979b7c",
+        "desk": (
+            dict(pyramid=PyramidConfig()),
+            "d785d9264cdface9370c511313cddad9c30a38bf1536779d1ce95e92233216bc",
         ),
     }
 
@@ -530,11 +541,9 @@ class TestTraining:
         assert digest.hexdigest() == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize(
-        "hidden, name", [(0, "head3/w"), (0, "head5/b"), (6, "head4/w1"), (6, "head3/b2")]
-    )
-    def test_checkpoint_with_non_finite_parameter_rejected(self, hidden, name, bad):
-        arrays = ProposalModel.init(TINY_PYR, hidden_dim=hidden, seed=1).to_arrays()
+    @pytest.mark.parametrize("name", ["head3/w", "head5/b", "head4/w", "head3/b"])
+    def test_checkpoint_with_non_finite_parameter_rejected(self, name, bad):
+        arrays = ProposalModel.init(TINY_PYR, seed=1).to_arrays()
         arrays[name].flat[2] = bad
         with pytest.raises(ValueError, match=f"parameter {name} has non-finite"):
             ProposalModel.from_arrays(arrays)
@@ -542,9 +551,74 @@ class TestTraining:
     def test_checkpoint_arrays_round_trip(self):
         data = self.small_dataset()
         model = train_proposal_model(data, self.train_cfg())
-        back = ProposalModel.from_arrays(model.to_arrays())
+        arrays = model.to_arrays()
+        assert sorted(k for k in arrays if k.startswith("meta/")) == [
+            "meta/feature_dims",
+            "meta/layer_ids",
+        ]
+        back = ProposalModel.from_arrays(arrays)
         assert back.layer_ids == model.layer_ids
-        assert back.hidden_dim == model.hidden_dim
-        assert back.regression_mode == model.regression_mode
+        assert back.feature_dims == model.feature_dims
+        assert set(back.params) == set(model.params)
         for name in model.params:
             np.testing.assert_array_equal(back.params[name], model.params[name])
+
+
+class TestCheckpointNames:
+    """``from_arrays`` accepts exactly the names ``to_arrays`` writes."""
+
+    def arrays(self):
+        return ProposalModel.init(TINY_PYR, seed=1).to_arrays()
+
+    def test_extra_parameter_rejected(self):
+        arrays = self.arrays()
+        arrays["head3/w1"] = np.zeros((6, arrays["head3/w"].shape[1]))
+        with pytest.raises(ValueError, match="parameter names mismatch"):
+            ProposalModel.from_arrays(arrays)
+
+    def test_missing_parameter_rejected(self):
+        arrays = self.arrays()
+        del arrays["head4/b"]
+        with pytest.raises(ValueError, match="parameter names mismatch"):
+            ProposalModel.from_arrays(arrays)
+
+    @pytest.mark.parametrize(
+        "name, value", [("meta/junk", 1.0), ("meta/regression_mode", 0.5)]
+    )
+    def test_unknown_meta_entry_rejected(self, name, value):
+        arrays = self.arrays()
+        arrays[name] = np.array([value])
+        with pytest.raises(ValueError, match="meta names mismatch"):
+            ProposalModel.from_arrays(arrays)
+
+    def test_missing_meta_entry_rejected(self):
+        arrays = self.arrays()
+        del arrays["meta/feature_dims"]
+        with pytest.raises(ValueError, match="meta names mismatch"):
+            ProposalModel.from_arrays(arrays)
+
+    def test_hidden_head_checkpoint_rejected(self):
+        """The former hidden-layer heads: w1, b1, w2, b2 per layer, with
+        meta/hidden_dim and meta/regression_mode entries."""
+        linear = self.arrays()
+        arrays = {k: v for k, v in linear.items() if k.startswith("meta/")}
+        for layer_id, d in zip(TINY_PYR.layer_ids(), arrays["meta/feature_dims"]):
+            arrays[f"head{layer_id}/w1"] = np.zeros((6, int(d)))
+            arrays[f"head{layer_id}/b1"] = np.zeros(6)
+            arrays[f"head{layer_id}/w2"] = np.zeros((5, 6))
+            arrays[f"head{layer_id}/b2"] = np.zeros(5)
+        with pytest.raises(ValueError, match="parameter names mismatch"):
+            ProposalModel.from_arrays(arrays)
+        arrays["meta/hidden_dim"] = np.array([6.0])
+        arrays["meta/regression_mode"] = np.array([1.0])
+        with pytest.raises(ValueError, match="meta names mismatch"):
+            ProposalModel.from_arrays(arrays)
+
+    def test_raw_mode_checkpoint_rejected(self):
+        """A linear head trained on raw box differences, as the former
+        meta/regression_mode 0 entry marked it."""
+        arrays = self.arrays()
+        arrays["meta/hidden_dim"] = np.array([0.0])
+        arrays["meta/regression_mode"] = np.array([0.0])
+        with pytest.raises(ValueError, match="meta names mismatch"):
+            ProposalModel.from_arrays(arrays)
