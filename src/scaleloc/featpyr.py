@@ -3,11 +3,10 @@
 A pyramid holds one feature grid per layer (ids 3..5 by convention) at
 strictly increasing strides. A feature provider is any
 ``image -> FeaturePyramid`` callable; by default :func:`build_pyramid`
-computes block statistics of the grayscale image. Pyramids can be
-written to and read back from a checked binary file.
+computes block statistics of the grayscale image.
 
 RoI pooling maps a pixel-space box onto a layer grid and resamples it to
-a fixed ``roi_size`` x ``roi_size`` window. Regions smaller than the
+a fixed ``ROI_SIZE`` x ``ROI_SIZE`` window. Regions smaller than the
 window are symmetrically expanded first, pulling in surrounding context
 instead of upsampling a couple of cells. When only a linear map of the
 pooled block is wanted, ``roi_pool_project`` applies the map to the grid
@@ -16,8 +15,6 @@ first and samples the result, which never builds the pooled blocks.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +22,7 @@ import numpy as np
 from .geometry import BBox, boxes_to_array
 
 __all__ = [
+    "ROI_SIZE",
     "LayerSpec",
     "PyramidConfig",
     "FeaturePyramid",
@@ -33,12 +31,9 @@ __all__ = [
     "roi_pool",
     "roi_pool_many",
     "roi_pool_project",
-    "write_features",
-    "read_features",
 ]
 
-_MAGIC = b"SLFT"
-_VERSION = 1
+ROI_SIZE = 4  # side of the pooled window, in samples
 
 
 @dataclass(frozen=True)
@@ -58,11 +53,8 @@ class PyramidConfig:
         LayerSpec(4, 16, 16),
         LayerSpec(5, 32, 32),
     )
-    roi_size: int = 4
 
     def __post_init__(self):
-        if self.roi_size < 1:
-            raise ValueError("roi_size must be at least 1")
         ids = [l.layer_id for l in self.layers]
         if len(set(ids)) != len(ids):
             raise ValueError("layer ids must be unique")
@@ -77,7 +69,7 @@ class PyramidConfig:
 
     def flat_dims(self) -> dict[int, int]:
         """Length of a flattened pooled block, per layer."""
-        return {l.layer_id: self.roi_size * self.roi_size * l.channels for l in self.layers}
+        return {l.layer_id: ROI_SIZE * ROI_SIZE * l.channels for l in self.layers}
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,6 @@ class FeaturePyramid:
     extent: tuple[int, int]
     strides: dict[int, int]
     grids: dict[int, np.ndarray]
-    roi_size: int = 4
 
     def __post_init__(self):
         width, height = self.extent
@@ -100,9 +91,6 @@ class FeaturePyramid:
                 )
             if not np.all(np.isfinite(grid)):
                 raise FeatureShapeError(f"layer {layer_id}: non-finite feature values")
-
-    def layer_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.grids))
 
 
 class FeatureShapeError(ValueError):
@@ -171,14 +159,13 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
     fill(6, lambda s: _block_reduce(image, s, np.max) - _block_reduce(image, s, np.min))
     for channel, field in _gradient_fields(image):
         fill(channel, lambda s: _block_reduce(field, s, np.mean))
-    return FeaturePyramid(
-        extent=(width, height), strides=strides, grids=grids, roi_size=cfg.roi_size
-    )
+    return FeaturePyramid(extent=(width, height), strides=strides, grids=grids)
 
 
-def _sample_axis(lo: np.ndarray, hi: np.ndarray, roi: int) -> np.ndarray:
+def _sample_axis(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sample coordinates along one axis, expanding regions narrower than
-    the roi window symmetrically about their center."""
+    the window symmetrically about their center."""
+    roi = ROI_SIZE
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     length = hi - lo
@@ -217,11 +204,10 @@ def _pool(pyramid: FeaturePyramid, layer_id: int, boxes, gather) -> np.ndarray:
     """
     _, grid_h, grid_w = _grid(pyramid, layer_id).shape
     stride = pyramid.strides[layer_id]
-    roi = pyramid.roi_size
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
 
-    xs = _sample_axis(boxes[:, 0] / stride, (boxes[:, 0] + boxes[:, 2]) / stride, roi)
-    ys = _sample_axis(boxes[:, 1] / stride, (boxes[:, 1] + boxes[:, 3]) / stride, roi)
+    xs = _sample_axis(boxes[:, 0] / stride, (boxes[:, 0] + boxes[:, 2]) / stride)
+    ys = _sample_axis(boxes[:, 1] / stride, (boxes[:, 1] + boxes[:, 3]) / stride)
     x0, x1, fx = _bilinear_axis(xs, grid_w)
     y0, y1, fy = _bilinear_axis(ys, grid_h)
     y0, y1 = y0[:, :, None], y1[:, :, None]
@@ -271,7 +257,7 @@ def roi_pool_project(
     """
     grid = _grid(pyramid, layer_id)
     c, grid_h, grid_w = grid.shape
-    roi = pyramid.roi_size
+    roi = ROI_SIZE
     weights = np.asarray(weights, dtype=np.float64)
     k = weights.shape[0]
     if weights.shape != (k, roi * roi * c):
@@ -291,76 +277,3 @@ def roi_pool(pyramid: FeaturePyramid, layer_id: int, box: BBox) -> np.ndarray:
     """Pool one box to a (roi, roi, C) block; flatten for the policy nets."""
     return roi_pool_many(pyramid, layer_id, boxes_to_array([box]))[0]
 
-
-def write_features(path, pyramid: FeaturePyramid) -> None:
-    """Serialize a pyramid: header + row-major float32 grids + crc32."""
-    payload = bytearray()
-    layer_ids = pyramid.layer_ids()
-    header = struct.pack("<4sHHii", _MAGIC, _VERSION, len(layer_ids), *pyramid.extent)
-    payload += header
-    payload += struct.pack("<H", pyramid.roi_size)
-    body = bytearray()
-    for layer_id in layer_ids:
-        grid = pyramid.grids[layer_id].astype(np.float32)
-        c, h, w = grid.shape
-        payload += struct.pack("<iiiii", layer_id, pyramid.strides[layer_id], c, h, w)
-        body += grid.tobytes(order="C")
-    payload += struct.pack("<I", zlib.crc32(bytes(body)))
-    payload += body
-    with open(path, "wb") as fh:
-        fh.write(bytes(payload))
-
-
-def read_features(path) -> FeaturePyramid:
-    """Load a serialized pyramid, validating magic, version, and checksum."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:4] != _MAGIC:
-        raise FeatureShapeError("not a feature tensor file (bad magic)")
-    _, version, n_layers, width, height = struct.unpack_from("<4sHHii", raw, 0)
-    if version != _VERSION:
-        raise FeatureShapeError(f"unsupported feature file version {version}")
-    offset = struct.calcsize("<4sHHii")
-    header_len = offset + 2 + n_layers * struct.calcsize("<iiiii") + 4
-    if len(raw) < header_len:
-        raise FeatureShapeError(
-            f"truncated header: {n_layers} layers need {header_len} bytes, file has {len(raw)}"
-        )
-    (roi_size,) = struct.unpack_from("<H", raw, offset)
-    if roi_size < 1:
-        raise FeatureShapeError("roi_size must be at least 1")
-    offset += 2
-    shapes = []
-    for _ in range(n_layers):
-        shapes.append(struct.unpack_from("<iiiii", raw, offset))
-        offset += struct.calcsize("<iiiii")
-    (crc,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    body = raw[offset:]
-    if zlib.crc32(body) != crc:
-        raise FeatureShapeError("feature file checksum mismatch")
-    if len({shape[0] for shape in shapes}) != len(shapes):
-        raise FeatureShapeError("duplicate layer ids in feature file header")
-    for layer_id, stride, c, h, w in shapes:
-        if stride < 1 or min(c, h, w) < 0:
-            raise FeatureShapeError(
-                f"layer {layer_id}: bad stride {stride} or shape {(c, h, w)}"
-            )
-    want = 4 * sum(c * h * w for _, _, c, h, w in shapes)
-    if len(body) != want:
-        raise FeatureShapeError(
-            f"body has {len(body)} bytes, the layer shapes need {want}"
-        )
-
-    grids = {}
-    strides = {}
-    pos = 0
-    for layer_id, stride, c, h, w in shapes:
-        count = c * h * w
-        grid = np.frombuffer(body, dtype="<f4", count=count, offset=pos * 4)
-        pos += count
-        grids[layer_id] = grid.reshape(c, h, w).astype(np.float64)
-        strides[layer_id] = stride
-    return FeaturePyramid(
-        extent=(width, height), strides=strides, grids=grids, roi_size=roi_size
-    )

@@ -119,12 +119,17 @@ class PolicyState:
 def _split_checkpoint(arrays: dict[str, np.ndarray], meta_names):
     """Split checkpoint arrays into ``meta/`` entries and parameters.
 
-    Rejects a ``meta/`` name set other than ``meta_names`` and parameters
-    holding NaN or infinite values.
+    Rejects a ``meta/`` name set other than ``meta_names``, ``meta/``
+    values that are not whole numbers, and parameters holding NaN or
+    infinite values.
     """
     meta = {k: v for k, v in arrays.items() if k.startswith("meta/")}
     if set(meta) != set(meta_names):
         raise ValueError(f"meta names mismatch: expected {sorted(meta_names)}, got {sorted(meta)}")
+    for name, value in meta.items():
+        value = np.asarray(value, dtype=np.float64)
+        if not np.all(np.isfinite(value) & (value == np.trunc(value))):
+            raise ValueError(f"{name} must hold whole numbers, got {value.tolist()}")
     params = {k: np.array(v) for k, v in arrays.items() if k not in meta}
     for name, value in params.items():
         if not np.all(np.isfinite(value)):

@@ -18,7 +18,6 @@ from .geometry import BBox
 
 __all__ = [
     "GenConfig",
-    "RenderConfig",
     "GroundTruth",
     "Scene",
     "DatasetFormatError",
@@ -30,6 +29,13 @@ __all__ = [
 
 ASPECT_RATIO = 0.41
 ASPECT_BAND = (0.31, 0.51)
+
+# Appearance of a rendered scene, in gray levels of [0, 1].
+BACKGROUND_LEVEL = 0.35
+CLUTTER_AMPLITUDE = 0.06
+CONTRAST = 0.35  # figure level above the background
+TEXTURE_AMPLITUDE = 0.08
+PIXEL_NOISE = 0.02
 
 
 @dataclass(frozen=True)
@@ -62,17 +68,6 @@ class GenConfig:
             raise ValueError("min_height must be positive")
         if not (0 < self.ratio_jitter <= 0.1):
             raise ValueError("ratio_jitter must lie in (0, 0.1]")
-
-
-@dataclass(frozen=True)
-class RenderConfig:
-    """Rasterization appearance parameters."""
-
-    background_level: float = 0.35
-    clutter_amplitude: float = 0.06
-    contrast: float = 0.35
-    texture_amplitude: float = 0.08
-    pixel_noise: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -142,7 +137,7 @@ def sample_dataset(cfg: GenConfig, seed: int, id_prefix: str = "scene") -> list[
     return scenes
 
 
-def _background(rng: np.random.Generator, shape: tuple[int, int], cfg: RenderConfig) -> np.ndarray:
+def _background(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     """Smooth clutter field plus fine pixel noise."""
     rows, cols = shape
     coarse_r = max(rows // 40, 2)
@@ -165,25 +160,22 @@ def _background(rng: np.random.Generator, shape: tuple[int, int], cfg: RenderCon
         + coarse[np.ix_(r1, c1)] * fr * fc
     )
     noise = rng.normal(0.0, 1.0, size=shape)
-    return cfg.background_level + cfg.clutter_amplitude * field + cfg.pixel_noise * noise
+    return BACKGROUND_LEVEL + CLUTTER_AMPLITUDE * field + PIXEL_NOISE * noise
 
 
-def _figure_texture(
-    rng: np.random.Generator, rows: int, cols: int, cfg: RenderConfig
-) -> np.ndarray:
+def _figure_texture(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Striped vertical-figure texture, zero-mean."""
     stripes = rng.uniform(-1.0, 1.0, size=cols)[None, :]
     bands = rng.uniform(-0.5, 0.5, size=rows)[:, None]
-    tex = cfg.texture_amplitude * (stripes + bands)
+    tex = TEXTURE_AMPLITUDE * (stripes + bands)
     return tex - tex.mean()
 
 
-def rasterize(scene: Scene, render: RenderConfig | None = None) -> np.ndarray:
+def rasterize(scene: Scene) -> np.ndarray:
     """Render a scene to a (H, W) grayscale grid in [0, 1]."""
-    render = render or RenderConfig()
     width, height = scene.extent
     rng = np.random.default_rng(scene.seed)
-    img = _background(rng, (height, width), render)
+    img = _background(rng, (height, width))
 
     for obj in scene.objects:
         b = obj.box
@@ -194,9 +186,7 @@ def rasterize(scene: Scene, render: RenderConfig | None = None) -> np.ndarray:
         if x1 <= x0 or y1 <= y0:
             continue
         obj_rng = np.random.default_rng(obj.appearance_seed)
-        patch = render.background_level + render.contrast + _figure_texture(
-            obj_rng, y1 - y0, x1 - x0, render
-        )
+        patch = BACKGROUND_LEVEL + CONTRAST + _figure_texture(obj_rng, y1 - y0, x1 - x0)
         img[y0:y1, x0:x1] = patch
 
     return np.clip(img, 0.0, 1.0)

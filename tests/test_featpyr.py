@@ -1,22 +1,18 @@
-import struct
-import zlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scaleloc.featpyr import (
+    ROI_SIZE,
     FeaturePyramid,
     FeatureShapeError,
     LayerSpec,
     PyramidConfig,
     build_pyramid,
-    read_features,
     roi_pool,
     roi_pool_many,
     roi_pool_project,
-    write_features,
 )
 from scaleloc.geometry import BBox, boxes_to_array
 
@@ -81,7 +77,7 @@ def oracle_roi_pool_many(pyramid, layer_id, boxes):
     """Out-of-place bilinear pooling; the in-place blend must equal it bit for bit."""
     grid = pyramid.grids[layer_id]
     stride = pyramid.strides[layer_id]
-    roi = pyramid.roi_size
+    roi = ROI_SIZE
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
 
     def sample_axis(lo, hi):
@@ -129,7 +125,7 @@ CYCLING = PyramidConfig(layers=(LayerSpec(3, 8, 11), LayerSpec(4, 16, 17), Layer
 def single_layer_pyramid(grid, stride=8, extent=None):
     c, h, w = grid.shape
     extent = extent or (w * stride, h * stride)
-    return FeaturePyramid(extent=extent, strides={3: stride}, grids={3: grid}, roi_size=4)
+    return FeaturePyramid(extent=extent, strides={3: stride}, grids={3: grid})
 
 
 class TestBuildPyramid:
@@ -167,7 +163,7 @@ class TestBuildPyramid:
         img = rng.uniform(0, 1, size=(48, 64))
         a = build_pyramid(img, CFG)
         b = build_pyramid(img, CFG)
-        for layer_id in a.layer_ids():
+        for layer_id in CFG.layer_ids():
             assert np.array_equal(a.grids[layer_id], b.grids[layer_id])
 
     def test_channel_cycling_beyond_base_stats(self):
@@ -398,97 +394,35 @@ class TestRoiPool:
             roi_pool(pyr, 9, BBox(0, 0, 4, 4))
 
 
-class TestFeatureFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        img = rng.uniform(0, 1, size=(48, 64)).astype(np.float32).astype(np.float64)
-        pyr = build_pyramid(img, CFG)
-        path = tmp_path / "feat.bin"
-        write_features(path, pyr)
-        back = read_features(path)
-        assert back.extent == pyr.extent
-        assert back.strides == pyr.strides
-        for layer_id in pyr.layer_ids():
-            np.testing.assert_allclose(
-                back.grids[layer_id],
-                pyr.grids[layer_id].astype(np.float32),
-                atol=0,
-            )
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(FeatureShapeError, match="magic"):
-            read_features(path)
+class TestFeaturePyramidChecks:
+    """A pyramid whose grids do not fit its extent and strides, or hold
+    non-finite values, fails with ``FeatureShapeError``."""
 
-    def test_checksum_detects_corruption(self, tmp_path):
-        img = np.random.default_rng(13).uniform(0, 1, size=(32, 32))
-        pyr = build_pyramid(img, CFG)
-        path = tmp_path / "feat.bin"
-        write_features(path, pyr)
-        raw = bytearray(path.read_bytes())
-        raw[-3] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FeatureShapeError, match="checksum"):
-            read_features(path)
+    def test_accepts_the_grids_build_pyramid_makes(self):
+        pyr = build_pyramid(np.zeros((50, 70)), CFG)
+        again = FeaturePyramid(extent=pyr.extent, strides=pyr.strides, grids=pyr.grids)
+        assert again.extent == (70, 50)
+        assert issubclass(FeatureShapeError, ValueError)
 
-    def test_short_body_with_valid_checksum(self, tmp_path):
-        pyr = build_pyramid(np.random.default_rng(16).uniform(0, 1, size=(32, 32)), CFG)
-        path = tmp_path / "feat.bin"
-        write_features(path, pyr)
-        raw = path.read_bytes()
-        crc_at = 18 + 20 * len(pyr.layer_ids())
-        body = raw[crc_at + 4 : -8]
-        path.write_bytes(raw[:crc_at] + struct.pack("<I", zlib.crc32(body)) + body)
-        with pytest.raises(FeatureShapeError, match="body"):
-            read_features(path)
+    @pytest.mark.parametrize("shape", [(2, 7, 8), (2, 6, 9), (2, 8, 9), (2, 0, 9)])
+    def test_wrong_spatial_shape_rejected(self, shape):
+        # A 70x50 extent at stride 8 needs ceil(50/8) x ceil(70/8) = 7 x 9 cells.
+        with pytest.raises(FeatureShapeError, match=r"expected spatial shape \(7, 9\)"):
+            FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: np.zeros(shape)})
 
-    @given(
-        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
-        keep=st.one_of(st.none(), st.integers(0, 10**6)),
-        fix_crc=st.booleans(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_mutated_file_fails_only_with_feature_shape_error(
-        self, tmp_path_factory, edits, keep, fix_crc
-    ):
-        """Bytes overwritten anywhere, the file cut short, and the
-        checksum optionally recomputed so body edits reach the parser."""
-        pyr = build_pyramid(np.random.default_rng(17).uniform(0, 1, size=(24, 40)), CFG)
-        path = tmp_path_factory.mktemp("fuzz") / "feat.bin"
-        write_features(path, pyr)
-        raw = bytearray(path.read_bytes())
-        for pos, value in edits:
-            raw[pos % len(raw)] = value
-        if keep is not None:
-            del raw[keep % len(raw) :]
-        crc_at = 18 + 20 * len(pyr.layer_ids())
-        if fix_crc and len(raw) >= crc_at + 4:
-            raw[crc_at : crc_at + 4] = struct.pack("<I", zlib.crc32(bytes(raw[crc_at + 4 :])))
-        path.write_bytes(bytes(raw))
-        try:
-            back = read_features(path)
-        except FeatureShapeError:
-            return
-        for layer_id in back.layer_ids():
-            assert np.all(np.isfinite(back.grids[layer_id]))
+    def test_two_dimensional_grid_rejected(self):
+        with pytest.raises(FeatureShapeError, match="layer 3"):
+            FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: np.zeros((7, 9))})
 
-    def test_duplicate_layer_ids_rejected(self, tmp_path):
-        pyr = build_pyramid(np.random.default_rng(19).uniform(0, 1, size=(32, 48)), CFG)
-        path = tmp_path / "feat.bin"
-        write_features(path, pyr)
-        raw = bytearray(path.read_bytes())
-        raw[38:42] = struct.pack("<i", 3)  # the second layer claims id 3 too
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FeatureShapeError, match="duplicate"):
-            read_features(path)
+    def test_second_layer_checked_too(self):
+        grids = {3: np.zeros((2, 7, 9)), 4: np.zeros((2, 4, 4))}
+        with pytest.raises(FeatureShapeError, match="layer 4"):
+            FeaturePyramid(extent=(70, 50), strides={3: 8, 4: 16}, grids=grids)
 
-    def test_roi_size_zero_rejected(self, tmp_path):
-        pyr = build_pyramid(np.random.default_rng(18).uniform(0, 1, size=(32, 32)), CFG)
-        path = tmp_path / "feat.bin"
-        write_features(path, pyr)
-        raw = bytearray(path.read_bytes())
-        raw[16:18] = struct.pack("<H", 0)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FeatureShapeError, match="roi_size"):
-            read_features(path)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        grid = np.zeros((2, 7, 9))
+        grid[1, 6, 8] = bad
+        with pytest.raises(FeatureShapeError, match="non-finite"):
+            FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: grid})

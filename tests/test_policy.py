@@ -18,7 +18,7 @@ from scaleloc.policy import (
     sample_action,
     zero_grads,
 )
-from scaleloc.trajectory import TrajStep
+from scaleloc.trajectory import Trajectory, TrajStep
 
 
 SMALL = PolicyConfig(feature_dims={3: 8, 4: 6, 5: 10}, obs_dim=6, state_dim=4)
@@ -302,6 +302,22 @@ class TestCheckpointAdapters:
         with pytest.raises(ValueError, match="meta names"):
             PolicyParams.from_arrays(arrays)
 
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("meta/layer_ids", lambda v: np.array([3.9, 4.2, 5.5])),
+            ("meta/feature_dims", lambda v: v + 0.5),
+            ("meta/obs_dim", lambda v: v + 0.5),
+            ("meta/state_dim", lambda v: np.array([np.inf])),
+        ],
+    )
+    def test_fractional_meta_value_rejected(self, name, edit):
+        """``meta/`` values must be whole numbers, which ``int()`` would truncate."""
+        arrays = init_params(22, SMALL).to_arrays()
+        arrays[name] = edit(arrays[name])
+        with pytest.raises(ValueError, match=f"^{name} must hold whole numbers"):
+            PolicyParams.from_arrays(arrays)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["theta_o/4", "wh", "theta_a"])
     def test_non_finite_parameter_rejected(self, name, bad):
@@ -316,3 +332,17 @@ class TestCheckpointAdapters:
         assert set(grads) == set(params.params)
         for name in grads:
             assert grads[name].shape == params.params[name].shape
+
+
+class TestTrajectory:
+    def test_positive_log_prob_rejected(self):
+        steps = make_steps(SMALL, np.random.default_rng(25), 3)
+        assert Trajectory(steps=tuple(steps), reward=0.5).final_box == steps[-1].box
+        bad = TrajStep(3, BBox(0, 0, 10, 20), 0, 1e-12, np.zeros(8))
+        with pytest.raises(ValueError, match="log-probabilities cannot be positive"):
+            Trajectory(steps=(*steps, bad), reward=0.5)
+
+    def test_zero_log_prob_and_empty_episode_accepted(self):
+        certain = TrajStep(3, BBox(0, 0, 10, 20), 0, 0.0, np.zeros(8))
+        assert Trajectory(steps=(certain,), reward=1.0).final_box == certain.box
+        assert Trajectory(steps=(), reward=0.0).final_box is None

@@ -16,11 +16,11 @@ from scaleloc.proposal import (
     LayerWeightConfig,
     ProposalModel,
     ProposalTrainConfig,
+    TrainingDivergedError,
     layer_weights,
     proposal_loss_and_grad,
     score_proposals,
     smooth_l1,
-    smooth_l1_grad,
     top_k,
     train_proposal_model,
 )
@@ -31,7 +31,25 @@ TINY_PYR = PyramidConfig(layers=(LayerSpec(3, 8, 2), LayerSpec(4, 16, 3), LayerS
 
 
 # Scalar reference forms of the objective. Training minimises
-# proposal_loss_and_grad; these are its oracles (see TestTrainedLossOracle).
+# proposal_loss_and_grad; these are its oracles (see TestTrainedLossOracle
+# and TestSmoothL1).
+
+
+def scalar_smooth_l1(v) -> float:
+    """Smooth-L1 of the Euclidean norm: 0.5*n^2 below 1, n - 0.5 above."""
+    n = float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
+    if n < 1.0:
+        return 0.5 * n * n
+    return n - 0.5
+
+
+def scalar_smooth_l1_grad(v) -> np.ndarray:
+    """Gradient of :func:`scalar_smooth_l1` with respect to ``v``."""
+    v = np.asarray(v, dtype=np.float64)
+    n = float(np.linalg.norm(v))
+    if n < 1.0:
+        return v.copy()
+    return v / n
 
 
 def cls_loss(labels, p_hats, gamma: float = 3.0, eps: float = PROB_EPS) -> float:
@@ -64,7 +82,7 @@ def multitask_loss(p, anchor, gt, p_hat, pred_offsets, lam=10.0, eps=PROB_EPS):
     if p == 1:
         loss = -math.log(p_hat)
         residual = oracle.encode(anchor, gt) - np.asarray(pred_offsets)
-        loss += lam * smooth_l1(residual)
+        loss += lam * scalar_smooth_l1(residual)
         return loss
     return -math.log(1.0 - p_hat)
 
@@ -166,9 +184,28 @@ class TestLayerWeights:
         assert LayerWeightConfig(balance=4).balance == 4
 
 
+# Rows with norm exactly 0 and exactly 1, and rows on either side of the knee.
+KNEE_ROWS = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0],
+        [-0.0, 0.0, -0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, -1.0, 0.0],
+        [0.5, -0.5, 0.5, -0.5],
+        [0.6, 0.8, 0.0, 0.0],
+        [np.nextafter(1.0, 0.0), 0.0, 0.0, 0.0],
+        [np.nextafter(1.0, 2.0), 0.0, 0.0, 0.0],
+        [2.0, 0.0, 0.0, 0.0],
+        [5e-324, 0.0, 0.0, 0.0],
+    ]
+)
+
+
 class TestSmoothL1:
     def test_zero(self):
-        assert smooth_l1(np.zeros(4)) == 0.0
+        assert scalar_smooth_l1(np.zeros(4)) == 0.0
+        values, grads = smooth_l1(np.zeros((3, 4)))
+        assert values.tolist() == [0.0] * 3 and not grads.any()
 
     def test_knee_continuity(self):
         v = np.array([1.0, 0.0, 0.0, 0.0])
@@ -176,23 +213,55 @@ class TestSmoothL1:
         linear = np.linalg.norm(v) - 0.5
         assert quadratic == 0.5
         assert linear == 0.5
-        assert smooth_l1(v) == 0.5
+        assert scalar_smooth_l1(v) == 0.5
+        values, grads = smooth_l1(KNEE_ROWS[2:5])
+        assert values.tolist() == [0.5] * 3
+        assert np.array_equal(grads, KNEE_ROWS[2:5])
 
     def test_linear_branch(self):
-        assert smooth_l1(np.array([2.0, 0, 0, 0])) == pytest.approx(1.5)
+        assert scalar_smooth_l1(np.array([2.0, 0, 0, 0])) == pytest.approx(1.5)
+        values, grads = smooth_l1(np.array([[0.0, -3.0, 0.0, 4.0]]))
+        assert values.tolist() == [4.5]
+        assert grads.tolist() == [[0.0, -0.6, 0.0, 0.8]]
+
+    def test_empty(self):
+        values, grads = smooth_l1(np.zeros((0, 4)))
+        assert values.shape == (0,) and grads.shape == (0, 4)
 
     def test_gradient_both_branches(self):
         rng = np.random.default_rng(0)
         for scale in (0.3, 5.0):
             v = scale * rng.uniform(-1, 1, size=4)
             v /= max(np.linalg.norm(v) / scale, 1e-9)
-            g = smooth_l1_grad(v)
+            (g,) = smooth_l1(v[None, :])[1]
+            np.testing.assert_array_equal(g, scalar_smooth_l1_grad(v))
             fd = np.zeros(4)
             for i in range(4):
                 e = np.zeros(4)
                 e[i] = 1e-6
-                fd[i] = (smooth_l1(v + e) - smooth_l1(v - e)) / 2e-6
+                fd[i] = (scalar_smooth_l1(v + e) - scalar_smooth_l1(v - e)) / 2e-6
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+                st.sampled_from([0.0, 1e-300, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e150]),
+            ),
+            max_size=30,
+        ),
+        knee_at=st.integers(0, 30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_scalar_oracle_bit_for_bit(self, rows, knee_at):
+        """Random rows at scales from zero to near overflow, with the
+        rows of norm 0 and 1 inserted among them."""
+        r = np.array([[x * scale for x in row] for row, scale in rows]).reshape(-1, 4)
+        r = np.insert(r, min(knee_at, len(r)), KNEE_ROWS, axis=0)
+        values, grads = smooth_l1(r)
+        assert values.shape == (len(r),) and grads.shape == r.shape
+        assert np.array_equal(values, [scalar_smooth_l1(v) for v in r])
+        assert np.array_equal(grads, np.stack([scalar_smooth_l1_grad(v) for v in r]))
 
 
 class TestClsLoss:
@@ -246,7 +315,7 @@ class TestMultitaskLoss:
         lam = 10.0
         pred = np.array([0.4, -0.2, 0.1, 0.3])
         target = oracle.encode(self.anchor, self.gt)
-        analytic = -lam * smooth_l1_grad(target - pred)
+        analytic = -lam * scalar_smooth_l1_grad(target - pred)
         fd = np.zeros(4)
         for i in range(4):
             e = np.zeros(4)
@@ -501,6 +570,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_proposal_model([], self.train_cfg())
 
+    def test_divergence_raises_naming_the_step(self):
+        """The first update at lr 1e300 sends the heads to about 1e300,
+        and the next step's box regression loss overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match=r"^non-finite loss inf at step 1$"):
+                train_proposal_model(self.small_dataset(), self.train_cfg(lr=1e300))
+
     def test_each_scene_rendered_once_per_call(self):
         data = self.small_dataset()
         provided = []
@@ -595,6 +671,21 @@ class TestCheckpointNames:
         arrays = self.arrays()
         del arrays["meta/feature_dims"]
         with pytest.raises(ValueError, match="meta names mismatch"):
+            ProposalModel.from_arrays(arrays)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("meta/layer_ids", lambda v: np.array([3.9, 4.2, 5.5])),
+            ("meta/feature_dims", lambda v: v + 0.5),
+            ("meta/layer_ids", lambda v: np.array([3.0, np.nan, 5.0])),
+        ],
+    )
+    def test_fractional_meta_value_rejected(self, name, edit):
+        """``meta/`` values must be whole numbers, which ``int()`` would truncate."""
+        arrays = self.arrays()
+        arrays[name] = edit(arrays[name])
+        with pytest.raises(ValueError, match=f"^{name} must hold whole numbers"):
             ProposalModel.from_arrays(arrays)
 
     def test_hidden_head_checkpoint_rejected(self):

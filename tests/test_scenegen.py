@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from scaleloc.geometry import BBox
 from scaleloc.scenegen import (
     ASPECT_BAND,
+    BACKGROUND_LEVEL,
+    CONTRAST,
     DatasetFormatError,
     GenConfig,
     GroundTruth,
-    RenderConfig,
     Scene,
     read_dataset,
     rasterize,
@@ -78,7 +80,18 @@ class TestRasterize:
         img = rasterize(empty)
         assert img.shape == (scene.extent[1], scene.extent[0])
         # No object patch: the grid stays near the background level.
-        assert abs(img.mean() - RenderConfig().background_level) < 0.05
+        assert abs(img.mean() - BACKGROUND_LEVEL) < 0.05
+
+    def test_images_match_recorded_digest(self):
+        """sha256 of three rendered scenes, recorded while the appearance
+        constants were still fields of a render configuration."""
+        cfg = GenConfig(scenes=3, extent=(160, 120), objects_min=2, objects_max=6)
+        digest = hashlib.sha256()
+        for scene in sample_dataset(cfg, seed=31):
+            digest.update(rasterize(scene).tobytes())
+        assert digest.hexdigest() == (
+            "80d5f5f6c6085885d92188d90ebb2a60a238761477c4cde28f69bc4691d936f2"
+        )
 
     def test_bit_identical_rerender(self):
         scene = sample_dataset(SMALL, seed=6)[3]
@@ -87,15 +100,14 @@ class TestRasterize:
         assert np.array_equal(a, b)
 
     def test_object_contrast(self):
-        render = RenderConfig()
         scene = sample_dataset(GenConfig(scenes=1, extent=(320, 240), objects_min=2, objects_max=2), seed=8)[0]
-        img = rasterize(scene, render)
+        img = rasterize(scene)
         mask = np.zeros(img.shape, dtype=bool)
         for g in scene.objects:
             b = g.box
             mask[int(round(b.y)) : int(round(b.y2)), int(round(b.x)) : int(round(b.x2))] = True
         diff = img[mask].mean() - img[~mask].mean()
-        assert diff == pytest.approx(render.contrast, abs=0.05)
+        assert diff == pytest.approx(CONTRAST, abs=0.05)
 
     def test_values_clipped_to_unit_interval(self):
         scene = sample_dataset(SMALL, seed=12)[0]
