@@ -39,12 +39,15 @@ IOU_NEGATIVE = 0.3
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Anchors as aligned arrays: (x, y, w, h) ``boxes`` (N, 4), the
+    """Anchors of one image ``extent`` as aligned arrays: (x, y, w, h)
+    ``boxes`` (N, 4), the same boxes ``clipped`` to the image (N, 4), the
     pyramid ``layer_ids`` (N,) and the ``base_heights`` (N,)."""
 
     boxes: np.ndarray
+    clipped: np.ndarray
     layer_ids: np.ndarray
     base_heights: np.ndarray
+    extent: tuple[int, int]
 
     def __len__(self) -> int:
         return len(self.layer_ids)
@@ -58,8 +61,9 @@ def generate_anchors(
     """One anchor per lattice cell per layer, centered on the cell.
 
     Anchors come layer by layer in config order, each layer's cells in
-    row-major order. Anchors sticking out of the image are kept; scoring
-    clips them.
+    row-major order. Anchors sticking out of the image are kept, and
+    their clipped boxes, on which labeling and pooling work, are stored
+    alongside.
     """
     width, height = extent
     boxes, layer_ids, heights = [], [], []
@@ -78,56 +82,48 @@ def generate_anchors(
         )
         layer_ids.append(np.full(n, spec.layer_id, dtype=np.int64))
         heights.append(np.full(n, h))
+    boxes = np.concatenate(boxes)
     return AnchorSet(
-        boxes=np.concatenate(boxes),
+        boxes=boxes,
+        clipped=clip_boxes(boxes, extent),
         layer_ids=np.concatenate(layer_ids),
         base_heights=np.concatenate(heights),
+        extent=tuple(extent),
     )
 
 
-def label_arrays(
-    anchors: AnchorSet,
-    gt_boxes: np.ndarray,
-    extent: tuple[int, int],
-    iou_positive: float = IOU_POSITIVE,
-    iou_negative: float = IOU_NEGATIVE,
-):
+def label_arrays(anchors: AnchorSet, gt_boxes: np.ndarray):
     """Label anchors against (G, 4) ground-truth boxes.
 
     Returns per-anchor (labels, matched_gt_index, target_height). IoU is
-    computed on anchors clipped to the image. An anchor is positive when
-    its best IoU exceeds ``iou_positive`` or when it is some ground
+    computed on the anchors' clipped boxes. An anchor is positive when
+    its best IoU exceeds ``IOU_POSITIVE`` or when it is some ground
     truth's best anchor (ties to the lowest anchor index; zero-overlap
     ground truths claim nobody). Positives match their own best ground
     truth (ties to the lowest index); every other anchor has match -1
     and keeps its base height as target height. Remaining anchors with
-    best IoU strictly below ``iou_negative`` are negative, the rest
+    best IoU strictly below ``IOU_NEGATIVE`` are negative, the rest
     ignored.
     """
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     n = len(anchors)
-    g = gt_boxes.shape[0]
 
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     matched = np.full(n, -1, dtype=np.int64)
     target_h = np.array(anchors.base_heights, dtype=np.float64)
-    if g == 0:
+    if len(gt_boxes) == 0:
         return labels, matched, target_h
 
-    clipped = clip_boxes(anchors.boxes, extent)
-    ious = iou_matrix(clipped, gt_boxes)
+    ious = iou_matrix(anchors.clipped, gt_boxes)
     best_gt = np.argmax(ious, axis=1)
     best_iou = ious[np.arange(n), best_gt]
 
-    positive = best_iou > iou_positive
-    for j in range(g):
-        col = ious[:, j]
-        if col.max() > 0.0:
-            positive[np.argmax(col)] = True
+    positive = best_iou > IOU_POSITIVE
+    positive[ious.argmax(axis=0)[ious.max(axis=0) > 0]] = True
 
     labels[:] = IGNORE
     labels[positive] = POSITIVE
-    labels[~positive & (best_iou < iou_negative)] = NEGATIVE
+    labels[~positive & (best_iou < IOU_NEGATIVE)] = NEGATIVE
 
     matched[positive] = best_gt[positive]
     target_h[positive] = gt_boxes[best_gt[positive], 3]
@@ -138,8 +134,8 @@ def sample_minibatch_indices(
     labels: np.ndarray,
     scores: np.ndarray | None,
     rng: np.random.Generator,
-    pos_count: int = 32,
-    gamma: int = 3,
+    pos_count: int,
+    gamma: int,
 ):
     """Pick minibatch indices: uniform positives plus bootstrapped negatives.
 

@@ -1,9 +1,8 @@
 """Multi-layer feature pyramid and RoI pooling.
 
 A pyramid holds one feature grid per layer (ids 3..5 by convention) at
-strictly increasing strides. A feature provider is any
-``image -> FeaturePyramid`` callable; by default :func:`build_pyramid`
-computes block statistics of the grayscale image.
+strictly increasing strides. :func:`build_pyramid` computes the grids
+as block statistics of the grayscale image.
 
 RoI pooling maps a pixel-space box onto a layer grid and resamples it to
 a fixed ``ROI_SIZE`` x ``ROI_SIZE`` window. Regions smaller than the
@@ -83,7 +82,11 @@ class FeaturePyramid:
     def __post_init__(self):
         width, height = self.extent
         for layer_id, grid in self.grids.items():
-            stride = self.strides[layer_id]
+            stride = self.strides.get(layer_id)
+            if not isinstance(stride, (int, np.integer)) or stride < 1:
+                raise FeatureShapeError(
+                    f"layer {layer_id}: stride must be a positive integer, got {stride!r}"
+                )
             want = (-(-height // stride), -(-width // stride))
             if grid.ndim != 3 or grid.shape[1:] != want:
                 raise FeatureShapeError(

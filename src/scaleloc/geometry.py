@@ -1,19 +1,20 @@
 """Axis-aligned bounding-box arithmetic.
 
 Boxes are (x, y, w, h) with (x, y) the top-left corner, in image pixels.
-Box arithmetic (clip, IoU, regression encode and decode) works on
-(N, 4) arrays of such rows. Regression offsets are Faster R-CNN's:
-corner shifts in anchor sides, and log size ratios. :class:`BBox` is
-the one-box record that scenes and policy episodes carry; :func:`clip`
-and :func:`iou` are one-row calls of the array functions. Everything
-here is pure and safe to call concurrently.
+Box arithmetic (clip, IoU, regression encode and decode, and the
+transform actions of :func:`apply_transforms`) works on (N, 4) arrays
+of such rows. Regression offsets are Faster R-CNN's: corner shifts in
+anchor sides, and log size ratios. :class:`BBox` is the one-box record
+that scenes and policy episodes carry; :func:`clip`, :func:`iou` and
+:func:`apply_transform` are one-row calls of the array functions.
+Everything here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "iou",
     "iou_matrix",
     "apply_transform",
+    "apply_transforms",
     "clip",
     "clip_boxes",
     "encode_regression",
@@ -73,17 +75,17 @@ class BBox:
         return (self.x, self.y, self.w, self.h)
 
 
-class TransformAction(Enum):
-    """The eight box-editing actions (the two trigger actions live in env)."""
+class TransformAction(IntEnum):
+    """The eight box-editing actions, each numbered by its place in ``TRANSFORM_ACTIONS``."""
 
-    MOVE_LEFT = "move_left"
-    MOVE_RIGHT = "move_right"
-    MOVE_UP = "move_up"
-    MOVE_DOWN = "move_down"
-    TALLER = "taller"
-    SHORTER = "shorter"
-    WIDER = "wider"
-    NARROWER = "narrower"
+    MOVE_LEFT = 0
+    MOVE_RIGHT = 1
+    MOVE_UP = 2
+    MOVE_DOWN = 3
+    TALLER = 4
+    SHORTER = 5
+    WIDER = 6
+    NARROWER = 7
 
 
 # Canonical ordering; env indexes its action space against this tuple.
@@ -137,37 +139,29 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
 
 
 def apply_transform(b: BBox, action: TransformAction, cfg: StepConfig) -> BBox:
-    """Apply one transform action to a box.
+    """One-box form of :func:`apply_transforms`."""
+    return BBox(*apply_transforms([b.as_tuple()], [action], cfg)[0].tolist())
 
-    Moves shift by ``move_ratio`` times the current side; size changes
-    multiply one side by ``scale_factor`` (or its inverse) about the box
-    center. Output sides never drop below ``min_side``.
-    """
-    x, y, w, h = b.x, b.y, b.w, b.h
-    cx, cy = b.cx, b.cy
 
-    if action is TransformAction.MOVE_LEFT:
-        cx -= cfg.move_ratio * w
-    elif action is TransformAction.MOVE_RIGHT:
-        cx += cfg.move_ratio * w
-    elif action is TransformAction.MOVE_UP:
-        cy -= cfg.move_ratio * h
-    elif action is TransformAction.MOVE_DOWN:
-        cy += cfg.move_ratio * h
-    elif action is TransformAction.TALLER:
-        h = h * cfg.scale_factor
-    elif action is TransformAction.SHORTER:
-        h = h / cfg.scale_factor
-    elif action is TransformAction.WIDER:
-        w = w * cfg.scale_factor
-    elif action is TransformAction.NARROWER:
-        w = w / cfg.scale_factor
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown action {action!r}")
-
-    w = max(w, cfg.min_side)
-    h = max(h, cfg.min_side)
-    return BBox(cx - w / 2.0, cy - h / 2.0, w, h)
+def apply_transforms(boxes, actions, cfg: StepConfig) -> np.ndarray:
+    """Apply action ``actions[i]``, a :class:`TransformAction` index, to
+    box ``boxes[i]`` of (K, 4): a move shifts the center by ``move_ratio``
+    sides, a size change scales one side by ``scale_factor`` about the
+    center, and both sides are then floored at ``min_side``."""
+    x, y, w, h = _rows(boxes)
+    a = np.asarray(actions).reshape(-1)
+    if a.shape != x.shape or not (a.size == 0 or np.issubdtype(a.dtype, np.integer)):
+        raise ValueError(f"need {x.size} integer actions, got {a.shape} {a.dtype}")
+    if np.any((a < 0) | (a >= len(TRANSFORM_ACTIONS))):
+        raise ValueError(f"action indices must lie in [0, {len(TRANSFORM_ACTIONS)})")
+    left, right, up, down, taller, shorter, wider, narrower = a == np.arange(8)[:, None]
+    cx, cy = x + w / 2.0, y + h / 2.0
+    dx, dy, s = cfg.move_ratio * w, cfg.move_ratio * h, cfg.scale_factor
+    cx = np.where(left, cx - dx, np.where(right, cx + dx, cx))
+    cy = np.where(up, cy - dy, np.where(down, cy + dy, cy))
+    h = np.maximum(np.where(taller, h * s, np.where(shorter, h / s, h)), cfg.min_side)
+    w = np.maximum(np.where(wider, w * s, np.where(narrower, w / s, w)), cfg.min_side)
+    return np.stack([cx - w / 2.0, cy - h / 2.0, w, h], axis=1)
 
 
 def clip(b: BBox, extent: tuple[float, float], min_side: float = 2.0) -> BBox:

@@ -55,6 +55,8 @@ class PolicyConfig:
             raise ValueError("dims must be positive")
         if not self.feature_dims:
             raise ValueError("need at least one layer")
+        if any(d < 1 for d in self.feature_dims.values()):
+            raise ValueError(f"feature dims must be positive, got {self.feature_dims}")
 
 
 @dataclass

@@ -8,8 +8,7 @@ to the anchor (:func:`~scaleloc.geometry.encode_regression`).
 The trained objective is :func:`proposal_loss_and_grad`: it weights
 every example by a height-dependent softmax over per-layer sigmoids,
 balances positives against bootstrapped hard negatives, and averages
-the box regression over the positives. Features come from a provider,
-any ``image -> FeaturePyramid`` callable.
+the box regression over the positives.
 
 The softmax of values in [0, 1] caps any weight at e / (e + 2) ~ 0.58,
 so no layer ever dominates. With the default constants layer 4 leads
@@ -266,9 +265,12 @@ def score_proposals(
     pyramid: FeaturePyramid,
     anchors: AnchorSet,
 ) -> list[ScoredBox]:
-    """Objectness and decoded, clipped box for every anchor, in anchor order."""
+    """Objectness and decoded, clipped box for every anchor, in anchor
+    order. The anchors must have been generated for the pyramid's extent."""
+    if tuple(pyramid.extent) != anchors.extent:
+        raise ValueError(f"anchors for extent {anchors.extent}, pyramid of {pyramid.extent}")
     scored: list[ScoredBox] = [None] * len(anchors)
-    for layer_id, sel, clipped in _by_layer(pyramid, anchors, np.arange(len(anchors))):
+    for layer_id, sel, clipped in _by_layer(anchors, np.arange(len(anchors))):
         feats = roi_pool_many(pyramid, layer_id, clipped)
         logits, offsets, _ = model.forward(layer_id, feats.reshape(len(sel), -1))
         decoded = decode_regression(anchors.boxes[sel], offsets)
@@ -304,9 +306,12 @@ class ProposalTrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be positive")
+        missing = [i for i in self.pyramid.layer_ids() if i not in self.loss.layer_ids]
+        if missing:
+            raise ValueError(f"pyramid layers {missing} have no loss constants")
 
 
-def _scene_tensors(scene: Scene, cfg: ProposalTrainConfig, provider, anchor_cache):
+def _scene_tensors(scene: Scene, cfg: ProposalTrainConfig, anchor_cache):
     """Pyramid, anchors, and labels for one scene."""
     extent = scene.extent
     if extent not in anchor_cache:
@@ -315,19 +320,20 @@ def _scene_tensors(scene: Scene, cfg: ProposalTrainConfig, provider, anchor_cach
         )
     anchors = anchor_cache[extent]
 
-    pyramid = provider(rasterize(scene))
+    # Looked up at call time, so a rebound featpyr.build_pyramid is used.
+    pyramid = featpyr.build_pyramid(rasterize(scene), cfg.pyramid)
     gt_arr = boxes_to_array(scene.gt_boxes)
-    labels, matched, target_h = anchors_mod.label_arrays(anchors, gt_arr, extent)
+    labels, matched, target_h = anchors_mod.label_arrays(anchors, gt_arr)
     return pyramid, anchors, labels, matched, target_h, gt_arr
 
 
-def _by_layer(pyramid: FeaturePyramid, anchors: AnchorSet, indices: np.ndarray):
+def _by_layer(anchors: AnchorSet, indices: np.ndarray):
     """(layer id, anchor indices, clipped boxes) for each layer that the
     given anchor indices reach, in ascending layer id order."""
     layer_ids = anchors.layer_ids[indices]
     for layer_id in np.unique(layer_ids).tolist():
         sel = indices[layer_ids == layer_id]
-        yield layer_id, sel, clip_boxes(anchors.boxes[sel], pyramid.extent)
+        yield layer_id, sel, anchors.clipped[sel]
 
 
 def _objectness(model: ProposalModel, pyramid: FeaturePyramid, anchors: AnchorSet, indices):
@@ -338,7 +344,7 @@ def _objectness(model: ProposalModel, pyramid: FeaturePyramid, anchors: AnchorSe
     equal the pooled forward pass up to the order of floating-point sums.
     """
     scores = np.full(len(anchors), -np.inf)
-    for layer_id, sel, clipped in _by_layer(pyramid, anchors, indices):
+    for layer_id, sel, clipped in _by_layer(anchors, indices):
         w = model.params[f"head{layer_id}/w"]
         b = model.params[f"head{layer_id}/b"]
         scores[sel] = roi_pool_project(pyramid, layer_id, clipped, w[:1])[:, 0] + b[0]
@@ -348,7 +354,6 @@ def _objectness(model: ProposalModel, pyramid: FeaturePyramid, anchors: AnchorSe
 def train_proposal_model(
     dataset: list[Scene],
     cfg: ProposalTrainConfig,
-    provider=None,
     log=None,
 ) -> ProposalModel:
     """SGD with momentum and weight decay over per-image minibatches.
@@ -360,18 +365,13 @@ def train_proposal_model(
 
     Each scene is rendered, turned into a pyramid and labelled once per
     call: the result is cached by dataset index for the life of the
-    call, so ``provider``, an ``image -> FeaturePyramid`` callable that
-    defaults to :func:`~scaleloc.featpyr.build_pyramid` with
-    ``cfg.pyramid``, must return the same pyramid for the same image.
-    The cache holds every scene the call visits, about 0.5 MB per
+    call. The cache holds every scene the call visits, about 0.5 MB per
     640x480 scene at the desk channels (8/16/32) and 17 MB at the
     full-size ones (256/512/1024). It draws no random numbers, so the
     trained parameters do not depend on it.
     """
     if not dataset:
         raise ValueError("dataset must not be empty")
-    # Looked up at call time, so a rebound featpyr.build_pyramid is used.
-    provider = provider or (lambda image: featpyr.build_pyramid(image, cfg.pyramid))
     rng = np.random.default_rng(cfg.seed)
     model = ProposalModel.init(cfg.pyramid, seed=cfg.seed)
     velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
@@ -381,7 +381,7 @@ def train_proposal_model(
     for step in range(cfg.steps):
         index = int(rng.integers(len(dataset)))
         if index not in scene_cache:
-            scene_cache[index] = _scene_tensors(dataset[index], cfg, provider, anchor_cache)
+            scene_cache[index] = _scene_tensors(dataset[index], cfg, anchor_cache)
         pyramid, anchors, labels, matched, target_h, gt_arr = scene_cache[index]
 
         scores = None
@@ -408,7 +408,7 @@ def train_proposal_model(
             continue
 
         batches = []
-        for layer_id, sel, clipped in _by_layer(pyramid, anchors, chosen):
+        for layer_id, sel, clipped in _by_layer(anchors, chosen):
             feats = roi_pool_many(pyramid, layer_id, clipped).reshape(len(sel), -1)
             is_pos = labels[sel] == anchors_mod.POSITIVE
             pos = sel[is_pos]

@@ -64,8 +64,8 @@ class GenConfig:
             raise ValueError("need 0 < objects_min <= objects_max")
         if self.height_median <= 0 or self.height_sigma <= 0:
             raise ValueError("height law parameters must be positive")
-        if self.min_height <= 0:
-            raise ValueError("min_height must be positive")
+        if not 0 < self.min_height <= 0.95 * self.extent[1]:
+            raise ValueError("min_height must be positive and at most 0.95 * extent height")
         if not (0 < self.ratio_jitter <= 0.1):
             raise ValueError("ratio_jitter must lie in (0, 0.1]")
 

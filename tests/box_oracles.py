@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from scaleloc.geometry import BBox
+from scaleloc.geometry import BBox, TransformAction
 
 SIZE_FLOOR = 1.0  # decoded sides never drop below one pixel
 LOG_RATIO_MAX = math.log(1000.0 / 16.0)  # normalized size ratios clamp here
@@ -69,3 +69,34 @@ def decode(anchor: BBox, vec) -> BBox:
         max(w, SIZE_FLOOR),
         max(h, SIZE_FLOOR),
     )
+
+
+def transform(b: BBox, action: TransformAction, cfg) -> BBox:
+    """One transform action on one box: move the center by ``move_ratio``
+    sides or scale one side by ``scale_factor``, then floor both sides
+    at ``min_side``."""
+    w, h = b.w, b.h
+    cx, cy = b.cx, b.cy
+
+    if action is TransformAction.MOVE_LEFT:
+        cx -= cfg.move_ratio * w
+    elif action is TransformAction.MOVE_RIGHT:
+        cx += cfg.move_ratio * w
+    elif action is TransformAction.MOVE_UP:
+        cy -= cfg.move_ratio * h
+    elif action is TransformAction.MOVE_DOWN:
+        cy += cfg.move_ratio * h
+    elif action is TransformAction.TALLER:
+        h = h * cfg.scale_factor
+    elif action is TransformAction.SHORTER:
+        h = h / cfg.scale_factor
+    elif action is TransformAction.WIDER:
+        w = w * cfg.scale_factor
+    elif action is TransformAction.NARROWER:
+        w = w / cfg.scale_factor
+    else:
+        raise ValueError(f"unknown action {action!r}")
+
+    w = max(w, cfg.min_side)
+    h = max(h, cfg.min_side)
+    return BBox(cx - w / 2.0, cy - h / 2.0, w, h)

@@ -13,7 +13,7 @@ from scaleloc.anchors import (
     sample_minibatch_indices,
 )
 from scaleloc.featpyr import PyramidConfig
-from scaleloc.geometry import BBox, boxes_to_array
+from scaleloc.geometry import BBox, boxes_to_array, clip_boxes
 from scaleloc.proposal import LayerWeightConfig
 from scaleloc.scenegen import ASPECT_RATIO, GenConfig, sample_dataset
 
@@ -91,9 +91,9 @@ def brute_force_labels(anchors, gts, extent, iou_pos=0.5, iou_neg=0.3):
     return labels, matched, target_h
 
 
-def label(anchors, gts, extent):
+def label(anchors, gts):
     """(labels, matched, target heights) of an anchor set against BBoxes."""
-    return label_arrays(anchors, boxes_to_array(gts), extent)
+    return label_arrays(anchors, boxes_to_array(gts))
 
 
 class TestGenerateAnchors:
@@ -126,11 +126,15 @@ class TestGenerateAnchors:
 
     @pytest.mark.parametrize("extent", [(640, 480), (300, 220), (97, 61), (1, 1)])
     def test_equals_per_cell_loop(self, extent):
+        """The lattice equals the per-cell loop, and the stored clipped
+        boxes equal clipping it."""
         anchors = generate_anchors(CFG, extent, HEIGHTS)
         boxes, layers, heights = per_cell_anchors(CFG, extent, HEIGHTS)
         assert np.array_equal(anchors.boxes, boxes)
         assert np.array_equal(anchors.layer_ids, layers)
         assert np.array_equal(anchors.base_heights, heights)
+        assert anchors.extent == extent
+        assert np.array_equal(anchors.clipped, clip_boxes(boxes, extent))
 
 
 class TestLabeling:
@@ -143,7 +147,7 @@ class TestLabeling:
         anchors = self.anchors()
         # Ground truth exactly on top of a layer-3 anchor.
         target = anchor_bboxes(anchors)[150]
-        labels, matched, target_h = label(anchors, [target], self.extent)
+        labels, matched, target_h = label(anchors, [target])
         assert labels[150] == POSITIVE
         assert matched[150] == 0
         assert target_h[150] == target.h
@@ -151,7 +155,7 @@ class TestLabeling:
     def test_low_iou_is_negative_and_target_height_is_anchor_height(self):
         anchors = self.anchors()
         gt = BBox(1, 1, 4, 10)
-        labels, matched, target_h = label(anchors, [gt], self.extent)
+        labels, matched, target_h = label(anchors, [gt])
         assert labels[-1] == NEGATIVE
         assert matched[-1] == -1
         assert target_h[-1] == anchors.base_heights[-1]
@@ -162,7 +166,7 @@ class TestLabeling:
         anchors = self.anchors()
         boxes = anchor_bboxes(anchors)
         gt = BBox(40, 30, 30, 73)  # aspect 0.41-ish but offset from lattice
-        labels, _, _ = label(anchors, [gt], self.extent)
+        labels, _, _ = label(anchors, [gt])
         best = max(
             range(len(boxes)),
             key=lambda i: oracle.iou(oracle.clip(boxes[i], self.extent), gt),
@@ -170,7 +174,7 @@ class TestLabeling:
         assert labels[best] == POSITIVE
 
     def test_empty_gt_list_all_negative(self):
-        labels, matched, _ = label(self.anchors(), [], self.extent)
+        labels, matched, _ = label(self.anchors(), [])
         assert np.all(labels == NEGATIVE)
         assert np.all(matched == -1)
 
@@ -179,7 +183,7 @@ class TestLabeling:
         anchors = self.anchors()
         boxes = anchor_bboxes(anchors)
         for scene in sample_dataset(cfg, seed=31):
-            labels, matched, _ = label(anchors, scene.gt_boxes, self.extent)
+            labels, matched, _ = label(anchors, scene.gt_boxes)
             for gt in scene.gt_boxes:
                 overlapped = any(
                     oracle.iou(oracle.clip(a, self.extent), gt) > 0 for a in boxes
@@ -191,7 +195,7 @@ class TestLabeling:
         cfg = GenConfig(scenes=12, extent=self.extent, objects_min=1, objects_max=5)
         anchors = self.anchors()
         for scene in sample_dataset(cfg, seed=77):
-            got = label(anchors, scene.gt_boxes, self.extent)
+            got = label(anchors, scene.gt_boxes)
             labels, matched, target_h = brute_force_labels(
                 anchors, scene.gt_boxes, self.extent
             )
@@ -203,13 +207,13 @@ class TestLabeling:
     def test_label_partition_is_exhaustive_and_disjoint(self):
         anchors = self.anchors()
         gt = BBox(50, 40, 20, 48)
-        labels, _, _ = label(anchors, [gt], self.extent)
+        labels, _, _ = label(anchors, [gt])
         assert set(labels.tolist()) <= {POSITIVE, NEGATIVE, IGNORE}
 
     def test_positive_has_a_matched_gt(self):
         anchors = self.anchors()
         gts = [BBox(50, 40, 20, 48), BBox(100, 20, 30, 70)]
-        labels, matched, target_h = label(anchors, gts, self.extent)
+        labels, matched, target_h = label(anchors, gts)
         pos = labels == POSITIVE
         assert pos.any()
         assert np.all(matched[pos] >= 0) and np.all(matched[~pos] == -1)
@@ -229,7 +233,7 @@ class TestLabeling:
         """Random ground truths, some off the image, on ragged extents."""
         anchors = generate_anchors(CFG, extent, HEIGHTS)
         gts = [BBox(*g) for g in gts]
-        labels, matched, target_h = label(anchors, gts, extent)
+        labels, matched, target_h = label(anchors, gts)
         want = brute_force_labels(anchors, gts, extent)
         assert labels.tolist() == want[0]
         assert matched.tolist() == want[1]
@@ -250,8 +254,8 @@ class TestMinibatch:
     def build(self, n_pos, n_neg, n_ign=5):
         return np.array([POSITIVE] * n_pos + [NEGATIVE] * n_neg + [IGNORE] * n_ign)
 
-    def sample(self, labels, rng, **kw):
-        pos_take, neg_take = sample_minibatch_indices(labels, None, rng, **kw)
+    def sample(self, labels, rng, pos_count=32, gamma=3):
+        pos_take, neg_take = sample_minibatch_indices(labels, None, rng, pos_count, gamma)
         return np.concatenate([pos_take, neg_take])
 
     def test_batch_composition_32_96(self):

@@ -420,6 +420,16 @@ class TestFeaturePyramidChecks:
         with pytest.raises(FeatureShapeError, match="layer 4"):
             FeaturePyramid(extent=(70, 50), strides={3: 8, 4: 16}, grids=grids)
 
+    @pytest.mark.parametrize(
+        "strides, grid_shape",
+        [({}, (2, 7, 9)), ({3: 0}, (2, 7, 9)), ({3: -8}, (2, 7, 9)), ({3: 8.5}, (2, 6, 9))],
+        ids=["missing", "zero", "negative", "fractional"],
+    )
+    def test_stride_must_be_a_positive_integer(self, strides, grid_shape):
+        # Stride 8.5 would otherwise pass: ceil(50/8.5) x ceil(70/8.5) = 6 x 9.
+        with pytest.raises(FeatureShapeError, match="layer 3: stride must be a positive integer"):
+            FeaturePyramid(extent=(70, 50), strides=strides, grids={3: np.zeros(grid_shape)})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_grid_rejected(self, bad):
         grid = np.zeros((2, 7, 9))

@@ -12,6 +12,7 @@ from scaleloc.geometry import (
     StepConfig,
     TransformAction,
     apply_transform,
+    apply_transforms,
     boxes_to_array,
     clip,
     clip_boxes,
@@ -167,6 +168,58 @@ class TestApplyTransform:
         b = BBox(5, 6, 7, 8)
         for action in TRANSFORM_ACTIONS:
             assert apply_transform(b, action, self.cfg) == apply_transform(b, action, self.cfg)
+
+    def test_actions_are_their_own_indices(self):
+        assert [int(a) for a in TRANSFORM_ACTIONS] == list(range(8))
+        assert all(TRANSFORM_ACTIONS[a] is a for a in TransformAction)
+
+    @pytest.mark.parametrize("action", TRANSFORM_ACTIONS, ids=lambda a: a.name)
+    def test_one_box_call_equals_scalar_oracle_exactly(self, action):
+        rng = np.random.default_rng(int(action))
+        boxes = random_float_boxes(rng, 200, max_side=4.0) + random_float_boxes(rng, 200)
+        for b in boxes:
+            assert apply_transform(b, action, self.cfg) == oracle.transform(b, action, self.cfg)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-100, 100),
+                st.floats(-100, 100),
+                st.one_of(st.floats(0.25, 4.0), st.floats(0.25, 300)),
+                st.one_of(st.floats(0.25, 4.0), st.floats(0.25, 300)),
+                st.sampled_from(TRANSFORM_ACTIONS),
+            ),
+            max_size=24,
+        ),
+        cfg=st.sampled_from(
+            [StepConfig(), StepConfig(move_ratio=0.3, scale_factor=1.7, min_side=0.5)]
+        ),
+    )
+    @example(rows=[], cfg=StepConfig())
+    @example(rows=[(1.0, 2.0, 1.9, 2.3, TransformAction.SHORTER)], cfg=StepConfig())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_scalar_oracle(self, rows, cfg):
+        """Row by row, the array form gives the oracle's bits, with sides
+        on both sides of the ``min_side`` floor, for K = 0 and K = 1 too."""
+        boxes = np.array([r[:4] for r in rows], dtype=np.float64).reshape(-1, 4)
+        actions = np.array([int(r[4]) for r in rows], dtype=np.int64)
+        want = [oracle.transform(BBox(*r[:4]), r[4], cfg).as_tuple() for r in rows]
+        got = apply_transforms(boxes, actions, cfg)
+        assert got.shape == (len(rows), 4)
+        assert np.array_equal(got, np.array(want).reshape(-1, 4))
+
+    @pytest.mark.parametrize("bad", [8, -1])
+    def test_action_index_out_of_range_rejected(self, bad):
+        boxes = np.array([[0.0, 0.0, 4.0, 8.0], [1.0, 1.0, 4.0, 8.0]])
+        with pytest.raises(ValueError, match=r"\[0, 8\)"):
+            apply_transforms(boxes, [0, bad], self.cfg)
+
+    def test_action_count_and_type_checked(self):
+        boxes = np.array([[0.0, 0.0, 4.0, 8.0]])
+        with pytest.raises(ValueError, match="integer actions"):
+            apply_transforms(boxes, [1, 2], self.cfg)
+        with pytest.raises(ValueError, match="integer actions"):
+            apply_transforms(boxes, [2.5], self.cfg)
 
 
 class TestClip:

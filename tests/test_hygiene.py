@@ -1,6 +1,7 @@
 """Static checks of the source with the standard-library ``ast`` module:
-every exported name exists, every imported name is used, and every
-``*Config`` field is read by some code outside its own class."""
+every exported name exists, every imported name is used, every
+``*Config`` field is read by some code outside its own class, and every
+function parameter is read by its function."""
 
 import ast
 from pathlib import Path
@@ -195,3 +196,60 @@ def test_config_check_flags_a_field_only_its_own_class_reads():
     )
     assert [cls.name for cls, _ in config_fields(tree)] == ["StepConfig"]
     assert unread_config_fields(tree, [tree]) == ["StepConfig.aspect_ratio_step"]
+
+
+def unread_parameters(tree):
+    """``function(parameter)`` for each parameter of a function or lambda
+    that its body never reads, such as a knob left behind when its use
+    went away. A read inside a nested function counts unless that
+    function binds the name itself. A method's ``self`` or ``cls`` is
+    exempt: the method belongs to its class whether it reads it or not."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def reads(node, shadowed, loads):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in shadowed:
+                loads.add(node.id)
+        if isinstance(node, functions):
+            shadowed = shadowed | bound_in(node)
+        for child in ast.iter_child_nodes(node):
+            reads(child, shadowed, loads)
+
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, functions):
+            continue
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        loads = set()
+        for stmt in body:
+            reads(stmt, frozenset(), loads)
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        name = getattr(fn, "name", "<lambda>")
+        unread += [
+            f"{name}({a.arg})" for a in params if a.arg not in loads | {"self", "cls"}
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_parameters_are_read(path):
+    unread = unread_parameters(parse(path))
+    assert not unread, f"{path.name}: parameters that nothing reads {unread}"
+
+
+def test_parameter_check_flags_a_knob_left_behind():
+    tree = ast.parse(
+        "def label(anchors, gt_boxes, extent, *args, scale=1, **kw):\n"
+        "    def inner(extent):\n"
+        "        return extent\n"
+        "    return inner(anchors) + gt_boxes * scale + len(kw)\n"
+        "class C:\n"
+        "    def method(self, x, y):\n"
+        "        return x\n"
+        "f = lambda a, b: a\n"
+    )
+    assert unread_parameters(tree) == [
+        "label(extent)", "label(args)", "method(y)", "<lambda>(b)",
+    ]

@@ -101,6 +101,11 @@ class TestInit:
         se = bound / math.sqrt(3 * len(flat))  # uniform sd <= bound/sqrt(3)
         assert abs(flat.mean()) < 3 * se * math.sqrt(3)
 
+    @pytest.mark.parametrize("dim", [-5, 0])
+    def test_non_positive_feature_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="feature dims must be positive"):
+            PolicyConfig(feature_dims={3: 8, 4: dim})
+
     def test_paper_faithful_shapes(self):
         cfg = PolicyConfig(
             feature_dims={3: 4096, 4: 8192, 5: 16384},

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_oracles as oracle
+from scaleloc import featpyr
 from scaleloc.anchors import generate_anchors
 from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid, roi_pool_many
 from scaleloc.geometry import BBox, boxes_to_array, encode_regression
@@ -530,6 +531,12 @@ class TestScoring:
                 assert type(got.score) is float and type(got.layer_id) is int
         assert (fallbacks > 0) == (gain > 1.0)
 
+    def test_anchors_of_another_extent_rejected(self):
+        model, pyramid, _ = self.setup_scene()
+        anchors = generate_anchors(TINY_PYR, (168, 120), LayerWeightConfig().base_heights())
+        with pytest.raises(ValueError, match=r"extent \(168, 120\), pyramid of \(160, 120\)"):
+            score_proposals(model, pyramid, anchors)
+
     def test_boxes_clipped_and_layer_tagged(self):
         model, pyramid, anchors = self.setup_scene()
         for s in score_proposals(model, pyramid, anchors):
@@ -566,6 +573,11 @@ class TestTraining:
         last = losses[-len(losses) // 4 :].mean()
         assert last < first
 
+    def test_pyramid_layer_without_loss_constants_rejected(self):
+        pyramid = PyramidConfig(layers=(LayerSpec(3, 8, 2), LayerSpec(6, 16, 2)))
+        with pytest.raises(ValueError, match=r"pyramid layers \[6\] have no loss constants"):
+            self.train_cfg(pyramid=pyramid)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_proposal_model([], self.train_cfg())
@@ -577,16 +589,17 @@ class TestTraining:
             with pytest.raises(TrainingDivergedError, match=r"^non-finite loss inf at step 1$"):
                 train_proposal_model(self.small_dataset(), self.train_cfg(lr=1e300))
 
-    def test_each_scene_rendered_once_per_call(self):
+    def test_each_scene_rendered_once_per_call(self, monkeypatch):
         data = self.small_dataset()
         provided = []
 
-        def counting_provider(image):
+        def counting_build_pyramid(image, cfg):
             provided.append(hashlib.sha256(image.tobytes()).hexdigest())
-            return build_pyramid(image, TINY_PYR)
+            return build_pyramid(image, cfg)
 
+        monkeypatch.setattr(featpyr, "build_pyramid", counting_build_pyramid)
         log = []
-        train_proposal_model(data, self.train_cfg(steps=40), counting_provider, log)
+        train_proposal_model(data, self.train_cfg(steps=40), log=log)
         assert len(log) == 40
         assert len(provided) == len(set(provided)) <= len(data)
 

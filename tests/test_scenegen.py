@@ -72,6 +72,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             GenConfig(height_median=-5)
 
+    def test_min_height_must_fit_the_extent(self):
+        """Heights are drawn from [min_height, 0.95 * extent height]; an
+        empty range is rejected up front, not after 1,000 draws."""
+        with pytest.raises(ValueError, match="0.95 \\* extent height"):
+            GenConfig(extent=(96, 20))
+        assert GenConfig(extent=(32, 32), min_height=8).min_height == 8
+        assert GenConfig(extent=(96, 20), min_height=19).extent == (96, 20)
+
 
 class TestRasterize:
     def test_empty_scene_is_pure_background(self):
