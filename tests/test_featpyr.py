@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaleloc.featpyr import (
@@ -262,6 +262,10 @@ class TestRoiPoolManyProperties:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
+    # A subnormal scalar: its products round in absolute steps.
+    @example(
+        channels=1, rows=1, cols=2, stride=3, ragged=(0, 0), a=0.0, b=2.2250738585e-313, seed=0
+    )
     def test_linear_in_the_grid_and_within_channel_bounds(
         self, channels, rows, cols, stride, ragged, a, b, seed
     ):
@@ -294,8 +298,12 @@ class TestRoiPoolManyProperties:
 
         p1, p2 = pool(g1), pool(g2)
         scale = abs(a) * np.abs(g1).max() + abs(b) * np.abs(g2).max()
+        # Below the normal range IEEE arithmetic rounds in absolute steps of
+        # the smallest subnormal, which no relative tolerance covers; the
+        # dozen roundings on the two sides stay within 8 such steps.
+        underflow = 8 * np.finfo(np.float64).smallest_subnormal
         np.testing.assert_allclose(
-            pool(a * g1 + b * g2), a * p1 + b * p2, rtol=1e-12, atol=1e-12 * scale
+            pool(a * g1 + b * g2), a * p1 + b * p2, rtol=1e-12, atol=1e-12 * scale + underflow
         )
 
         for grid, pooled in ((g1, p1), (g2, p2)):
