@@ -57,11 +57,16 @@ class PyramidConfig:
         ids = [l.layer_id for l in self.layers]
         if len(set(ids)) != len(ids):
             raise ValueError("layer ids must be unique")
+        for l in self.layers:
+            # build_pyramid sizes its grids and blocks with these.
+            if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (l.stride, l.channels)):
+                raise ValueError(
+                    f"layer {l.layer_id}: stride and channel count must be positive "
+                    f"integers, got {l.stride!r} and {l.channels!r}"
+                )
         strides = [l.stride for l in self.layers]
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise ValueError("strides must be strictly increasing")
-        if any(l.channels < 1 or l.stride < 1 for l in self.layers):
-            raise ValueError("strides and channel counts must be positive")
 
     def layer_ids(self) -> tuple[int, ...]:
         return tuple(l.layer_id for l in self.layers)

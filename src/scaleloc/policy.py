@@ -174,38 +174,55 @@ def zero_grads(params: PolicyParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.params.items()}
 
 
-def observe(params: PolicyParams, layer_id: int, flat_features: np.ndarray) -> np.ndarray:
-    """ReLU projection of one layer's flattened RoI features."""
+def _check_action(action) -> None:
+    # A negative index would silently wrap around to another action.
+    if not isinstance(action, (int, np.integer)) or not 0 <= action < N_ACTIONS:
+        raise ValueError(f"action must be an integer in [0, {N_ACTIONS}), got {action!r}")
+
+
+def _as_features(params: PolicyParams, layer_id: int, flat_features) -> np.ndarray:
+    """``flat_features`` as a float64 vector of ``layer_id``'s length."""
+    dims = params.cfg.feature_dims
+    if not isinstance(layer_id, (int, np.integer)) or layer_id not in dims:
+        raise ValueError(f"layer {layer_id!r} is not one of {sorted(dims)}")
     flat_features = np.asarray(flat_features, dtype=np.float64)
-    theta = params.theta_o(layer_id)
-    if flat_features.shape != (theta.shape[1],):
+    if flat_features.shape != (dims[layer_id],):
         raise ValueError(
-            f"layer {layer_id}: expected features of length {theta.shape[1]}, "
+            f"layer {layer_id}: expected features of length {dims[layer_id]}, "
             f"got {flat_features.shape}"
         )
-    return np.maximum(theta @ flat_features, 0.0)
+    return flat_features
+
+
+def observe(params: PolicyParams, layer_id: int, flat_features: np.ndarray) -> np.ndarray:
+    """ReLU projection of one layer's flattened RoI features."""
+    flat_features = _as_features(params, layer_id, flat_features)
+    return np.maximum(params.theta_o(layer_id) @ flat_features, 0.0)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _gated_step(params: PolicyParams, o: np.ndarray, state: PolicyState):
+def _gated_step(params: PolicyParams, xz: np.ndarray, state: PolicyState):
+    """One step of the gated core from the input projection ``xz = wx @ o``.
+
+    Returns the new state and the input, forget, cell and output gates.
+    """
     n = params.cfg.state_dim
-    z = params.params["wx"] @ o + params.params["wh"] @ state.s
+    z = xz + params.params["wh"] @ state.s
     i = _sigmoid(z[:n])
     f = _sigmoid(z[n : 2 * n])
     g = np.tanh(z[2 * n : 3 * n])
     og = _sigmoid(z[3 * n :])
     c = f * state.c + i * g
     s = og * np.tanh(c)
-    cache = (o, state.s, state.c, i, f, g, og, c)
-    return PolicyState(s=s, c=c), cache
+    return PolicyState(s=s, c=c), (i, f, g, og)
 
 
 def recur(params: PolicyParams, o: np.ndarray, state: PolicyState) -> PolicyState:
     """Advance the recurrent state by one observation."""
-    return _gated_step(params, o, state)[0]
+    return _gated_step(params, params.params["wx"] @ o, state)[0]
 
 
 def action_distribution(params: PolicyParams, state: PolicyState) -> np.ndarray:
@@ -223,6 +240,7 @@ def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def log_prob(dist: np.ndarray, action: int) -> float:
+    _check_action(action)
     return float(np.log(max(dist[action], 1e-300)))
 
 
@@ -231,55 +249,85 @@ def episode_backward(
 ) -> dict[str, np.ndarray]:
     """Gradient of sum_t log pi(a_t | s_t) with respect to all parameters.
 
-    Replays the recorded (layer, features, action) sequence forward with
-    caching, then backpropagates through time. Layers never visited get
-    zero gradient blocks.
+    Replays the recorded (layer, features, action) sequence with one
+    observation product per visited layer (its steps' features stacked
+    row-wise), so the replay reads each ``theta_o`` once. The loops
+    over steps run only the n-dimensional gated core, forward and then
+    backpropagating through time; every gradient is then one matrix
+    product over all steps. Layers never visited get zero gradient
+    blocks. The sums run in a different order from a step-by-step
+    replay with one outer product per step, so the two agree within
+    rounding (rtol 1e-9, atol 1e-12 of the largest entry), not bit for
+    bit.
+
+    Raises ``ValueError`` naming the step for an action outside
+    ``[0, N_ACTIONS)``, a layer not in ``cfg.feature_dims`` or features
+    that are not a vector of that layer's length.
     """
-    grads = zero_grads(params)
+    features = []
+    for t, step in enumerate(steps):
+        try:
+            _check_action(step.action)
+            features.append(_as_features(params, step.layer_id, step.features))
+        except ValueError as err:
+            raise ValueError(f"step {t}: {err}") from None
     if not steps:
-        return grads
-    n = params.cfg.state_dim
+        return zero_grads(params)
+    cfg = params.cfg
+    n = cfg.state_dim
+    n_steps = len(steps)
+    wx, wh, theta_a = params.params["wx"], params.params["wh"], params.theta_a
+    layer_ids = np.array([step.layer_id for step in steps])
 
-    # Forward replay with caches.
-    state = PolicyState.initial(params.cfg)
-    forward: list[tuple] = []
-    for step in steps:
-        phi = np.asarray(step.features, dtype=np.float64)
-        z_obs = params.theta_o(step.layer_id) @ phi
-        o = np.maximum(z_obs, 0.0)
-        state, cache = _gated_step(params, o, state)
-        dist = action_distribution(params, state)
-        forward.append((step, phi, z_obs, cache, state, dist))
+    # Observations: one product per visited layer.
+    z_obs = np.empty((n_steps, cfg.obs_dim))
+    stacked = {}
+    for layer_id in np.unique(layer_ids).tolist():
+        rows = np.flatnonzero(layer_ids == layer_id)
+        phi = np.stack([features[t] for t in rows])
+        z_obs[rows] = phi @ params.theta_o(layer_id).T
+        stacked[layer_id] = (rows, phi)
+    obs = np.maximum(z_obs, 0.0)
+    xz = obs @ wx.T
 
+    # Gated core forward; S[t] and C[t] are the states before step t.
+    states = [PolicyState.initial(cfg)]
+    gates = []
+    for x in xz:
+        state, gate = _gated_step(params, x, states[-1])
+        states.append(state)
+        gates.append(gate)
+    S = np.stack([state.s for state in states])
+    C = np.stack([state.c for state in states])
+    logits = S[1:] @ theta_a.T
+    dist = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dist /= dist.sum(axis=1, keepdims=True)
+    dlogits = -dist
+    dlogits[np.arange(n_steps), [step.action for step in steps]] += 1.0
+
+    # Backpropagation through time, through the gated core only.
+    ds_out = dlogits @ theta_a
+    tc = np.tanh(C[1:])
+    dz = np.empty((n_steps, _GATES * n))
     ds = np.zeros(n)
     dc = np.zeros(n)
-    for step, phi, z_obs, cache, state, dist in reversed(forward):
-        dlogits = -dist.copy()
-        dlogits[step.action] += 1.0
-        grads["theta_a"] += np.outer(dlogits, state.s)
-        ds = ds + params.theta_a.T @ dlogits
-
-        o_cached, s_prev, c_prev, i, f, g, og, c = cache
-        tc = np.tanh(c)
-        dog = ds * tc
-        dc = dc + ds * og * (1.0 - tc**2)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                dog * og * (1.0 - og),
-            ]
-        )
-        grads["wx"] += np.outer(dz, o_cached)
-        grads["wh"] += np.outer(dz, s_prev)
-        do = params.params["wx"].T @ dz
-        ds = params.params["wh"].T @ dz
+    for t in reversed(range(n_steps)):
+        i, f, g, og = gates[t]
+        ds = ds + ds_out[t]
+        dog = ds * tc[t]
+        dc = dc + ds * og * (1.0 - tc[t] ** 2)
+        dz[t, :n] = dc * g * i * (1.0 - i)
+        dz[t, n : 2 * n] = dc * C[t] * f * (1.0 - f)
+        dz[t, 2 * n : 3 * n] = dc * i * (1.0 - g**2)
+        dz[t, 3 * n :] = dog * og * (1.0 - og)
+        ds = wh.T @ dz[t]
         dc = dc * f
 
-        dz_obs = do * (z_obs > 0)
-        grads[f"theta_o/{step.layer_id}"] += np.outer(dz_obs, phi)
-    return grads
+    grads = {"theta_a": dlogits.T @ S[1:], "wx": dz.T @ obs, "wh": dz.T @ S[:-1]}
+    dz_obs = (dz @ wx) * (z_obs > 0)
+    for layer_id, (rows, phi) in stacked.items():
+        grads[f"theta_o/{layer_id}"] = dz_obs[rows].T @ phi
+    return {
+        name: grads[name] if name in grads else np.zeros_like(arr)
+        for name, arr in params.params.items()
+    }

@@ -321,6 +321,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PyramidConfig(layers=(LayerSpec(3, 8, 4), LayerSpec(3, 16, 4)))
 
+    @pytest.mark.parametrize(
+        "spec", [LayerSpec(3, 8.5, 2), LayerSpec(3, 8, 2.0), LayerSpec(3, 0, 2), LayerSpec(3, 8, 0)]
+    )
+    def test_stride_and_channels_must_be_positive_integers(self, spec):
+        # A fractional stride used to pass here and fail in build_pyramid.
+        with pytest.raises(ValueError, match="layer 3: stride and channel count must be positive"):
+            PyramidConfig(layers=(spec, LayerSpec(4, 16, 4)))
+
     def test_flat_dims(self):
         paper = PyramidConfig(
             layers=(LayerSpec(3, 8, 256), LayerSpec(4, 16, 512), LayerSpec(5, 32, 1024))

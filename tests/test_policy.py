@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import policy_oracles as oracle
 from scaleloc.geometry import BBox
 from scaleloc.policy import (
     N_ACTIONS,
@@ -243,6 +248,12 @@ class TestSampling:
         dist = np.full(N_ACTIONS, 0.1)
         assert log_prob(dist, 3) == pytest.approx(-math.log(10.0), abs=1e-12)
 
+    @pytest.mark.parametrize("action", [-1, N_ACTIONS, 2.5])
+    def test_log_prob_rejects_action_outside_range(self, action):
+        # -1 would otherwise index the last action.
+        with pytest.raises(ValueError, match=r"action must be an integer in \[0, 10\)"):
+            log_prob(np.full(N_ACTIONS, 0.1), action)
+
 
 class TestEpisodeBackward:
     def test_empty_trajectory_zero_gradient(self):
@@ -270,6 +281,81 @@ class TestEpisodeBackward:
         grads = episode_backward(params, steps)
         assert not grads["theta_o/5"].any()
         assert grads["theta_o/3"].any()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"action": -1}, r"step 1: action must be an integer in \[0, 10\), got -1"),
+            ({"action": N_ACTIONS}, r"step 1: action must be .*, got 10"),
+            ({"action": 2.5}, r"step 1: action must be .*, got 2.5"),
+            ({"layer_id": 7}, r"step 1: layer 7 is not one of \[3, 4, 5\]"),
+            ({"layer_id": 3.0}, r"step 1: layer 3.0 is not one of"),
+            ({"features": np.zeros(9)}, r"step 1: layer 3: expected features of length 8"),
+            ({"features": np.zeros((1, 8))}, r"step 1: layer 3: expected .*, got \(1, 8\)"),
+        ],
+        ids=["action-1", "action10", "action2.5", "layer7", "layer3.0", "length9", "matrix"],
+    )
+    def test_malformed_step_rejected(self, edit, message):
+        steps = make_steps(SMALL, np.random.default_rng(26), 3, layers=[4, 3, 5])
+        steps[1] = dataclasses.replace(steps[1], **edit)
+        with pytest.raises(ValueError, match=message):
+            episode_backward(init_params(26, SMALL), steps)
+
+    @given(
+        dims=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        obs_dim=st.integers(1, 9),
+        state_dim=st.integers(1, 6),
+        n_steps=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_step_oracle(self, dims, obs_dim, state_dim, n_steps, seed):
+        """The batched replay agrees with one outer product per step to
+        rounding, with layers mixed within the episode and features over
+        six orders of magnitude."""
+        rng = np.random.default_rng(seed)
+        cfg = PolicyConfig(
+            feature_dims={3 + k: d for k, d in enumerate(dims)},
+            obs_dim=obs_dim,
+            state_dim=state_dim,
+        )
+        params = init_params(seed, cfg)
+        steps = [
+            dataclasses.replace(step, features=step.features * 10.0 ** rng.uniform(-3, 3))
+            for step in make_steps(cfg, rng, n_steps)
+        ]
+        # Large features saturate gates: exp(-z) overflows to inf there,
+        # and the sigmoid is then exactly 0 on both sides.
+        with np.errstate(over="ignore"):
+            got = episode_backward(params, steps)
+            want = oracle.episode_backward(params, steps)
+        zeros = zero_grads(params)
+        assert list(got) == list(zeros)
+        for name, arr in got.items():
+            assert arr.shape == zeros[name].shape and arr.dtype == zeros[name].dtype
+            np.testing.assert_allclose(
+                arr, want[name], rtol=1e-9, atol=1e-12 * np.abs(want[name]).max(), err_msg=name
+            )
+        visited = {step.layer_id for step in steps}
+        for layer_id in set(cfg.feature_dims) - visited:
+            assert not got[f"theta_o/{layer_id}"].any()
+
+    def test_peak_allocation_near_gradient_size(self):
+        """The gradients are written once, with no per-step outer-product
+        temporary beside them, so the traced peak stays within 10% of
+        the parameter bytes."""
+        cfg = PolicyConfig(feature_dims={3: 1024, 4: 2048, 5: 4096}, obs_dim=256)
+        params = init_params(27, cfg)
+        steps = make_steps(cfg, np.random.default_rng(27), 10, layers=[5] * 10)
+        param_bytes = sum(arr.nbytes for arr in params.params.values())
+        tracemalloc.start()
+        try:
+            grads = episode_backward(params, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads["theta_o/5"].any()
+        assert peak <= 1.1 * param_bytes, peak / param_bytes
 
 
 class TestCheckpointAdapters:
