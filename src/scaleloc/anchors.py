@@ -65,6 +65,9 @@ def generate_anchors(
     their clipped boxes, on which labeling and pooling work, are stored
     alongside.
     """
+    missing = [spec.layer_id for spec in cfg.layers if spec.layer_id not in base_heights]
+    if missing:
+        raise ValueError(f"pyramid layers {missing} have no base height")
     width, height = extent
     boxes, layer_ids, heights = [], [], []
     for spec in cfg.layers:

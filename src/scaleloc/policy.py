@@ -72,27 +72,20 @@ class PolicyParams:
         return self.params["theta_a"]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        arrays = dict(self.params)
-        layer_ids = sorted(self.cfg.feature_dims)
-        arrays["meta/obs_dim"] = np.array([float(self.cfg.obs_dim)])
-        arrays["meta/state_dim"] = np.array([float(self.cfg.state_dim)])
-        arrays["meta/layer_ids"] = np.array([float(i) for i in layer_ids])
-        arrays["meta/feature_dims"] = np.array(
-            [float(self.cfg.feature_dims[i]) for i in layer_ids]
+        cfg = self.cfg
+        layer_ids = sorted(cfg.feature_dims)
+        return _checkpoint(
+            self.params, obs_dim=[cfg.obs_dim], state_dim=[cfg.state_dim],
+            layer_ids=layer_ids, feature_dims=[cfg.feature_dims[i] for i in layer_ids],
         )
-        return arrays
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "PolicyParams":
         meta, params = _split_checkpoint(
-            arrays, ("meta/obs_dim", "meta/state_dim", "meta/layer_ids", "meta/feature_dims")
+            arrays, "obs_dim", "state_dim", "layer_ids", "feature_dims"
         )
-        layer_ids = [int(v) for v in meta["meta/layer_ids"]]
-        cfg = PolicyConfig(
-            feature_dims={i: int(d) for i, d in zip(layer_ids, meta["meta/feature_dims"])},
-            obs_dim=int(meta["meta/obs_dim"][0]),
-            state_dim=int(meta["meta/state_dim"][0]),
-        )
+        dims = dict(zip(meta["layer_ids"], meta["feature_dims"]))
+        cfg = PolicyConfig(dims, obs_dim=meta["obs_dim"][0], state_dim=meta["state_dim"][0])
         out = cls(cfg=cfg, params=params)
         out.validate_shapes()
         return out
@@ -118,21 +111,28 @@ class PolicyState:
         return cls(s=np.zeros(cfg.state_dim), c=np.zeros(cfg.state_dim))
 
 
-def _split_checkpoint(arrays: dict[str, np.ndarray], meta_names):
-    """Split checkpoint arrays into ``meta/`` entries and parameters.
+def _checkpoint(params: dict[str, np.ndarray], **meta) -> dict[str, np.ndarray]:
+    """The parameters, then each ``meta/<name>`` value as a float64 array."""
+    return {**params, **{f"meta/{k}": np.array(v, dtype=np.float64) for k, v in meta.items()}}
 
-    Rejects a ``meta/`` name set other than ``meta_names``, ``meta/``
-    values that are not whole numbers, and parameters holding NaN or
-    infinite values.
+
+def _split_checkpoint(arrays: dict[str, np.ndarray], *meta_names: str):
+    """Split checkpoint arrays into the ``meta/<name>`` values, as lists
+    of ints by name, and the parameters.
+
+    Rejects ``meta/`` names other than ``meta_names``, ``meta/`` values
+    that are not whole numbers, and parameters holding NaN or infinite
+    values.
     """
-    meta = {k: v for k, v in arrays.items() if k.startswith("meta/")}
+    meta = {k.removeprefix("meta/"): v for k, v in arrays.items() if k.startswith("meta/")}
     if set(meta) != set(meta_names):
         raise ValueError(f"meta names mismatch: expected {sorted(meta_names)}, got {sorted(meta)}")
     for name, value in meta.items():
         value = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(value) & (value == np.trunc(value))):
-            raise ValueError(f"{name} must hold whole numbers, got {value.tolist()}")
-    params = {k: np.array(v) for k, v in arrays.items() if k not in meta}
+            raise ValueError(f"meta/{name} must hold whole numbers, got {value.tolist()}")
+        meta[name] = [int(v) for v in value]
+    params = {k: np.array(v) for k, v in arrays.items() if not k.startswith("meta/")}
     for name, value in params.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"parameter {name} has non-finite values")
@@ -201,7 +201,15 @@ def observe(params: PolicyParams, layer_id: int, flat_features: np.ndarray) -> n
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf below x ~ -709, which gives the right 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, computed with max subtraction."""
+    shifted = np.exp(x - x.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def _gated_step(params: PolicyParams, xz: np.ndarray, state: PolicyState):
@@ -227,9 +235,7 @@ def recur(params: PolicyParams, o: np.ndarray, state: PolicyState) -> PolicyStat
 
 def action_distribution(params: PolicyParams, state: PolicyState) -> np.ndarray:
     """Softmax over the ten actions, computed with max subtraction."""
-    logits = params.theta_a @ state.s
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
+    return _softmax(params.theta_a @ state.s)
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -299,10 +305,7 @@ def episode_backward(
         gates.append(gate)
     S = np.stack([state.s for state in states])
     C = np.stack([state.c for state in states])
-    logits = S[1:] @ theta_a.T
-    dist = np.exp(logits - logits.max(axis=1, keepdims=True))
-    dist /= dist.sum(axis=1, keepdims=True)
-    dlogits = -dist
+    dlogits = -_softmax(S[1:] @ theta_a.T)
     dlogits[np.arange(n_steps), [step.action for step in steps]] += 1.0
 
     # Backpropagation through time, through the gated core only.

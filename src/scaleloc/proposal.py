@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from . import featpyr
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
 from .geometry import BBox, boxes_to_array, clip_boxes, decode_regression, encode_regression
-from .policy import _check_shapes, _glorot, _sigmoid, _split_checkpoint
+from .policy import _check_shapes, _checkpoint, _glorot, _sigmoid, _softmax, _split_checkpoint
 from .scenegen import Scene, rasterize
 
 __all__ = [
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 PROB_EPS = 1e-7
+# Faster R-CNN's fixed training settings (Ren et al., NeurIPS 2015).
+MOMENTUM = 0.9
+WEIGHT_DECAY = 0.0005
+TRADEOFF = 10.0  # weight of box regression against classification
 
 
 class TrainingDivergedError(RuntimeError):
@@ -60,7 +65,6 @@ class LayerWeightConfig:
     layer_ids: tuple[int, ...] = (3, 4, 5)
     mean_heights: tuple[float, ...] = (48.0, 96.0, 156.0)
     scale_factors: tuple[float, ...] = (5.0, 20.0, 10.0)
-    tradeoff: float = 10.0
     balance: float = 3.0
 
     def __post_init__(self):
@@ -68,8 +72,8 @@ class LayerWeightConfig:
             raise ValueError("per-layer constants must align with layer_ids")
         if any(v <= 0 for v in self.mean_heights + self.scale_factors):
             raise ValueError("heights and scale factors must be positive")
-        if self.tradeoff < 0 or self.balance < 1:
-            raise ValueError("need tradeoff >= 0 and balance >= 1")
+        if self.balance < 1:
+            raise ValueError("need balance >= 1")
         if not float(self.balance).is_integer():
             # The sampler keeps balance negatives per positive, a count.
             raise ValueError(f"balance must be a whole number, got {self.balance}")
@@ -88,9 +92,7 @@ def layer_weights(h, cfg: LayerWeightConfig = LayerWeightConfig()) -> np.ndarray
     h = np.asarray(h, dtype=np.float64)
     hbar = np.array(cfg.mean_heights)
     gamma = np.array(cfg.scale_factors)
-    alpha_hat = _sigmoid((h[..., None] - hbar) / gamma)
-    shifted = np.exp(alpha_hat - alpha_hat.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    return _softmax(_sigmoid((h[..., None] - hbar) / gamma))
 
 
 def smooth_l1(residuals: np.ndarray):
@@ -132,10 +134,7 @@ class ProposalModel:
         return cls(layer_ids=pyramid_cfg.layer_ids(), feature_dims=dims, params=params)
 
     def forward(self, layer_id: int, features: np.ndarray):
-        """Map (N, D) features to (logits (N,), offsets (N, 4), cache).
-
-        The cache is the features, which :meth:`backward` needs.
-        """
+        """Map (N, D) features to (logits (N,), offsets (N, 4))."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.feature_dims[layer_id]:
             raise ValueError(
@@ -143,32 +142,18 @@ class ProposalModel:
                 f"got {features.shape}"
             )
         out = features @ self.params[f"head{layer_id}/w"].T + self.params[f"head{layer_id}/b"]
-        return out[:, 0], out[:, 1:], features
-
-    def backward(self, layer_id: int, cache, dlogits: np.ndarray, doffsets: np.ndarray):
-        """Gradients of the head parameters given output gradients;
-        ``cache`` is the features that :meth:`forward` returned."""
-        dout = np.concatenate([dlogits[:, None], doffsets], axis=1)
-        return {
-            f"head{layer_id}/w": dout.T @ cache,
-            f"head{layer_id}/b": dout.sum(axis=0),
-        }
+        return out[:, 0], out[:, 1:]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        arrays = dict(self.params)
-        arrays["meta/layer_ids"] = np.array(self.layer_ids, dtype=np.float64)
-        arrays["meta/feature_dims"] = np.array(
-            [self.feature_dims[i] for i in self.layer_ids], dtype=np.float64
-        )
-        return arrays
+        dims = [self.feature_dims[i] for i in self.layer_ids]
+        return _checkpoint(self.params, layer_ids=self.layer_ids, feature_dims=dims)
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ProposalModel":
         """Load what :meth:`to_arrays` wrote; any other name set is a ``ValueError``."""
-        meta, params = _split_checkpoint(arrays, ("meta/layer_ids", "meta/feature_dims"))
-        layer_ids = tuple(int(v) for v in meta["meta/layer_ids"])
-        dims = {layer_id: int(d) for layer_id, d in zip(layer_ids, meta["meta/feature_dims"])}
-        model = cls(layer_ids=layer_ids, feature_dims=dims, params=params)
+        meta, params = _split_checkpoint(arrays, "layer_ids", "feature_dims")
+        dims = dict(zip(meta["layer_ids"], meta["feature_dims"]))
+        model = cls(layer_ids=tuple(meta["layer_ids"]), feature_dims=dims, params=params)
         model.validate_shapes()
         return model
 
@@ -204,7 +189,7 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg:
 
     Classification follows the balance-weighted cross-entropy with the
     per-example alpha weights folded in; the regression term is averaged
-    over positives so lam keeps a stable meaning across batch mixes.
+    over positives so TRADEOFF keeps a stable meaning across batch mixes.
     """
     total_loss = 0.0
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
@@ -213,7 +198,7 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg:
         if n == 0:
             continue
         m = cfg.layer_ids.index(batch.layer_id)
-        logits, offsets, cache = model.forward(batch.layer_id, batch.features)
+        logits, offsets = model.forward(batch.layer_id, batch.features)
         p_hat = _sigmoid(logits)
         p_clamped = np.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
         alpha = layer_weights(batch.target_heights, cfg)[:, m]
@@ -240,12 +225,14 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg:
         doffsets = np.zeros_like(offsets)
         if n_pos:
             reg, dreg = smooth_l1(batch.target_vecs[pos] - offsets[pos])
-            scale = alpha[pos] * cfg.tradeoff / n_pos
+            scale = alpha[pos] * TRADEOFF / n_pos
             total_loss += float(np.sum(scale * reg))
             doffsets[pos] = -scale[:, None] * dreg
 
-        for name, g in model.backward(batch.layer_id, cache, dlogits, doffsets).items():
-            grads[name] += g
+        # Head gradients; += so that a layer with two batches sums them.
+        dout = np.concatenate([dlogits[:, None], doffsets], axis=1)
+        grads[f"head{batch.layer_id}/w"] += dout.T @ batch.features
+        grads[f"head{batch.layer_id}/b"] += dout.sum(axis=0)
     return total_loss, grads
 
 
@@ -272,7 +259,7 @@ def score_proposals(
     scored: list[ScoredBox] = [None] * len(anchors)
     for layer_id, sel, clipped in _by_layer(anchors, np.arange(len(anchors))):
         feats = roi_pool_many(pyramid, layer_id, clipped)
-        logits, offsets, _ = model.forward(layer_id, feats.reshape(len(sel), -1))
+        logits, offsets = model.forward(layer_id, feats.reshape(len(sel), -1))
         decoded = decode_regression(anchors.boxes[sel], offsets)
         boxes = clip_boxes(decoded, pyramid.extent)
         for i, box, prob in zip(sel.tolist(), boxes.tolist(), _sigmoid(logits).tolist()):
@@ -293,12 +280,10 @@ def top_k(scored: list[ScoredBox], k: int) -> list[ScoredBox]:
 
 @dataclass(frozen=True)
 class ProposalTrainConfig:
+    loss: ClassVar[LayerWeightConfig] = LayerWeightConfig()
     pyramid: PyramidConfig = PyramidConfig()
-    loss: LayerWeightConfig = LayerWeightConfig()
     steps: int = 2000
     lr: float = 0.001
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
     pos_count: int = 32
     neg_pool: int = 1024
     seed: int = 0
@@ -428,8 +413,8 @@ def train_proposal_model(
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss {loss} at step {step}")
         for name in model.params:
-            g = grads[name] + cfg.weight_decay * model.params[name]
-            velocity[name] = cfg.momentum * velocity[name] - cfg.lr * g
+            g = grads[name] + WEIGHT_DECAY * model.params[name]
+            velocity[name] = MOMENTUM * velocity[name] - cfg.lr * g
             model.params[name] += velocity[name]
             if not np.all(np.isfinite(model.params[name])):
                 raise TrainingDivergedError(

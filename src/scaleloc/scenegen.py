@@ -29,6 +29,8 @@ __all__ = [
 
 ASPECT_RATIO = 0.41
 ASPECT_BAND = (0.31, 0.51)
+RATIO_JITTER = 0.1  # figure width ratios are uniform in ASPECT_RATIO +- this
+HEIGHT_SIGMA = 0.6  # log-sd of figure heights
 
 # Appearance of a rendered scene, in gray levels of [0, 1].
 BACKGROUND_LEVEL = 0.35
@@ -43,7 +45,7 @@ class GenConfig:
     """Knobs for dataset sampling.
 
     Heights are log-normal (median ``height_median``, log-sd
-    ``height_sigma``), truncated to [min_height, 0.95 * extent height].
+    ``HEIGHT_SIGMA``), truncated to [min_height, 0.95 * extent height].
     """
 
     scenes: int = 100
@@ -51,23 +53,27 @@ class GenConfig:
     objects_min: int = 1
     objects_max: int = 6
     height_median: float = 48.0
-    height_sigma: float = 0.6
     min_height: float = 24.0
-    ratio_jitter: float = 0.1
 
     def __post_init__(self):
+        counts = zip(
+            ("scenes", "extent width", "extent height", "objects_min", "objects_max"),
+            (self.scenes, self.extent[0], self.extent[1], self.objects_min, self.objects_max),
+        )
+        for name, value in counts:
+            # sample_dataset and rasterize count and size arrays with these.
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.scenes <= 0:
             raise ValueError("scenes must be positive")
         if self.extent[0] <= 0 or self.extent[1] <= 0:
             raise ValueError("extent sides must be positive")
         if not (0 < self.objects_min <= self.objects_max):
             raise ValueError("need 0 < objects_min <= objects_max")
-        if self.height_median <= 0 or self.height_sigma <= 0:
-            raise ValueError("height law parameters must be positive")
+        if self.height_median <= 0:
+            raise ValueError("height_median must be positive")
         if not 0 < self.min_height <= 0.95 * self.extent[1]:
             raise ValueError("min_height must be positive and at most 0.95 * extent height")
-        if not (0 < self.ratio_jitter <= 0.1):
-            raise ValueError("ratio_jitter must lie in (0, 0.1]")
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ def _sample_height(rng: np.random.Generator, cfg: GenConfig) -> float:
     mu = np.log(cfg.height_median)
     hi = 0.95 * cfg.extent[1]
     for _ in range(1000):
-        h = float(np.exp(mu + cfg.height_sigma * rng.standard_normal()))
+        h = float(np.exp(mu + HEIGHT_SIGMA * rng.standard_normal()))
         if cfg.min_height <= h <= hi:
             return h
     raise RuntimeError("height sampling failed; check the configured law")
@@ -115,7 +121,7 @@ def sample_dataset(cfg: GenConfig, seed: int, id_prefix: str = "scene") -> list[
         objects = []
         for _ in range(count):
             h = _sample_height(rng, cfg)
-            ratio = ASPECT_RATIO + rng.uniform(-cfg.ratio_jitter, cfg.ratio_jitter)
+            ratio = ASPECT_RATIO + rng.uniform(-RATIO_JITTER, RATIO_JITTER)
             ratio = min(max(ratio, ASPECT_BAND[0]), ASPECT_BAND[1])
             w = min(ratio * h, width - 1.0)
             x = rng.uniform(0.0, width - w)
@@ -214,8 +220,8 @@ def _whole(value, what: str, least: int) -> int:
 def _scene_from_record(rec: dict) -> Scene:
     objects = []
     for o in rec["objects"]:
-        if not all(math.isfinite(v) for v in o["box"]):
-            raise ValueError(f"box values must be finite, got {o['box']!r}")
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in o["box"]):
+            raise ValueError(f"box values must be finite numbers, got {o['box']!r}")
         seed = _whole(o["appearance_seed"], "appearance seed", 0)
         objects.append(GroundTruth(box=BBox(*o["box"]), appearance_seed=seed))
     width, height = rec["extent"]

@@ -136,6 +136,12 @@ class TestGenerateAnchors:
         assert anchors.extent == extent
         assert np.array_equal(anchors.clipped, clip_boxes(boxes, extent))
 
+    def test_missing_base_height_names_the_layers(self):
+        with pytest.raises(ValueError, match=r"pyramid layers \[5\] have no base height"):
+            generate_anchors(CFG, (64, 48), {3: 48.0, 4: 96.0})
+        with pytest.raises(ValueError, match=r"pyramid layers \[3, 5\] have no base height"):
+            generate_anchors(CFG, (64, 48), {4: 96.0})
+
 
 class TestLabeling:
     extent = (160, 120)

@@ -1,7 +1,7 @@
 """Static checks of the source with the standard-library ``ast`` module:
 every exported name exists, every imported name is used, every
-``*Config`` field is read by some code outside its own class, and every
-function parameter is read by its function."""
+``*Config`` field is read by some code outside its own class and set by
+some call, and every function parameter is read by its function."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "scaleloc").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def parse(path):
@@ -129,6 +130,13 @@ def test_checks_catch_a_stale_export_and_a_shadowed_import():
     assert unused_imports(tree) == ["field"]
 
 
+def is_class_var(annotation):
+    """Whether an annotation is ``ClassVar`` or ``ClassVar[...]``, which
+    makes a class attribute, not a dataclass field."""
+    node = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return getattr(node, "id", getattr(node, "attr", None)) == "ClassVar"
+
+
 def config_fields(tree):
     """(class node, field names) for each ``*Config`` dataclass in a module."""
     for node in ast.walk(tree):
@@ -139,7 +147,9 @@ def config_fields(tree):
             fields = [
                 s.target.id
                 for s in node.body
-                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                if isinstance(s, ast.AnnAssign)
+                and isinstance(s.target, ast.Name)
+                and not is_class_var(s.annotation)
             ]
             yield node, fields
 
@@ -196,6 +206,55 @@ def test_config_check_flags_a_field_only_its_own_class_reads():
     )
     assert [cls.name for cls, _ in config_fields(tree)] == ["StepConfig"]
     assert unread_config_fields(tree, [tree]) == ["StepConfig.aspect_ratio_step"]
+
+
+def unset_config_fields(tree, trees):
+    """``Class.field`` for each config field of ``tree`` that no call in
+    ``trees`` passes as a keyword argument, such as a constant that only
+    its default ever sets. Any call's keyword counts, so a field set
+    through ``dict(...)`` or a helper's keywords passes."""
+    keywords = {
+        kw.arg
+        for t in trees
+        for node in ast.walk(t)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+    }
+    return [
+        f"{cls.name}.{name}"
+        for cls, fields in config_fields(tree)
+        for name in fields
+        if name not in keywords
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_config_fields_are_set(path):
+    trees = [parse(p) for p in PACKAGE + TESTS + PERFBENCH]
+    unset = unset_config_fields(parse(path), trees)
+    assert not unset, f"{path.name}: config fields that no call sets {unset}"
+
+
+def test_config_check_flags_a_field_no_call_sets():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "from typing import ClassVar\n"
+        "@dataclass(frozen=True)\n"
+        "class TrainConfig:\n"
+        "    base: ClassVar[float] = 2.0\n"
+        "    lr: float = 0.1\n"
+        "    momentum: float = 0.9\n"
+        "    steps: int = 10\n"
+        "    seed: int = 0\n"
+        "def train(cfg=TrainConfig(lr=0.5)):\n"
+        "    return cfg.lr * cfg.momentum * cfg.steps * cfg.seed * cfg.base\n"
+        "def config(**kw):\n"
+        "    return TrainConfig(**kw)\n"
+        "short = dict(steps=5)\n"
+        "seeded = config(seed=1)\n"
+    )
+    assert [fields for _, fields in config_fields(tree)] == [["lr", "momentum", "steps", "seed"]]
+    assert unset_config_fields(tree, [tree]) == ["TrainConfig.momentum"]
 
 
 def unread_parameters(tree):

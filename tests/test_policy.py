@@ -14,6 +14,7 @@ from scaleloc.policy import (
     PolicyConfig,
     PolicyParams,
     PolicyState,
+    _sigmoid,
     action_distribution,
     episode_backward,
     init_params,
@@ -196,6 +197,38 @@ class TestRecur:
             c = sig(z[1]) * c0[k] + sig(z[0]) * math.tanh(z[2])
             assert new.c[k] == pytest.approx(c, abs=1e-12)
             assert new.s[k] == pytest.approx(sig(z[3]) * math.tanh(c), abs=1e-12)
+
+
+class TestSaturation:
+    """Pre-activations below about -709 overflow ``exp(-x)``; the sigmoid
+    is then exactly 0, without a floating-point error."""
+
+    def test_sigmoid_is_zero_far_below_and_one_far_above(self):
+        with np.errstate(over="raise"):
+            assert _sigmoid(-1000.0) == 0.0
+            got = _sigmoid(np.array([-np.inf, -1e4, -745.2, 0.0, 1e4, np.inf]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 0.5, 1.0, 1.0])
+
+    def test_sigmoid_equals_the_closed_form(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 10_001), [-745.2, -709.8, -0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+        np.testing.assert_array_equal(_sigmoid(x), want)
+
+    def test_recur_and_backward_run_on_saturating_features(self):
+        params = init_params(28, SMALL)
+        steps = [
+            dataclasses.replace(step, features=step.features * 1e3)
+            for step in make_steps(SMALL, np.random.default_rng(28), 6)
+        ]
+        state = PolicyState.initial(SMALL)
+        with np.errstate(over="raise"):
+            for step in steps:
+                state = recur(params, observe(params, step.layer_id, step.features), state)
+            grads = episode_backward(params, steps)
+        assert np.all(np.abs(state.s) <= 1.0)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert grads["theta_a"].any()
 
 
 class TestActionDistribution:

@@ -13,6 +13,7 @@ from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid, roi_pool_m
 from scaleloc.geometry import BBox, boxes_to_array, encode_regression
 from scaleloc.proposal import (
     PROB_EPS,
+    TRADEOFF,
     LayerBatch,
     LayerWeightConfig,
     ProposalModel,
@@ -101,7 +102,7 @@ def total_objective(batches, cfg=LayerWeightConfig()) -> float:
         m = cfg.layer_ids.index(layer_id)
         for p, anchor, gt, target_h, p_hat, offsets in examples:
             alpha = float(layer_weights(target_h, cfg)[m])
-            total += alpha * multitask_loss(p, anchor, gt, p_hat, offsets, lam=cfg.tradeoff)
+            total += alpha * multitask_loss(p, anchor, gt, p_hat, offsets, lam=TRADEOFF)
     return total
 
 
@@ -338,7 +339,7 @@ class TestTotalObjective:
         got = total_objective({3: examples}, cfg)
         alpha = layer_weights(20.0, cfg)[0]
         assert alpha < 1.0
-        expect = alpha * multitask_loss(1, anchor, anchor, 0.7, np.zeros(4), cfg.tradeoff)
+        expect = alpha * multitask_loss(1, anchor, anchor, 0.7, np.zeros(4), TRADEOFF)
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_double_sum_over_layers(self):
@@ -361,7 +362,7 @@ def make_batches(model, rng, n_per_layer=2):
         d = model.feature_dims[layer_id]
         feats = rng.uniform(-1, 1, size=(n_per_layer, d))
         labels = np.array([1, 0][:n_per_layer])
-        _, offsets, _ = model.forward(layer_id, feats)
+        _, offsets = model.forward(layer_id, feats)
         # Targets chosen so residual norms stay away from the smooth-L1 knee.
         vecs = offsets + np.array([0.1, -0.1, 0.05, 0.08])
         vecs[labels == 0] = 0.0
@@ -434,11 +435,11 @@ class TestTrainedLossOracle:
         assert np.all(layer_weights(heights, self.cfg) == 1.0)
         loss, _ = proposal_loss_and_grad(model, [batch], self.cfg)
 
-        logits, offsets, _ = model.forward(3, feats)
+        logits, offsets = model.forward(3, feats)
         p_hat = 1.0 / (1.0 + np.exp(-logits))
         expect = cls_loss(labels, p_hat, gamma=self.cfg.balance)
         reg = [
-            multitask_loss(1, anchors[i], gts[i], p_hat[i], offsets[i], self.cfg.tradeoff)
+            multitask_loss(1, anchors[i], gts[i], p_hat[i], offsets[i], TRADEOFF)
             + math.log(p_hat[i])
             for i in range(n_pos)
         ]
@@ -519,7 +520,7 @@ class TestScoring:
             cells = [BBox(*row) for row in anchors.boxes[sel].tolist()]
             pooled = boxes_to_array(oracle.clip(a, extent) for a in cells)
             feats = roi_pool_many(pyramid, layer_id, pooled)
-            logits, offsets, _ = model.forward(layer_id, feats.reshape(len(sel), -1))
+            logits, offsets = model.forward(layer_id, feats.reshape(len(sel), -1))
             probs = 1.0 / (1.0 + np.exp(-logits))
             for i, cell, vec, prob in zip(sel.tolist(), cells, offsets, probs.tolist()):
                 decoded = oracle.decode(cell, vec)

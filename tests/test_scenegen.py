@@ -72,6 +72,22 @@ class TestSampling:
         with pytest.raises(ValueError):
             GenConfig(height_median=-5)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"scenes": 2.5}, "scenes"),
+            ({"extent": (640.5, 480)}, "extent width"),
+            ({"extent": (640, 480.0)}, "extent height"),
+            ({"objects_min": 1.5, "objects_max": 3}, "objects_min"),
+            ({"objects_max": 6.0}, "objects_max"),
+        ],
+    )
+    def test_non_integer_count_or_size_rejected(self, kwargs, name):
+        """Counts and sizes that would fail later inside sample_dataset or
+        rasterize, or sample silently, are rejected at construction."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            GenConfig(**kwargs)
+
     def test_min_height_must_fit_the_extent(self):
         """Heights are drawn from [min_height, 0.95 * extent height]; an
         empty range is rejected up front, not after 1,000 draws."""
@@ -169,6 +185,8 @@ class TestDatasetIO:
             ("box", [1.0, 2.0, float("inf"), 4.0], "box values must be finite"),
             ("box", [float("nan"), 2.0, 3.0, 4.0], "box values must be finite"),
             ("box", [1.0, 2.0, 10**400, 4.0], "line 1: int too large"),
+            ("box", [True, 2, 5, 10], "line 1: box values must be finite numbers"),
+            ("box", [1.0, "2", 5, 10], "line 1: box values must be finite numbers"),
         ],
     )
     def test_malformed_record_rejected(self, tmp_path, field, value, message):
