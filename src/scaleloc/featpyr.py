@@ -10,6 +10,14 @@ window are symmetrically expanded first, pulling in surrounding context
 instead of upsampling a couple of cells. When only a linear map of the
 pooled block is wanted, ``roi_pool_project`` applies the map to the grid
 first and samples the result, which never builds the pooled blocks.
+
+Grids are (channels, H, W) arrays laid out channel-last in memory: each
+is a transposed view of an (H, W, channels) buffer. A pooling sample
+reads all C channels of one cell, so this layout makes that read one
+contiguous run instead of C values H * W apart. ``roi_pool_many`` blends
+its samples in chunks of boxes of about ``_CHUNK_BYTES`` each, so the
+blend's temporaries stay in cache and its peak memory is the output plus
+a few chunks, not several output-sized buffers.
 """
 
 from __future__ import annotations
@@ -78,7 +86,12 @@ class PyramidConfig:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-layer (channels, H, W) grids plus the source image extent."""
+    """Per-layer (channels, H, W) grids plus the source image extent.
+
+    Each stored grid is channel-last in memory, ``np.moveaxis(hwc, -1, 0)``
+    of an (H, W, channels) buffer, so that pooling reads a cell's channels
+    contiguously. A grid given in another layout is copied into one.
+    """
 
     extent: tuple[int, int]
     strides: dict[int, int]
@@ -86,6 +99,7 @@ class FeaturePyramid:
 
     def __post_init__(self):
         width, height = self.extent
+        channel_last = {}
         for layer_id, grid in self.grids.items():
             stride = self.strides.get(layer_id)
             if not isinstance(stride, (int, np.integer)) or stride < 1:
@@ -99,6 +113,10 @@ class FeaturePyramid:
                 )
             if not np.all(np.isfinite(grid)):
                 raise FeatureShapeError(f"layer {layer_id}: non-finite feature values")
+            channel_last[layer_id] = np.moveaxis(
+                np.ascontiguousarray(np.moveaxis(grid, 0, -1)), -1, 0
+            )
+        object.__setattr__(self, "grids", channel_last)
 
 
 class FeatureShapeError(ValueError):
@@ -143,30 +161,44 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
     7 mean gradient magnitude. The image gradient is computed once per
     image, and each gradient field is reduced at every stride before the
     next one is made, so peak memory holds one full-resolution field.
-    Statistics no layer uses are not reduced.
+    Statistics no layer uses are not reduced. Each layer's statistics go
+    into a small (H, W, 8) array, which one broadcast copy then repeats
+    across the channel-last grid.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("expected a 2-d grayscale image")
     height, width = image.shape
-    grids = {}
-    strides = {}
-    for spec in cfg.layers:
-        grids[spec.layer_id] = np.empty(
-            (spec.channels, -(-height // spec.stride), -(-width // spec.stride))
+    bases = {
+        spec.layer_id: np.empty(
+            (-(-height // spec.stride), -(-width // spec.stride), _N_BASE)
         )
-        strides[spec.layer_id] = spec.stride
+        for spec in cfg.layers
+    }
 
     def fill(channel, stat):
         for spec in cfg.layers:
             if channel < spec.channels:
-                grids[spec.layer_id][channel::_N_BASE] = stat(spec.stride)
+                bases[spec.layer_id][:, :, channel] = stat(spec.stride)
 
     fill(0, lambda s: _block_reduce(image, s, np.mean))
     fill(5, lambda s: _block_reduce(image, s, np.std))
     fill(6, lambda s: _block_reduce(image, s, np.max) - _block_reduce(image, s, np.min))
     for channel, field in _gradient_fields(image):
         fill(channel, lambda s: _block_reduce(field, s, np.mean))
+
+    grids = {}
+    for spec in cfg.layers:
+        base = bases[spec.layer_id]
+        rows, cols, _ = base.shape
+        repeats, tail = divmod(spec.channels, _N_BASE)
+        hwc = np.empty((rows, cols, spec.channels))
+        # Channel c is statistic c % 8: whole cycles of eight, then the rest.
+        cycles = hwc[:, :, : repeats * _N_BASE].reshape(rows, cols, repeats, _N_BASE)
+        cycles[...] = base[:, :, None, :]
+        hwc[:, :, repeats * _N_BASE :] = base[:, :, :tail]
+        grids[spec.layer_id] = np.moveaxis(hwc, -1, 0)
+    strides = {spec.layer_id: spec.stride for spec in cfg.layers}
     return FeaturePyramid(extent=(width, height), strides=strides, grids=grids)
 
 
@@ -202,15 +234,24 @@ def _grid(pyramid: FeaturePyramid, layer_id: int) -> np.ndarray:
     return pyramid.grids[layer_id]
 
 
-def _pool(pyramid: FeaturePyramid, layer_id: int, boxes, gather) -> np.ndarray:
-    """Bilinearly sample each box's roi x roi window from a layer grid.
+_CHUNK_BYTES = 512 * 1024  # gathered values per pooling chunk; sized to stay in L2
 
-    ``gather(rows, cols)`` returns the values of the cells at integer
-    rows (N, roi, 1) and columns (N, 1, roi) as a fresh
-    (N, roi, roi, ...) array; the four gathered buffers are blended in
-    place.
+
+def _pool(
+    pyramid: FeaturePyramid, layer_id: int, boxes, values: np.ndarray, window=()
+) -> np.ndarray:
+    """Bilinearly sample each box's roi x roi window from a layer's cells.
+
+    ``values`` is an (..., H, W, D) array over the layer's grid cells, and
+    ``values[(*window, rows, cols)]`` gathers the D values of the cells at
+    integer rows (n, roi, 1) and columns (n, 1, roi) as a fresh
+    (n, roi, roi, D) array. Returns (N, roi, roi, D). Boxes are blended in
+    chunks of about ``_CHUNK_BYTES`` of gathered values, the four
+    gathered buffers of a chunk in place, and each chunk's result is
+    written straight into the output; every element sees the same
+    operations whatever the chunking.
     """
-    _, grid_h, grid_w = _grid(pyramid, layer_id).shape
+    grid_h, grid_w, depth = values.shape[-3:]
     stride = pyramid.strides[layer_id]
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
 
@@ -223,30 +264,39 @@ def _pool(pyramid: FeaturePyramid, layer_id: int, boxes, gather) -> np.ndarray:
     fy = fy[:, :, None, None]
     fx = fx[:, None, :, None]
 
-    top = gather(y0, x0)
-    top *= 1 - fx
-    right = gather(y0, x1)
-    right *= fx
-    top += right
-    del right
-    bot = gather(y1, x0)
-    bot *= 1 - fx
-    right = gather(y1, x1)
-    right *= fx
-    bot += right
-    del right
-    top *= 1 - fy
-    bot *= fy
-    top += bot
-    return top
+    roi = ROI_SIZE
+    out = np.empty((len(boxes), roi, roi, depth), dtype=values.dtype)
+    step = max(1, _CHUNK_BYTES // (roi * roi * depth * values.itemsize))
+    for start in range(0, len(boxes), step):
+        part = slice(start, start + step)
+        top = values[(*window, y0[part], x0[part])]
+        top *= 1 - fx[part]
+        right = values[(*window, y0[part], x1[part])]
+        right *= fx[part]
+        top += right
+        bot = values[(*window, y1[part], x0[part])]
+        bot *= 1 - fx[part]
+        right = values[(*window, y1[part], x1[part])]
+        right *= fx[part]
+        bot += right
+        top *= 1 - fy[part]
+        bot *= fy[part]
+        np.add(top, bot, out=out[part])
+    return out
 
 
 def roi_pool_many(
     pyramid: FeaturePyramid, layer_id: int, boxes: np.ndarray
 ) -> np.ndarray:
-    """Pool many (x, y, w, h) boxes at once; returns (N, roi, roi, C)."""
-    g = np.moveaxis(_grid(pyramid, layer_id), 0, -1)  # (H, W, C)
-    return _pool(pyramid, layer_id, boxes, lambda rows, cols: g[rows, cols])
+    """Pool many (x, y, w, h) boxes at once; returns (N, roi, roi, C).
+
+    The grid's channel-last memory makes each sample's C values one
+    contiguous read. Boxes are pooled in chunks of about ``_CHUNK_BYTES``,
+    so besides the output the call holds a few chunk-sized buffers, and
+    its peak memory is the output's bytes plus a few chunks.
+    """
+    grid = np.moveaxis(_grid(pyramid, layer_id), 0, -1)  # (H, W, C), contiguous
+    return _pool(pyramid, layer_id, boxes, grid)
 
 
 def roi_pool_project(
@@ -275,10 +325,8 @@ def roi_pool_project(
     maps = weights.reshape(k * roi * roi, c) @ grid.reshape(c, -1)
     # (roi, roi, H, W, K): maps[i, j] applies the weights of window cell (i, j).
     maps = np.ascontiguousarray(np.moveaxis(maps.reshape(k, roi, roi, grid_h, grid_w), 0, -1))
-    win_i = np.arange(roi)[:, None]
-    win_j = np.arange(roi)[None, :]
-    blocks = _pool(pyramid, layer_id, boxes, lambda rows, cols: maps[win_i, win_j, rows, cols])
-    return blocks.sum(axis=(1, 2))
+    window = (np.arange(roi)[:, None], np.arange(roi)[None, :])
+    return _pool(pyramid, layer_id, boxes, maps, window).sum(axis=(1, 2))
 
 
 def roi_pool(pyramid: FeaturePyramid, layer_id: int, box: BBox) -> np.ndarray:

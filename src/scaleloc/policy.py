@@ -11,11 +11,11 @@ gradient can be audited against finite differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._model import _check_shapes, _checkpoint, _glorot, _sigmoid, _softmax, _split_checkpoint
 from .trajectory import TrajStep
 
 __all__ = [
@@ -73,20 +73,13 @@ class PolicyParams:
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         cfg = self.cfg
-        layer_ids = sorted(cfg.feature_dims)
-        return _checkpoint(
-            self.params, obs_dim=[cfg.obs_dim], state_dim=[cfg.state_dim],
-            layer_ids=layer_ids, feature_dims=[cfg.feature_dims[i] for i in layer_ids],
-        )
+        dims = {i: cfg.feature_dims[i] for i in sorted(cfg.feature_dims)}
+        return _checkpoint(self.params, dims, obs_dim=cfg.obs_dim, state_dim=cfg.state_dim)
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "PolicyParams":
-        meta, params = _split_checkpoint(
-            arrays, "obs_dim", "state_dim", "layer_ids", "feature_dims"
-        )
-        dims = dict(zip(meta["layer_ids"], meta["feature_dims"]))
-        cfg = PolicyConfig(dims, obs_dim=meta["obs_dim"][0], state_dim=meta["state_dim"][0])
-        out = cls(cfg=cfg, params=params)
+        dims, scalars, params = _split_checkpoint(arrays, "obs_dim", "state_dim")
+        out = cls(cfg=PolicyConfig(dims, **scalars), params=params)
         out.validate_shapes()
         return out
 
@@ -109,48 +102,6 @@ class PolicyState:
     @classmethod
     def initial(cls, cfg: PolicyConfig) -> "PolicyState":
         return cls(s=np.zeros(cfg.state_dim), c=np.zeros(cfg.state_dim))
-
-
-def _checkpoint(params: dict[str, np.ndarray], **meta) -> dict[str, np.ndarray]:
-    """The parameters, then each ``meta/<name>`` value as a float64 array."""
-    return {**params, **{f"meta/{k}": np.array(v, dtype=np.float64) for k, v in meta.items()}}
-
-
-def _split_checkpoint(arrays: dict[str, np.ndarray], *meta_names: str):
-    """Split checkpoint arrays into the ``meta/<name>`` values, as lists
-    of ints by name, and the parameters.
-
-    Rejects ``meta/`` names other than ``meta_names``, ``meta/`` values
-    that are not whole numbers, and parameters holding NaN or infinite
-    values.
-    """
-    meta = {k.removeprefix("meta/"): v for k, v in arrays.items() if k.startswith("meta/")}
-    if set(meta) != set(meta_names):
-        raise ValueError(f"meta names mismatch: expected {sorted(meta_names)}, got {sorted(meta)}")
-    for name, value in meta.items():
-        value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(value) & (value == np.trunc(value))):
-            raise ValueError(f"meta/{name} must hold whole numbers, got {value.tolist()}")
-        meta[name] = [int(v) for v in value]
-    params = {k: np.array(v) for k, v in arrays.items() if not k.startswith("meta/")}
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"parameter {name} has non-finite values")
-    return meta, params
-
-
-def _check_shapes(want: dict[str, tuple], params: dict[str, np.ndarray]) -> None:
-    """Require exactly the parameter names of ``want``, with its shapes."""
-    if set(want) != set(params):
-        raise ValueError(f"parameter names mismatch: expected {sorted(want)}, got {sorted(params)}")
-    for name, shape in want.items():
-        if params[name].shape != shape:
-            raise ValueError(f"{name}: expected shape {shape}, got {params[name].shape}")
-
-
-def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
 def init_params(seed: int, cfg: PolicyConfig) -> PolicyParams:
@@ -198,18 +149,6 @@ def observe(params: PolicyParams, layer_id: int, flat_features: np.ndarray) -> n
     """ReLU projection of one layer's flattened RoI features."""
     flat_features = _as_features(params, layer_id, flat_features)
     return np.maximum(params.theta_o(layer_id) @ flat_features, 0.0)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-x) overflows to inf below x ~ -709, which gives the right 0.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, computed with max subtraction."""
-    shifted = np.exp(x - x.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def _gated_step(params: PolicyParams, xz: np.ndarray, state: PolicyState):

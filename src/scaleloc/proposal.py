@@ -28,10 +28,10 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import featpyr
+from ._model import _check_shapes, _checkpoint, _glorot, _sigmoid, _softmax, _split_checkpoint
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
 from .geometry import BBox, boxes_to_array, clip_boxes, decode_regression, encode_regression
-from .policy import _check_shapes, _checkpoint, _glorot, _sigmoid, _softmax, _split_checkpoint
 from .scenegen import Scene, rasterize
 
 __all__ = [
@@ -145,15 +145,13 @@ class ProposalModel:
         return out[:, 0], out[:, 1:]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        dims = [self.feature_dims[i] for i in self.layer_ids]
-        return _checkpoint(self.params, layer_ids=self.layer_ids, feature_dims=dims)
+        return _checkpoint(self.params, {i: self.feature_dims[i] for i in self.layer_ids})
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ProposalModel":
         """Load what :meth:`to_arrays` wrote; any other name set is a ``ValueError``."""
-        meta, params = _split_checkpoint(arrays, "layer_ids", "feature_dims")
-        dims = dict(zip(meta["layer_ids"], meta["feature_dims"]))
-        model = cls(layer_ids=tuple(meta["layer_ids"]), feature_dims=dims, params=params)
+        dims, _, params = _split_checkpoint(arrays)
+        model = cls(layer_ids=tuple(dims), feature_dims=dims, params=params)
         model.validate_shapes()
         return model
 

@@ -56,9 +56,15 @@ class GenConfig:
     min_height: float = 24.0
 
     def __post_init__(self):
+        try:
+            width, height = self.extent
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"extent must be a (width, height) pair, got {self.extent!r}"
+            ) from None
         counts = zip(
             ("scenes", "extent width", "extent height", "objects_min", "objects_max"),
-            (self.scenes, self.extent[0], self.extent[1], self.objects_min, self.objects_max),
+            (self.scenes, width, height, self.objects_min, self.objects_max),
         )
         for name, value in counts:
             # sample_dataset and rasterize count and size arrays with these.
@@ -66,13 +72,13 @@ class GenConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.scenes <= 0:
             raise ValueError("scenes must be positive")
-        if self.extent[0] <= 0 or self.extent[1] <= 0:
+        if width <= 0 or height <= 0:
             raise ValueError("extent sides must be positive")
         if not (0 < self.objects_min <= self.objects_max):
             raise ValueError("need 0 < objects_min <= objects_max")
         if self.height_median <= 0:
             raise ValueError("height_median must be positive")
-        if not 0 < self.min_height <= 0.95 * self.extent[1]:
+        if not 0 < self.min_height <= 0.95 * height:
             raise ValueError("min_height must be positive and at most 0.95 * extent height")
 
 

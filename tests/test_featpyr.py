@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaleloc.featpyr import (
+    _CHUNK_BYTES,
     ROI_SIZE,
     FeaturePyramid,
     FeatureShapeError,
@@ -203,6 +206,67 @@ class TestOneShotPyramidAndInPlacePooling:
         for layer_id in CYCLING.layer_ids():
             got = roi_pool_many(pyr, layer_id, boxes)
             assert np.array_equal(got, oracle_roi_pool_many(pyr, layer_id, boxes))
+
+
+def chunk_boxes(channels):
+    """Boxes per pooling chunk at ``channels`` float64 channels."""
+    return max(1, _CHUNK_BYTES // (ROI_SIZE * ROI_SIZE * channels * 8))
+
+
+class TestChannelLastChunkedPooling:
+    """Grids live channel-last in memory and ``roi_pool_many`` pools in
+    chunks of boxes; neither may change a value."""
+
+    @pytest.mark.parametrize("channels", [1, 3, 11, 300])
+    @pytest.mark.parametrize("count", ["zero", "one", "below", "chunk", "above", "several"])
+    def test_equals_oracle_on_random_grids_at_chunk_edges(self, channels, count):
+        chunk = chunk_boxes(channels)
+        n = {
+            "zero": 0, "one": 1, "below": chunk - 1, "chunk": chunk,
+            "above": chunk + 1, "several": 3 * chunk + 2,
+        }[count]
+        rng = np.random.default_rng(channels * 7 + n)
+        grid = rng.uniform(-1, 1, size=(channels, 7, 9))  # C-contiguous
+        pyr = single_layer_pyramid(grid, 8, (70, 50))
+        assert np.array_equal(pyr.grids[3], grid)
+        boxes = random_boxes(rng, n, pyr.extent)
+        got = roi_pool_many(pyr, 3, boxes)
+        assert got.shape == (n, ROI_SIZE, ROI_SIZE, channels)
+        assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
+
+    def test_build_pyramid_grids_are_channel_last(self):
+        pyr = build_pyramid(np.random.default_rng(30).uniform(0, 1, size=(50, 70)), CYCLING)
+        for grid in pyr.grids.values():
+            assert np.moveaxis(grid, 0, -1).flags.c_contiguous
+
+    def test_given_grids_are_stored_channel_last_and_copied_only_if_needed(self):
+        rng = np.random.default_rng(31)
+        grid = rng.uniform(-1, 1, size=(5, 7, 9))
+        stored = single_layer_pyramid(grid, 8, (70, 50)).grids[3]
+        assert np.moveaxis(stored, 0, -1).flags.c_contiguous
+        assert np.array_equal(stored, grid) and not np.shares_memory(stored, grid)
+        again = single_layer_pyramid(stored, 8, (70, 50)).grids[3]
+        assert np.shares_memory(again, stored)
+
+    def test_projection_reads_the_grid_without_a_copy(self):
+        pyr = build_pyramid(np.random.default_rng(32).uniform(0, 1, size=(50, 70)), CYCLING)
+        for grid in pyr.grids.values():
+            assert np.shares_memory(grid.reshape(grid.shape[0], -1), grid)
+
+    def test_peak_memory_is_the_output_plus_a_few_chunks(self):
+        """The whole-array blend held three output-sized buffers at once."""
+        rng = np.random.default_rng(33)
+        pyr = single_layer_pyramid(rng.uniform(-1, 1, size=(64, 30, 40)))
+        boxes = random_boxes(rng, 4000, pyr.extent)
+        tracemalloc.start()
+        try:
+            out = roi_pool_many(pyr, 3, boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = out.nbytes + 8 * _CHUNK_BYTES
+        assert bound < 1.5 * out.nbytes
+        assert peak <= bound, (peak - out.nbytes) / _CHUNK_BYTES
 
 
 class TestRoiPoolProject:

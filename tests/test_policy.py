@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policy_oracles as oracle
+from scaleloc._model import _sigmoid
 from scaleloc.geometry import BBox
 from scaleloc.policy import (
     N_ACTIONS,
     PolicyConfig,
     PolicyParams,
     PolicyState,
-    _sigmoid,
     action_distribution,
     episode_backward,
     init_params,
@@ -440,6 +440,14 @@ class TestCheckpointAdapters:
         arrays = init_params(22, SMALL).to_arrays()
         arrays[name] = edit(arrays[name])
         with pytest.raises(ValueError, match=f"^{name} must hold whole numbers"):
+            PolicyParams.from_arrays(arrays)
+
+    @pytest.mark.parametrize("name, value", [("meta/obs_dim", [6, 99]), ("meta/state_dim", [])])
+    def test_scalar_meta_entry_holds_one_value(self, name, value):
+        """``meta/obs_dim = [6, 99]`` used to load silently as 6."""
+        arrays = init_params(22, SMALL).to_arrays()
+        arrays[name] = np.array(value, dtype=np.float64)
+        with pytest.raises(ValueError, match=f"^{name} must hold exactly one value"):
             PolicyParams.from_arrays(arrays)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

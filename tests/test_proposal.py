@@ -702,6 +702,17 @@ class TestCheckpointNames:
         with pytest.raises(ValueError, match=f"^{name} must hold whole numbers"):
             ProposalModel.from_arrays(arrays)
 
+    @pytest.mark.parametrize(
+        "layer_ids, feature_dims", [([3, 4, 5], [128, 256]), ([3, 4, 4], [128, 256, 256])]
+    )
+    def test_one_feature_dim_per_layer_id(self, layer_ids, feature_dims):
+        """A short ``meta/feature_dims`` used to end in a bare ``KeyError: 5``."""
+        arrays = self.arrays()
+        arrays["meta/layer_ids"] = np.array(layer_ids, dtype=np.float64)
+        arrays["meta/feature_dims"] = np.array(feature_dims, dtype=np.float64)
+        with pytest.raises(ValueError, match="one dim per distinct layer id"):
+            ProposalModel.from_arrays(arrays)
+
     def test_hidden_head_checkpoint_rejected(self):
         """The former hidden-layer heads: w1, b1, w2, b2 per layer, with
         meta/hidden_dim and meta/regression_mode entries."""

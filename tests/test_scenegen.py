@@ -88,6 +88,12 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
             GenConfig(**kwargs)
 
+    @pytest.mark.parametrize("extent", [(64, 48, 3), (64,), 640])
+    def test_extent_must_be_a_pair(self, extent):
+        # (64, 48, 3) used to construct and fail later in sample_dataset.
+        with pytest.raises(ValueError, match=r"^extent must be a \(width, height\) pair, got"):
+            GenConfig(extent=extent)
+
     def test_min_height_must_fit_the_extent(self):
         """Heights are drawn from [min_height, 0.95 * extent height]; an
         empty range is rejected up front, not after 1,000 draws."""
