@@ -245,19 +245,45 @@ class ScoredBox:
     layer_id: int
 
 
+_SCORE_BLOCK_BYTES = 8 * 1024 * 1024  # pooled features per scoring block
+
+
+def _score_blocks(n: int, row_bytes: int) -> list[slice]:
+    """Slices that cover ``range(n)`` in blocks of ``_SCORE_BLOCK_BYTES //
+    row_bytes`` rows, the last block taking the remainder. Whenever there
+    is more than one block, each holds over 4 MiB of features, far above
+    the sizes at which BLAS switches to a small-matrix kernel, so every
+    row of a block's product equals that row of the whole product."""
+    rows = max(1, _SCORE_BLOCK_BYTES // row_bytes)
+    starts = list(range(0, n, rows))[: max(1, n // rows)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def score_proposals(
     model: ProposalModel,
     pyramid: FeaturePyramid,
     anchors: AnchorSet,
 ) -> list[ScoredBox]:
     """Objectness and decoded, clipped box for every anchor, in anchor
-    order. The anchors must have been generated for the pyramid's extent."""
+    order. The anchors must have been generated for the pyramid's extent.
+
+    Each layer's anchors are pooled and run through the head in blocks
+    of about ``_SCORE_BLOCK_BYTES`` of features, so the call never holds
+    a whole layer's pooled features (150 MiB for layer 3 of a 640x480
+    scene at the full-size channels). Block after block reuses the same
+    heap memory, so peak memory does not depend on how much freed memory
+    the allocator happens to keep. The results equal the whole-layer
+    computation bit for bit."""
     if tuple(pyramid.extent) != anchors.extent:
         raise ValueError(f"anchors for extent {anchors.extent}, pyramid of {pyramid.extent}")
     scored: list[ScoredBox] = [None] * len(anchors)
     for layer_id, sel, clipped in _by_layer(anchors, np.arange(len(anchors))):
-        feats = roi_pool_many(pyramid, layer_id, clipped)
-        logits, offsets = model.forward(layer_id, feats.reshape(len(sel), -1))
+        heads = np.empty((len(sel), ProposalModel.N_OUT))
+        for part in _score_blocks(len(sel), model.feature_dims[layer_id] * heads.itemsize):
+            feats = roi_pool_many(pyramid, layer_id, clipped[part])
+            heads[part, 0], heads[part, 1:] = model.forward(layer_id, feats.reshape(len(feats), -1))
+            del feats  # freed before the next block is pooled
+        logits, offsets = heads[:, 0], heads[:, 1:]
         decoded = decode_regression(anchors.boxes[sel], offsets)
         boxes = clip_boxes(decoded, pyramid.extent)
         for i, box, prob in zip(sel.tolist(), boxes.tolist(), _sigmoid(logits).tolist()):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ import box_oracles as oracle
 from scaleloc import featpyr
 from scaleloc.anchors import generate_anchors
 from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid, roi_pool_many
-from scaleloc.geometry import BBox, boxes_to_array, encode_regression
+from scaleloc._model import _sigmoid
+from scaleloc.geometry import (
+    BBox,
+    boxes_to_array,
+    clip_boxes,
+    decode_regression,
+    encode_regression,
+)
 from scaleloc.proposal import (
     PROB_EPS,
     TRADEOFF,
@@ -19,6 +27,8 @@ from scaleloc.proposal import (
     ProposalModel,
     ProposalTrainConfig,
     TrainingDivergedError,
+    _score_blocks,
+    _SCORE_BLOCK_BYTES,
     layer_weights,
     proposal_loss_and_grad,
     score_proposals,
@@ -545,6 +555,78 @@ class TestScoring:
             assert s.box.x >= 0 and s.box.y >= 0
             assert s.box.x2 <= 160 and s.box.y2 <= 120
             assert 0.0 <= s.score <= 1.0
+
+
+class TestBlockedScoring:
+    """score_proposals pools and scores each layer in blocks of about
+    _SCORE_BLOCK_BYTES of features. At the full-size channels a 320x240
+    scene has 1,200 / 300 / 75 anchors on layers 3 / 4 / 5, which makes
+    4, 2 and 1 blocks."""
+
+    FULL = PyramidConfig(
+        layers=(LayerSpec(3, 8, 256), LayerSpec(4, 16, 512), LayerSpec(5, 32, 1024))
+    )
+    EXTENT = (320, 240)
+
+    def setup_scene(self):
+        # Random grids, not block statistics, whose channels repeat.
+        rng = np.random.default_rng(5)
+        width, height = self.EXTENT
+        grids = {
+            l.layer_id: rng.uniform(
+                -1, 1, size=(l.channels, -(-height // l.stride), -(-width // l.stride))
+            )
+            for l in self.FULL.layers
+        }
+        strides = {l.layer_id: l.stride for l in self.FULL.layers}
+        pyramid = featpyr.FeaturePyramid(extent=self.EXTENT, strides=strides, grids=grids)
+        anchors = generate_anchors(self.FULL, self.EXTENT, LayerWeightConfig().base_heights())
+        return ProposalModel.init(self.FULL, seed=4), pyramid, anchors
+
+    def test_layers_span_several_blocks(self):
+        model, _, anchors = self.setup_scene()
+        counts = [
+            len(_score_blocks(int((anchors.layer_ids == l).sum()), model.feature_dims[l] * 8))
+            for l in model.layer_ids
+        ]
+        assert counts == [4, 2, 1]
+
+    def test_equals_whole_layer_scoring(self):
+        model, pyramid, anchors = self.setup_scene()
+        scored = score_proposals(model, pyramid, anchors)
+        for layer_id in model.layer_ids:
+            sel = np.flatnonzero(anchors.layer_ids == layer_id)
+            feats = roi_pool_many(pyramid, layer_id, anchors.clipped[sel])
+            logits, offsets = model.forward(layer_id, feats.reshape(len(sel), -1))
+            boxes = clip_boxes(decode_regression(anchors.boxes[sel], offsets), pyramid.extent)
+            got = [scored[i] for i in sel.tolist()]
+            assert np.array_equal(np.array([s.box.as_tuple() for s in got]), boxes)
+            assert np.array_equal(np.array([s.score for s in got]), _sigmoid(logits))
+            assert {s.layer_id for s in got} == {layer_id}
+
+    def test_peak_memory_is_a_block_not_a_layer(self):
+        model, pyramid, anchors = self.setup_scene()
+        layer3 = int((anchors.layer_ids == 3).sum()) * model.feature_dims[3] * 8
+        tracemalloc.start()
+        try:
+            score_proposals(model, pyramid, anchors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One block alive at a time, and the last block of a layer, which
+        # takes the remainder, holds under two blocks' bytes.
+        bound = 2 * _SCORE_BLOCK_BYTES + 8 * featpyr._CHUNK_BYTES + (1 << 20)
+        assert bound < layer3
+        assert peak <= bound, peak / _SCORE_BLOCK_BYTES
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 511, 512, 4800])
+    @pytest.mark.parametrize("row_bytes", [1024, 32 * 1024, 5 << 20, 9 << 20])
+    def test_blocks_cover_rows_in_order(self, n, row_bytes):
+        blocks = _score_blocks(n, row_bytes)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        if len(blocks) > 1:
+            # Far above BLAS's small-matrix sizes, so rows match the whole product.
+            assert min((b.stop - b.start) * row_bytes for b in blocks) > 4 << 20
 
 
 class TestTraining:
