@@ -98,7 +98,16 @@ class FeaturePyramid:
     grids: dict[int, np.ndarray]
 
     def __post_init__(self):
-        width, height = self.extent
+        extent = self.extent
+        if not (
+            isinstance(extent, (tuple, list))
+            and len(extent) == 2
+            and all(isinstance(v, (int, np.integer)) and v >= 1 for v in extent)
+        ):
+            raise FeatureShapeError(
+                f"extent must be a (width, height) pair of positive integers, got {extent!r}"
+            )
+        width, height = extent
         channel_last = {}
         for layer_id, grid in self.grids.items():
             stride = self.strides.get(layer_id)

@@ -122,7 +122,8 @@ def init_params(seed: int, cfg: PolicyConfig) -> PolicyParams:
 
 
 def zero_grads(params: PolicyParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.params.items()}
+    # np.zeros takes calloc's zero pages; np.zeros_like writes every byte.
+    return {name: np.zeros(arr.shape, arr.dtype) for name, arr in params.params.items()}
 
 
 def _check_action(action) -> None:
@@ -270,6 +271,6 @@ def episode_backward(
     for layer_id, (rows, phi) in stacked.items():
         grads[f"theta_o/{layer_id}"] = dz_obs[rows].T @ phi
     return {
-        name: grads[name] if name in grads else np.zeros_like(arr)
+        name: grads[name] if name in grads else np.zeros(arr.shape, arr.dtype)
         for name, arr in params.params.items()
     }

@@ -240,6 +240,10 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg:
 
 @dataclass(frozen=True)
 class ScoredBox:
+    """A kept proposal: clipped ``box``, objectness ``score`` (a Python
+    ``float``) and ``layer_id`` (an ``int``). Only :func:`top_k` builds
+    these, for the rows it keeps, because its callers read them."""
+
     box: BBox
     score: float
     layer_id: int
@@ -263,9 +267,10 @@ def score_proposals(
     model: ProposalModel,
     pyramid: FeaturePyramid,
     anchors: AnchorSet,
-) -> list[ScoredBox]:
-    """Objectness and decoded, clipped box for every anchor, in anchor
-    order. The anchors must have been generated for the pyramid's extent.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decoded, clipped ``boxes`` (N, 4), objectness ``scores`` (N,) and
+    ``layer_ids`` (N,) of every anchor, in anchor order. The anchors must
+    have been generated for the pyramid's extent.
 
     Each layer's anchors are pooled and run through the head in blocks
     of about ``_SCORE_BLOCK_BYTES`` of features, so the call never holds
@@ -276,26 +281,26 @@ def score_proposals(
     computation bit for bit."""
     if tuple(pyramid.extent) != anchors.extent:
         raise ValueError(f"anchors for extent {anchors.extent}, pyramid of {pyramid.extent}")
-    scored: list[ScoredBox] = [None] * len(anchors)
+    heads = np.empty((len(anchors), ProposalModel.N_OUT))
     for layer_id, sel, clipped in _by_layer(anchors, np.arange(len(anchors))):
-        heads = np.empty((len(sel), ProposalModel.N_OUT))
         for part in _score_blocks(len(sel), model.feature_dims[layer_id] * heads.itemsize):
             feats = roi_pool_many(pyramid, layer_id, clipped[part])
-            heads[part, 0], heads[part, 1:] = model.forward(layer_id, feats.reshape(len(feats), -1))
+            rows = sel[part]
+            heads[rows, 0], heads[rows, 1:] = model.forward(layer_id, feats.reshape(len(feats), -1))
             del feats  # freed before the next block is pooled
-        logits, offsets = heads[:, 0], heads[:, 1:]
-        decoded = decode_regression(anchors.boxes[sel], offsets)
-        boxes = clip_boxes(decoded, pyramid.extent)
-        for i, box, prob in zip(sel.tolist(), boxes.tolist(), _sigmoid(logits).tolist()):
-            scored[i] = ScoredBox(box=BBox(*box), score=prob, layer_id=layer_id)
-    return scored
+    boxes = clip_boxes(decode_regression(anchors.boxes, heads[:, 1:]), pyramid.extent)
+    return boxes, _sigmoid(heads[:, 0]), anchors.layer_ids.copy()
 
 
-def top_k(scored: list[ScoredBox], k: int) -> list[ScoredBox]:
-    """Best k proposals by objectness, ties broken by input order."""
+def top_k(scored: tuple[np.ndarray, np.ndarray, np.ndarray], k: int) -> list[ScoredBox]:
+    """Best k rows of :func:`score_proposals`' ``(boxes, scores, layer_ids)``
+    by score, ties broken by input order, as :class:`ScoredBox` records."""
+    boxes, scores, layer_ids = scored
     if k <= 0:
         return []
-    return sorted(scored, key=lambda s: -s.score)[:k]  # stable sort keeps input order
+    keep = np.argsort(-scores, kind="stable")[:k]  # stable keeps input order
+    rows = zip(boxes[keep].tolist(), scores[keep].tolist(), layer_ids[keep].tolist())
+    return [ScoredBox(box=BBox(*box), score=score, layer_id=layer) for box, score, layer in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +320,13 @@ class ProposalTrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be positive")
+        if not 0 < self.lr < math.inf:
+            # lr 0 returns the initial model; lr < 0 climbs the loss.
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
+        for name in ("pos_count", "neg_pool"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         missing = [i for i in self.pyramid.layer_ids() if i not in self.loss.layer_ids]
         if missing:
             raise ValueError(f"pyramid layers {missing} have no loss constants")

@@ -510,6 +510,32 @@ class TestFeaturePyramidChecks:
         with pytest.raises(FeatureShapeError, match="layer 3: stride must be a positive integer"):
             FeaturePyramid(extent=(70, 50), strides=strides, grids={3: np.zeros(grid_shape)})
 
+    @pytest.mark.parametrize(
+        "extent, grid_shape",
+        [
+            ((0, 0), (2, 0, 0)),
+            ((70, 0), (2, 0, 9)),
+            ((-70, 50), (2, 7, 9)),
+            ((10.5, 8), (2, 1, 2)),
+            ((70.0, 50.0), (2, 7, 9)),
+            ((70,), (2, 7, 9)),
+            ((70, 50, 1), (2, 7, 9)),
+            (70, (2, 7, 9)),
+        ],
+        ids=["zero", "zero-height", "negative", "fractional", "floats", "one", "three", "scalar"],
+    )
+    def test_extent_must_be_a_pair_of_positive_integers(self, extent, grid_shape):
+        # Extent (0, 0) with an empty grid would otherwise pass, and pooling
+        # on it fail with an IndexError.
+        with pytest.raises(FeatureShapeError, match=r"extent must be a \(width, height\) pair"):
+            FeaturePyramid(extent=extent, strides={3: 8}, grids={3: np.zeros(grid_shape)})
+
+    def test_extent_of_numpy_integers_accepted(self):
+        pyr = FeaturePyramid(
+            extent=(np.int64(70), np.int64(50)), strides={3: 8}, grids={3: np.zeros((2, 7, 9))}
+        )
+        assert pyr.extent == (70, 50)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_grid_rejected(self, bad):
         grid = np.zeros((2, 7, 9))

@@ -313,6 +313,7 @@ class TestEpisodeBackward:
         steps = make_steps(SMALL, rng, 4, layers=[3, 3, 4, 3])
         grads = episode_backward(params, steps)
         assert not grads["theta_o/5"].any()
+        assert grads["theta_o/5"].shape == params.params["theta_o/5"].shape
         assert grads["theta_o/3"].any()
 
     @pytest.mark.parametrize(
@@ -464,6 +465,8 @@ class TestCheckpointAdapters:
         assert set(grads) == set(params.params)
         for name in grads:
             assert grads[name].shape == params.params[name].shape
+            assert grads[name].dtype == params.params[name].dtype
+            assert not grads[name].any()
 
 
 class TestTrajectory:

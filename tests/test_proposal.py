@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_oracles as oracle
-from scaleloc import featpyr
+from scaleloc import featpyr, proposal
 from scaleloc.anchors import generate_anchors
 from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid, roi_pool_many
 from scaleloc._model import _sigmoid
@@ -26,6 +26,7 @@ from scaleloc.proposal import (
     LayerWeightConfig,
     ProposalModel,
     ProposalTrainConfig,
+    ScoredBox,
     TrainingDivergedError,
     _score_blocks,
     _SCORE_BLOCK_BYTES,
@@ -458,6 +459,14 @@ class TestTrainedLossOracle:
         assert loss == pytest.approx(expect, rel=0, abs=1e-12)
 
 
+def records(boxes, scores, layer_ids) -> list[ScoredBox]:
+    """One record per row, the form scoring returned before it moved to arrays."""
+    return [
+        ScoredBox(box=BBox(*b), score=s, layer_id=l)
+        for b, s, l in zip(boxes.tolist(), scores.tolist(), layer_ids.tolist())
+    ]
+
+
 class TestScoring:
     def setup_scene(self, pyramid_cfg=TINY_PYR):
         cfg = GenConfig(scenes=1, extent=(160, 120), objects_min=2, objects_max=2)
@@ -469,7 +478,8 @@ class TestScoring:
 
     # sha256 of score_proposals' boxes (N, 4), scores (N,) as float64 and
     # layer ids (N,) as int64, recorded before the hidden-layer heads, the
-    # raw box regression and the column-pair box codec were removed.
+    # raw box regression and the column-pair box codec were removed, and
+    # before scoring returned arrays.
     SCORE_DIGESTS = {
         "tiny": (TINY_PYR, "a2bfda5d655b73630b9e602a4aeb0cd8e828365d16e8732d3d8fdbaa2c9dce73"),
         "desk": (
@@ -481,11 +491,12 @@ class TestScoring:
     @pytest.mark.parametrize("case", sorted(SCORE_DIGESTS))
     def test_scores_match_recorded_digest(self, case):
         pyramid_cfg, want = self.SCORE_DIGESTS[case]
-        scored = score_proposals(*self.setup_scene(pyramid_cfg))
+        boxes, scores, layer_ids = score_proposals(*self.setup_scene(pyramid_cfg))
+        assert (boxes.dtype, scores.dtype, layer_ids.dtype) == (np.float64, np.float64, np.int64)
         digest = hashlib.sha256()
-        digest.update(np.array([s.box.as_tuple() for s in scored], dtype=np.float64).tobytes())
-        digest.update(np.array([s.score for s in scored], dtype=np.float64).tobytes())
-        digest.update(np.array([s.layer_id for s in scored], dtype=np.int64).tobytes())
+        digest.update(boxes.tobytes())
+        digest.update(scores.tobytes())
+        digest.update(layer_ids.tobytes())
         assert digest.hexdigest() == want
 
     def test_top_k_zero(self):
@@ -504,13 +515,61 @@ class TestScoring:
         model, pyramid, anchors = self.setup_scene()
         scored = score_proposals(model, pyramid, anchors)
         picked = top_k(scored, 300)
-        oracle = sorted(scored, key=lambda s: -s.score)[:300]
+        oracle = sorted(records(*scored), key=lambda s: -s.score)[:300]
         assert [s.score for s in picked] == [s.score for s in oracle]
+        assert picked == oracle
 
     def test_top_k_beyond_available_returns_all(self):
         model, pyramid, anchors = self.setup_scene()
         scored = score_proposals(model, pyramid, anchors)
-        assert len(top_k(scored, 10**6)) == len(scored)
+        assert len(top_k(scored, 10**6)) == len(anchors)
+
+    def test_records_built_only_for_the_kept_rows(self, monkeypatch):
+        model, pyramid, anchors = self.setup_scene()
+        built = []
+
+        def counting(cls):
+            def build(*args, **kwargs):
+                built.append(cls.__name__)
+                return cls(*args, **kwargs)
+
+            return build
+
+        for name in ("BBox", "ScoredBox"):
+            monkeypatch.setattr(proposal, name, counting(getattr(proposal, name)))
+        scored = score_proposals(model, pyramid, anchors)
+        assert built == []
+        top_k(scored, 7)
+        assert sorted(built) == ["BBox"] * 7 + ["ScoredBox"] * 7
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.tuples(*[st.floats(-50.0, 50.0)] * 2, *[st.floats(0.5, 80.0)] * 2),
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                st.sampled_from([3, 4, 5]),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_top_k_equals_stable_sort_oracle(self, rows):
+        """Random scores, often tied: top_k keeps the first k of a stable
+        sort by descending score, as Python floats and ints."""
+        n = len(rows)
+        boxes, scores, layer_ids = zip(*rows) if rows else ((), (), ())
+        scored = (
+            np.array(boxes, dtype=np.float64).reshape(n, 4),
+            np.array(scores, dtype=np.float64),
+            np.array(layer_ids, dtype=np.int64),
+        )
+        ranked = sorted(records(*scored), key=lambda s: -s.score)
+        for k in (-1, 0, 1, n, n + 5):
+            picked = top_k(scored, k)
+            assert picked == ranked[: max(k, 0)]
+            for s in picked:
+                assert type(s.score) is float and type(s.layer_id) is int
+                assert all(type(v) is float for v in s.box.as_tuple())
 
     @pytest.mark.parametrize("gain", [1.0, 300.0])
     def test_boxes_match_scalar_oracles(self, gain):
@@ -521,8 +580,9 @@ class TestScoring:
         model = ProposalModel.init(TINY_PYR, seed=3)
         for layer_id in model.layer_ids:
             model.params[f"head{layer_id}/w"][1:] *= gain
-        scored = score_proposals(model, pyramid, anchors)
-        assert len(scored) == len(anchors)
+        boxes, scores, layer_ids = score_proposals(model, pyramid, anchors)
+        assert len(boxes) == len(scores) == len(layer_ids) == len(anchors)
+        assert scores.dtype == np.float64 and layer_ids.dtype == np.int64
         extent = pyramid.extent
         fallbacks = 0
         for layer_id in model.layer_ids:
@@ -536,10 +596,8 @@ class TestScoring:
                 decoded = oracle.decode(cell, vec)
                 want = oracle.clip(decoded, extent)
                 fallbacks += want.as_tuple()[2:] == (2.0, 2.0)
-                got = scored[i]
-                np.testing.assert_allclose(got.box.as_tuple(), want.as_tuple(), rtol=1e-12)
-                assert (got.score, got.layer_id) == (prob, layer_id)
-                assert type(got.score) is float and type(got.layer_id) is int
+                np.testing.assert_allclose(boxes[i], want.as_tuple(), rtol=1e-12)
+                assert (scores[i], layer_ids[i]) == (prob, layer_id)
         assert (fallbacks > 0) == (gain > 1.0)
 
     def test_anchors_of_another_extent_rejected(self):
@@ -550,11 +608,11 @@ class TestScoring:
 
     def test_boxes_clipped_and_layer_tagged(self):
         model, pyramid, anchors = self.setup_scene()
-        for s in score_proposals(model, pyramid, anchors):
-            assert s.layer_id in (3, 4, 5)
-            assert s.box.x >= 0 and s.box.y >= 0
-            assert s.box.x2 <= 160 and s.box.y2 <= 120
-            assert 0.0 <= s.score <= 1.0
+        boxes, scores, layer_ids = score_proposals(model, pyramid, anchors)
+        assert np.all(np.isin(layer_ids, (3, 4, 5)))
+        assert np.all(boxes[:, :2] >= 0)
+        assert np.all(boxes[:, 0] + boxes[:, 2] <= 160) and np.all(boxes[:, 1] + boxes[:, 3] <= 120)
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
 
 
 class TestBlockedScoring:
@@ -593,16 +651,15 @@ class TestBlockedScoring:
 
     def test_equals_whole_layer_scoring(self):
         model, pyramid, anchors = self.setup_scene()
-        scored = score_proposals(model, pyramid, anchors)
+        got_boxes, got_scores, got_layers = score_proposals(model, pyramid, anchors)
         for layer_id in model.layer_ids:
             sel = np.flatnonzero(anchors.layer_ids == layer_id)
             feats = roi_pool_many(pyramid, layer_id, anchors.clipped[sel])
             logits, offsets = model.forward(layer_id, feats.reshape(len(sel), -1))
             boxes = clip_boxes(decode_regression(anchors.boxes[sel], offsets), pyramid.extent)
-            got = [scored[i] for i in sel.tolist()]
-            assert np.array_equal(np.array([s.box.as_tuple() for s in got]), boxes)
-            assert np.array_equal(np.array([s.score for s in got]), _sigmoid(logits))
-            assert {s.layer_id for s in got} == {layer_id}
+            assert np.array_equal(got_boxes[sel], boxes)
+            assert np.array_equal(got_scores[sel], _sigmoid(logits))
+            assert set(got_layers[sel].tolist()) == {layer_id}
 
     def test_peak_memory_is_a_block_not_a_layer(self):
         model, pyramid, anchors = self.setup_scene()
@@ -660,6 +717,32 @@ class TestTraining:
         pyramid = PyramidConfig(layers=(LayerSpec(3, 8, 2), LayerSpec(6, 16, 2)))
         with pytest.raises(ValueError, match=r"pyramid layers \[6\] have no loss constants"):
             self.train_cfg(pyramid=pyramid)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", 0.0),
+            ("lr", -0.001),
+            ("lr", math.inf),
+            ("lr", math.nan),
+            ("pos_count", 0),
+            ("pos_count", -1),
+            ("pos_count", 8.0),
+            ("neg_pool", 0),
+            ("neg_pool", -1),
+            ("neg_pool", 128.5),
+        ],
+    )
+    def test_settings_that_cannot_train_rejected(self, field, value):
+        """lr 0 or pos_count 0 would return the initial model, lr < 0
+        would climb the loss, and pos_count -1 failed inside NumPy."""
+        want = "positive and finite" if field == "lr" else "a positive integer"
+        with pytest.raises(ValueError, match=rf"^{field} must be {want}, got"):
+            self.train_cfg(**{field: value})
+
+    def test_smallest_valid_settings_accepted(self):
+        cfg = self.train_cfg(lr=1e-12, pos_count=1, neg_pool=np.int64(1))
+        assert (cfg.lr, cfg.pos_count, cfg.neg_pool) == (1e-12, 1, 1)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
