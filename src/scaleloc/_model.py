@@ -1,57 +1,38 @@
-"""Helpers both model stages share: the checkpoint codec, the parameter
-shape check, Glorot initialization and the sigmoid and softmax."""
+"""Helpers both model stages share: the checkpoint loader, the parameter
+shape check, Glorot initialization and the sigmoid and softmax. A
+checkpoint is a model's ``params``, as ``np.savez(path, **model.params)``
+writes it."""
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 
-def _checkpoint(
-    params: dict[str, np.ndarray], feature_dims: dict[int, int], **scalars: int
-) -> dict[str, np.ndarray]:
-    """The parameters, then each ``meta/<scalar>`` as a one-entry array,
-    then ``meta/layer_ids`` and ``meta/feature_dims`` in the order of
-    ``feature_dims``, all float64."""
-    meta = {name: [value] for name, value in scalars.items()}
-    meta.update(layer_ids=list(feature_dims), feature_dims=list(feature_dims.values()))
-    return {**params, **{f"meta/{k}": np.array(v, dtype=np.float64) for k, v in meta.items()}}
-
-
-def _split_checkpoint(arrays: dict[str, np.ndarray], *scalar_names: str):
-    """Split what :func:`_checkpoint` wrote into the feature dims by layer
-    id, in stored order, the named scalars as ints, and the parameters.
-
-    Rejects ``meta/`` names other than those written, ``meta/`` values
-    that are not whole numbers, layer ids without exactly one feature
-    dim each, scalars without exactly one value, and parameters holding
-    NaN or infinite values.
-    """
-    meta_names = {"layer_ids", "feature_dims", *scalar_names}
-    meta = {k.removeprefix("meta/"): v for k, v in arrays.items() if k.startswith("meta/")}
-    if set(meta) != meta_names:
-        raise ValueError(f"meta names mismatch: expected {sorted(meta_names)}, got {sorted(meta)}")
-    for name, value in meta.items():
-        value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(value) & (value == np.trunc(value))):
-            raise ValueError(f"meta/{name} must hold whole numbers, got {value.tolist()}")
-        meta[name] = [int(v) for v in value]
-    layer_ids, dims = meta["layer_ids"], meta["feature_dims"]
-    if len(dims) != len(layer_ids) or len(set(layer_ids)) != len(layer_ids):
-        raise ValueError(
-            f"meta/feature_dims must hold one dim per distinct layer id, got {dims} "
-            f"for layer ids {layer_ids}"
-        )
-    for name in scalar_names:
-        if len(meta[name]) != 1:
-            raise ValueError(f"meta/{name} must hold exactly one value, got {meta[name]}")
-    params = {k: np.array(v) for k, v in arrays.items() if not k.startswith("meta/")}
-    for name, value in params.items():
+def _load_params(arrays: dict[str, np.ndarray], layer_matrix: str):
+    """Float64 copies of ``arrays``, and each layer's feature dim by id, in
+    ascending order: the columns of ``layer_matrix.format(id)``, where an
+    id has no sign or leading zeros. Rejects values that are not finite
+    real numbers, a layer matrix that is not 2-D with columns, and arrays
+    without one."""
+    params, dims = {}, {}
+    for name, value in arrays.items():
+        value = np.asarray(value)
+        if value.dtype.kind not in "iuf":
+            raise ValueError(f"parameter {name} holds {value.dtype}, not real numbers")
+        params[name] = value = value.astype(np.float64)
         if not np.all(np.isfinite(value)):
             raise ValueError(f"parameter {name} has non-finite values")
-    scalars = {name: meta[name][0] for name in scalar_names}
-    return dict(zip(layer_ids, dims)), scalars, params
+        layer = re.fullmatch(layer_matrix.format("(0|[1-9][0-9]*)"), name)
+        if layer:
+            if value.ndim != 2 or value.shape[1] < 1:
+                raise ValueError(f"{name}: expected a matrix with columns, got shape {value.shape}")
+            dims[int(layer[1])] = value.shape[1]
+    if not dims:
+        raise ValueError(f"no {layer_matrix.format('<id>')} matrix among {sorted(params)}")
+    return params, dict(sorted(dims.items()))
 
 
 def _check_shapes(want: dict[str, tuple], params: dict[str, np.ndarray]) -> None:

@@ -40,13 +40,12 @@ IOU_NEGATIVE = 0.3
 @dataclass(frozen=True)
 class AnchorSet:
     """Anchors of one image ``extent`` as aligned arrays: (x, y, w, h)
-    ``boxes`` (N, 4), the same boxes ``clipped`` to the image (N, 4), the
-    pyramid ``layer_ids`` (N,) and the ``base_heights`` (N,)."""
+    ``boxes`` (N, 4), whose heights are the layers' base heights, the same
+    boxes ``clipped`` to the image (N, 4) and the pyramid ``layer_ids`` (N,)."""
 
     boxes: np.ndarray
     clipped: np.ndarray
     layer_ids: np.ndarray
-    base_heights: np.ndarray
     extent: tuple[int, int]
 
     def __len__(self) -> int:
@@ -69,7 +68,7 @@ def generate_anchors(
     if missing:
         raise ValueError(f"pyramid layers {missing} have no base height")
     width, height = extent
-    boxes, layer_ids, heights = [], [], []
+    boxes, layer_ids = [], []
     for spec in cfg.layers:
         h = float(base_heights[spec.layer_id])
         w = ASPECT_RATIO * h
@@ -84,13 +83,11 @@ def generate_anchors(
             )
         )
         layer_ids.append(np.full(n, spec.layer_id, dtype=np.int64))
-        heights.append(np.full(n, h))
     boxes = np.concatenate(boxes)
     return AnchorSet(
         boxes=boxes,
         clipped=clip_boxes(boxes, extent),
         layer_ids=np.concatenate(layer_ids),
-        base_heights=np.concatenate(heights),
         extent=tuple(extent),
     )
 
@@ -113,7 +110,7 @@ def label_arrays(anchors: AnchorSet, gt_boxes: np.ndarray):
 
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     matched = np.full(n, -1, dtype=np.int64)
-    target_h = np.array(anchors.base_heights, dtype=np.float64)
+    target_h = anchors.boxes[:, 3].copy()
     if len(gt_boxes) == 0:
         return labels, matched, target_h
 

@@ -120,6 +120,8 @@ class FeaturePyramid:
                 raise FeatureShapeError(
                     f"layer {layer_id}: expected spatial shape {want}, got {grid.shape[1:]}"
                 )
+            if grid.shape[0] < 1:
+                raise FeatureShapeError(f"layer {layer_id}: grid has no channels")
             if not np.all(np.isfinite(grid)):
                 raise FeatureShapeError(f"layer {layer_id}: non-finite feature values")
             channel_last[layer_id] = np.moveaxis(
@@ -326,11 +328,12 @@ def roi_pool_project(
     c, grid_h, grid_w = grid.shape
     roi = ROI_SIZE
     weights = np.asarray(weights, dtype=np.float64)
-    k = weights.shape[0]
-    if weights.shape != (k, roi * roi * c):
+    if weights.ndim != 2 or weights.shape[0] < 1 or weights.shape[1] != roi * roi * c:
         raise ValueError(
-            f"layer {layer_id}: expected (K, {roi * roi * c}) weights, got {weights.shape}"
+            f"layer {layer_id}: expected (K, {roi * roi * c}) weights with K >= 1, "
+            f"got {weights.shape}"
         )
+    k = weights.shape[0]
     maps = weights.reshape(k * roi * roi, c) @ grid.reshape(c, -1)
     # (roi, roi, H, W, K): maps[i, j] applies the weights of window cell (i, j).
     maps = np.ascontiguousarray(np.moveaxis(maps.reshape(k, roi, roi, grid_h, grid_w), 0, -1))

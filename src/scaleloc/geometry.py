@@ -205,11 +205,15 @@ def decode_regression(anchors, offsets) -> np.ndarray:
     """Invert :func:`encode_regression` row by row on (N, 4) arrays.
 
     The log size ratios are clamped at log(1000 / 16), so a side grows at
-    most 62.5-fold, and decoded sides are floored at 1 px.
-    decode(a, encode(a, t)) == t for targets inside those limits.
+    most 62.5-fold, and decoded sides are floored at 1 px. The corner
+    shift is not clamped: one that overflows gives a corner of +-inf,
+    without a warning, which :func:`clip_boxes` turns into a box at the
+    image edge. decode(a, encode(a, t)) == t for targets inside those
+    limits.
     """
     a, v = _rows(anchors), _rows(offsets)
-    corner = a[:2] + v[:2] * a[2:]
+    with np.errstate(over="ignore"):
+        corner = a[:2] + v[:2] * a[2:]
     sides = a[2:] * np.exp(np.minimum(v[2:], _DECODE_LOG_RATIO_MAX))
     return np.concatenate([corner, np.maximum(sides, _DECODE_SIZE_FLOOR)]).T
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._model import _check_shapes, _checkpoint, _glorot, _sigmoid, _softmax, _split_checkpoint
+from ._model import _check_shapes, _glorot, _load_params, _sigmoid, _softmax
 from .trajectory import TrajStep
 
 __all__ = [
@@ -71,25 +71,23 @@ class PolicyParams:
     def theta_a(self) -> np.ndarray:
         return self.params["theta_a"]
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        cfg = self.cfg
-        dims = {i: cfg.feature_dims[i] for i in sorted(cfg.feature_dims)}
-        return _checkpoint(self.params, dims, obs_dim=cfg.obs_dim, state_dim=cfg.state_dim)
-
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "PolicyParams":
-        dims, scalars, params = _split_checkpoint(arrays, "obs_dim", "state_dim")
-        out = cls(cfg=PolicyConfig(dims, **scalars), params=params)
-        out.validate_shapes()
-        return out
-
-    def validate_shapes(self) -> None:
-        cfg = self.cfg
+        """Load a ``params`` dict, taking the layers and feature dims from
+        the ``theta_o/<id>`` matrices, ``obs_dim`` from their rows and
+        ``state_dim`` from ``theta_a``'s columns; any other name set or
+        shape is a ``ValueError``."""
+        params, dims = _load_params(arrays, "theta_o/{}")
+        if np.ndim(params.get("theta_a")) != 2:
+            raise ValueError(f"need a ({N_ACTIONS}, state_dim) theta_a matrix")
+        obs_dim = params[f"theta_o/{min(dims)}"].shape[0]
+        cfg = PolicyConfig(dims, obs_dim, params["theta_a"].shape[1])
         want = {f"theta_o/{i}": (cfg.obs_dim, d) for i, d in cfg.feature_dims.items()}
         want["wx"] = (_GATES * cfg.state_dim, cfg.obs_dim)
         want["wh"] = (_GATES * cfg.state_dim, cfg.state_dim)
         want["theta_a"] = (N_ACTIONS, cfg.state_dim)
-        _check_shapes(want, self.params)
+        _check_shapes(want, params)
+        return cls(cfg, params)
 
 
 @dataclass(frozen=True)

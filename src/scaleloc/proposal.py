@@ -6,9 +6,10 @@ evaluated for the anchors of an :class:`~scaleloc.anchors.AnchorSet`.
 The offsets are normalized corner shifts and log size ratios relative
 to the anchor (:func:`~scaleloc.geometry.encode_regression`).
 The trained objective is :func:`proposal_loss_and_grad`: it weights
-every example by a height-dependent softmax over per-layer sigmoids,
-balances positives against bootstrapped hard negatives, and averages
-the box regression over the positives.
+every example by a height-dependent softmax over per-layer sigmoids.
+Within each layer's batch it balances positives against bootstrapped
+hard negatives and averages the box regression over that layer's
+positives; it then sums over the layers.
 
 The softmax of values in [0, 1] caps any weight at e / (e + 2) ~ 0.58,
 so no layer ever dominates. With the default constants layer 4 leads
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import featpyr
-from ._model import _check_shapes, _checkpoint, _glorot, _sigmoid, _softmax, _split_checkpoint
+from ._model import _check_shapes, _glorot, _load_params, _sigmoid, _softmax
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
 from .geometry import BBox, boxes_to_array, clip_boxes, decode_regression, encode_regression
@@ -116,7 +117,6 @@ def smooth_l1(residuals: np.ndarray):
 class ProposalModel:
     """Per-layer linear heads over flattened RoI features."""
 
-    layer_ids: tuple[int, ...]
     feature_dims: dict[int, int]
     params: dict[str, np.ndarray]
 
@@ -131,7 +131,7 @@ class ProposalModel:
             for name, shape in cls._head_shapes(layer_id, dims[layer_id]).items():
                 # Weights draw in table order; biases start at zero.
                 params[name] = _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-        return cls(layer_ids=pyramid_cfg.layer_ids(), feature_dims=dims, params=params)
+        return cls(feature_dims=dims, params=params)
 
     def forward(self, layer_id: int, features: np.ndarray):
         """Map (N, D) features to (logits (N,), offsets (N, 4))."""
@@ -144,27 +144,24 @@ class ProposalModel:
         out = features @ self.params[f"head{layer_id}/w"].T + self.params[f"head{layer_id}/b"]
         return out[:, 0], out[:, 1:]
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return _checkpoint(self.params, {i: self.feature_dims[i] for i in self.layer_ids})
-
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ProposalModel":
-        """Load what :meth:`to_arrays` wrote; any other name set is a ``ValueError``."""
-        dims, _, params = _split_checkpoint(arrays)
-        model = cls(layer_ids=tuple(dims), feature_dims=dims, params=params)
-        model.validate_shapes()
-        return model
+        """Load a ``params`` dict, taking the layers and feature dims from
+        the ``head<id>/w`` matrices; a dim that no pooled block has, or any
+        other name set or shape, is a ``ValueError``."""
+        params, dims = _load_params(arrays, "head{}/w")
+        if any(d % featpyr.ROI_SIZE**2 for d in dims.values()):
+            raise ValueError(f"feature dims must be multiples of ROI_SIZE**2, got {dims}")
+        want: dict[str, tuple] = {}
+        for layer_id, d in dims.items():
+            want.update(cls._head_shapes(layer_id, d))
+        _check_shapes(want, params)
+        return cls(feature_dims=dims, params=params)
 
     @classmethod
     def _head_shapes(cls, layer_id: int, d: int) -> dict[str, tuple]:
         """Names and shapes of one layer's head parameters."""
         return {f"head{layer_id}/w": (cls.N_OUT, d), f"head{layer_id}/b": (cls.N_OUT,)}
-
-    def validate_shapes(self) -> None:
-        want: dict[str, tuple] = {}
-        for layer_id in self.layer_ids:
-            want.update(self._head_shapes(layer_id, self.feature_dims[layer_id]))
-        _check_shapes(want, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +180,18 @@ class LayerBatch:
 
 
 def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg: LayerWeightConfig):
-    """Normalized training loss and its exact parameter gradient.
+    """Training loss and its exact parameter gradient, summed over batches.
 
-    Classification follows the balance-weighted cross-entropy with the
-    per-example alpha weights folded in; the regression term is averaged
-    over positives so TRADEOFF keeps a stable meaning across batch mixes.
+    Each batch (in training, one layer's slice of the minibatch) is
+    normalized on its own. Its classification term is the cross-entropy
+    weighted by each example's layer weight alpha and by a balance weight:
+    the positives' balance weights sum to 1 / (1 + balance), the
+    negatives' to balance / (1 + balance). Its regression term is
+    TRADEOFF times the alpha-weighted smooth-L1 averaged over its
+    positives. The loss of several batches is the sum of their losses, so
+    a lone positive in one layer's batch carries as much classification
+    weight as all the positives of another, and TRADEOFF weighs
+    regression against classification within a layer.
     """
     total_loss = 0.0
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}

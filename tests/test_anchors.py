@@ -83,11 +83,11 @@ def brute_force_labels(anchors, gts, extent, iou_pos=0.5, iou_neg=0.3):
         elif not gts or best_gt(i)[1] < iou_neg:
             labels.append(NEGATIVE)
             matched.append(-1)
-            target_h.append(anchors.base_heights[i])
+            target_h.append(anchors.boxes[i, 3])
         else:
             labels.append(IGNORE)
             matched.append(-1)
-            target_h.append(anchors.base_heights[i])
+            target_h.append(anchors.boxes[i, 3])
     return labels, matched, target_h
 
 
@@ -109,12 +109,13 @@ class TestGenerateAnchors:
             expect += (-(-extent[0] // spec.stride)) * (-(-extent[1] // spec.stride))
         assert len(anchors) == expect
         assert anchors.boxes.shape == (expect, 4)
-        assert anchors.base_heights.shape == (expect,)
+        assert anchors.layer_ids.shape == (expect,)
 
     def test_aspect_ratio_exact(self):
         anchors = generate_anchors(CFG, (160, 120), HEIGHTS)
         assert np.all(anchors.boxes[:, 2] == ASPECT_RATIO * anchors.boxes[:, 3])
-        assert np.all(anchors.boxes[:, 3] == anchors.base_heights)
+        base = np.array([HEIGHTS[i] for i in anchors.layer_ids.tolist()])
+        assert np.all(anchors.boxes[:, 3] == base)
 
     def test_centers_on_stride_lattice(self):
         anchors = generate_anchors(CFG, (80, 80), HEIGHTS)
@@ -132,7 +133,7 @@ class TestGenerateAnchors:
         boxes, layers, heights = per_cell_anchors(CFG, extent, HEIGHTS)
         assert np.array_equal(anchors.boxes, boxes)
         assert np.array_equal(anchors.layer_ids, layers)
-        assert np.array_equal(anchors.base_heights, heights)
+        assert np.array_equal(anchors.boxes[:, 3], heights)
         assert anchors.extent == extent
         assert np.array_equal(anchors.clipped, clip_boxes(boxes, extent))
 
@@ -164,7 +165,7 @@ class TestLabeling:
         labels, matched, target_h = label(anchors, [gt])
         assert labels[-1] == NEGATIVE
         assert matched[-1] == -1
-        assert target_h[-1] == anchors.base_heights[-1]
+        assert target_h[-1] == anchors.boxes[-1, 3]
 
     def test_best_anchor_rescues_midband_iou(self):
         # A ground truth whose best anchor sits in the ignore band still

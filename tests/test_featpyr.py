@@ -310,6 +310,15 @@ class TestRoiPoolProject:
         with pytest.raises(KeyError):
             roi_pool_project(pyr, 9, np.array([[0, 0, 8, 8]]), np.zeros((1, 32)))
 
+    @pytest.mark.parametrize(
+        "shape", [(0, 32), (32,), (1, 32, 1), ()], ids=["no-rows", "1d", "3d", "0d"]
+    )
+    def test_weights_must_be_a_matrix_with_rows(self, shape):
+        # Zero rows used to reach a ZeroDivisionError in the chunk size.
+        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        with pytest.raises(ValueError, match=r"expected \(K, 32\) weights with K >= 1"):
+            roi_pool_project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros(shape))
+
 
 class TestRoiPoolManyProperties:
     """Bilinear pooling is linear in the grid, which score maps
@@ -494,6 +503,11 @@ class TestFeaturePyramidChecks:
     def test_two_dimensional_grid_rejected(self):
         with pytest.raises(FeatureShapeError, match="layer 3"):
             FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: np.zeros((7, 9))})
+
+    def test_grid_without_channels_rejected(self):
+        # roi_pool_many on it used to fail with a ZeroDivisionError.
+        with pytest.raises(FeatureShapeError, match="layer 3: grid has no channels"):
+            FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: np.zeros((0, 7, 9))})
 
     def test_second_layer_checked_too(self):
         grids = {3: np.zeros((2, 7, 9)), 4: np.zeros((2, 4, 4))}

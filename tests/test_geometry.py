@@ -338,6 +338,35 @@ class TestRegressionEncoding:
         assert out[2] <= max(w * 62.5 * (1 + 1e-12), 1.0)
         assert out[3] <= max(h * 62.5 * (1 + 1e-12), 1.0)
 
+    @pytest.mark.parametrize("shift", [1e307, -1e307, 1e308, -np.finfo(np.float64).max])
+    def test_overflowing_corner_shift_warns_nothing(self, shift):
+        """A corner shift past the float range gives a +-inf corner with no
+        warning, under the suite's warnings-as-errors setting and under
+        ``np.seterr(over="raise")``, and clipping puts the box at the
+        image edge."""
+        anchors = [[600.0, 400.0, 48.0, 96.0]] * 2
+        offsets = [[shift, 0.0, 0.0, 0.0], [0.0, shift, 0.0, 0.0]]
+        decoded = decode_regression(anchors, offsets)
+        clipped = clip_boxes(decoded, (640, 480))
+        with np.errstate(over="raise"):
+            np.testing.assert_array_equal(decode_regression(anchors, offsets), decoded)
+            np.testing.assert_array_equal(clip_boxes(decoded, (640, 480)), clipped)
+        edge = np.inf if shift > 0 else -np.inf
+        np.testing.assert_array_equal(decoded[:, :2], [[edge, 400.0], [600.0, edge]])
+        # The other side stays at the box center, (624, 448), less 1 px.
+        x, y = (638.0, 478.0) if shift > 0 else (0.0, 0.0)
+        np.testing.assert_array_equal(clipped, [[x, 447.0, 2.0, 2.0], [623.0, y, 2.0, 2.0]])
+
+    def test_corner_shift_within_range_unchanged(self):
+        """Finite corners are the same bits as the plain arithmetic."""
+        rng = np.random.default_rng(5)
+        a = np.concatenate([rng.uniform(0, 600, (50, 2)), rng.uniform(1, 300, (50, 2))], axis=1)
+        v = rng.normal(0.0, 1e300, (50, 4))
+        v[:, 2:] = 0.0
+        with np.errstate(over="ignore"):
+            want = a[:, :2] + v[:, :2] * a[:, 2:]
+        np.testing.assert_array_equal(decode_regression(a, v)[:, :2], want)
+
 
 class TestStepConfig:
     def test_validation(self):

@@ -392,71 +392,165 @@ class TestEpisodeBackward:
         assert peak <= 1.1 * param_bytes, peak / param_bytes
 
 
+def grown(value: np.ndarray, axis: int) -> np.ndarray:
+    """``value`` with one more row (axis 0) or column (axis 1) of zeros."""
+    return np.concatenate([value, np.zeros_like(value.take([0], axis=axis))], axis=axis)
+
+
 class TestCheckpointAdapters:
-    def test_round_trip(self):
+    """A checkpoint is exactly ``params.params``: ``from_arrays`` takes the
+    layers and feature dims from the ``theta_o/<id>`` matrices, ``obs_dim``
+    from their rows and ``state_dim`` from ``theta_a``."""
+
+    def test_round_trip(self, tmp_path):
         params = init_params(21, SMALL)
-        back = PolicyParams.from_arrays(params.to_arrays())
+        np.savez(tmp_path / "policy.npz", **params.params)
+        with np.load(tmp_path / "policy.npz") as stored:
+            back = PolicyParams.from_arrays(stored)
         assert back.cfg == params.cfg
+        assert list(back.cfg.feature_dims) == [3, 4, 5]
         for name in params.params:
             np.testing.assert_array_equal(back.params[name], params.params[name])
+
+    def test_loaded_arrays_are_copies(self):
+        params = init_params(21, SMALL)
+        back = PolicyParams.from_arrays(params.params)
+        back.params["wx"][0, 0] += 1.0
+        assert back.params["wx"][0, 0] != params.params["wx"][0, 0]
 
     def test_tanh_core_checkpoint_rejected(self):
         """The former plain tanh core: theta_s1 and theta_s2 in place of
         wx and wh, and a meta/mode entry of 0."""
-        arrays = init_params(22, SMALL).to_arrays()
+        arrays = init_params(22, SMALL).params
         del arrays["wx"], arrays["wh"]
         arrays["theta_s1"] = np.zeros((4, 6))
         arrays["theta_s2"] = np.zeros((4, 4))
         arrays["meta/mode"] = np.array([0.0])
-        with pytest.raises(ValueError, match="meta names"):
+        with pytest.raises(ValueError, match="parameter names"):
             PolicyParams.from_arrays(arrays)
         del arrays["meta/mode"]
         with pytest.raises(ValueError, match="parameter names"):
             PolicyParams.from_arrays(arrays)
 
-    @pytest.mark.parametrize("name", ["meta/mode", "meta/junk"])
-    def test_unknown_meta_entry_rejected(self, name):
-        arrays = init_params(22, SMALL).to_arrays()
+    @pytest.mark.parametrize(
+        "name",
+        ["meta/mode", "meta/junk", "meta/layer_ids", "meta/feature_dims"]
+        + ["meta/obs_dim", "meta/state_dim"],
+    )
+    def test_former_meta_entry_rejected(self, name):
+        arrays = init_params(22, SMALL).params
         arrays[name] = np.array([1.0])
-        with pytest.raises(ValueError, match="meta names"):
+        with pytest.raises(ValueError, match="parameter names mismatch"):
             PolicyParams.from_arrays(arrays)
 
-    def test_missing_meta_entry_rejected(self):
-        arrays = init_params(22, SMALL).to_arrays()
-        del arrays["meta/obs_dim"]
-        with pytest.raises(ValueError, match="meta names"):
+    def test_meta_format_checkpoint_rejected(self):
+        """The former format: the parameters plus meta/ entries that held
+        the layer ids, feature dims, obs_dim and state_dim a second time."""
+        arrays = init_params(22, SMALL).params
+        arrays["meta/obs_dim"], arrays["meta/state_dim"] = np.array([6.0]), np.array([4.0])
+        arrays["meta/layer_ids"] = np.array([3.0, 4.0, 5.0])
+        arrays["meta/feature_dims"] = np.array([8.0, 6.0, 10.0])
+        with pytest.raises(ValueError, match="parameter names mismatch.*meta/obs_dim"):
+            PolicyParams.from_arrays(arrays)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"no theta_o/<id> matrix among \[\]"):
+            PolicyParams.from_arrays({})
+
+    @pytest.mark.parametrize("name", ["wx", "wh", "theta_a"])
+    def test_missing_parameter_rejected(self, name):
+        arrays = init_params(22, SMALL).params
+        del arrays[name]
+        with pytest.raises(ValueError, match="parameter names mismatch|theta_a matrix"):
+            PolicyParams.from_arrays(arrays)
+
+    @pytest.mark.parametrize("shape", [(-1,), (2, -1, 1)], ids=["1d", "3d"])
+    @pytest.mark.parametrize("name", ["theta_o/3", "theta_a"])
+    def test_matrix_must_be_2d(self, name, shape):
+        arrays = init_params(22, SMALL).params
+        arrays[name] = arrays[name].reshape(shape)
+        with pytest.raises(ValueError, match="expected a matrix with columns|theta_a matrix"):
             PolicyParams.from_arrays(arrays)
 
     @pytest.mark.parametrize(
-        "name, edit",
-        [
-            ("meta/layer_ids", lambda v: np.array([3.9, 4.2, 5.5])),
-            ("meta/feature_dims", lambda v: v + 0.5),
-            ("meta/obs_dim", lambda v: v + 0.5),
-            ("meta/state_dim", lambda v: np.array([np.inf])),
-        ],
+        "bad", ["theta_ox/3", "theta_o/03", "theta_o/-3", "theta_o/x", "theta_o/3/"]
     )
-    def test_fractional_meta_value_rejected(self, name, edit):
-        """``meta/`` values must be whole numbers, which ``int()`` would truncate."""
-        arrays = init_params(22, SMALL).to_arrays()
-        arrays[name] = edit(arrays[name])
-        with pytest.raises(ValueError, match=f"^{name} must hold whole numbers"):
+    def test_malformed_layer_name_rejected(self, bad):
+        arrays = init_params(22, SMALL).params
+        arrays[bad] = arrays.pop("theta_o/3")
+        with pytest.raises(ValueError, match="parameter names mismatch"):
             PolicyParams.from_arrays(arrays)
 
-    @pytest.mark.parametrize("name, value", [("meta/obs_dim", [6, 99]), ("meta/state_dim", [])])
-    def test_scalar_meta_entry_holds_one_value(self, name, value):
-        """``meta/obs_dim = [6, 99]`` used to load silently as 6."""
-        arrays = init_params(22, SMALL).to_arrays()
-        arrays[name] = np.array(value, dtype=np.float64)
-        with pytest.raises(ValueError, match=f"^{name} must hold exactly one value"):
+    @pytest.mark.parametrize(
+        "name, axis",
+        [("theta_o/4", 0), ("wx", 0), ("wx", 1), ("wh", 0), ("wh", 1)]
+        + [("theta_a", 0), ("theta_a", 1)],
+    )
+    def test_added_row_or_column_rejected(self, name, axis):
+        arrays = init_params(22, SMALL).params
+        arrays[name] = grown(arrays[name], axis)
+        with pytest.raises(ValueError):
             PolicyParams.from_arrays(arrays)
+
+    def test_observation_matrices_define_the_layers(self):
+        """The ``theta_o/<id>`` matrices are the only record of the layers
+        and their feature dims: a column added to one loads as a layer one
+        feature longer, and a deleted one as a policy without that layer."""
+        arrays = init_params(22, SMALL).params
+        arrays["theta_o/4"] = grown(arrays["theta_o/4"], 1)
+        assert PolicyParams.from_arrays(arrays).cfg.feature_dims == {3: 8, 4: 7, 5: 10}
+        del arrays["theta_o/4"]
+        assert PolicyParams.from_arrays(arrays).cfg.feature_dims == {3: 8, 5: 10}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["theta_o/4", "wh", "theta_a"])
     def test_non_finite_parameter_rejected(self, name, bad):
-        arrays = init_params(24, SMALL).to_arrays()
+        arrays = init_params(24, SMALL).params
         arrays[name].flat[3] = bad
         with pytest.raises(ValueError, match=f"parameter {name} has non-finite"):
+            PolicyParams.from_arrays(arrays)
+
+    @given(
+        dims=st.dictionaries(st.integers(0, 12), st.integers(1, 9), min_size=1, max_size=3),
+        obs_dim=st.integers(1, 6),
+        state_dim=st.integers(1, 5),
+        edit=st.sampled_from(["none", "delete", "unknown", "row", "column"]),
+        pick=st.integers(0, 10**6),
+        unknown=st.text(min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edited_checkpoints_of_random_configs(
+        self, dims, obs_dim, state_dim, edit, pick, unknown
+    ):
+        """Over random small configs, the params round-trip and every
+        deleted name, unknown name, added row or added column is a
+        ``ValueError``, except where a ``theta_o/<id>`` matrix gains a
+        column or goes while other layers remain: that edits the layers."""
+        params = init_params(pick % 7, PolicyConfig(dims, obs_dim, state_dim))
+        arrays = dict(params.params)
+        name = sorted(arrays)[pick % len(arrays)]
+        if edit == "none":
+            back = PolicyParams.from_arrays(arrays)
+            assert back.cfg == params.cfg
+            assert all(np.array_equal(back.params[k], v) for k, v in arrays.items())
+            return
+        if name.startswith("theta_o/") and (edit == "column" or edit == "delete" and len(dims) > 1):
+            layer_id = int(name.removeprefix("theta_o/"))
+            if edit == "column":
+                arrays[name] = grown(arrays[name], 1)
+                want = {**dims, layer_id: dims[layer_id] + 1}
+            else:
+                del arrays[name]
+                want = {i: d for i, d in dims.items() if i != layer_id}
+            assert PolicyParams.from_arrays(arrays).cfg.feature_dims == want
+            return
+        if edit == "delete":
+            del arrays[name]
+        elif edit == "unknown":
+            arrays[unknown if unknown not in arrays else unknown + "/extra"] = np.zeros(3)
+        else:
+            arrays[name] = grown(arrays[name], 0 if edit == "row" else 1)
+        with pytest.raises(ValueError):
             PolicyParams.from_arrays(arrays)
 
     def test_zero_grads_mirror_shapes(self):

@@ -369,7 +369,7 @@ class TestTotalObjective:
 
 def make_batches(model, rng, n_per_layer=2):
     batches = []
-    for layer_id in model.layer_ids:
+    for layer_id in model.feature_dims:
         d = model.feature_dims[layer_id]
         feats = rng.uniform(-1, 1, size=(n_per_layer, d))
         labels = np.array([1, 0][:n_per_layer])
@@ -415,6 +415,25 @@ class TestLossGradient:
                 rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
                 worst = max(worst, rel)
         assert worst < 1e-5
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_layer_batches_add_up(self, seed):
+        """Each layer batch is normalized on its own, so the loss of
+        several batches is the sum of their losses and the gradient the
+        sum of their gradients."""
+        rng = np.random.default_rng(seed)
+        model = ProposalModel.init(TINY_PYR, seed=seed)
+        cfg = LayerWeightConfig()
+        batches = make_batches(model, rng)
+        loss, grads = proposal_loss_and_grad(model, batches, cfg)
+        alone = [proposal_loss_and_grad(model, [batch], cfg) for batch in batches]
+        assert loss == pytest.approx(sum(part for part, _ in alone), rel=1e-12)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], sum(g[name] for _, g in alone))
+        pair, pair_grads = proposal_loss_and_grad(model, batches[:2], cfg)
+        assert pair == pytest.approx(alone[0][0] + alone[1][0], rel=1e-12)
+        for name in pair_grads:
+            np.testing.assert_array_equal(pair_grads[name], alone[0][1][name] + alone[1][1][name])
 
 
 class TestTrainedLossOracle:
@@ -578,14 +597,14 @@ class TestScoring:
         the size-ratio clamp and the disjoint-box fallback."""
         _, pyramid, anchors = self.setup_scene()
         model = ProposalModel.init(TINY_PYR, seed=3)
-        for layer_id in model.layer_ids:
+        for layer_id in model.feature_dims:
             model.params[f"head{layer_id}/w"][1:] *= gain
         boxes, scores, layer_ids = score_proposals(model, pyramid, anchors)
         assert len(boxes) == len(scores) == len(layer_ids) == len(anchors)
         assert scores.dtype == np.float64 and layer_ids.dtype == np.int64
         extent = pyramid.extent
         fallbacks = 0
-        for layer_id in model.layer_ids:
+        for layer_id in model.feature_dims:
             sel = np.flatnonzero(anchors.layer_ids == layer_id)
             cells = [BBox(*row) for row in anchors.boxes[sel].tolist()]
             pooled = boxes_to_array(oracle.clip(a, extent) for a in cells)
@@ -645,14 +664,14 @@ class TestBlockedScoring:
         model, _, anchors = self.setup_scene()
         counts = [
             len(_score_blocks(int((anchors.layer_ids == l).sum()), model.feature_dims[l] * 8))
-            for l in model.layer_ids
+            for l in model.feature_dims
         ]
         assert counts == [4, 2, 1]
 
     def test_equals_whole_layer_scoring(self):
         model, pyramid, anchors = self.setup_scene()
         got_boxes, got_scores, got_layers = score_proposals(model, pyramid, anchors)
-        for layer_id in model.layer_ids:
+        for layer_id in model.feature_dims:
             sel = np.flatnonzero(anchors.layer_ids == layer_id)
             feats = roi_pool_many(pyramid, layer_id, anchors.clipped[sel])
             logits, offsets = model.forward(layer_id, feats.reshape(len(sel), -1))
@@ -798,32 +817,51 @@ class TestTraining:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["head3/w", "head5/b", "head4/w", "head3/b"])
     def test_checkpoint_with_non_finite_parameter_rejected(self, name, bad):
-        arrays = ProposalModel.init(TINY_PYR, seed=1).to_arrays()
+        arrays = ProposalModel.init(TINY_PYR, seed=1).params
         arrays[name].flat[2] = bad
         with pytest.raises(ValueError, match=f"parameter {name} has non-finite"):
             ProposalModel.from_arrays(arrays)
 
-    def test_checkpoint_arrays_round_trip(self):
+    def test_checkpoint_arrays_round_trip(self, tmp_path):
         data = self.small_dataset()
         model = train_proposal_model(data, self.train_cfg())
-        arrays = model.to_arrays()
-        assert sorted(k for k in arrays if k.startswith("meta/")) == [
-            "meta/feature_dims",
-            "meta/layer_ids",
-        ]
-        back = ProposalModel.from_arrays(arrays)
-        assert back.layer_ids == model.layer_ids
+        np.savez(tmp_path / "model.npz", **model.params)
+        with np.load(tmp_path / "model.npz") as stored:
+            back = ProposalModel.from_arrays(stored)
         assert back.feature_dims == model.feature_dims
+        assert list(back.feature_dims) == [3, 4, 5]
         assert set(back.params) == set(model.params)
         for name in model.params:
             np.testing.assert_array_equal(back.params[name], model.params[name])
 
+    def test_loaded_arrays_are_copies(self):
+        model = ProposalModel.init(TINY_PYR, seed=1)
+        back = ProposalModel.from_arrays(model.params)
+        back.params["head3/w"][0, 0] += 1.0
+        assert back.params["head3/w"][0, 0] != model.params["head3/w"][0, 0]
+
+
+def grown(value: np.ndarray, axis: int) -> np.ndarray:
+    """``value`` with one more row (axis 0) or column (axis 1) of zeros;
+    a vector gains one entry whatever the axis."""
+    axis = min(axis, value.ndim - 1)
+    return np.concatenate([value, np.zeros_like(value.take([0], axis=axis))], axis=axis)
+
+
+def rejects(load, arrays) -> str:
+    """The ``ValueError`` message of ``load(arrays)``; any other outcome fails."""
+    with pytest.raises(ValueError) as err:
+        load(arrays)
+    return str(err.value)
+
 
 class TestCheckpointNames:
-    """``from_arrays`` accepts exactly the names ``to_arrays`` writes."""
+    """A checkpoint is exactly ``model.params``: ``from_arrays`` takes the
+    layers and feature dims from the ``head<id>/w`` matrices and rejects
+    every other name set or shape."""
 
     def arrays(self):
-        return ProposalModel.init(TINY_PYR, seed=1).to_arrays()
+        return ProposalModel.init(TINY_PYR, seed=1).params
 
     def test_extra_parameter_rejected(self):
         arrays = self.arrays()
@@ -837,62 +875,108 @@ class TestCheckpointNames:
         with pytest.raises(ValueError, match="parameter names mismatch"):
             ProposalModel.from_arrays(arrays)
 
-    @pytest.mark.parametrize(
-        "name, value", [("meta/junk", 1.0), ("meta/regression_mode", 0.5)]
-    )
-    def test_unknown_meta_entry_rejected(self, name, value):
+    def test_missing_layer_head_rejected(self):
         arrays = self.arrays()
-        arrays[name] = np.array([value])
-        with pytest.raises(ValueError, match="meta names mismatch"):
+        del arrays["head4/w"]
+        with pytest.raises(ValueError, match="parameter names mismatch"):
             ProposalModel.from_arrays(arrays)
 
-    def test_missing_meta_entry_rejected(self):
-        arrays = self.arrays()
-        del arrays["meta/feature_dims"]
-        with pytest.raises(ValueError, match="meta names mismatch"):
-            ProposalModel.from_arrays(arrays)
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"no head<id>/w matrix among \[\]"):
+            ProposalModel.from_arrays({})
 
     @pytest.mark.parametrize(
-        "name, edit",
-        [
-            ("meta/layer_ids", lambda v: np.array([3.9, 4.2, 5.5])),
-            ("meta/feature_dims", lambda v: v + 0.5),
-            ("meta/layer_ids", lambda v: np.array([3.0, np.nan, 5.0])),
-        ],
+        "value",
+        [np.full(5, 1 + 1j), np.array(["x"] * 5), np.array([{}] * 5, dtype=object)],
+        ids=["complex", "str", "object"],
     )
-    def test_fractional_meta_value_rejected(self, name, edit):
-        """``meta/`` values must be whole numbers, which ``int()`` would truncate."""
+    def test_values_must_be_real_numbers(self, value):
+        # A complex array used to load as complex parameters.
         arrays = self.arrays()
-        arrays[name] = edit(arrays[name])
-        with pytest.raises(ValueError, match=f"^{name} must hold whole numbers"):
+        arrays["head4/b"] = value
+        with pytest.raises(ValueError, match="parameter head4/b holds .*, not real numbers"):
             ProposalModel.from_arrays(arrays)
 
     @pytest.mark.parametrize(
-        "layer_ids, feature_dims", [([3, 4, 5], [128, 256]), ([3, 4, 4], [128, 256, 256])]
+        "name",
+        ["meta/layer_ids", "meta/feature_dims", "meta/junk"]
+        + ["meta/hidden_dim", "meta/regression_mode"],
     )
-    def test_one_feature_dim_per_layer_id(self, layer_ids, feature_dims):
-        """A short ``meta/feature_dims`` used to end in a bare ``KeyError: 5``."""
+    def test_former_meta_entry_rejected(self, name):
         arrays = self.arrays()
-        arrays["meta/layer_ids"] = np.array(layer_ids, dtype=np.float64)
-        arrays["meta/feature_dims"] = np.array(feature_dims, dtype=np.float64)
-        with pytest.raises(ValueError, match="one dim per distinct layer id"):
+        arrays[name] = np.array([1.0])
+        with pytest.raises(ValueError, match="parameter names mismatch"):
             ProposalModel.from_arrays(arrays)
+
+    def test_meta_format_checkpoint_rejected(self):
+        """The former format: the parameters plus meta/layer_ids and
+        meta/feature_dims, which held the ids and dims a second time."""
+        arrays = self.arrays()
+        arrays["meta/layer_ids"] = np.array([3.0, 4.0, 5.0])
+        arrays["meta/feature_dims"] = np.array([32.0, 48.0, 32.0])
+        message = rejects(ProposalModel.from_arrays, arrays)
+        assert message.startswith("parameter names mismatch")
+        assert "meta/feature_dims" in message and "meta/layer_ids" in message
+
+    @pytest.mark.parametrize("shape", [(-1,), (5, -1, 1), (1, 5, -1)], ids=["1d", "3d", "3d-lead"])
+    @pytest.mark.parametrize("name", ["head3/w", "head5/w"])
+    def test_head_matrix_must_be_2d(self, name, shape):
+        arrays = self.arrays()
+        arrays[name] = arrays[name].reshape(shape)
+        with pytest.raises(ValueError, match=f"{name}: expected a matrix with columns"):
+            ProposalModel.from_arrays(arrays)
+
+    def test_head_matrix_without_columns_rejected(self):
+        arrays = self.arrays()
+        arrays["head4/w"] = np.zeros((5, 0))
+        with pytest.raises(ValueError, match="head4/w: expected a matrix with columns"):
+            ProposalModel.from_arrays(arrays)
+
+    @pytest.mark.parametrize(
+        "bad", ["headx/w", "head03/w", "head-3/w", "head+3/w", "head3/W", "head 3/w"]
+    )
+    def test_malformed_layer_name_rejected(self, bad):
+        """Only ``head<id>/w`` with a plain decimal id names a layer, so a
+        renamed head is an unknown name and layer 3 lacks its matrix."""
+        arrays = self.arrays()
+        arrays[bad] = arrays.pop("head3/w")
+        message = rejects(ProposalModel.from_arrays, arrays)
+        assert message.startswith("parameter names mismatch")
+        assert bad in message
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("name", ["head3/w", "head3/b", "head4/w", "head5/b"])
+    def test_added_row_or_column_rejected(self, name, axis):
+        """A head matrix with an extra column would name a feature dim no
+        pooled block has; every other addition breaks a shape."""
+        arrays = self.arrays()
+        arrays[name] = grown(arrays[name], axis)
+        with pytest.raises(ValueError):
+            ProposalModel.from_arrays(arrays)
+
+    def test_feature_dims_are_pooled_block_lengths(self):
+        arrays = self.arrays()
+        arrays["head4/w"], arrays["head4/b"] = np.zeros((5, 20)), np.zeros(5)
+        message = r"multiples of ROI_SIZE\*\*2, got \{3: 32, 4: 20, 5: 32\}"
+        with pytest.raises(ValueError, match=message):
+            ProposalModel.from_arrays(arrays)
+        arrays["head4/w"] = np.zeros((5, 64))  # four channels
+        assert ProposalModel.from_arrays(arrays).feature_dims == {3: 32, 4: 64, 5: 32}
 
     def test_hidden_head_checkpoint_rejected(self):
         """The former hidden-layer heads: w1, b1, w2, b2 per layer, with
         meta/hidden_dim and meta/regression_mode entries."""
-        linear = self.arrays()
-        arrays = {k: v for k, v in linear.items() if k.startswith("meta/")}
-        for layer_id, d in zip(TINY_PYR.layer_ids(), arrays["meta/feature_dims"]):
-            arrays[f"head{layer_id}/w1"] = np.zeros((6, int(d)))
+        arrays = {}
+        for layer_id, d in TINY_PYR.flat_dims().items():
+            arrays[f"head{layer_id}/w1"] = np.zeros((6, d))
             arrays[f"head{layer_id}/b1"] = np.zeros(6)
             arrays[f"head{layer_id}/w2"] = np.zeros((5, 6))
             arrays[f"head{layer_id}/b2"] = np.zeros(5)
-        with pytest.raises(ValueError, match="parameter names mismatch"):
+        with pytest.raises(ValueError, match="no head<id>/w matrix"):
             ProposalModel.from_arrays(arrays)
         arrays["meta/hidden_dim"] = np.array([6.0])
         arrays["meta/regression_mode"] = np.array([1.0])
-        with pytest.raises(ValueError, match="meta names mismatch"):
+        with pytest.raises(ValueError, match="no head<id>/w matrix"):
             ProposalModel.from_arrays(arrays)
 
     def test_raw_mode_checkpoint_rejected(self):
@@ -901,5 +985,35 @@ class TestCheckpointNames:
         arrays = self.arrays()
         arrays["meta/hidden_dim"] = np.array([0.0])
         arrays["meta/regression_mode"] = np.array([0.0])
-        with pytest.raises(ValueError, match="meta names mismatch"):
+        with pytest.raises(ValueError, match="parameter names mismatch"):
             ProposalModel.from_arrays(arrays)
+
+    @given(
+        channels=st.dictionaries(st.integers(0, 12), st.integers(1, 3), min_size=1, max_size=3),
+        edit=st.sampled_from(["none", "delete", "unknown", "row", "column"]),
+        pick=st.integers(0, 10**6),
+        unknown=st.text(min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edited_checkpoints_of_random_configs(self, channels, edit, pick, unknown):
+        """Over random small pyramids, the params round-trip and every
+        deleted name, unknown name, added row or added column is a
+        ``ValueError``."""
+        ordered = enumerate(sorted(channels.items()))
+        layers = tuple(LayerSpec(i, 8 * 2**k, c) for k, (i, c) in ordered)
+        model = ProposalModel.init(PyramidConfig(layers=layers), seed=pick % 7)
+        arrays = dict(model.params)
+        name = sorted(arrays)[pick % len(arrays)]
+        if edit == "none":
+            back = ProposalModel.from_arrays(arrays)
+            assert back.feature_dims == model.feature_dims
+            assert all(np.array_equal(back.params[k], v) for k, v in arrays.items())
+            return
+        if edit == "delete":
+            del arrays[name]
+        elif edit == "unknown":
+            name = unknown if unknown not in arrays else unknown + "/extra"
+            arrays[name] = np.zeros(3)
+        else:
+            arrays[name] = grown(arrays[name], 0 if edit == "row" else 1)
+        rejects(ProposalModel.from_arrays, arrays)
