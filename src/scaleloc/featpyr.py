@@ -2,7 +2,10 @@
 
 A pyramid holds one feature grid per layer (ids 3..5 by convention) at
 strictly increasing strides. :func:`build_pyramid` computes the grids
-as block statistics of the grayscale image.
+as block statistics of the grayscale image. It shares full-resolution
+passes only where no value changes: a stride's block mean serves channel
+0 and the std, the five gradient fields reuse one buffer, and the block
+range folds rows before columns, exact as max and min are in any order.
 
 RoI pooling maps a pixel-space box onto a layer grid and resamples it to
 a fixed ``ROI_SIZE`` x ``ROI_SIZE`` window. Regions smaller than the
@@ -14,10 +17,12 @@ first and samples the result, which never builds the pooled blocks.
 Grids are (channels, H, W) arrays laid out channel-last in memory: each
 is a transposed view of an (H, W, channels) buffer. A pooling sample
 reads all C channels of one cell, so this layout makes that read one
-contiguous run instead of C values H * W apart. ``roi_pool_many`` blends
-its samples in chunks of boxes of about ``_CHUNK_BYTES`` each, so the
-blend's temporaries stay in cache and its peak memory is the output plus
-a few chunks, not several output-sized buffers.
+contiguous run instead of C values H * W apart, and one row of a flat
+(cells, C) view, so each bilinear corner is one exact ``take`` of rows.
+``roi_pool_many`` blends its samples in chunks of boxes of about
+``_CHUNK_BYTES`` each, so the blend's temporaries stay in cache and its
+peak memory is the output plus a few chunks, not several output-sized
+buffers.
 """
 
 from __future__ import annotations
@@ -88,9 +93,11 @@ class PyramidConfig:
 class FeaturePyramid:
     """Per-layer (channels, H, W) grids plus the source image extent.
 
-    Each stored grid is channel-last in memory, ``np.moveaxis(hwc, -1, 0)``
-    of an (H, W, channels) buffer, so that pooling reads a cell's channels
-    contiguously. A grid given in another layout is copied into one.
+    Each stored grid is float64 and channel-last in memory,
+    ``np.moveaxis(hwc, -1, 0)`` of an (H, W, channels) buffer, so that
+    pooling reads a cell's channels contiguously. A grid given in another
+    layout or another real dtype is copied into one; any other dtype is a
+    ``FeatureShapeError``.
     """
 
     extent: tuple[int, int]
@@ -122,10 +129,14 @@ class FeaturePyramid:
                 )
             if grid.shape[0] < 1:
                 raise FeatureShapeError(f"layer {layer_id}: grid has no channels")
+            if grid.dtype.kind not in "iuf":
+                raise FeatureShapeError(
+                    f"layer {layer_id}: grid holds {grid.dtype}, not real numbers"
+                )
             if not np.all(np.isfinite(grid)):
                 raise FeatureShapeError(f"layer {layer_id}: non-finite feature values")
             channel_last[layer_id] = np.moveaxis(
-                np.ascontiguousarray(np.moveaxis(grid, 0, -1)), -1, 0
+                np.ascontiguousarray(np.moveaxis(grid, 0, -1), dtype=np.float64), -1, 0
             )
         object.__setattr__(self, "grids", channel_last)
 
@@ -135,9 +146,9 @@ class FeatureShapeError(ValueError):
     geometry."""
 
 
-def _block_reduce(img: np.ndarray, stride: int, reducer) -> np.ndarray:
-    """Apply ``reducer`` over stride x stride blocks, padding edges by
-    replication so partial blocks are still full windows."""
+def _blocks(img: np.ndarray, stride: int) -> np.ndarray:
+    """(out_r, stride, out_c, stride) view of stride x stride blocks,
+    padding edges by replication so partial blocks are still full windows."""
     rows, cols = img.shape
     out_r = -(-rows // stride)
     out_c = -(-cols // stride)
@@ -145,22 +156,33 @@ def _block_reduce(img: np.ndarray, stride: int, reducer) -> np.ndarray:
     pad_c = out_c * stride - cols
     if pad_r or pad_c:
         img = np.pad(img, ((0, pad_r), (0, pad_c)), mode="edge")
-    blocks = img.reshape(out_r, stride, out_c, stride)
-    return reducer(blocks, axis=(1, 3))
+    return img.reshape(out_r, stride, out_c, stride)
+
+
+def _block_range(blocks: np.ndarray) -> np.ndarray:
+    """Max - min of each block of a ``_blocks`` view. Folding rows first,
+    over runs as long as an image row, then columns is several times faster
+    than reducing both axes at once, and exact: so are max and min."""
+    return blocks.max(axis=1).max(axis=-1) - blocks.min(axis=1).min(axis=-1)
 
 
 _N_BASE = 8  # block statistics the layers cycle through (see build_pyramid)
 
 
 def _gradient_fields(img: np.ndarray):
-    """Yield (channel, field) for the five gradient channels one field at
-    a time, so that only one full-resolution field is alive at once."""
+    """Yield (channel, field) for the five gradient channels, each written
+    into one reused full-resolution buffer with the operations, in order,
+    of ``abs(gx)``, ``abs(gy)``, ``abs((gx + gy) / sqrt(2))``,
+    ``abs((gx - gy) / sqrt(2))`` and ``hypot(gx, gy)``."""
     gy, gx = np.gradient(img)
-    yield 1, np.abs(gx)
-    yield 2, np.abs(gy)
-    yield 3, np.abs((gx + gy) / np.sqrt(2.0))
-    yield 4, np.abs((gx - gy) / np.sqrt(2.0))
-    yield 7, np.hypot(gx, gy)
+    field = np.empty_like(img)
+    yield 1, np.abs(gx, out=field)
+    yield 2, np.abs(gy, out=field)
+    for channel, combine in ((3, np.add), (4, np.subtract)):
+        combine(gx, gy, out=field)
+        field /= np.sqrt(2.0)
+        yield channel, np.abs(field, out=field)
+    yield 7, np.hypot(gx, gy, out=field)
 
 
 def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
@@ -169,9 +191,13 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
     Channel ``c`` of a layer is base statistic ``c % 8`` over the layer's
     stride x stride blocks: 0 block mean; 1-4 mean absolute gradient
     along x, y and the two diagonals; 5 block std; 6 block max - min;
-    7 mean gradient magnitude. The image gradient is computed once per
-    image, and each gradient field is reduced at every stride before the
-    next one is made, so peak memory holds one full-resolution field.
+    7 mean gradient magnitude. The image needs at least 2 x 2 pixels.
+
+    No value differs from computing each statistic on its own. Per stride,
+    one block mean is channel 0 and the mean ``std`` would compute itself.
+    The gradient is computed once, and its five fields are written in turn
+    into one buffer, each reduced at every stride before the next, so peak
+    memory is the gradient pair, one field and the std's deviations.
     Statistics no layer uses are not reduced. Each layer's statistics go
     into a small (H, W, 8) array, which one broadcast copy then repeats
     across the channel-last grid.
@@ -180,23 +206,25 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
     if image.ndim != 2:
         raise ValueError("expected a 2-d grayscale image")
     height, width = image.shape
-    bases = {
-        spec.layer_id: np.empty(
-            (-(-height // spec.stride), -(-width // spec.stride), _N_BASE)
-        )
-        for spec in cfg.layers
-    }
-
-    def fill(channel, stat):
+    if height < 2 or width < 2:
+        # np.gradient needs two samples along each axis.
+        raise ValueError(f"image of shape {image.shape} is too small: need at least 2 x 2")
+    bases = {}
+    for spec in cfg.layers:
+        blocks = _blocks(image, spec.stride)
+        base = bases[spec.layer_id] = np.empty((*blocks.shape[::2], _N_BASE))
+        mean = blocks.mean(axis=(1, 3), keepdims=True)
+        base[:, :, 0] = mean[:, 0, :, 0]
+        if 5 < spec.channels:
+            base[:, :, 5] = blocks.std(axis=(1, 3), mean=mean)
+        if 6 < spec.channels:
+            base[:, :, 6] = _block_range(blocks)
+    for channel, field in _gradient_fields(image):
         for spec in cfg.layers:
             if channel < spec.channels:
-                bases[spec.layer_id][:, :, channel] = stat(spec.stride)
-
-    fill(0, lambda s: _block_reduce(image, s, np.mean))
-    fill(5, lambda s: _block_reduce(image, s, np.std))
-    fill(6, lambda s: _block_reduce(image, s, np.max) - _block_reduce(image, s, np.min))
-    for channel, field in _gradient_fields(image):
-        fill(channel, lambda s: _block_reduce(field, s, np.mean))
+                bases[spec.layer_id][:, :, channel] = np.mean(
+                    _blocks(field, spec.stride), axis=(1, 3)
+                )
 
     grids = {}
     for spec in cfg.layers:
@@ -249,50 +277,64 @@ _CHUNK_BYTES = 512 * 1024  # gathered values per pooling chunk; sized to stay in
 
 
 def _pool(
-    pyramid: FeaturePyramid, layer_id: int, boxes, values: np.ndarray, window=()
+    pyramid: FeaturePyramid, layer_id: int, boxes, values: np.ndarray, windowed: bool = False
 ) -> np.ndarray:
     """Bilinearly sample each box's roi x roi window from a layer's cells.
 
-    ``values`` is an (..., H, W, D) array over the layer's grid cells, and
-    ``values[(*window, rows, cols)]`` gathers the D values of the cells at
-    integer rows (n, roi, 1) and columns (n, 1, roi) as a fresh
-    (n, roi, roi, D) array. Returns (N, roi, roi, D). Boxes are blended in
-    chunks of about ``_CHUNK_BYTES`` of gathered values, the four
-    gathered buffers of a chunk in place, and each chunk's result is
-    written straight into the output; every element sees the same
-    operations whatever the chunking.
+    ``values`` is a C-contiguous (H, W, D) array over the layer's grid
+    cells or, if ``windowed``, a (roi, roi, H, W, D) stack of such arrays
+    of which window cell (i, j) samples the (i, j)-th. Returns
+    (N, roi, roi, D). Each bilinear corner is one ``take`` from the flat
+    (cells, D) view of ``values``, at row ``(i * roi + j) * H * W + y * W
+    + x``; a gather only copies, so this equals indexing ``values`` with
+    one index array per axis, at less cost. Boxes are blended in chunks
+    of about ``_CHUNK_BYTES`` of gathered values, in place in the
+    output's rows and two spare buffers, with the operations of
+    ``(v00 (1 - fx) + v01 fx) (1 - fy) + (v10 (1 - fx) + v11 fx) fy`` in
+    that order, so every element sees them whatever the chunking.
     """
     grid_h, grid_w, depth = values.shape[-3:]
+    cells = values.reshape(-1, depth)
     stride = pyramid.strides[layer_id]
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    finite = np.isfinite(boxes).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"box {row} has a non-finite coordinate: {boxes[row].tolist()}")
 
     xs = _sample_axis(boxes[:, 0] / stride, (boxes[:, 0] + boxes[:, 2]) / stride)
     ys = _sample_axis(boxes[:, 1] / stride, (boxes[:, 1] + boxes[:, 3]) / stride)
     x0, x1, fx = _bilinear_axis(xs, grid_w)
     y0, y1, fy = _bilinear_axis(ys, grid_h)
-    y0, y1 = y0[:, :, None], y1[:, :, None]
+    roi = ROI_SIZE
+    window = np.arange(roi * roi).reshape(roi, roi) * (grid_h * grid_w) if windowed else 0
+    y0 = y0[:, :, None] * grid_w + window
+    y1 = y1[:, :, None] * grid_w + window
     x0, x1 = x0[:, None, :], x1[:, None, :]
     fy = fy[:, :, None, None]
     fx = fx[:, None, :, None]
 
-    roi = ROI_SIZE
     out = np.empty((len(boxes), roi, roi, depth), dtype=values.dtype)
     step = max(1, _CHUNK_BYTES // (roi * roi * depth * values.itemsize))
+    spare = np.empty((2, min(step, len(boxes)), roi, roi, depth), dtype=values.dtype)
     for start in range(0, len(boxes), step):
         part = slice(start, start + step)
-        top = values[(*window, y0[part], x0[part])]
+        top = out[part]
+        right, bot = spare[:, : len(top)]
+        # mode="clip" lets take write into ``out`` unbuffered; every row is in range.
+        cells.take(y0[part] + x0[part], axis=0, out=top, mode="clip")
         top *= 1 - fx[part]
-        right = values[(*window, y0[part], x1[part])]
+        cells.take(y0[part] + x1[part], axis=0, out=right, mode="clip")
         right *= fx[part]
         top += right
-        bot = values[(*window, y1[part], x0[part])]
+        cells.take(y1[part] + x0[part], axis=0, out=bot, mode="clip")
         bot *= 1 - fx[part]
-        right = values[(*window, y1[part], x1[part])]
+        cells.take(y1[part] + x1[part], axis=0, out=right, mode="clip")
         right *= fx[part]
         bot += right
         top *= 1 - fy[part]
         bot *= fy[part]
-        np.add(top, bot, out=out[part])
+        top += bot
     return out
 
 
@@ -337,8 +379,7 @@ def roi_pool_project(
     maps = weights.reshape(k * roi * roi, c) @ grid.reshape(c, -1)
     # (roi, roi, H, W, K): maps[i, j] applies the weights of window cell (i, j).
     maps = np.ascontiguousarray(np.moveaxis(maps.reshape(k, roi, roi, grid_h, grid_w), 0, -1))
-    window = (np.arange(roi)[:, None], np.arange(roi)[None, :])
-    return _pool(pyramid, layer_id, boxes, maps, window).sum(axis=(1, 2))
+    return _pool(pyramid, layer_id, boxes, maps, windowed=True).sum(axis=(1, 2))
 
 
 def roi_pool(pyramid: FeaturePyramid, layer_id: int, box: BBox) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._model import _check_shapes, _glorot, _load_params, _sigmoid, _softmax
+from ._model import _check_shapes, _glorot, _layer_dim, _load_params, _sigmoid, _softmax
 from .trajectory import TrajStep
 
 __all__ = [
@@ -132,13 +132,11 @@ def _check_action(action) -> None:
 
 def _as_features(params: PolicyParams, layer_id: int, flat_features) -> np.ndarray:
     """``flat_features`` as a float64 vector of ``layer_id``'s length."""
-    dims = params.cfg.feature_dims
-    if not isinstance(layer_id, (int, np.integer)) or layer_id not in dims:
-        raise ValueError(f"layer {layer_id!r} is not one of {sorted(dims)}")
+    dim = _layer_dim(params.cfg.feature_dims, layer_id)
     flat_features = np.asarray(flat_features, dtype=np.float64)
-    if flat_features.shape != (dims[layer_id],):
+    if flat_features.shape != (dim,):
         raise ValueError(
-            f"layer {layer_id}: expected features of length {dims[layer_id]}, "
+            f"layer {layer_id}: expected features of length {dim}, "
             f"got {flat_features.shape}"
         )
     return flat_features

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import featpyr
-from ._model import _check_shapes, _glorot, _load_params, _sigmoid, _softmax
+from ._model import _check_shapes, _glorot, _layer_dim, _load_params, _sigmoid, _softmax
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
 from .geometry import BBox, boxes_to_array, clip_boxes, decode_regression, encode_regression
@@ -135,10 +135,11 @@ class ProposalModel:
 
     def forward(self, layer_id: int, features: np.ndarray):
         """Map (N, D) features to (logits (N,), offsets (N, 4))."""
+        dim = _layer_dim(self.feature_dims, layer_id)
         features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.feature_dims[layer_id]:
+        if features.ndim != 2 or features.shape[1] != dim:
             raise ValueError(
-                f"layer {layer_id}: expected (N, {self.feature_dims[layer_id]}) features, "
+                f"layer {layer_id}: expected (N, {dim}) features, "
                 f"got {features.shape}"
             )
         out = features @ self.params[f"head{layer_id}/w"].T + self.params[f"head{layer_id}/b"]

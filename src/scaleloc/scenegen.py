@@ -150,7 +150,18 @@ def sample_dataset(cfg: GenConfig, seed: int, id_prefix: str = "scene") -> list[
 
 
 def _background(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    """Smooth clutter field plus fine pixel noise."""
+    """Smooth clutter field plus fine pixel noise.
+
+    The field is a bilinear upsample of a coarse uniform grid, the sum of
+    four corner terms ``coarse[r, c] * wr * wc``. Each term weights the
+    small (rows, coarse columns) array before gathering columns, so
+    ``take(coarse[r] * wr, c) * wc`` is the product of
+    ``coarse[ix_(r, c)] * wr * wc``, in the same order, with one
+    full-resolution multiply fewer. The terms, then level, clutter and
+    noise, are summed in place in two full-resolution buffers in the
+    order of ``LEVEL + AMPLITUDE * field + NOISE * noise``: the same image,
+    bit for bit, with no third full-resolution array.
+    """
     rows, cols = shape
     coarse_r = max(rows // 40, 2)
     coarse_c = max(cols // 40, 2)
@@ -165,14 +176,20 @@ def _background(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     c1 = np.minimum(c0 + 1, coarse_c - 1)
     fr = (ri - r0)[:, None]
     fc = (ci - c0)[None, :]
-    field = (
-        coarse[np.ix_(r0, c0)] * (1 - fr) * (1 - fc)
-        + coarse[np.ix_(r1, c0)] * fr * (1 - fc)
-        + coarse[np.ix_(r0, c1)] * (1 - fr) * fc
-        + coarse[np.ix_(r1, c1)] * fr * fc
-    )
-    noise = rng.normal(0.0, 1.0, size=shape)
-    return BACKGROUND_LEVEL + CLUTTER_AMPLITUDE * field + PIXEL_NOISE * noise
+    field = np.take(coarse[r0] * (1 - fr), c0, axis=1)
+    field *= 1 - fc
+    term = np.empty(shape)
+    for r, c, wr, wc in ((r1, c0, fr, 1 - fc), (r0, c1, 1 - fr, fc), (r1, c1, fr, fc)):
+        # mode="clip" lets take write into ``out`` unbuffered; c is in range.
+        np.take(coarse[r] * wr, c, axis=1, out=term, mode="clip")
+        term *= wc
+        field += term
+    field *= CLUTTER_AMPLITUDE
+    field += BACKGROUND_LEVEL
+    rng.standard_normal(out=term)  # the same draws as normal(0.0, 1.0, shape)
+    term *= PIXEL_NOISE
+    field += term
+    return field
 
 
 def _figure_texture(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -201,7 +218,7 @@ def rasterize(scene: Scene) -> np.ndarray:
         patch = BACKGROUND_LEVEL + CONTRAST + _figure_texture(obj_rng, y1 - y0, x1 - x0)
         img[y0:y1, x0:x1] = patch
 
-    return np.clip(img, 0.0, 1.0)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def _scene_to_record(scene: Scene) -> dict:

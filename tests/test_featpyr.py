@@ -76,9 +76,11 @@ def oracle_build_pyramid(image, cfg):
     return grids
 
 
-def oracle_roi_pool_many(pyramid, layer_id, boxes):
-    """Out-of-place bilinear pooling; the in-place blend must equal it bit for bit."""
-    grid = pyramid.grids[layer_id]
+def oracle_gather_pool(pyramid, layer_id, boxes, values, window=()):
+    """Out-of-place bilinear pooling of ``values``, an (..., H, W, D) array
+    over the layer's cells, gathered with one index array per axis:
+    ``values[(*window, rows, cols)]``. The in-place blend of flat gathers
+    must equal it bit for bit."""
     stride = pyramid.strides[layer_id]
     roi = ROI_SIZE
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
@@ -98,17 +100,36 @@ def oracle_roi_pool_many(pyramid, layer_id, boxes):
 
     xs = sample_axis(boxes[:, 0] / stride, (boxes[:, 0] + boxes[:, 2]) / stride)
     ys = sample_axis(boxes[:, 1] / stride, (boxes[:, 1] + boxes[:, 3]) / stride)
-    _, grid_h, grid_w = grid.shape
+    grid_h, grid_w = values.shape[-3:-1]
     x0, x1, fx = bilinear_axis(xs, grid_w)
     y0, y1, fy = bilinear_axis(ys, grid_h)
     y0b, y1b = y0[:, :, None], y1[:, :, None]
     x0b, x1b = x0[:, None, :], x1[:, None, :]
     fyb = fy[:, :, None, None]
     fxb = fx[:, None, :, None]
-    g = np.moveaxis(grid, 0, -1)
-    top = g[y0b, x0b] * (1 - fxb) + g[y0b, x1b] * fxb
-    bot = g[y1b, x0b] * (1 - fxb) + g[y1b, x1b] * fxb
+    v, w = values, window
+    top = v[(*w, y0b, x0b)] * (1 - fxb) + v[(*w, y0b, x1b)] * fxb
+    bot = v[(*w, y1b, x0b)] * (1 - fxb) + v[(*w, y1b, x1b)] * fxb
     return top * (1 - fyb) + bot * fyb
+
+
+def oracle_roi_pool_many(pyramid, layer_id, boxes):
+    """Out-of-place pooling of the grid; the in-place blend must equal it bit for bit."""
+    grid = np.moveaxis(pyramid.grids[layer_id], 0, -1)
+    return oracle_gather_pool(pyramid, layer_id, boxes, grid)
+
+
+def oracle_roi_pool_project(pyramid, layer_id, boxes, weights):
+    """The projection with each window cell's map gathered by advanced
+    indexing over (window row, window column, row, column)."""
+    grid = pyramid.grids[layer_id]
+    c, grid_h, grid_w = grid.shape
+    roi = ROI_SIZE
+    k = weights.shape[0]
+    maps = weights.reshape(k * roi * roi, c) @ grid.reshape(c, -1)
+    maps = np.ascontiguousarray(np.moveaxis(maps.reshape(k, roi, roi, grid_h, grid_w), 0, -1))
+    window = (np.arange(roi)[:, None], np.arange(roi)[None, :])
+    return oracle_gather_pool(pyramid, layer_id, boxes, maps, window).sum(axis=(1, 2))
 
 
 def random_boxes(rng, n, extent):
@@ -197,6 +218,48 @@ class TestOneShotPyramidAndInPlacePooling:
         want = oracle_build_pyramid(img, CYCLING)
         for layer_id in CYCLING.layer_ids():
             assert np.array_equal(pyr.grids[layer_id], want[layer_id])
+
+    @given(
+        rows=st.integers(2, 70),
+        cols=st.integers(2, 70),
+        stride=st.integers(1, 96),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(rows=2, cols=2, stride=96, ties=False, seed=0)  # one block, mostly padding
+    @example(rows=33, cols=7, stride=8, ties=True, seed=1)  # one block column
+    def test_range_channel_equals_padded_block_max_minus_min(self, rows, cols, stride, ties, seed):
+        """Channel 6 folds each block's rows, then its columns; it must
+        equal np.max - np.min over the edge-padded blocks, strides larger
+        than the extent included."""
+        rng = np.random.default_rng(seed)
+        # Half-integer values in [-1.5, 1.5] tie often within a block.
+        img = rng.integers(-3, 4, size=(rows, cols)) * 0.5 if ties else rng.normal(size=(rows, cols))
+        pyr = build_pyramid(img, PyramidConfig(layers=(LayerSpec(3, stride, 7),)))
+        want = _oracle_block_reduce(img, stride, np.max) - _oracle_block_reduce(img, stride, np.min)
+        assert pyr.grids[3][6].tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_peak_memory_is_a_few_images(self):
+        """At 640x480 the desk build holds at most 3.5 images' worth of
+        buffers at once: the gradient pair, one reused field and the
+        std's deviations. Separate fields and sums held over five."""
+        img = np.random.default_rng(34).uniform(0, 1, size=(480, 640))
+        tracemalloc.start()
+        try:
+            build_pyramid(img, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * img.nbytes, peak / img.nbytes
+
+    @pytest.mark.parametrize("shape", [(1, 40), (40, 1), (1, 1)])
+    def test_image_needs_two_samples_per_axis(self, shape):
+        # np.gradient used to fail with "Shape of array too small".
+        message = rf"image of shape \({shape[0]}, {shape[1]}\) is too small: need at least 2 x 2"
+        with pytest.raises(ValueError, match=message):
+            build_pyramid(np.zeros(shape), CFG)
+        assert build_pyramid(np.zeros((2, 2)), CFG).grids[3].shape == (8, 1, 1)
 
     @pytest.mark.parametrize("shape", [(64, 96), (50, 70), (33, 17)])
     def test_roi_pool_many_equals_out_of_place_oracle(self, shape):
@@ -296,6 +359,23 @@ class TestRoiPoolProject:
         grid = rng.uniform(-1, 1, size=grid_shape)
         pyr = single_layer_pyramid(grid, stride, extent)
         self.check(pyr, 3, random_boxes(rng, 50, extent), 3, rng)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "grid_shape,stride,extent",
+        [((5, 7, 9), 8, (70, 50)), ((3, 1, 4), 16, (49, 3)), ((2, 5, 1), 4, (3, 20))],
+        ids=["ragged", "one-row", "one-column"],
+    )
+    def test_windowed_gather_equals_advanced_indexing_oracle(self, grid_shape, stride, extent, k):
+        """Gathering rows of the flat (window, cell) maps is the same
+        gather as indexing the maps by window row, window column, row and
+        column, bit for bit."""
+        rng = np.random.default_rng(grid_shape[0] * 10 + k)
+        pyr = single_layer_pyramid(rng.uniform(-1, 1, size=grid_shape), stride, extent)
+        boxes = random_boxes(rng, 70, extent)
+        weights = rng.normal(size=(k, ROI_SIZE * ROI_SIZE * grid_shape[0]))
+        got = roi_pool_project(pyr, 3, boxes, weights)
+        assert got.tobytes() == oracle_roi_pool_project(pyr, 3, boxes, weights).tobytes()
 
     def test_boxes_narrower_than_the_window(self):
         rng = np.random.default_rng(23)
@@ -477,6 +557,18 @@ class TestRoiPool:
         for i, b in enumerate(boxes):
             np.testing.assert_allclose(batch[i], roi_pool(pyr, 3, b), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_non_finite_box_rejected(self, bad, column):
+        # A NaN coordinate used to reach an IndexError from a cast index.
+        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        boxes = np.array([[0, 0, 8, 8], [4, 4, 8, 8], [1, 1, 2, 2]], dtype=np.float64)
+        boxes[1, column] = bad
+        with pytest.raises(ValueError, match="box 1 has a non-finite coordinate"):
+            roi_pool_many(pyr, 3, boxes)
+        with pytest.raises(ValueError, match="box 1 has a non-finite coordinate"):
+            roi_pool_project(pyr, 3, boxes, np.zeros((1, 32)))
+
     def test_unknown_layer(self):
         pyr = single_layer_pyramid(np.zeros((1, 4, 4)))
         with pytest.raises(KeyError):
@@ -549,6 +641,24 @@ class TestFeaturePyramidChecks:
             extent=(np.int64(70), np.int64(50)), strides={3: 8}, grids={3: np.zeros((2, 7, 9))}
         )
         assert pyr.extent == (70, 50)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32])
+    def test_other_real_grids_are_stored_as_float64(self, dtype):
+        # An int64 grid used to be kept, and pooling on it to fail with a
+        # UFuncTypeError in the in-place blend.
+        grid = np.arange(2 * 7 * 9).reshape(2, 7, 9).astype(dtype)
+        pyr = FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: grid})
+        assert pyr.grids[3].dtype == np.float64
+        assert np.moveaxis(pyr.grids[3], 0, -1).flags.c_contiguous
+        boxes = random_boxes(np.random.default_rng(35), 12, (70, 50))
+        want = single_layer_pyramid(grid.astype(np.float64), 8, (70, 50))
+        assert np.array_equal(roi_pool_many(pyr, 3, boxes), roi_pool_many(want, 3, boxes))
+
+    @pytest.mark.parametrize("dtype", [bool, complex, object, "U1"])
+    def test_non_real_grid_rejected(self, dtype):
+        grid = np.zeros((2, 7, 9), dtype=dtype)
+        with pytest.raises(FeatureShapeError, match=f"layer 3: grid holds {np.dtype(dtype)}, not real"):
+            FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: grid})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_grid_rejected(self, bad):

@@ -478,6 +478,29 @@ class TestTrainedLossOracle:
         assert loss == pytest.approx(expect, rel=0, abs=1e-12)
 
 
+class TestForward:
+    @pytest.mark.parametrize("layer_id", [7, 3.0, "3", None])
+    def test_unknown_layer_names_the_models_layers(self, layer_id):
+        # Layer 7 used to fail with a bare KeyError: 7.
+        model = ProposalModel.init(TINY_PYR, seed=2)
+        with pytest.raises(ValueError, match=rf"layer {layer_id!r} is not one of \[3, 4, 5\]"):
+            model.forward(layer_id, np.zeros((2, model.feature_dims[3])))
+
+    def test_loaded_model_knows_only_its_heads(self):
+        params = ProposalModel.init(TINY_PYR, seed=2).params
+        del params["head4/w"], params["head4/b"]
+        model = ProposalModel.from_arrays(params)
+        logits, offsets = model.forward(np.int64(5), np.zeros((2, 32)))
+        assert logits.shape == (2,) and offsets.shape == (2, 4)
+        with pytest.raises(ValueError, match=r"layer 4 is not one of \[3, 5\]"):
+            model.forward(4, np.zeros((2, 48)))
+
+    def test_feature_width_checked_per_layer(self):
+        model = ProposalModel.init(TINY_PYR, seed=2)
+        with pytest.raises(ValueError, match=r"layer 4: expected \(N, 48\) features, got \(2, 32\)"):
+            model.forward(4, np.zeros((2, 32)))
+
+
 def records(boxes, scores, layer_ids) -> list[ScoredBox]:
     """One record per row, the form scoring returned before it moved to arrays."""
     return [

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from scaleloc.geometry import BBox
 from scaleloc.scenegen import (
     ASPECT_BAND,
     BACKGROUND_LEVEL,
+    CLUTTER_AMPLITUDE,
     CONTRAST,
+    PIXEL_NOISE,
     DatasetFormatError,
     GenConfig,
     GroundTruth,
@@ -20,9 +23,36 @@ from scaleloc.scenegen import (
     sample_dataset,
     write_dataset,
 )
+from scaleloc.scenegen import _background
 
 
 SMALL = GenConfig(scenes=20, extent=(160, 120), objects_min=1, objects_max=4)
+
+
+def oracle_background(rng, shape):
+    """The out-of-place background: gather the four corners at full
+    resolution, then weight and sum them. The in-place one must equal it
+    bit for bit."""
+    rows, cols = shape
+    coarse_r = max(rows // 40, 2)
+    coarse_c = max(cols // 40, 2)
+    coarse = rng.uniform(-1.0, 1.0, size=(coarse_r, coarse_c))
+    ri = np.linspace(0, coarse_r - 1, rows)
+    ci = np.linspace(0, coarse_c - 1, cols)
+    r0 = np.floor(ri).astype(int)
+    c0 = np.floor(ci).astype(int)
+    r1 = np.minimum(r0 + 1, coarse_r - 1)
+    c1 = np.minimum(c0 + 1, coarse_c - 1)
+    fr = (ri - r0)[:, None]
+    fc = (ci - c0)[None, :]
+    field = (
+        coarse[np.ix_(r0, c0)] * (1 - fr) * (1 - fc)
+        + coarse[np.ix_(r1, c0)] * fr * (1 - fc)
+        + coarse[np.ix_(r0, c1)] * (1 - fr) * fc
+        + coarse[np.ix_(r1, c1)] * fr * fc
+    )
+    noise = rng.normal(0.0, 1.0, size=shape)
+    return BACKGROUND_LEVEL + CLUTTER_AMPLITUDE * field + PIXEL_NOISE * noise
 
 
 class TestSampling:
@@ -138,6 +168,32 @@ class TestRasterize:
             mask[int(round(b.y)) : int(round(b.y2)), int(round(b.x)) : int(round(b.x2))] = True
         diff = img[mask].mean() - img[~mask].mean()
         assert diff == pytest.approx(CONTRAST, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "shape", [(480, 640), (61, 97), (41, 39), (1, 1)], ids=["640x480", "97x61", "39x41", "1x1"]
+    )
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_background_equals_out_of_place_oracle(self, shape, seed):
+        # 39x41 has the smallest coarse grid, 2 x 2; 1x1 has one sample per axis.
+        got = _background(np.random.default_rng(seed), shape)
+        want = oracle_background(np.random.default_rng(seed), shape)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_a_few_images(self):
+        """At 640x480 rasterize holds at most 3.5 images' worth of
+        full-resolution buffers at once; the out-of-place background and
+        clip held over four."""
+        scene = sample_dataset(GenConfig(scenes=1, objects_min=6, objects_max=6), seed=2)[0]
+        image_bytes = 480 * 640 * 8
+        tracemalloc.start()
+        try:
+            img = rasterize(scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.nbytes == image_bytes
+        assert peak <= 3.5 * image_bytes, peak / image_bytes
 
     def test_values_clipped_to_unit_interval(self):
         scene = sample_dataset(SMALL, seed=12)[0]
