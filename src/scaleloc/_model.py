@@ -1,7 +1,7 @@
 """Helpers both model stages share: the checkpoint loader, the parameter
-shape check, the layer lookup, Glorot initialization and the sigmoid and
-softmax. A checkpoint is a model's ``params``, as
-``np.savez(path, **model.params)`` writes it."""
+shape check, the layer lookup (which RoI pooling uses too), Glorot
+initialization and the sigmoid and softmax. A checkpoint is a model's
+``params``, as ``np.savez(path, **model.params)`` writes it."""
 
 from __future__ import annotations
 
@@ -44,12 +44,12 @@ def _check_shapes(want: dict[str, tuple], params: dict[str, np.ndarray]) -> None
             raise ValueError(f"{name}: expected shape {shape}, got {params[name].shape}")
 
 
-def _layer_dim(dims: dict[int, int], layer_id) -> int:
-    """The feature dim of ``layer_id``; a ``ValueError`` naming the
-    model's layers if it has none."""
-    if not isinstance(layer_id, (int, np.integer)) or layer_id not in dims:
-        raise ValueError(f"layer {layer_id!r} is not one of {sorted(dims)}")
-    return dims[layer_id]
+def _of_layer(by_layer: dict, layer_id):
+    """The entry of ``layer_id`` in a dict keyed by layer id; a
+    ``ValueError`` naming the dict's layers if it has none."""
+    if not isinstance(layer_id, (int, np.integer)) or layer_id not in by_layer:
+        raise ValueError(f"layer {layer_id!r} is not one of {sorted(by_layer)}")
+    return by_layer[layer_id]
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:

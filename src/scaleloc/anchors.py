@@ -143,11 +143,18 @@ def sample_minibatch_indices(
     uniformly when ``scores`` is None (first pass) and as the
     highest-scoring (hardest) ones afterwards. The negative quota is
     gamma times the positives actually taken, or gamma times
-    ``pos_count`` when the image has no positives at all.
+    ``pos_count`` when the image has no positives at all. ``pos_count``
+    and ``gamma`` are integers of at least 1, and ``scores`` has one
+    entry per label.
     """
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
+    for name, value in (("pos_count", pos_count), ("gamma", gamma)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     labels = np.asarray(labels)
+    if scores is not None and np.shape(scores) != labels.shape:
+        raise ValueError(
+            f"scores of shape {np.shape(scores)} do not match labels of shape {labels.shape}"
+        )
     pos_idx = np.flatnonzero(labels == POSITIVE)
     neg_idx = np.flatnonzero(labels == NEGATIVE)
 

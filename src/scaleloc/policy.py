@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._model import _check_shapes, _glorot, _layer_dim, _load_params, _sigmoid, _softmax
+from ._model import _check_shapes, _glorot, _load_params, _of_layer, _sigmoid, _softmax
 from .trajectory import TrajStep
 
 __all__ = [
@@ -132,7 +132,7 @@ def _check_action(action) -> None:
 
 def _as_features(params: PolicyParams, layer_id: int, flat_features) -> np.ndarray:
     """``flat_features`` as a float64 vector of ``layer_id``'s length."""
-    dim = _layer_dim(params.cfg.feature_dims, layer_id)
+    dim = _of_layer(params.cfg.feature_dims, layer_id)
     flat_features = np.asarray(flat_features, dtype=np.float64)
     if flat_features.shape != (dim,):
         raise ValueError(

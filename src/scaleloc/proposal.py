@@ -29,7 +29,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import featpyr
-from ._model import _check_shapes, _glorot, _layer_dim, _load_params, _sigmoid, _softmax
+from ._model import _check_shapes, _glorot, _load_params, _of_layer, _sigmoid, _softmax
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
 from .geometry import BBox, boxes_to_array, clip_boxes, decode_regression, encode_regression
@@ -135,7 +135,7 @@ class ProposalModel:
 
     def forward(self, layer_id: int, features: np.ndarray):
         """Map (N, D) features to (logits (N,), offsets (N, 4))."""
-        dim = _layer_dim(self.feature_dims, layer_id)
+        dim = _of_layer(self.feature_dims, layer_id)
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != dim:
             raise ValueError(

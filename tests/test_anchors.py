@@ -303,3 +303,34 @@ class TestMinibatch:
         labels = self.build(n_pos=2, n_neg=10)
         with pytest.raises(ValueError):
             self.sample(labels, np.random.default_rng(0), gamma=0)
+
+    @pytest.mark.parametrize("gamma", [2.5, 3.0, "3", None])
+    def test_non_integer_gamma_rejected(self, gamma):
+        # 2.5 used to reach a TypeError from NumPy's choice.
+        labels = self.build(n_pos=2, n_neg=10)
+        with pytest.raises(ValueError, match="gamma must be an integer of at least 1"):
+            self.sample(labels, np.random.default_rng(0), gamma=gamma)
+
+    @pytest.mark.parametrize("pos_count", [0, -1, 2.5])
+    def test_pos_count_below_one_rejected(self, pos_count):
+        # -1 used to reach "negative dimensions are not allowed".
+        labels = self.build(n_pos=2, n_neg=10)
+        with pytest.raises(ValueError, match="pos_count must be an integer of at least 1"):
+            self.sample(labels, np.random.default_rng(0), pos_count=pos_count)
+
+    @pytest.mark.parametrize("extra", [-1, 1, 4], ids=["short", "long", "longer"])
+    def test_scores_must_match_the_labels(self, extra):
+        # A short array used to raise IndexError; a long one was read at
+        # misaligned indices.
+        labels = self.build(n_pos=2, n_neg=10)
+        scores = np.zeros(len(labels) + extra)
+        with pytest.raises(ValueError, match=r"scores of shape \(\d+,\) do not match labels"):
+            sample_minibatch_indices(labels, scores, np.random.default_rng(0), 32, 3)
+
+    def test_numpy_integer_counts_and_matching_scores_accepted(self):
+        labels = self.build(n_pos=2, n_neg=10)
+        scores = np.linspace(0, 1, len(labels))
+        pos, neg = sample_minibatch_indices(
+            labels, scores, np.random.default_rng(0), np.int64(1), np.int32(3)
+        )
+        assert len(pos) == 1 and len(neg) == 3

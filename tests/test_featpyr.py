@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scaleloc import featpyr
+from scaleloc.anchors import generate_anchors
 from scaleloc.featpyr import (
     _CHUNK_BYTES,
+    _SHARED_MIN_BYTES,
     ROI_SIZE,
     FeaturePyramid,
     FeatureShapeError,
@@ -18,6 +21,7 @@ from scaleloc.featpyr import (
     roi_pool_project,
 )
 from scaleloc.geometry import BBox, boxes_to_array
+from scaleloc.proposal import LayerWeightConfig
 
 
 CFG = PyramidConfig()
@@ -332,6 +336,161 @@ class TestChannelLastChunkedPooling:
         assert peak <= bound, (peak - out.nbytes) / _CHUNK_BYTES
 
 
+def lattice_anchors(extent, stride, height, clipped=True):
+    """One anchor per cell of a layer at ``stride``, as scoring pools
+    them: clipped to the image, or as generated, sticking out of it."""
+    cfg = PyramidConfig(layers=(LayerSpec(3, stride, 1),))
+    anchors = generate_anchors(cfg, extent, {3: height})
+    return anchors.clipped if clipped else anchors.boxes
+
+
+def random_grid_pyramid(rng, channels, stride, extent):
+    width, height = extent
+    grid = rng.uniform(-1, 1, size=(channels, -(-height // stride), -(-width // stride)))
+    return single_layer_pyramid(grid, stride, extent)
+
+
+def boxes_of_kind(kind, rng, extent, stride, height, limit):
+    """At most ``limit`` boxes of one kind: a run of consecutive lattice
+    anchors, clipped or not; random boxes, alone, each repeated up to
+    four times, or mixed with anchors; or a column of boxes that share
+    their x-samples and nothing else."""
+    if kind in ("anchors", "unclipped", "mixed"):
+        anchors = lattice_anchors(extent, stride, height, clipped=kind != "unclipped")
+        start = int(rng.integers(0, max(1, len(anchors) - limit + 1)))
+        boxes = anchors[start : start + limit]
+        if kind == "mixed":
+            extra = random_boxes(rng, len(boxes) // 3, extent)
+            boxes = rng.permutation(np.concatenate([boxes, extra]))
+        return boxes[:limit]
+    if kind == "duplicates":
+        boxes = random_boxes(rng, max(1, limit // 3), extent)
+        return rng.permutation(np.repeat(boxes, rng.integers(1, 5, len(boxes)), axis=0))[:limit]
+    if kind == "column":
+        boxes = random_boxes(rng, limit, extent)
+        boxes[:, [0, 2]] = boxes[:1, [0, 2]]
+        return boxes
+    return random_boxes(rng, limit, extent)
+
+
+def record_shared_blends(monkeypatch):
+    """Replace ``featpyr._blend_shared`` with a wrapper that records, per
+    group, whether the shared blend ran (True) or gave way (False)."""
+    results, real = [], featpyr._blend_shared
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(featpyr, "_blend_shared", spy)
+    return results
+
+
+class TestSharedSamples:
+    """A large ``roi_pool_many`` call whose x-samples repeat blends each
+    distinct sample of a group of boxes once. Whichever blend runs, the
+    output equals the out-of-place oracle bit for bit."""
+
+    @given(
+        extent=st.tuples(st.integers(24, 320), st.integers(24, 240)),
+        stride=st.sampled_from([4, 8, 16, 32]),
+        cells_high=st.floats(0.5, 12),
+        # Per box: 384 B, 5 KiB, 40 KiB and 125 KiB of output; the shared
+        # blend needs _SHARED_MIN_BYTES (1 MiB) in the call.
+        channels=st.sampled_from([3, 40, 320, 1000]),
+        kind=st.sampled_from(["anchors", "unclipped", "mixed", "duplicates", "column", "random"]),
+        limit=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(
+        extent=(64, 48), stride=8, cells_high=5.0, channels=320, kind="anchors", limit=0, seed=0
+    )
+    @example(
+        extent=(64, 48), stride=8, cells_high=5.0, channels=320, kind="anchors", limit=1, seed=0
+    )
+    def test_equals_oracle_whichever_blend_runs(
+        self, extent, stride, cells_high, channels, kind, limit, seed
+    ):
+        rng = np.random.default_rng(seed)
+        pyr = random_grid_pyramid(rng, channels, stride, extent)
+        # At most 4 MiB of output: the oracle holds several copies.
+        limit = min(limit, 4 * 2**20 // (ROI_SIZE * ROI_SIZE * channels * 8))
+        boxes = boxes_of_kind(kind, rng, extent, stride, cells_high * stride, limit)
+        got = roi_pool_many(pyr, 3, boxes)
+        assert got.shape == (len(boxes), ROI_SIZE, ROI_SIZE, channels)
+        assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
+        weights = rng.normal(size=(2, ROI_SIZE * ROI_SIZE * channels))
+        got = roi_pool_project(pyr, 3, boxes, weights)
+        assert got.tobytes() == oracle_roi_pool_project(pyr, 3, boxes, weights).tobytes()
+
+    @pytest.mark.parametrize("stride,channels", [(8, 256), (16, 512), (32, 1024)])
+    def test_full_size_anchor_layers_share_in_groups(self, monkeypatch, stride, channels):
+        """Anchors of a 640 x 480 layer at full-size channels, about
+        2.3 groups' worth in one call, each group blended through its
+        table."""
+        shared = record_shared_blends(monkeypatch)
+        rng = np.random.default_rng(stride)
+        pyr = random_grid_pyramid(rng, channels, stride, (640, 480))
+        boxes = lattice_anchors((640, 480), stride, stride * 5.0)[: 600 * 256 // channels]
+        got = roi_pool_many(pyr, 3, boxes)
+        assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
+        assert shared and all(shared)
+        assert len(shared) == -(-got.nbytes // featpyr._GROUP_BYTES)
+
+    def test_a_group_that_shares_too_little_is_blended_directly(self, monkeypatch):
+        shared = record_shared_blends(monkeypatch)
+        rng = np.random.default_rng(41)
+        pyr = random_grid_pyramid(rng, 256, 8, (640, 480))
+        boxes = boxes_of_kind("column", rng, (640, 480), 8, 40.0, 300)
+        got = roi_pool_many(pyr, 3, boxes)
+        assert shared == [False, False]
+        assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
+
+    def test_only_large_calls_with_repeated_x_samples_share(self, monkeypatch):
+        shared = record_shared_blends(monkeypatch)
+        rng = np.random.default_rng(42)
+        wide = random_grid_pyramid(rng, 256, 8, (640, 480))
+        narrow = random_grid_pyramid(rng, 8, 8, (640, 480))
+        anchors = lattice_anchors((640, 480), 8, 40.0)[:256]
+        crossover = _SHARED_MIN_BYTES // (ROI_SIZE * ROI_SIZE * 256 * 8)  # boxes at 256 channels
+        # Below the crossover: a single box, a desk-width minibatch and a
+        # few wide boxes; then random boxes, whose x-samples do not
+        # repeat, and the windowed projection maps.
+        roi_pool_many(wide, 3, anchors[:1])
+        roi_pool_many(narrow, 3, anchors[:128])
+        roi_pool_many(wide, 3, anchors[: crossover - 1])
+        roi_pool_many(wide, 3, random_boxes(rng, 256, (640, 480)))
+        roi_pool_project(wide, 3, anchors, rng.normal(size=(1, ROI_SIZE * ROI_SIZE * 256)))
+        assert shared == []
+        roi_pool_many(wide, 3, anchors[:crossover])
+        roi_pool_many(wide, 3, anchors)
+        assert shared == [True, True]
+
+    @pytest.mark.parametrize("case", ["anchor-block", "random-boxes", "repeated-boxes"])
+    def test_peak_memory_is_the_output_plus_a_few_chunks(self, case):
+        """A full 8 MiB scoring block of layer-3 anchors at 256 channels,
+        and 4,000 random boxes, alone or repeated, at 128 channels."""
+        rng = np.random.default_rng(43)
+        if case == "anchor-block":
+            pyr = random_grid_pyramid(rng, 256, 8, (640, 480))
+            height = LayerWeightConfig().base_heights()[3]
+            boxes = lattice_anchors((640, 480), 8, height)[: 8 * 2**20 // (ROI_SIZE**2 * 256 * 8)]
+        else:
+            pyr = random_grid_pyramid(rng, 128, 8, (640, 480))
+            boxes = random_boxes(rng, 1000 if case == "repeated-boxes" else 4000, pyr.extent)
+            if case == "repeated-boxes":
+                boxes = np.repeat(boxes, 4, axis=0)
+        tracemalloc.start()
+        try:
+            out = roi_pool_many(pyr, 3, boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes >= 8 * 2**20
+        assert peak <= out.nbytes + 8 * _CHUNK_BYTES, (peak - out.nbytes) / _CHUNK_BYTES
+
+
 class TestRoiPoolProject:
     @staticmethod
     def check(pyr, layer_id, boxes, k, rng):
@@ -387,7 +546,7 @@ class TestRoiPoolProject:
         pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
         with pytest.raises(ValueError, match="weights"):
             roi_pool_project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros((1, 31)))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"layer 9 is not one of \[3\]"):
             roi_pool_project(pyr, 9, np.array([[0, 0, 8, 8]]), np.zeros((1, 32)))
 
     @pytest.mark.parametrize(
@@ -571,8 +730,10 @@ class TestRoiPool:
 
     def test_unknown_layer(self):
         pyr = single_layer_pyramid(np.zeros((1, 4, 4)))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"layer 9 is not one of \[3\]"):
             roi_pool(pyr, 9, BBox(0, 0, 4, 4))
+        with pytest.raises(ValueError, match=r"layer 9 is not one of \[3\]"):
+            roi_pool_many(pyr, 9, np.array([[0, 0, 4, 4]]))
 
 
 

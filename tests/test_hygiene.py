@@ -312,3 +312,64 @@ def test_parameter_check_flags_a_knob_left_behind():
     assert unread_parameters(tree) == [
         "label(extent)", "label(args)", "method(y)", "<lambda>(b)",
     ]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree):
+    """Reads of the process environment: ``os.environ`` or ``os.getenv``
+    (or their bytes forms) through any name bound to ``os``, or imported
+    from ``os`` by name."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(
+                a.asname or "os" for a in node.names
+                if a.name == "os" or (a.asname is None and a.name.startswith("os."))
+            )
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                (node.lineno, f"from os import {a.name}")
+                for a in node.names if a.name in ENVIRONMENT | {"*"}
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    """Behaviour follows from arguments and inputs, never from an
+    environment variable, so no switch can arrive that way."""
+    reads = environment_reads(parse(path))
+    assert not reads, f"{path.name}: reads the environment at {reads}"
+
+
+def test_environment_check_flags_every_spelling():
+    tree = ast.parse(
+        "import os\n"
+        "import os as system\n"
+        "import os.path\n"
+        "from os import getenv, path\n"
+        "from os import *\n"
+        "a = os.environ.get('POOL')\n"
+        "b = system.getenv('POOL')\n"
+        "c = os.environb\n"
+        "d = path.join('a', 'b')\n"
+        "e = other.environ\n"
+    )
+    assert environment_reads(tree) == [
+        "line 4: from os import getenv",
+        "line 5: from os import *",
+        "line 6: os.environ",
+        "line 7: system.getenv",
+        "line 8: os.environb",
+    ]
