@@ -26,12 +26,13 @@ buffers.
 
 Boxes on a lattice, as anchors are, visit the same sample points again
 and again: layer 3's 4,800 anchors at 640 x 480 sample 11,748 distinct
-points out of 76,800. So a large ``roi_pool_many`` call whose x-samples
-repeat blends each distinct horizontal pair of cells once, then each
-distinct sample once, and gathers the boxes' rows from that table. The
-calls that would share little keep the direct blend, which blends every
-box's samples on their own: single policy boxes, desk-width training
-minibatches, boxes whose x-samples rarely repeat, and
+points out of 76,800. So a ``roi_pool_many`` call with at least 1 MiB of
+output takes its boxes in groups, and in each group blends each distinct
+horizontal pair of cells once, then each distinct sample once, and
+gathers the boxes' rows from that table. A group whose samples rarely
+repeat, as random boxes' do, gives way to the direct blend, which blends
+every box's samples on their own. Smaller calls keep the direct blend:
+single policy boxes and desk-width training minibatches; so do
 ``roi_pool_project``'s windowed maps, which share nothing by
 construction. Both blends give the same bits.
 """
@@ -281,8 +282,8 @@ def _bilinear_axis(coords: np.ndarray, size: int):
 
 _CHUNK_BYTES = 512 * 1024  # gathered values per pooling chunk; sized to stay in L2
 _GROUP_BYTES = 16 * _CHUNK_BYTES  # output per group of boxes whose samples are shared
+_GROUP_SAMPLES = 32 * 1024  # samples per group at most; each holds about 48 B of sort indices
 _SHARED_MIN_BYTES = 2 * _CHUNK_BYTES  # smallest output worth sorting samples for
-_SHARED_X_DISTINCT = 0.5  # largest share of distinct x-samples worth sorting for
 
 
 def _lerp(table, lo, hi, frac, out, spare) -> None:
@@ -344,11 +345,20 @@ def _blend_shared(cells, grid_w, x_axis, x_of, y_axis, y_of, out) -> bool:
     so each table row is the value that the direct blend computes for
     every sample mapped to it.
 
+    Blending rows first is faster than blending each distinct sample
+    from its four corners, because adjacent y-samples share cell rows:
+    on one full-size 640 x 480 scene's 31 scoring calls, 84 against
+    108 ms (median of 18 runs each, 2-vCPU Xeon, one BLAS thread).
+
     The horizontal blends and a spare chunk live in ``out``'s rows until
-    the samples are gathered into them, so besides ``out`` the group
-    holds only the sample table. Returns False, having written nothing,
-    when the samples would take more than half of ``out`` or the blends
-    would not fit in it: then the group shares too little to pay.
+    the samples are gathered into them. So besides ``out`` the group
+    holds its sample table, under half of ``out``, and the index arrays
+    of the two ``np.unique`` calls: about 48 B per sample whatever the
+    channel count, which at desk channels outweighs a 64 B sample row.
+    Returns False, having written nothing, when the distinct samples
+    would fill half of ``out`` or more: then the group shares too little
+    to pay. Otherwise the horizontal blends, at most two per sample, fit
+    in ``out`` with room to spare.
     """
     roi = ROI_SIZE
     x0, x1, fx = x_axis
@@ -357,13 +367,13 @@ def _blend_shared(cells, grid_w, x_axis, x_of, y_axis, y_of, out) -> bool:
     pairs, sample_of = np.unique(
         y_of.reshape(-1, roi, 1) * n_x + x_of.reshape(-1, 1, roi), return_inverse=True
     )
+    flat = out.reshape(-1, out.shape[-1])
+    if 2 * len(pairs) >= len(flat):
+        return False
     sy, sx = np.divmod(pairs, n_x)
     row_x, blend_of = np.unique(
         np.concatenate([y0[sy] * n_x + sx, y1[sy] * n_x + sx]), return_inverse=True
     )
-    flat = out.reshape(-1, out.shape[-1])
-    if 2 * len(pairs) > len(flat) or len(row_x) >= len(flat):
-        return False
     row, bx = np.divmod(row_x, n_x)
     step = max(1, _CHUNK_BYTES // flat[0].nbytes)
     blends, spare = flat[: len(row_x)], flat[len(row_x) : len(row_x) + step]
@@ -405,20 +415,17 @@ def _pool(
     out = np.empty((len(boxes), roi, roi, depth), dtype=values.dtype)
     if not windowed and out.nbytes >= _SHARED_MIN_BYTES:
         x_values, x_of = np.unique(xs, return_inverse=True)
-        if len(x_values) <= _SHARED_X_DISTINCT * xs.size:
-            y_values, y_of = np.unique(ys, return_inverse=True)
-            x_axis = _bilinear_axis(x_values, grid_w)
-            y_axis = _bilinear_axis(y_values, grid_h)
-            x_of, y_of = x_of.reshape(xs.shape), y_of.reshape(ys.shape)
-            step = max(1, _GROUP_BYTES // out[0].nbytes)
-            for start in range(0, len(boxes), step):
-                part = slice(start, start + step)
-                group = out[part]
-                if not _blend_shared(
-                    cells, grid_w, x_axis, x_of[part], y_axis, y_of[part], group
-                ):
-                    _blend_direct(cells, grid_h, grid_w, xs[part], ys[part], group, False)
-            return out
+        y_values, y_of = np.unique(ys, return_inverse=True)
+        x_axis = _bilinear_axis(x_values, grid_w)
+        y_axis = _bilinear_axis(y_values, grid_h)
+        x_of, y_of = x_of.reshape(xs.shape), y_of.reshape(ys.shape)
+        step = max(1, min(_GROUP_BYTES // out[0].nbytes, _GROUP_SAMPLES // (roi * roi)))
+        for start in range(0, len(boxes), step):
+            part = slice(start, start + step)
+            group = out[part]
+            if not _blend_shared(cells, grid_w, x_axis, x_of[part], y_axis, y_of[part], group):
+                _blend_direct(cells, grid_h, grid_w, xs[part], ys[part], group, False)
+        return out
     _blend_direct(cells, grid_h, grid_w, xs, ys, out, windowed)
     return out
 
@@ -430,16 +437,22 @@ def roi_pool_many(
 
     The grid's channel-last memory makes each sample's C values one
     contiguous read. A call whose output holds at least
-    ``_SHARED_MIN_BYTES`` (1 MiB), and whose distinct x-samples are at
-    most half of all its x-samples, shares samples: per group of boxes
-    with ``_GROUP_BYTES`` (8 MiB) of output, it blends each distinct
-    sample once and gathers the boxes' rows from that table. A group
-    whose distinct samples fill more than half its output shares too
+    ``_SHARED_MIN_BYTES`` (1 MiB) shares samples: per group of boxes
+    with at most ``_GROUP_BYTES`` (8 MiB) of output and
+    ``_GROUP_SAMPLES`` (32,768) samples, it blends each distinct sample
+    once and gathers the boxes' rows from that table. A group whose
+    distinct samples would fill half its output or more shares too
     little and is blended directly. Every other call blends each box's
     samples directly, in chunks of about ``_CHUNK_BYTES``. Either way
     the values are the same bits, and peak memory is the output plus a
-    few chunks, or plus the sample table of one group (at most half its
-    output; about 3 MiB on an 8 MiB block of anchors).
+    few chunks. A shared group adds its sample table, under half its
+    output (1-3 MiB on the 8 MiB blocks of full-size anchors), and its
+    sort indices, which scale with its samples and not with channels:
+    about 48 B each, so at most about 1.5 MiB. The sample cap matters
+    only at desk channels, where a layer-3 block of 4,800 anchors would
+    otherwise hold 3.7 MiB of indices beside 4.7 MiB of output. Cut into
+    groups of 2,048 boxes, that block took 8.0 ms against 7.7 ms whole
+    and 11.4 ms blended directly (median of 30 calls).
 
     The 1 MiB rule is the measured crossover. On consecutive 640 x 480
     anchors at the full-size channels (2-vCPU Xeon, one BLAS thread,

@@ -387,9 +387,10 @@ def record_shared_blends(monkeypatch):
 
 
 class TestSharedSamples:
-    """A large ``roi_pool_many`` call whose x-samples repeat blends each
-    distinct sample of a group of boxes once. Whichever blend runs, the
-    output equals the out-of-place oracle bit for bit."""
+    """A ``roi_pool_many`` call with at least 1 MiB of output blends each
+    distinct sample of a group of boxes once, unless the group shares too
+    little. Whichever blend runs, the output equals the out-of-place
+    oracle bit for bit."""
 
     @given(
         extent=st.tuples(st.integers(24, 320), st.integers(24, 240)),
@@ -424,19 +425,25 @@ class TestSharedSamples:
         got = roi_pool_project(pyr, 3, boxes, weights)
         assert got.tobytes() == oracle_roi_pool_project(pyr, 3, boxes, weights).tobytes()
 
-    @pytest.mark.parametrize("stride,channels", [(8, 256), (16, 512), (32, 1024)])
-    def test_full_size_anchor_layers_share_in_groups(self, monkeypatch, stride, channels):
-        """Anchors of a 640 x 480 layer at full-size channels, about
-        2.3 groups' worth in one call, each group blended through its
-        table."""
+    @pytest.mark.parametrize(
+        "stride,channels,count", [(8, 256, 600), (16, 512, 300), (32, 1024, 150), (8, 8, 4800)]
+    )
+    def test_anchor_layers_share_in_groups(self, monkeypatch, stride, channels, count):
+        """Anchors of a 640 x 480 layer, each group blended through its
+        table. At full-size channels about 2.3 groups of 8 MiB; at 8
+        channels, all 4,800 layer-3 anchors hold 4.7 MiB of output but
+        76,800 samples, so groups stop at ``_GROUP_SAMPLES``."""
         shared = record_shared_blends(monkeypatch)
         rng = np.random.default_rng(stride)
         pyr = random_grid_pyramid(rng, channels, stride, (640, 480))
-        boxes = lattice_anchors((640, 480), stride, stride * 5.0)[: 600 * 256 // channels]
+        boxes = lattice_anchors((640, 480), stride, stride * 5.0)[:count]
         got = roi_pool_many(pyr, 3, boxes)
         assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
-        assert shared and all(shared)
-        assert len(shared) == -(-got.nbytes // featpyr._GROUP_BYTES)
+        assert len(boxes) == count and shared and all(shared)
+        if channels > 8:
+            assert len(shared) == -(-got.nbytes // featpyr._GROUP_BYTES)
+        else:
+            assert len(shared) == -(-got[..., 0].size // featpyr._GROUP_SAMPLES)
 
     def test_a_group_that_shares_too_little_is_blended_directly(self, monkeypatch):
         shared = record_shared_blends(monkeypatch)
@@ -447,7 +454,7 @@ class TestSharedSamples:
         assert shared == [False, False]
         assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
 
-    def test_only_large_calls_with_repeated_x_samples_share(self, monkeypatch):
+    def test_only_calls_of_at_least_a_mebibyte_try_to_share(self, monkeypatch):
         shared = record_shared_blends(monkeypatch)
         rng = np.random.default_rng(42)
         wide = random_grid_pyramid(rng, 256, 8, (640, 480))
@@ -455,27 +462,33 @@ class TestSharedSamples:
         anchors = lattice_anchors((640, 480), 8, 40.0)[:256]
         crossover = _SHARED_MIN_BYTES // (ROI_SIZE * ROI_SIZE * 256 * 8)  # boxes at 256 channels
         # Below the crossover: a single box, a desk-width minibatch and a
-        # few wide boxes; then random boxes, whose x-samples do not
-        # repeat, and the windowed projection maps.
+        # few wide boxes; then the windowed projection maps.
         roi_pool_many(wide, 3, anchors[:1])
         roi_pool_many(narrow, 3, anchors[:128])
         roi_pool_many(wide, 3, anchors[: crossover - 1])
-        roi_pool_many(wide, 3, random_boxes(rng, 256, (640, 480)))
         roi_pool_project(wide, 3, anchors, rng.normal(size=(1, ROI_SIZE * ROI_SIZE * 256)))
         assert shared == []
+        # From the crossover up, random boxes try and give way; anchors share.
+        roi_pool_many(wide, 3, random_boxes(rng, 256, (640, 480)))
         roi_pool_many(wide, 3, anchors[:crossover])
         roi_pool_many(wide, 3, anchors)
-        assert shared == [True, True]
+        assert shared == [False, True, True]
 
-    @pytest.mark.parametrize("case", ["anchor-block", "random-boxes", "repeated-boxes"])
+    @pytest.mark.parametrize(
+        "case", ["anchor-block", "desk-anchor-block", "random-boxes", "repeated-boxes"]
+    )
     def test_peak_memory_is_the_output_plus_a_few_chunks(self, case):
         """A full 8 MiB scoring block of layer-3 anchors at 256 channels,
-        and 4,000 random boxes, alone or repeated, at 128 channels."""
+        the desk block of all 4,800 layer-3 anchors at 8 channels, whose
+        sort indices outweigh its 64 B sample rows, and 4,000 random
+        boxes, alone or repeated, at 128 channels."""
         rng = np.random.default_rng(43)
-        if case == "anchor-block":
-            pyr = random_grid_pyramid(rng, 256, 8, (640, 480))
+        if case in ("anchor-block", "desk-anchor-block"):
+            channels = 256 if case == "anchor-block" else 8
+            pyr = random_grid_pyramid(rng, channels, 8, (640, 480))
             height = LayerWeightConfig().base_heights()[3]
-            boxes = lattice_anchors((640, 480), 8, height)[: 8 * 2**20 // (ROI_SIZE**2 * 256 * 8)]
+            boxes = lattice_anchors((640, 480), 8, height)
+            boxes = boxes[: 8 * 2**20 // (ROI_SIZE**2 * channels * 8)]
         else:
             pyr = random_grid_pyramid(rng, 128, 8, (640, 480))
             boxes = random_boxes(rng, 1000 if case == "repeated-boxes" else 4000, pyr.extent)
@@ -487,7 +500,7 @@ class TestSharedSamples:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.nbytes >= 8 * 2**20
+        assert out.nbytes >= (4 if case == "desk-anchor-block" else 8) * 2**20
         assert peak <= out.nbytes + 8 * _CHUNK_BYTES, (peak - out.nbytes) / _CHUNK_BYTES
 
 
