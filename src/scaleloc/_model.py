@@ -1,7 +1,10 @@
 """Helpers both model stages share: the checkpoint loader, the parameter
 shape check, the layer lookup (which RoI pooling uses too), Glorot
 initialization and the sigmoid and softmax. A checkpoint is a model's
-``params``, as ``np.savez(path, **model.params)`` writes it."""
+``params``, as ``np.savez(path, **model.params)`` writes it. Every
+numeric setting is checked by ``_count`` (an integer of at least a
+bound), ``_positive`` (a finite real number above a bound) or ``_extent``
+(a (width, height) pair of counts): one implementation per rule."""
 
 from __future__ import annotations
 
@@ -42,6 +45,30 @@ def _check_shapes(want: dict[str, tuple], params: dict[str, np.ndarray]) -> None
     for name, shape in want.items():
         if params[name].shape != shape:
             raise ValueError(f"{name}: expected shape {shape}, got {params[name].shape}")
+
+
+def _count(name: str, value, least: int = 1) -> None:
+    """Require an ``int`` or NumPy integer, not a ``bool``, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _positive(name: str, value, above: float = 0.0) -> None:
+    """Require a real number, not a ``bool``, that is finite and above ``above``."""
+    real = (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, real) or not above < value < math.inf:
+        raise ValueError(f"{name} must be a finite number above {above:g}, got {value!r}")
+
+
+def _extent(extent) -> tuple[int, int]:
+    """``extent`` unpacked as (width, height), each a count."""
+    try:
+        width, height = extent
+    except (TypeError, ValueError):
+        raise ValueError(f"extent must be a (width, height) pair, got {extent!r}") from None
+    _count("extent width", width)
+    _count("extent height", height)
+    return width, height
 
 
 def _of_layer(by_layer: dict, layer_id):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._model import _count, _extent
 from .featpyr import PyramidConfig
 from .geometry import clip_boxes, iou_matrix
 from .scenegen import ASPECT_RATIO
@@ -67,7 +68,7 @@ def generate_anchors(
     missing = [spec.layer_id for spec in cfg.layers if spec.layer_id not in base_heights]
     if missing:
         raise ValueError(f"pyramid layers {missing} have no base height")
-    width, height = extent
+    width, height = _extent(extent)
     boxes, layer_ids = [], []
     for spec in cfg.layers:
         h = float(base_heights[spec.layer_id])
@@ -147,9 +148,8 @@ def sample_minibatch_indices(
     and ``gamma`` are integers of at least 1, and ``scores`` has one
     entry per label.
     """
-    for name, value in (("pos_count", pos_count), ("gamma", gamma)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    _count("pos_count", pos_count)
+    _count("gamma", gamma)
     labels = np.asarray(labels)
     if scores is not None and np.shape(scores) != labels.shape:
         raise ValueError(

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._model import _of_layer
+from ._model import _count, _extent, _of_layer
 from .geometry import BBox, boxes_to_array
 
 __all__ = [
@@ -85,11 +85,8 @@ class PyramidConfig:
             raise ValueError("layer ids must be unique")
         for l in self.layers:
             # build_pyramid sizes its grids and blocks with these.
-            if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (l.stride, l.channels)):
-                raise ValueError(
-                    f"layer {l.layer_id}: stride and channel count must be positive "
-                    f"integers, got {l.stride!r} and {l.channels!r}"
-                )
+            _count(f"layer {l.layer_id} stride", l.stride)
+            _count(f"layer {l.layer_id} channels", l.channels)
         strides = [l.stride for l in self.layers]
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise ValueError("strides must be strictly increasing")
@@ -118,23 +115,19 @@ class FeaturePyramid:
     grids: dict[int, np.ndarray]
 
     def __post_init__(self):
-        extent = self.extent
-        if not (
-            isinstance(extent, (tuple, list))
-            and len(extent) == 2
-            and all(isinstance(v, (int, np.integer)) and v >= 1 for v in extent)
-        ):
+        try:
+            width, height = _extent(self.extent)
+        except ValueError as err:
             raise FeatureShapeError(
-                f"extent must be a (width, height) pair of positive integers, got {extent!r}"
-            )
-        width, height = extent
+                f"extent must be a (width, height) pair, got {self.extent!r}"
+            ) from err
         channel_last = {}
         for layer_id, grid in self.grids.items():
             stride = self.strides.get(layer_id)
-            if not isinstance(stride, (int, np.integer)) or stride < 1:
-                raise FeatureShapeError(
-                    f"layer {layer_id}: stride must be a positive integer, got {stride!r}"
-                )
+            try:
+                _count(f"layer {layer_id} stride", stride)
+            except ValueError as err:
+                raise FeatureShapeError(*err.args) from None
             want = (-(-height // stride), -(-width // stride))
             if grid.ndim != 3 or grid.shape[1:] != want:
                 raise FeatureShapeError(
@@ -404,13 +397,15 @@ def _pool(
     cells = values.reshape(-1, depth)
     stride = pyramid.strides[layer_id]
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    finite = np.isfinite(boxes).all(axis=1)
+    with np.errstate(over="ignore"):
+        far = boxes[:, :2] + boxes[:, 2:]  # x + w and y + h, inf where they overflow
+    finite = np.isfinite(boxes).all(axis=1) & np.isfinite(far).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
-        raise ValueError(f"box {row} has a non-finite coordinate: {boxes[row].tolist()}")
+        raise ValueError(f"box {row} has a non-finite coordinate or corner: {boxes[row].tolist()}")
 
-    xs = _sample_axis(boxes[:, 0] / stride, (boxes[:, 0] + boxes[:, 2]) / stride)
-    ys = _sample_axis(boxes[:, 1] / stride, (boxes[:, 1] + boxes[:, 3]) / stride)
+    xs = _sample_axis(boxes[:, 0] / stride, far[:, 0] / stride)
+    ys = _sample_axis(boxes[:, 1] / stride, far[:, 1] / stride)
     roi = ROI_SIZE
     out = np.empty((len(boxes), roi, roi, depth), dtype=values.dtype)
     if not windowed and out.nbytes >= _SHARED_MIN_BYTES:

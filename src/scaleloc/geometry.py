@@ -18,6 +18,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from ._model import _extent, _positive
+
 __all__ = [
     "BBox",
     "TransformAction",
@@ -105,12 +107,9 @@ class StepConfig:
     min_side: float = 2.0
 
     def __post_init__(self):
-        if self.move_ratio <= 0:
-            raise ValueError("move_ratio must be positive")
-        if self.scale_factor <= 1:
-            raise ValueError("scale_factor must exceed 1")
-        if self.min_side <= 0:
-            raise ValueError("min_side must be positive")
+        _positive("move_ratio", self.move_ratio)
+        _positive("scale_factor", self.scale_factor, above=1.0)
+        _positive("min_side", self.min_side)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -164,21 +163,19 @@ def apply_transforms(boxes, actions, cfg: StepConfig) -> np.ndarray:
     return np.stack([cx - w / 2.0, cy - h / 2.0, w, h], axis=1)
 
 
-def clip(b: BBox, extent: tuple[float, float], min_side: float = 2.0) -> BBox:
+def clip(b: BBox, extent: tuple[int, int], min_side: float = 2.0) -> BBox:
     """One-box form of :func:`clip_boxes`."""
     return BBox(*clip_boxes([b.as_tuple()], extent, min_side)[0].tolist())
 
 
-def clip_boxes(boxes, extent: tuple[float, float], min_side: float = 2.0) -> np.ndarray:
+def clip_boxes(boxes, extent: tuple[int, int], min_side: float = 2.0) -> np.ndarray:
     """Intersect (N, 4) boxes with the image rectangle [0, W] x [0, H].
 
     A box whose intersection is empty along either axis becomes a
     ``min_side`` square (narrowed to the image if it is smaller) inside
     the image, as close as possible to the box center.
     """
-    width, height = extent
-    if width <= 0 or height <= 0:
-        raise ValueError("extent sides must be positive")
+    width, height = _extent(extent)
     rows = _rows(boxes)
     corner, sides = rows[:2], rows[2:]
     size = np.array([[width], [height]], dtype=np.float64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._model import _check_shapes, _glorot, _load_params, _of_layer, _sigmoid, _softmax
+from ._model import _check_shapes, _count, _glorot, _load_params, _of_layer, _sigmoid, _softmax
 from .trajectory import TrajStep
 
 __all__ = [
@@ -51,12 +51,13 @@ class PolicyConfig:
     state_dim: int = 64
 
     def __post_init__(self):
-        if self.obs_dim < 1 or self.state_dim < 1:
-            raise ValueError("dims must be positive")
+        _count("obs_dim", self.obs_dim)
+        _count("state_dim", self.state_dim)
         if not self.feature_dims:
             raise ValueError("need at least one layer")
-        if any(d < 1 for d in self.feature_dims.values()):
-            raise ValueError(f"feature dims must be positive, got {self.feature_dims}")
+        for layer_id, dim in self.feature_dims.items():
+            _count("layer id", layer_id, least=0)  # checkpoint names hold it as digits
+            _count(f"layer {layer_id} feature dim", dim)
 
 
 @dataclass

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import featpyr
-from ._model import _check_shapes, _glorot, _load_params, _of_layer, _sigmoid, _softmax
+from ._model import _check_shapes, _count, _glorot, _load_params, _of_layer, _positive
+from ._model import _sigmoid, _softmax
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
 from .geometry import BBox, boxes_to_array, clip_boxes, decode_regression, encode_regression
@@ -66,18 +67,17 @@ class LayerWeightConfig:
     layer_ids: tuple[int, ...] = (3, 4, 5)
     mean_heights: tuple[float, ...] = (48.0, 96.0, 156.0)
     scale_factors: tuple[float, ...] = (5.0, 20.0, 10.0)
-    balance: float = 3.0
+    balance: int = 3  # the sampler keeps this many negatives per positive
 
     def __post_init__(self):
         if not (len(self.layer_ids) == len(self.mean_heights) == len(self.scale_factors)):
             raise ValueError("per-layer constants must align with layer_ids")
-        if any(v <= 0 for v in self.mean_heights + self.scale_factors):
-            raise ValueError("heights and scale factors must be positive")
-        if self.balance < 1:
-            raise ValueError("need balance >= 1")
-        if not float(self.balance).is_integer():
-            # The sampler keeps balance negatives per positive, a count.
-            raise ValueError(f"balance must be a whole number, got {self.balance}")
+        if len(set(self.layer_ids)) != len(self.layer_ids):
+            raise ValueError(f"layer ids must be unique, got {self.layer_ids}")
+        for layer_id, height, scale in zip(self.layer_ids, self.mean_heights, self.scale_factors):
+            _positive(f"layer {layer_id} mean height", height)
+            _positive(f"layer {layer_id} scale factor", scale)
+        _count("balance", self.balance)
 
     def base_heights(self) -> dict[int, float]:
         return dict(zip(self.layer_ids, self.mean_heights))
@@ -323,15 +323,10 @@ class ProposalTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-        if not 0 < self.lr < math.inf:
-            # lr 0 returns the initial model; lr < 0 climbs the loss.
-            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
-        for name in ("pos_count", "neg_pool"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("steps", "pos_count", "neg_pool"):
+            _count(name, getattr(self, name))
+        _count("seed", self.seed, least=0)
+        _positive("lr", self.lr)  # lr 0 returns the initial model; lr < 0 climbs the loss
         missing = [i for i in self.pyramid.layer_ids() if i not in self.loss.layer_ids]
         if missing:
             raise ValueError(f"pyramid layers {missing} have no loss constants")
@@ -427,7 +422,7 @@ def train_proposal_model(
             labels_for_sampling = labels
 
         pos_take, neg_take = sample_minibatch_indices(
-            labels_for_sampling, scores, rng, cfg.pos_count, int(cfg.loss.balance)
+            labels_for_sampling, scores, rng, cfg.pos_count, cfg.loss.balance
         )
         chosen = np.concatenate([pos_take, neg_take]).astype(np.int64)
         if len(chosen) == 0:

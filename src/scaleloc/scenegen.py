@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._model import _count, _extent, _positive
 from .geometry import BBox
 
 __all__ = [
@@ -56,30 +57,14 @@ class GenConfig:
     min_height: float = 24.0
 
     def __post_init__(self):
-        try:
-            width, height = self.extent
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"extent must be a (width, height) pair, got {self.extent!r}"
-            ) from None
-        counts = zip(
-            ("scenes", "extent width", "extent height", "objects_min", "objects_max"),
-            (self.scenes, width, height, self.objects_min, self.objects_max),
-        )
-        for name, value in counts:
-            # sample_dataset and rasterize count and size arrays with these.
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.scenes <= 0:
-            raise ValueError("scenes must be positive")
-        if width <= 0 or height <= 0:
-            raise ValueError("extent sides must be positive")
-        if not (0 < self.objects_min <= self.objects_max):
-            raise ValueError("need 0 < objects_min <= objects_max")
-        if self.height_median <= 0:
-            raise ValueError("height_median must be positive")
-        if not 0 < self.min_height <= 0.95 * height:
-            raise ValueError("min_height must be positive and at most 0.95 * extent height")
+        height = _extent(self.extent)[1]
+        _count("scenes", self.scenes)
+        _count("objects_min", self.objects_min)
+        _count("objects_max", self.objects_max, least=self.objects_min)
+        _positive("height_median", self.height_median)
+        _positive("min_height", self.min_height)
+        if self.min_height > 0.95 * height:
+            raise ValueError(f"min_height {self.min_height!r} exceeds 0.95 * extent height")
 
 
 @dataclass(frozen=True)

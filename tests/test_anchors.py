@@ -137,6 +137,15 @@ class TestGenerateAnchors:
         assert anchors.extent == extent
         assert np.array_equal(anchors.clipped, clip_boxes(boxes, extent))
 
+    @pytest.mark.parametrize(
+        "extent, name",
+        [((640.5, 480), "extent width"), ((640, 0), "extent height"), ((640, True), "extent height")],
+    )
+    def test_extent_must_be_a_pair_of_counts(self, extent, name):
+        # (640.5, 480) used to build 6,405 anchors that match no pyramid.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got"):
+            generate_anchors(CFG, extent, HEIGHTS)
+
     def test_missing_base_height_names_the_layers(self):
         with pytest.raises(ValueError, match=r"pyramid layers \[5\] have no base height"):
             generate_anchors(CFG, (64, 48), {3: 48.0, 4: 96.0})
@@ -304,14 +313,14 @@ class TestMinibatch:
         with pytest.raises(ValueError):
             self.sample(labels, np.random.default_rng(0), gamma=0)
 
-    @pytest.mark.parametrize("gamma", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("gamma", [2.5, 3.0, "3", None, True])
     def test_non_integer_gamma_rejected(self, gamma):
         # 2.5 used to reach a TypeError from NumPy's choice.
         labels = self.build(n_pos=2, n_neg=10)
         with pytest.raises(ValueError, match="gamma must be an integer of at least 1"):
             self.sample(labels, np.random.default_rng(0), gamma=gamma)
 
-    @pytest.mark.parametrize("pos_count", [0, -1, 2.5])
+    @pytest.mark.parametrize("pos_count", [0, -1, 2.5, True])
     def test_pos_count_below_one_rejected(self, pos_count):
         # -1 used to reach "negative dimensions are not allowed".
         labels = self.build(n_pos=2, n_neg=10)

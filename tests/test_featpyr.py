@@ -647,11 +647,19 @@ class TestConfigValidation:
             PyramidConfig(layers=(LayerSpec(3, 8, 4), LayerSpec(3, 16, 4)))
 
     @pytest.mark.parametrize(
-        "spec", [LayerSpec(3, 8.5, 2), LayerSpec(3, 8, 2.0), LayerSpec(3, 0, 2), LayerSpec(3, 8, 0)]
+        "spec, name",
+        [
+            (LayerSpec(3, 8.5, 2), "stride"),
+            (LayerSpec(3, 8, 2.0), "channels"),
+            (LayerSpec(3, 0, 2), "stride"),
+            (LayerSpec(3, 8, 0), "channels"),
+            (LayerSpec(3, True, 2), "stride"),
+        ],
     )
-    def test_stride_and_channels_must_be_positive_integers(self, spec):
+    def test_stride_and_channels_must_be_positive_integers(self, spec, name):
         # A fractional stride used to pass here and fail in build_pyramid.
-        with pytest.raises(ValueError, match="layer 3: stride and channel count must be positive"):
+        want = f"^layer 3 {name} must be an integer of at least 1, got"
+        with pytest.raises(ValueError, match=want):
             PyramidConfig(layers=(spec, LayerSpec(4, 16, 4)))
 
     def test_flat_dims(self):
@@ -741,6 +749,21 @@ class TestRoiPool:
         with pytest.raises(ValueError, match="box 1 has a non-finite coordinate"):
             roi_pool_project(pyr, 3, boxes, np.zeros((1, 32)))
 
+    @pytest.mark.parametrize(
+        "box", [[1e308, 0, 1e308, 8], [0, 1e308, 8, 1e308], [-1e308, 0, -1e308, 8]],
+        ids=["x", "y", "negative-x"],
+    )
+    def test_far_corner_overflow_rejected(self, box):
+        # x + w overflowing to inf used to warn, then pool whichever cell
+        # the clamped index landed on.
+        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        boxes = np.array([[0, 0, 8, 8], box], dtype=np.float64)
+        want = "box 1 has a non-finite coordinate or corner"
+        with pytest.raises(ValueError, match=want):
+            roi_pool_many(pyr, 3, boxes)
+        with pytest.raises(ValueError, match=want):
+            roi_pool_project(pyr, 3, boxes, np.zeros((1, 32)))
+
     def test_unknown_layer(self):
         pyr = single_layer_pyramid(np.zeros((1, 4, 4)))
         with pytest.raises(ValueError, match=r"layer 9 is not one of \[3\]"):
@@ -787,7 +810,8 @@ class TestFeaturePyramidChecks:
     )
     def test_stride_must_be_a_positive_integer(self, strides, grid_shape):
         # Stride 8.5 would otherwise pass: ceil(50/8.5) x ceil(70/8.5) = 6 x 9.
-        with pytest.raises(FeatureShapeError, match="layer 3: stride must be a positive integer"):
+        want = "^layer 3 stride must be an integer of at least 1, got"
+        with pytest.raises(FeatureShapeError, match=want):
             FeaturePyramid(extent=(70, 50), strides=strides, grids={3: np.zeros(grid_shape)})
 
     @pytest.mark.parametrize(

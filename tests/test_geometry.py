@@ -270,6 +270,18 @@ class TestClip:
             clip_boxes(np.zeros((1, 4)), (0, 10))
         with pytest.raises(ValueError):
             clip(BBox(0, 0, 1, 1), (10, -1))
+        with pytest.raises(ValueError, match=r"^extent must be a \(width, height\) pair, got"):
+            clip_boxes(np.zeros((1, 4)), (10, 10, 10))
+
+    @pytest.mark.parametrize(
+        "extent, name",
+        [((math.nan, 10), "extent width"), ((10, math.inf), "extent height"),
+         ((10.5, 10), "extent width"), ((True, 10), "extent width")],
+    )
+    def test_extent_must_be_a_pair_of_counts(self, extent, name):
+        # A NaN extent used to return NaN boxes.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got"):
+            clip_boxes(np.zeros((1, 4)), extent)
 
 
 class TestRegressionEncoding:
@@ -376,3 +388,19 @@ class TestStepConfig:
             StepConfig(scale_factor=1.0)
         with pytest.raises(ValueError):
             StepConfig(min_side=-1)
+
+    @pytest.mark.parametrize(
+        "field, value, bound",
+        [
+            ("move_ratio", math.nan, 0),
+            ("move_ratio", True, 0),
+            ("scale_factor", math.inf, 1),
+            ("scale_factor", math.nan, 1),
+            ("min_side", -math.inf, 0),
+        ],
+    )
+    def test_non_finite_steps_rejected(self, field, value, bound):
+        # move_ratio nan used to construct and make apply_transforms return a NaN box.
+        want = f"^{field} must be a finite number above {bound}, got {value!r}"
+        with pytest.raises(ValueError, match=want):
+            StepConfig(**{field: value})

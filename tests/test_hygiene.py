@@ -1,9 +1,14 @@
 """Static checks of the source with the standard-library ``ast`` module:
 every exported name exists, every imported name is used, every
 ``*Config`` field is read by some code outside its own class and set by
-some call, and every function parameter is read by its function."""
+some call, and every function parameter is read by its function. One
+guard then constructs each ``*Config`` these checks find, to see that
+every numeric field rejects the values its type cannot mean."""
 
 import ast
+import dataclasses
+import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -206,6 +211,79 @@ def test_config_check_flags_a_field_only_its_own_class_reads():
     )
     assert [cls.name for cls, _ in config_fields(tree)] == ["StepConfig"]
     assert unread_config_fields(tree, [tree]) == ["StepConfig.aspect_ratio_step"]
+
+
+# Values that each numeric annotation must reject: an int field is a count
+# or a seed, so never fractional, a bool or negative; a float field is a
+# size, rate or factor, so finite and positive.
+BAD_VALUES = {
+    "int": [2.5, True, -1],
+    "float": [math.nan, math.inf, -math.inf, -1.0],
+}
+# Fields of any other annotation, each with the check that covers it.
+EXEMPT_FIELDS = {
+    "GenConfig.extent": "_extent; test_scenegen.py and test_featpyr.py",
+    "PyramidConfig.layers": "LayerSpec strides and channels; test_featpyr.py",
+    "PolicyConfig.feature_dims": "layer ids and dims; test_policy.py",
+    "LayerWeightConfig.layer_ids": "uniqueness and alignment; test_proposal.py",
+    "ProposalTrainConfig.pyramid": "a PyramidConfig, checked when it is built",
+}
+# Arguments for configs whose fields are not all defaulted.
+REQUIRED = {"PolicyConfig": {"feature_dims": {3: 64}}}
+
+
+def numeric_config_cases():
+    """(``Class.field``, class, field, annotation) for every field of
+    every ``*Config`` dataclass in ``src/scaleloc``."""
+    for path in PACKAGE:
+        module = importlib.import_module(f"scaleloc.{path.stem}")
+        for node, _ in config_fields(parse(path)):
+            cls = getattr(module, node.name)
+            for field in dataclasses.fields(cls):
+                yield f"{node.name}.{field.name}", cls, field.name, str(field.type)
+
+
+CONFIG_CASES = list(numeric_config_cases())
+
+
+def test_every_config_field_is_guarded_or_exempt():
+    assert CONFIG_CASES
+    unguarded = [
+        name
+        for name, _, _, annotation in CONFIG_CASES
+        if annotation not in BAD_VALUES and annotation != "tuple[float, ...]"
+        and name not in EXEMPT_FIELDS
+    ]
+    assert not unguarded, f"fields with neither a guard nor an exemption: {unguarded}"
+    assert set(EXEMPT_FIELDS) <= {name for name, *_ in CONFIG_CASES}
+
+
+@pytest.mark.parametrize(
+    "cls, field, bad",
+    [
+        pytest.param(cls, field, bad, id=f"{name}={bad!r}")
+        for name, cls, field, annotation in CONFIG_CASES
+        for bad in BAD_VALUES.get(annotation, [])
+    ],
+)
+def test_numeric_config_fields_reject_out_of_range_values(cls, field, bad):
+    base = cls(**REQUIRED.get(cls.__name__, {}))
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        dataclasses.replace(base, **{field: bad})
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        pytest.param(cls, field, id=name)
+        for name, cls, field, annotation in CONFIG_CASES
+        if annotation == "tuple[float, ...]"
+    ],
+)
+def test_float_tuple_config_fields_reject_a_nan_entry(cls, field):
+    base = cls(**REQUIRED.get(cls.__name__, {}))
+    with pytest.raises(ValueError, match="must be a finite number"):
+        dataclasses.replace(base, **{field: (math.nan, *getattr(base, field)[1:])})
 
 
 def unset_config_fields(tree, trees):

@@ -107,10 +107,31 @@ class TestInit:
         se = bound / math.sqrt(3 * len(flat))  # uniform sd <= bound/sqrt(3)
         assert abs(flat.mean()) < 3 * se * math.sqrt(3)
 
-    @pytest.mark.parametrize("dim", [-5, 0])
+    @pytest.mark.parametrize("dim", [-5, 0, 4.5])
     def test_non_positive_feature_dim_rejected(self, dim):
-        with pytest.raises(ValueError, match="feature dims must be positive"):
+        want = f"^layer 4 feature dim must be an integer of at least 1, got {dim}"
+        with pytest.raises(ValueError, match=want):
             PolicyConfig(feature_dims={3: 8, 4: dim})
+
+    @pytest.mark.parametrize(
+        "kwargs, want",
+        [
+            ({"obs_dim": 2.5}, "obs_dim must be an integer of at least 1, got 2.5"),
+            ({"state_dim": True}, "state_dim must be an integer of at least 1, got True"),
+        ],
+    )
+    def test_non_integer_dims_rejected(self, kwargs, want):
+        # obs_dim 2.5 used to construct and then fail in init_params with a TypeError.
+        with pytest.raises(ValueError, match=f"^{want}"):
+            PolicyConfig(feature_dims={3: 8}, **kwargs)
+
+    @pytest.mark.parametrize("layer_id", [3.0, -1, True, "3"])
+    def test_layer_id_must_be_a_non_negative_integer(self, layer_id):
+        """A key of 3.0 used to name its matrix ``theta_o/3.0``, which
+        ``observe(params, 3, ...)`` then failed to find."""
+        with pytest.raises(ValueError, match="^layer id must be an integer of at least 0, got"):
+            PolicyConfig(feature_dims={layer_id: 8})
+        assert PolicyConfig(feature_dims={0: 8, np.int64(4): 8}).feature_dims[4] == 8
 
     def test_paper_faithful_shapes(self):
         cfg = PolicyConfig(

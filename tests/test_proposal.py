@@ -192,9 +192,30 @@ class TestLayerWeights:
             LayerWeightConfig(mean_heights=(48.0, 96.0))
         with pytest.raises(ValueError):
             LayerWeightConfig(balance=0.5)
-        with pytest.raises(ValueError, match="whole number"):
+        with pytest.raises(ValueError, match="^balance must be an integer of at least 1, got 2.5"):
             LayerWeightConfig(balance=2.5)
         assert LayerWeightConfig(balance=4).balance == 4
+
+    @pytest.mark.parametrize(
+        "kwargs, want",
+        [
+            ({"mean_heights": (math.nan, 96.0, 156.0)}, "layer 3 mean height"),
+            ({"mean_heights": (48.0, math.inf, 156.0)}, "layer 4 mean height"),
+            ({"scale_factors": (5.0, 20.0, -10.0)}, "layer 5 scale factor"),
+            ({"balance": True}, "balance"),
+            ({"balance": 3.0}, "balance"),
+        ],
+    )
+    def test_non_finite_or_non_integer_constants_rejected(self, kwargs, want):
+        # A NaN mean height used to make every layer weight NaN.
+        with pytest.raises(ValueError, match=f"^{want} must be"):
+            LayerWeightConfig(**kwargs)
+
+    def test_duplicate_layer_ids_rejected(self):
+        # base_heights() used to give layer 3 the second height, while the
+        # loss weighted it by the first.
+        with pytest.raises(ValueError, match=r"layer ids must be unique, got \(3, 3, 5\)"):
+            LayerWeightConfig(layer_ids=(3, 3, 5))
 
 
 # Rows with norm exactly 0 and exactly 1, and rows on either side of the knee.
@@ -773,18 +794,26 @@ class TestTraining:
             ("neg_pool", 0),
             ("neg_pool", -1),
             ("neg_pool", 128.5),
+            ("neg_pool", True),
+            ("steps", 2.5),
+            ("steps", True),
+            ("seed", -1),
+            ("seed", 1.0),
         ],
     )
     def test_settings_that_cannot_train_rejected(self, field, value):
         """lr 0 or pos_count 0 would return the initial model, lr < 0
-        would climb the loss, and pos_count -1 failed inside NumPy."""
-        want = "positive and finite" if field == "lr" else "a positive integer"
+        would climb the loss, and pos_count -1 failed inside NumPy; steps
+        2.5 and seed -1 failed only once training started."""
+        want = {"lr": "a finite number above 0", "seed": "an integer of at least 0"}.get(
+            field, "an integer of at least 1"
+        )
         with pytest.raises(ValueError, match=rf"^{field} must be {want}, got"):
             self.train_cfg(**{field: value})
 
     def test_smallest_valid_settings_accepted(self):
-        cfg = self.train_cfg(lr=1e-12, pos_count=1, neg_pool=np.int64(1))
-        assert (cfg.lr, cfg.pos_count, cfg.neg_pool) == (1e-12, 1, 1)
+        cfg = self.train_cfg(lr=1e-12, pos_count=1, neg_pool=np.int64(1), steps=1, seed=0)
+        assert (cfg.lr, cfg.pos_count, cfg.neg_pool, cfg.steps, cfg.seed) == (1e-12, 1, 1, 1, 0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

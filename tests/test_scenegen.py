@@ -110,12 +110,29 @@ class TestSampling:
             ({"extent": (640, 480.0)}, "extent height"),
             ({"objects_min": 1.5, "objects_max": 3}, "objects_min"),
             ({"objects_max": 6.0}, "objects_max"),
+            ({"scenes": True}, "scenes"),
+            ({"extent": (True, 480)}, "extent width"),
         ],
     )
     def test_non_integer_count_or_size_rejected(self, kwargs, name):
         """Counts and sizes that would fail later inside sample_dataset or
         rasterize, or sample silently, are rejected at construction."""
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got"):
+            GenConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, want",
+        [
+            ({"height_median": float("inf")}, "height_median must be a finite number above 0"),
+            ({"height_median": float("nan")}, "height_median must be a finite number above 0"),
+            ({"min_height": float("nan")}, "min_height must be a finite number above 0"),
+            ({"objects_min": 3, "objects_max": 2}, "objects_max must be an integer of at least 3"),
+        ],
+    )
+    def test_non_finite_size_or_inverted_counts_rejected(self, kwargs, want):
+        """height_median inf used to construct, and nan to fail in
+        sample_dataset after 1,000 rejected draws."""
+        with pytest.raises(ValueError, match=f"^{want}, got"):
             GenConfig(**kwargs)
 
     @pytest.mark.parametrize("extent", [(64, 48, 3), (64,), 640])
