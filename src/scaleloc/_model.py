@@ -14,21 +14,22 @@ import re
 import numpy as np
 
 
-def _load_params(arrays: dict[str, np.ndarray], layer_matrix: str):
+def _load_params(arrays: dict[str, np.ndarray], layer_matrix: str, layer_order: str = "K"):
     """Float64 copies of ``arrays``, and each layer's feature dim by id, in
     ascending order: the columns of ``layer_matrix.format(id)``, where an
-    id has no sign or leading zeros. Rejects values that are not finite
-    real numbers, a layer matrix that is not 2-D with columns, and arrays
-    without one."""
+    id has no sign or leading zeros. The layer matrices are copied in
+    ``layer_order`` (numpy's memory order), the rest as they are laid out.
+    Rejects values that are not finite real numbers, a layer matrix that
+    is not 2-D with columns, and arrays without one."""
     params, dims = {}, {}
     for name, value in arrays.items():
         value = np.asarray(value)
         if value.dtype.kind not in "iuf":
             raise ValueError(f"parameter {name} holds {value.dtype}, not real numbers")
-        params[name] = value = value.astype(np.float64)
+        layer = re.fullmatch(layer_matrix.format("(0|[1-9][0-9]*)"), name)
+        params[name] = value = value.astype(np.float64, order=layer_order if layer else "K")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"parameter {name} has non-finite values")
-        layer = re.fullmatch(layer_matrix.format("(0|[1-9][0-9]*)"), name)
         if layer:
             if value.ndim != 2 or value.shape[1] < 1:
                 raise ValueError(f"{name}: expected a matrix with columns, got shape {value.shape}")
@@ -79,9 +80,26 @@ def _of_layer(by_layer: dict, layer_id):
     return by_layer[layer_id]
 
 
-def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
+# Row block of a column-major draw. Each block writes a short run into
+# every column, so larger blocks draw faster, but in policy-full 4 MiB
+# blocks raised the peak RSS by 6 MiB at seed 4 and 8 MiB blocks by 8 MiB.
+_DRAW_BYTES = 1 << 20
+
+
+def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int, order: str = "C") -> np.ndarray:
+    """A (fan_out, fan_in) uniform draw within the Glorot bound, taken from
+    ``rng`` row by row. ``order="F"`` stores the same values column-major:
+    they are drawn in row blocks of about ``_DRAW_BYTES``, which consume
+    the stream as one whole draw does, so no full row-major copy is made."""
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
+    if order == "C":
+        return rng.uniform(-bound, bound, size=(fan_out, fan_in))
+    out = np.empty((fan_out, fan_in), order="F")
+    rows = max(1, _DRAW_BYTES // (8 * fan_in))
+    for start in range(0, fan_out, rows):
+        block = out[start : start + rows]
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

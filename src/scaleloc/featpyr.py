@@ -80,13 +80,14 @@ class PyramidConfig:
     )
 
     def __post_init__(self):
-        ids = [l.layer_id for l in self.layers]
-        if len(set(ids)) != len(ids):
-            raise ValueError("layer ids must be unique")
         for l in self.layers:
+            _count("layer id", l.layer_id, least=0)  # parameter names hold it as digits
             # build_pyramid sizes its grids and blocks with these.
             _count(f"layer {l.layer_id} stride", l.stride)
             _count(f"layer {l.layer_id} channels", l.channels)
+        ids = [l.layer_id for l in self.layers]
+        if len(set(ids)) != len(ids):
+            raise ValueError("layer ids must be unique")
         strides = [l.stride for l in self.layers]
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise ValueError("strides must be strictly increasing")
@@ -255,7 +256,7 @@ def _sample_axis(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     hi = np.asarray(hi, dtype=np.float64)
     length = hi - lo
     narrow = length < roi
-    center = (lo + hi) / 2.0
+    center = lo / 2.0 + hi / 2.0  # lo + hi would overflow past 1.8e308
     lo = np.where(narrow, center - roi / 2.0, lo)
     hi = np.where(narrow, center + roi / 2.0, hi)
     offsets = (np.arange(roi) + 0.5) / roi

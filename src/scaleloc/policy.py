@@ -62,6 +62,10 @@ class PolicyConfig:
 
 @dataclass
 class PolicyParams:
+    """The policy's parameters by name. Every ``theta_o/<id>`` is stored
+    column-major (Fortran order), as ``init_params`` draws it and
+    ``from_arrays`` loads it; see ``observe`` for why."""
+
     cfg: PolicyConfig
     params: dict[str, np.ndarray]
 
@@ -77,8 +81,9 @@ class PolicyParams:
         """Load a ``params`` dict, taking the layers and feature dims from
         the ``theta_o/<id>`` matrices, ``obs_dim`` from their rows and
         ``state_dim`` from ``theta_a``'s columns; any other name set or
-        shape is a ``ValueError``."""
-        params, dims = _load_params(arrays, "theta_o/{}")
+        shape is a ``ValueError``. Each ``theta_o/<id>`` is copied
+        column-major, whatever its layout in ``arrays``."""
+        params, dims = _load_params(arrays, "theta_o/{}", "F")
         if np.ndim(params.get("theta_a")) != 2:
             raise ValueError(f"need a ({N_ACTIONS}, state_dim) theta_a matrix")
         obs_dim = params[f"theta_o/{min(dims)}"].shape[0]
@@ -104,11 +109,20 @@ class PolicyState:
 
 
 def init_params(seed: int, cfg: PolicyConfig) -> PolicyParams:
-    """Uniform initialization with the per-matrix Glorot bound."""
+    """Uniform initialization with the per-matrix Glorot bound.
+
+    Each ``theta_o/<id>`` holds the values of the row-major draw, stored
+    column-major (see ``observe``): it is drawn in row blocks of about
+    1 MiB straight into Fortran-ordered storage, so there is no second
+    full copy. For the full-size matrices (224 MiB, 2-vCPU Xeon) that
+    took 0.27–0.42 s against 0.15–0.24 s for the row-major draw (the
+    medians of two sets of 10); ``np.asfortranarray`` after the row-major
+    draw took 0.50 s against 0.15 s.
+    """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for layer_id in sorted(cfg.feature_dims):
-        params[f"theta_o/{layer_id}"] = _glorot(rng, cfg.obs_dim, cfg.feature_dims[layer_id])
+        params[f"theta_o/{layer_id}"] = _glorot(rng, cfg.obs_dim, cfg.feature_dims[layer_id], "F")
     # Each gate's block draws with its own single-gate fan.
     params["wx"] = np.concatenate(
         [_glorot(rng, cfg.state_dim, cfg.obs_dim) for _ in range(_GATES)], axis=0
@@ -144,7 +158,16 @@ def _as_features(params: PolicyParams, layer_id: int, flat_features) -> np.ndarr
 
 
 def observe(params: PolicyParams, layer_id: int, flat_features: np.ndarray) -> np.ndarray:
-    """ReLU projection of one layer's flattened RoI features."""
+    """ReLU projection of one layer's flattened RoI features.
+
+    ``theta_o`` is column-major, so this product runs OpenBLAS's direct
+    GEMV, and ``episode_backward``'s replay ``phi @ theta_o.T`` reads an
+    untransposed operand. Against the row-major layout of the same
+    values, a full-size 10-step episode (1 BLAS thread, 2-vCPU Xeon)
+    took 4% less time at layer 3, 9% less at layer 4 and 11% less at
+    layer 5, and both products gained. Only the order of the sums
+    differs.
+    """
     flat_features = _as_features(params, layer_id, flat_features)
     return np.maximum(params.theta_o(layer_id) @ flat_features, 0.0)
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scaleloc import featpyr
@@ -148,6 +148,24 @@ def random_boxes(rng, n, extent):
 
 
 CYCLING = PyramidConfig(layers=(LayerSpec(3, 8, 11), LayerSpec(4, 16, 17), LayerSpec(5, 32, 3)))
+
+
+def finite_coordinates():
+    """Grid coordinates whose pairwise sums stay finite: 0, or a magnitude
+    from 2**-1021 to half the largest float."""
+    top = np.finfo(np.float64).max / 2
+    magnitudes = st.one_of(st.just(0.0), st.floats(2.0**-1021, top))
+    return st.tuples(magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+def sum_center_sample_axis(lo, hi):
+    """``featpyr._sample_axis`` with the row center as ``(lo + hi) / 2``."""
+    narrow = hi - lo < ROI_SIZE
+    center = (lo + hi) / 2.0
+    lo = np.where(narrow, center - ROI_SIZE / 2.0, lo)
+    hi = np.where(narrow, center + ROI_SIZE / 2.0, hi)
+    offsets = (np.arange(ROI_SIZE) + 0.5) / ROI_SIZE
+    return lo[:, None] + offsets[None, :] * (hi - lo)[:, None]
 
 
 def single_layer_pyramid(grid, stride=8, extent=None):
@@ -662,6 +680,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=want):
             PyramidConfig(layers=(spec, LayerSpec(4, 16, 4)))
 
+    @pytest.mark.parametrize("layer_id", [3.0, True, -1])
+    def test_layer_id_must_be_a_non_negative_integer(self, layer_id):
+        """A layer id of 3.0 used to construct, name its proposal head
+        ``head3.0/w`` and make the model's own ``params`` fail to load."""
+        want = f"^layer id must be an integer of at least 0, got {layer_id!r}"
+        with pytest.raises(ValueError, match=want):
+            PyramidConfig(layers=(LayerSpec(layer_id, 8, 2), LayerSpec(4, 16, 4)))
+        assert PyramidConfig(layers=(LayerSpec(0, 8, 2), LayerSpec(np.int64(4), 16, 4)))
+
     def test_flat_dims(self):
         paper = PyramidConfig(
             layers=(LayerSpec(3, 8, 256), LayerSpec(4, 16, 512), LayerSpec(5, 32, 1024))
@@ -763,6 +790,37 @@ class TestRoiPool:
             roi_pool_many(pyr, 3, boxes)
         with pytest.raises(ValueError, match=want):
             roi_pool_project(pyr, 3, boxes, np.zeros((1, 32)))
+
+    def test_huge_finite_box_pools_without_overflow(self):
+        """On a stride-1 layer the box's corners, 1e308 and 1.5e308 cells,
+        are finite, but their sum is not: the row center used to warn of
+        an overflow in ``lo + hi``. Every x sample lies right of the grid,
+        so the box pools as any box there does."""
+        grid = np.random.default_rng(12).uniform(-1, 1, size=(2, 4, 4))
+        pyr = single_layer_pyramid(grid, stride=1)
+        far = roi_pool_many(pyr, 3, np.array([[1e308, 0, 5e307, 8]]))
+        near = roi_pool_many(pyr, 3, np.array([[10, 0, 10, 8]]))
+        np.testing.assert_array_equal(far, near)
+
+    @given(
+        lo=finite_coordinates(),
+        width=st.one_of(st.floats(0, 2 * ROI_SIZE), finite_coordinates().map(abs)),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(lo=2.0**-1021, width=2.0**-1021)
+    @example(lo=-8e307, width=8e307)
+    def test_sample_centers_match_the_sum_formula(self, lo, width):
+        """The row center ``lo / 2 + hi / 2`` equals the former ``(lo + hi)
+        / 2`` bit for bit wherever the sum does not overflow and each
+        coordinate is 0 or at least 2**-1021 in magnitude, so every pooled
+        value is unchanged. (Below 2**-1021 halving an odd last bit
+        rounds: 2**-1022 + 2**-1074 is such a coordinate.)"""
+        hi = lo + width
+        assume(abs(hi) <= np.finfo(np.float64).max / 2 and (hi == 0 or abs(hi) >= 2.0**-1021))
+        lo_hi = np.array([lo]), np.array([hi])
+        got = featpyr._sample_axis(*lo_hi)
+        want = sum_center_sample_axis(*lo_hi)
+        assert got.tobytes() == want.tobytes()
 
     def test_unknown_layer(self):
         pyr = single_layer_pyramid(np.zeros((1, 4, 4)))

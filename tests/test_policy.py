@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policy_oracles as oracle
-from scaleloc._model import _sigmoid
+from scaleloc import _model
+from scaleloc._model import _glorot, _sigmoid
 from scaleloc.geometry import BBox
 from scaleloc.policy import (
     N_ACTIONS,
@@ -62,16 +63,16 @@ def fd_check(params, steps, eps=1e-4):
     analytic = episode_backward(params, steps)
     worst = 0.0
     for name, arr in params.params.items():
-        flat = arr.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
+        # Index in place: reshape(-1) of a column-major matrix is a copy.
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + eps
             hi = episode_logprob_sum(params, steps)
-            flat[idx] = orig - eps
+            arr[idx] = orig - eps
             lo = episode_logprob_sum(params, steps)
-            flat[idx] = orig
+            arr[idx] = orig
             fd = (hi - lo) / (2 * eps)
-            a = analytic[name].reshape(-1)[idx]
+            a = analytic[name][idx]
             worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
     return worst
 
@@ -411,6 +412,93 @@ class TestEpisodeBackward:
             tracemalloc.stop()
         assert grads["theta_o/5"].any()
         assert peak <= 1.1 * param_bytes, peak / param_bytes
+
+
+def sampled_actions(params, features, seed):
+    """The actions of a seeded episode over (layer id, features) steps."""
+    rng = np.random.default_rng(seed)
+    state, actions = PolicyState.initial(params.cfg), []
+    for layer_id, phi in features:
+        state = recur(params, observe(params, layer_id, phi), state)
+        actions.append(sample_action(action_distribution(params, state), rng))
+    return actions
+
+
+class TestColumnMajorObservation:
+    """Every ``theta_o/<id>`` is stored column-major, whether drawn by
+    ``init_params`` or loaded by ``from_arrays``, holding the values of
+    the row-major Glorot draw; only the order of the products' sums
+    depends on the layout."""
+
+    @pytest.mark.parametrize(
+        "obs_dim, dim, draw_bytes",
+        [(6, 8, None), (20, 16384, None), (37, 5, 8 * 5 * 4), (3, 7, 8)],
+        ids=["one-block", "8-row-blocks", "4-row-blocks", "1-row-blocks"],
+    )
+    def test_init_stores_the_row_major_draw_column_major(
+        self, monkeypatch, obs_dim, dim, draw_bytes
+    ):
+        """The 1 MiB block holds 8 rows of 16,384 features; blocks of 8
+        rows over 20 and of 4 over 37 leave a short last block."""
+        if draw_bytes is not None:
+            monkeypatch.setattr(_model, "_DRAW_BYTES", draw_bytes)
+        cfg = PolicyConfig({3: dim, 5: dim + 1}, obs_dim=obs_dim, state_dim=4)
+        params = init_params(9, cfg)
+        rng = np.random.default_rng(9)
+        for layer_id, layer_dim in cfg.feature_dims.items():
+            theta = params.theta_o(layer_id)
+            assert theta.flags.f_contiguous and not theta.flags.c_contiguous
+            np.testing.assert_array_equal(theta, _glorot(rng, obs_dim, layer_dim))
+        # The draws after the observation matrices take the same stream.
+        np.testing.assert_array_equal(params.params["wx"][:4], _glorot(rng, 4, obs_dim))
+
+    def test_init_peak_holds_no_second_copy(self):
+        """The draw goes block by block into its column-major storage, so
+        the traced peak stays within two blocks of the parameters."""
+        cfg = PolicyConfig({3: 8192, 4: 16384}, obs_dim=40, state_dim=8)
+        tracemalloc.start()
+        try:
+            params = init_params(29, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(arr.nbytes for arr in params.params.values())
+        assert params.theta_o(4).nbytes > 2 * _model._DRAW_BYTES
+        assert peak <= param_bytes + 2 * _model._DRAW_BYTES, (peak - param_bytes) / 2**20
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_from_arrays_stores_row_major_checkpoints_column_major(self, dtype):
+        params = init_params(21, SMALL)
+        arrays = {k: np.ascontiguousarray(v * 100).astype(dtype) for k, v in params.params.items()}
+        back = PolicyParams.from_arrays(arrays)
+        for name, arr in back.params.items():
+            assert arr.dtype == np.float64
+            np.testing.assert_array_equal(arr, arrays[name])
+            if name.startswith("theta_o/"):
+                assert arr.flags.f_contiguous and not arr.flags.c_contiguous
+
+    def test_row_major_copy_agrees_within_the_stated_tolerance(self):
+        """``observe`` and ``episode_backward`` on a row-major copy agree
+        with the column-major parameters within ``episode_backward``'s
+        stated rounding (rtol 1e-9, atol 1e-12 of the largest entry), and a
+        seeded episode takes the same actions."""
+        cfg = PolicyConfig({3: 256, 4: 512, 5: 1024}, obs_dim=128, state_dim=16)
+        params = init_params(28, cfg)
+        rows = PolicyParams(cfg, {k: np.ascontiguousarray(v) for k, v in params.params.items()})
+        assert not rows.theta_o(5).flags.f_contiguous
+        rng = np.random.default_rng(28)
+        steps = make_steps(cfg, rng, 12, layers=[3, 3, 5, 4, 3, 5, 5, 4, 3, 3, 4, 5])
+        for step in steps:
+            want = observe(rows, step.layer_id, step.features)
+            got = observe(params, step.layer_id, step.features)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+        want = episode_backward(rows, steps)
+        for name, arr in episode_backward(params, steps).items():
+            np.testing.assert_allclose(
+                arr, want[name], rtol=1e-9, atol=1e-12 * np.abs(want[name]).max(), err_msg=name
+            )
+        features = [(step.layer_id, step.features) for step in steps]
+        assert sampled_actions(params, features, 5) == sampled_actions(rows, features, 5)
 
 
 def grown(value: np.ndarray, axis: int) -> np.ndarray:
