@@ -80,21 +80,23 @@ def _of_layer(by_layer: dict, layer_id):
     return by_layer[layer_id]
 
 
-# Row block of a column-major draw. Each block writes a short run into
-# every column, so larger blocks draw faster, but in policy-full 4 MiB
-# blocks raised the peak RSS by 6 MiB at seed 4 and 8 MiB blocks by 8 MiB.
-_DRAW_BYTES = 1 << 20
+# Row block of a draw. In column-major storage each block writes a short
+# run into every column, so larger blocks draw faster while a block stays
+# in cache: at full size 2 MiB beat both 1 MiB and 16-64 MiB (see
+# init_params in policy.py). In policy-full 2 MiB blocks kept the peak
+# RSS, while 3 MiB blocks raised it by 3 MiB at seed 4, 4 MiB by 6 MiB
+# and 8 MiB by 8 MiB.
+_DRAW_BYTES = 2 << 20
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int, order: str = "C") -> np.ndarray:
-    """A (fan_out, fan_in) uniform draw within the Glorot bound, taken from
-    ``rng`` row by row. ``order="F"`` stores the same values column-major:
-    they are drawn in row blocks of about ``_DRAW_BYTES``, which consume
-    the stream as one whole draw does, so no full row-major copy is made."""
+    """A (fan_out, fan_in) uniform draw within the Glorot bound, stored in
+    numpy's memory ``order`` ("C" or "F"). It is drawn in row blocks of
+    about ``_DRAW_BYTES``, which consume ``rng``'s stream as one whole
+    draw does, so the values do not depend on ``order`` and no second
+    full-size copy is made."""
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    if order == "C":
-        return rng.uniform(-bound, bound, size=(fan_out, fan_in))
-    out = np.empty((fan_out, fan_in), order="F")
+    out = np.empty((fan_out, fan_in), order=order)
     rows = max(1, _DRAW_BYTES // (8 * fan_in))
     for start in range(0, fan_out, rows):
         block = out[start : start + rows]

@@ -113,11 +113,11 @@ def init_params(seed: int, cfg: PolicyConfig) -> PolicyParams:
 
     Each ``theta_o/<id>`` holds the values of the row-major draw, stored
     column-major (see ``observe``): it is drawn in row blocks of about
-    1 MiB straight into Fortran-ordered storage, so there is no second
+    2 MiB straight into Fortran-ordered storage, so there is no second
     full copy. For the full-size matrices (224 MiB, 2-vCPU Xeon) that
-    took 0.27–0.42 s against 0.15–0.24 s for the row-major draw (the
-    medians of two sets of 10); ``np.asfortranarray`` after the row-major
-    draw took 0.50 s against 0.15 s.
+    took 0.29 s against 0.21 s for the row-major draw, and 0.34 s with
+    1 MiB blocks (medians of 30 alternated rounds); ``np.asfortranarray``
+    after the row-major draw took 0.50 s against 0.15 s.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
@@ -134,9 +134,15 @@ def init_params(seed: int, cfg: PolicyConfig) -> PolicyParams:
     return PolicyParams(cfg=cfg, params=params)
 
 
+def _zeros_as(arr: np.ndarray) -> np.ndarray:
+    # Zeros in arr's memory order. np.zeros takes calloc's zero pages;
+    # np.zeros_like writes every byte.
+    return np.zeros(arr.shape, arr.dtype, order="F" if arr.flags.f_contiguous else "C")
+
+
 def zero_grads(params: PolicyParams) -> dict[str, np.ndarray]:
-    # np.zeros takes calloc's zero pages; np.zeros_like writes every byte.
-    return {name: np.zeros(arr.shape, arr.dtype) for name, arr in params.params.items()}
+    """A zero gradient per parameter, each laid out as its parameter."""
+    return {name: _zeros_as(arr) for name, arr in params.params.items()}
 
 
 def _check_action(action) -> None:
@@ -221,10 +227,11 @@ def episode_backward(
     over steps run only the n-dimensional gated core, forward and then
     backpropagating through time; every gradient is then one matrix
     product over all steps. Layers never visited get zero gradient
-    blocks. The sums run in a different order from a step-by-step
-    replay with one outer product per step, so the two agree within
-    rounding (rtol 1e-9, atol 1e-12 of the largest entry), not bit for
-    bit.
+    blocks laid out as their parameters; a visited ``theta_o``'s
+    gradient is row-major. The sums run in a different order from a
+    step-by-step replay with one outer product per step, so the two
+    agree within rounding (rtol 1e-9, atol 1e-12 of the largest entry),
+    not bit for bit.
 
     Raises ``ValueError`` naming the step for an action outside
     ``[0, N_ACTIONS)``, a layer not in ``cfg.feature_dims`` or features
@@ -291,6 +298,6 @@ def episode_backward(
     for layer_id, (rows, phi) in stacked.items():
         grads[f"theta_o/{layer_id}"] = dz_obs[rows].T @ phi
     return {
-        name: grads[name] if name in grads else np.zeros(arr.shape, arr.dtype)
+        name: grads[name] if name in grads else _zeros_as(arr)
         for name, arr in params.params.items()
     }

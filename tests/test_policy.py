@@ -424,21 +424,49 @@ def sampled_actions(params, features, seed):
     return actions
 
 
+def whole_draw(rng, fan_out: int, fan_in: int) -> np.ndarray:
+    """The Glorot draw taken in one piece, row-major."""
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
+
+
 class TestColumnMajorObservation:
     """Every ``theta_o/<id>`` is stored column-major, whether drawn by
     ``init_params`` or loaded by ``from_arrays``, holding the values of
     the row-major Glorot draw; only the order of the products' sums
     depends on the layout."""
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "fan_out, fan_in, draw_bytes", [(6, 8, None), (37, 5, 8 * 5 * 4), (3, 7, 8)]
+    )
+    def test_glorot_order_leaves_the_values(
+        self, monkeypatch, order, fan_out, fan_in, draw_bytes
+    ):
+        """Whatever the block size and memory order, the blocked draw holds
+        the values of one whole draw and leaves the stream where it does."""
+        if draw_bytes is not None:
+            monkeypatch.setattr(_model, "_DRAW_BYTES", draw_bytes)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _glorot(got_rng, fan_out, fan_in, order)
+        np.testing.assert_array_equal(got, whole_draw(want_rng, fan_out, fan_in))
+        assert got.flags[f"{order}_CONTIGUOUS"]
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("order", ["K", "A", "x"])
+    def test_glorot_rejects_other_orders(self, order):
+        with pytest.raises(ValueError, match="order"):
+            _glorot(np.random.default_rng(5), 3, 4, order)
+
     @pytest.mark.parametrize(
         "obs_dim, dim, draw_bytes",
         [(6, 8, None), (20, 16384, None), (37, 5, 8 * 5 * 4), (3, 7, 8)],
-        ids=["one-block", "8-row-blocks", "4-row-blocks", "1-row-blocks"],
+        ids=["one-block", "16-row-blocks", "4-row-blocks", "1-row-blocks"],
     )
     def test_init_stores_the_row_major_draw_column_major(
         self, monkeypatch, obs_dim, dim, draw_bytes
     ):
-        """The 1 MiB block holds 8 rows of 16,384 features; blocks of 8
+        """The 2 MiB block holds 16 rows of 16,384 features; blocks of 16
         rows over 20 and of 4 over 37 leave a short last block."""
         if draw_bytes is not None:
             monkeypatch.setattr(_model, "_DRAW_BYTES", draw_bytes)
@@ -448,9 +476,9 @@ class TestColumnMajorObservation:
         for layer_id, layer_dim in cfg.feature_dims.items():
             theta = params.theta_o(layer_id)
             assert theta.flags.f_contiguous and not theta.flags.c_contiguous
-            np.testing.assert_array_equal(theta, _glorot(rng, obs_dim, layer_dim))
+            np.testing.assert_array_equal(theta, whole_draw(rng, obs_dim, layer_dim))
         # The draws after the observation matrices take the same stream.
-        np.testing.assert_array_equal(params.params["wx"][:4], _glorot(rng, 4, obs_dim))
+        np.testing.assert_array_equal(params.params["wx"][:4], whole_draw(rng, 4, obs_dim))
 
     def test_init_peak_holds_no_second_copy(self):
         """The draw goes block by block into its column-major storage, so
@@ -670,6 +698,21 @@ class TestCheckpointAdapters:
             assert grads[name].shape == params.params[name].shape
             assert grads[name].dtype == params.params[name].dtype
             assert not grads[name].any()
+
+    def test_zero_blocks_follow_each_parameter_layout(self):
+        """``zero_grads`` and ``episode_backward``'s blocks for unvisited
+        layers are laid out as their parameters, column-major for
+        ``theta_o`` and row-major for a row-major copy."""
+        params = init_params(23, SMALL)
+        rows = PolicyParams(SMALL, {k: np.ascontiguousarray(v) for k, v in params.params.items()})
+        steps = make_steps(SMALL, np.random.default_rng(23), 3, layers=[3, 3, 3])
+        for p, fortran in [(params, True), (rows, False)]:
+            for grads in (zero_grads(p), episode_backward(p, steps)):
+                for layer_id in (4, 5):
+                    block = grads[f"theta_o/{layer_id}"]
+                    assert not block.any()
+                    assert block.flags.f_contiguous == fortran
+                    assert block.flags.c_contiguous != fortran
 
 
 class TestTrajectory:
