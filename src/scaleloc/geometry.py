@@ -176,6 +176,7 @@ def clip_boxes(boxes, extent: tuple[int, int], min_side: float = 2.0) -> np.ndar
     the image, as close as possible to the box center.
     """
     width, height = _extent(extent)
+    _positive("min_side", min_side)
     rows = _rows(boxes)
     corner, sides = rows[:2], rows[2:]
     size = np.array([[width], [height]], dtype=np.float64)

@@ -146,8 +146,10 @@ def zero_grads(params: PolicyParams) -> dict[str, np.ndarray]:
 
 
 def _check_action(action) -> None:
-    # A negative index would silently wrap around to another action.
-    if not isinstance(action, (int, np.integer)) or not 0 <= action < N_ACTIONS:
+    # A negative index would wrap around to another action, and a bool
+    # would index the distribution as a mask.
+    whole = isinstance(action, (int, np.integer)) and not isinstance(action, bool)
+    if not (whole and 0 <= action < N_ACTIONS):
         raise ValueError(f"action must be an integer in [0, {N_ACTIONS}), got {action!r}")
 
 

@@ -301,8 +301,7 @@ def top_k(scored: tuple[np.ndarray, np.ndarray, np.ndarray], k: int) -> list[Sco
     """Best k rows of :func:`score_proposals`' ``(boxes, scores, layer_ids)``
     by score, ties broken by input order, as :class:`ScoredBox` records."""
     boxes, scores, layer_ids = scored
-    if k <= 0:
-        return []
+    _count("k", k, least=0)
     keep = np.argsort(-scores, kind="stable")[:k]  # stable keeps input order
     rows = zip(boxes[keep].tolist(), scores[keep].tolist(), layer_ids[keep].tolist())
     return [ScoredBox(box=BBox(*box), score=score, layer_id=layer) for box, score, layer in rows]

@@ -3,13 +3,13 @@
 Scenes carry pedestrian-shaped ground-truth boxes whose heights follow a
 log-normal law dominated by far-scale (< 80 px) instances, and rasterize
 to grayscale images with structured clutter. Everything is a pure
-function of (config, seed), so datasets regenerate bit-identically.
+function of (config, seed), so a scene set is named by its ``GenConfig``
+fields and a seed, and regenerates bit-identically; there is no dataset
+file.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +21,8 @@ __all__ = [
     "GenConfig",
     "GroundTruth",
     "Scene",
-    "DatasetFormatError",
     "sample_dataset",
     "rasterize",
-    "write_dataset",
-    "read_dataset",
 ]
 
 ASPECT_RATIO = 0.41
@@ -83,10 +80,6 @@ class Scene:
     @property
     def gt_boxes(self) -> list[BBox]:
         return [g.box for g in self.objects]
-
-
-class DatasetFormatError(ValueError):
-    """Raised when a dataset file does not parse or holds an impossible value."""
 
 
 def _sample_height(rng: np.random.Generator, cfg: GenConfig) -> float:
@@ -205,62 +198,3 @@ def rasterize(scene: Scene) -> np.ndarray:
 
     return np.clip(img, 0.0, 1.0, out=img)
 
-
-def _scene_to_record(scene: Scene) -> dict:
-    return {
-        "id": scene.id,
-        "extent": list(scene.extent),
-        "seed": scene.seed,
-        "objects": [
-            {"box": list(g.box.as_tuple()), "appearance_seed": g.appearance_seed}
-            for g in scene.objects
-        ],
-    }
-
-
-def _whole(value, what: str, least: int) -> int:
-    """``value`` as an int, if it is a whole number >= ``least``."""
-    if type(value) not in (int, float) or not (value == int(value) and value >= least):
-        raise ValueError(f"{what} must be a whole number >= {least}, got {value!r}")
-    return int(value)
-
-
-def _scene_from_record(rec: dict) -> Scene:
-    objects = []
-    for o in rec["objects"]:
-        if not all(type(v) in (int, float) and math.isfinite(v) for v in o["box"]):
-            raise ValueError(f"box values must be finite numbers, got {o['box']!r}")
-        seed = _whole(o["appearance_seed"], "appearance seed", 0)
-        objects.append(GroundTruth(box=BBox(*o["box"]), appearance_seed=seed))
-    width, height = rec["extent"]
-    return Scene(
-        id=str(rec["id"]),
-        extent=(_whole(width, "extent width", 1), _whole(height, "extent height", 1)),
-        objects=tuple(objects),
-        seed=_whole(rec["seed"], "scene seed", 0),
-    )
-
-
-def write_dataset(path, scenes) -> None:
-    """Write scenes as line-delimited JSON, one scene per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for scene in scenes:
-            fh.write(json.dumps(_scene_to_record(scene)) + "\n")
-
-
-def read_dataset(path) -> list[Scene]:
-    """Read a line-delimited dataset; errors name the offending line."""
-    scenes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                scenes.append(_scene_from_record(rec))
-            except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
-                raise DatasetFormatError(f"line {lineno}: {exc}") from exc
-    ids = [s.id for s in scenes]
-    if len(set(ids)) != len(ids):
-        raise DatasetFormatError("duplicate scene ids in dataset")
-    return scenes

@@ -273,6 +273,15 @@ class TestClip:
         with pytest.raises(ValueError, match=r"^extent must be a \(width, height\) pair, got"):
             clip_boxes(np.zeros((1, 4)), (10, 10, 10))
 
+    @pytest.mark.parametrize("min_side", [0.0, -3.0, math.nan, math.inf, True])
+    def test_min_side_must_be_positive(self, min_side):
+        # Unchecked, -3 gives a box with negative sides, 0 an empty box
+        # and NaN a row of NaNs.
+        with pytest.raises(ValueError, match="^min_side must be a finite number above 0, got"):
+            clip_boxes([[-50, -50, 10, 10]], (64, 48), min_side)
+        with pytest.raises(ValueError, match="^min_side must be"):
+            clip(BBox(-50, -50, 10, 10), (64, 48), min_side)
+
     @pytest.mark.parametrize(
         "extent, name",
         [((math.nan, 10), "extent width"), ((10, math.inf), "extent height"),

@@ -1,9 +1,10 @@
 """Static checks of the source with the standard-library ``ast`` module:
-every exported name exists, every imported name is used, every
-``*Config`` field is read by some code outside its own class and set by
-some call, and every function parameter is read by its function. One
-guard then constructs each ``*Config`` these checks find, to see that
-every numeric field rejects the values its type cannot mean."""
+every exported name exists and is read by the package or the benchmark,
+every imported name is used, every ``*Config`` field is read by some
+code outside its own class and set by some call, and every function
+parameter is read by its function. One guard then constructs each
+``*Config`` these checks find, to see that every numeric field rejects
+the values its type cannot mean."""
 
 import ast
 import dataclasses
@@ -133,6 +134,50 @@ def test_checks_catch_a_stale_export_and_a_shadowed_import():
     )
     assert set(exported(tree)) - top_level_names(tree) == {"Anchor"}
     assert unused_imports(tree) == ["field"]
+
+
+def names_read(trees):
+    """Names loaded anywhere in ``trees``, as a variable or an attribute,
+    and names imported by ``from`` imports. A definition and an
+    ``__all__`` entry are not reads."""
+    reads = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(a.name for a in node.names)
+    return reads
+
+
+def unread_exports(tree, trees):
+    """Names in ``tree``'s ``__all__`` that no code in ``trees`` reads,
+    such as a format that nothing calls."""
+    reads = names_read(trees)
+    return [name for name in exported(tree) if name not in reads]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_exports_are_read(path):
+    trees = [parse(p) for p in PACKAGE + PERFBENCH]
+    unread = unread_exports(parse(path), trees)
+    assert not unread, f"{path.name}: exports that nothing in src/ or perfbench/ reads {unread}"
+
+
+def test_export_check_flags_a_name_only_its_definition_and_all_mention():
+    module = ast.parse(
+        "__all__ = ['Scene', 'sample', 'write', 'read', 'Error', 'LIMIT']\n"
+        "LIMIT = 3\n"
+        "class Scene: pass\n"
+        "class Error(ValueError): pass\n"
+        "def sample(): return [Scene()] * LIMIT\n"
+        "def write(path): pass\n"
+        "def read(path): raise Error(path)\n"
+    )
+    caller = ast.parse("from pkg.mod import sample as draw\nimport pkg\npkg.mod.Scene\n")
+    assert unread_exports(module, [module, caller]) == ["write", "read"]
 
 
 def is_class_var(annotation):

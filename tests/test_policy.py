@@ -302,10 +302,12 @@ class TestSampling:
     def test_log_prob_uniform(self):
         dist = np.full(N_ACTIONS, 0.1)
         assert log_prob(dist, 3) == pytest.approx(-math.log(10.0), abs=1e-12)
+        assert log_prob(dist, np.int64(3)) == log_prob(dist, 3)  # only bool is refused
 
-    @pytest.mark.parametrize("action", [-1, N_ACTIONS, 2.5])
+    @pytest.mark.parametrize("action", [-1, N_ACTIONS, 2.5, True])
     def test_log_prob_rejects_action_outside_range(self, action):
-        # -1 would otherwise index the last action.
+        # -1 would otherwise index the last action, and True mask the
+        # distribution.
         with pytest.raises(ValueError, match=r"action must be an integer in \[0, 10\)"):
             log_prob(np.full(N_ACTIONS, 0.1), action)
 
@@ -344,12 +346,14 @@ class TestEpisodeBackward:
             ({"action": -1}, r"step 1: action must be an integer in \[0, 10\), got -1"),
             ({"action": N_ACTIONS}, r"step 1: action must be .*, got 10"),
             ({"action": 2.5}, r"step 1: action must be .*, got 2.5"),
+            ({"action": True}, r"step 1: action must be .*, got True"),
             ({"layer_id": 7}, r"step 1: layer 7 is not one of \[3, 4, 5\]"),
             ({"layer_id": 3.0}, r"step 1: layer 3.0 is not one of"),
             ({"features": np.zeros(9)}, r"step 1: layer 3: expected features of length 8"),
             ({"features": np.zeros((1, 8))}, r"step 1: layer 3: expected .*, got \(1, 8\)"),
         ],
-        ids=["action-1", "action10", "action2.5", "layer7", "layer3.0", "length9", "matrix"],
+        ids=["action-1", "action10", "action2.5", "actionTrue"]
+        + ["layer7", "layer3.0", "length9", "matrix"],
     )
     def test_malformed_step_rejected(self, edit, message):
         steps = make_steps(SMALL, np.random.default_rng(26), 3, layers=[4, 3, 5])

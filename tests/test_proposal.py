@@ -567,6 +567,13 @@ class TestScoring:
         scored = score_proposals(model, pyramid, anchors)
         assert top_k(scored, 0) == []
 
+    @pytest.mark.parametrize("k", [True, -5, 2.5])
+    def test_top_k_rejects_a_k_that_is_not_a_count(self, k):
+        # Unchecked, True keeps one record, -5 none, and 2.5 fails in slicing.
+        scored = (np.ones((3, 4)), np.array([0.1, 0.3, 0.2]), np.array([3, 4, 5]))
+        with pytest.raises(ValueError, match="^k must be an integer of at least 0, got"):
+            top_k(scored, k)
+
     def test_top_k_sorted_descending(self):
         model, pyramid, anchors = self.setup_scene()
         scored = score_proposals(model, pyramid, anchors)
@@ -627,9 +634,10 @@ class TestScoring:
             np.array(layer_ids, dtype=np.int64),
         )
         ranked = sorted(records(*scored), key=lambda s: -s.score)
-        for k in (-1, 0, 1, n, n + 5):
+        for k in (0, 1, n, n + 5):
             picked = top_k(scored, k)
-            assert picked == ranked[: max(k, 0)]
+            assert picked == ranked[:k]
+            assert top_k(scored, np.int64(k)) == picked
             for s in picked:
                 assert type(s.score) is float and type(s.layer_id) is int
                 assert all(type(v) is float for v in s.box.as_tuple())

@@ -1,27 +1,18 @@
 import hashlib
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from scaleloc.geometry import BBox
 from scaleloc.scenegen import (
     ASPECT_BAND,
     BACKGROUND_LEVEL,
     CLUTTER_AMPLITUDE,
     CONTRAST,
     PIXEL_NOISE,
-    DatasetFormatError,
     GenConfig,
-    GroundTruth,
-    Scene,
-    read_dataset,
     rasterize,
     sample_dataset,
-    write_dataset,
 )
 from scaleloc.scenegen import _background
 
@@ -217,106 +208,3 @@ class TestRasterize:
         img = rasterize(scene)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
-
-class TestDatasetIO:
-    def test_round_trip(self, tmp_path):
-        cfg = GenConfig(scenes=100, extent=(160, 120))
-        scenes = sample_dataset(cfg, seed=13)
-        path = tmp_path / "data.jsonl"
-        write_dataset(path, scenes)
-        assert read_dataset(path) == scenes
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        assert read_dataset(path) == []
-
-    def test_truncated_record_names_line(self, tmp_path):
-        scenes = sample_dataset(SMALL, seed=14)[:3]
-        path = tmp_path / "trunc.jsonl"
-        write_dataset(path, scenes)
-        text = path.read_text().splitlines()
-        text[2] = text[2][: len(text[2]) // 2]
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(DatasetFormatError, match="line 3"):
-            read_dataset(path)
-
-    def test_duplicate_ids_rejected(self, tmp_path):
-        scenes = sample_dataset(SMALL, seed=15)[:1]
-        path = tmp_path / "dup.jsonl"
-        write_dataset(path, scenes + scenes)
-        with pytest.raises(DatasetFormatError, match="duplicate"):
-            read_dataset(path)
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("extent", [-5, 10], "extent width must be a whole number >= 1"),
-            ("extent", [64, 0], "extent height must be a whole number >= 1"),
-            ("extent", [64.7, 48], "extent width must be a whole number >= 1, got 64.7"),
-            ("extent", [64, "48"], "extent height must be a whole number >= 1, got '48'"),
-            ("extent", [64, 48, 1], "too many values"),
-            ("seed", -1, "scene seed must be a whole number >= 0"),
-            ("seed", 2.5, "scene seed must be a whole number >= 0, got 2.5"),
-            ("seed", float("inf"), "line 1: cannot convert float infinity"),
-            ("appearance_seed", True, "appearance seed must be a whole number"),
-            ("appearance_seed", -3, "appearance seed must be a whole number >= 0"),
-            ("box", [1.0, 2.0, float("inf"), 4.0], "box values must be finite"),
-            ("box", [float("nan"), 2.0, 3.0, 4.0], "box values must be finite"),
-            ("box", [1.0, 2.0, 10**400, 4.0], "line 1: int too large"),
-            ("box", [True, 2, 5, 10], "line 1: box values must be finite numbers"),
-            ("box", [1.0, "2", 5, 10], "line 1: box values must be finite numbers"),
-        ],
-    )
-    def test_malformed_record_rejected(self, tmp_path, field, value, message):
-        """Bad extents, seeds and boxes fail on reading with the module's
-        error, not later inside rasterize."""
-        rec = {
-            "id": "s",
-            "extent": [64, 48],
-            "seed": 5,
-            "objects": [{"box": [1.0, 2.0, 3.0, 4.0], "appearance_seed": 7}],
-        }
-        if field in rec:
-            rec[field] = value
-        else:
-            rec["objects"][0][field] = value
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(DatasetFormatError, match=message):
-            read_dataset(path)
-
-    @given(
-        scenes=st.lists(
-            st.builds(
-                lambda extent, seed, boxes: (extent, seed, boxes),
-                st.tuples(st.integers(1, 4096), st.integers(1, 4096)),
-                st.integers(0, 2**64),
-                st.lists(
-                    st.tuples(
-                        st.floats(-1e6, 1e6),
-                        st.floats(-1e6, 1e6),
-                        st.floats(1e-6, 1e6),
-                        st.floats(1e-6, 1e6),
-                        st.integers(0, 2**31 - 1),
-                    ),
-                    max_size=4,
-                ),
-            ),
-            max_size=5,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_write_read_round_trip_property(self, tmp_path_factory, scenes):
-        want = [
-            Scene(
-                id=f"scene-{i}",
-                extent=extent,
-                objects=tuple(GroundTruth(BBox(*box[:4]), box[4]) for box in boxes),
-                seed=seed,
-            )
-            for i, (extent, seed, boxes) in enumerate(scenes)
-        ]
-        path = tmp_path_factory.mktemp("io") / "data.jsonl"
-        write_dataset(path, want)
-        assert read_dataset(path) == want
