@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._model import _count, _extent
-from .featpyr import PyramidConfig
+from .featpyr import PyramidConfig, sample_plan
 from .geometry import clip_boxes, iou_matrix
 from .scenegen import ASPECT_RATIO
 
@@ -42,12 +42,14 @@ IOU_NEGATIVE = 0.3
 class AnchorSet:
     """Anchors of one image ``extent`` as aligned arrays: (x, y, w, h)
     ``boxes`` (N, 4), whose heights are the layers' base heights, the same
-    boxes ``clipped`` to the image (N, 4) and the pyramid ``layer_ids`` (N,)."""
+    boxes ``clipped`` to the image (N, 4), the pyramid ``layer_ids`` (N,)
+    and the clipped boxes' :func:`~scaleloc.featpyr.sample_plan`."""
 
     boxes: np.ndarray
     clipped: np.ndarray
     layer_ids: np.ndarray
     extent: tuple[int, int]
+    plan: tuple
 
     def __len__(self) -> int:
         return len(self.layer_ids)
@@ -63,7 +65,7 @@ def generate_anchors(
     Anchors come layer by layer in config order, each layer's cells in
     row-major order. Anchors sticking out of the image are kept, and
     their clipped boxes, on which labeling and pooling work, are stored
-    alongside.
+    alongside, as is the clipped boxes' sample plan on ``cfg``'s layers.
     """
     missing = [spec.layer_id for spec in cfg.layers if spec.layer_id not in base_heights]
     if missing:
@@ -84,13 +86,10 @@ def generate_anchors(
             )
         )
         layer_ids.append(np.full(n, spec.layer_id, dtype=np.int64))
-    boxes = np.concatenate(boxes)
-    return AnchorSet(
-        boxes=boxes,
-        clipped=clip_boxes(boxes, extent),
-        layer_ids=np.concatenate(layer_ids),
-        extent=tuple(extent),
-    )
+    boxes, layer_ids = np.concatenate(boxes), np.concatenate(layer_ids)
+    clipped = clip_boxes(boxes, extent)
+    plan = sample_plan(clipped, layer_ids, cfg, extent)
+    return AnchorSet(boxes, clipped, layer_ids, tuple(extent), plan)
 
 
 def label_arrays(anchors: AnchorSet, gt_boxes: np.ndarray):

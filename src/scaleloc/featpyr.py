@@ -11,8 +11,10 @@ RoI pooling maps a pixel-space box onto a layer grid and resamples it to
 a fixed ``ROI_SIZE`` x ``ROI_SIZE`` window. Regions smaller than the
 window are symmetrically expanded first, pulling in surrounding context
 instead of upsampling a couple of cells. When only a linear map of the
-pooled block is wanted, ``roi_pool_project`` applies the map to the grid
-first and samples the result, which never builds the pooled blocks.
+pooled block is wanted, ``roi_pool_project`` applies the map to the
+grids first and samples the result, which never builds the pooled
+blocks; it blends boxes of all layers in one gather, at the sample
+points of a :func:`sample_plan` that a fixed box set computes once.
 
 Grids are (channels, H, W) arrays laid out channel-last in memory: each
 is a transposed view of an (H, W, channels) buffer. A pooling sample
@@ -32,9 +34,8 @@ horizontal pair of cells once, then each distinct sample once, and
 gathers the boxes' rows from that table. A group whose samples rarely
 repeat, as random boxes' do, gives way to the direct blend, which blends
 every box's samples on their own. Smaller calls keep the direct blend:
-single policy boxes and desk-width training minibatches; so do
-``roi_pool_project``'s windowed maps, which share nothing by
-construction. Both blends give the same bits.
+single policy boxes and desk-width training minibatches. Both blends
+give the same bits.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "roi_pool",
     "roi_pool_many",
     "roi_pool_project",
+    "sample_plan",
 ]
 
 ROI_SIZE = 4  # side of the pooled window, in samples
@@ -291,16 +293,26 @@ def _lerp(table, lo, hi, frac, out, spare) -> None:
     out += spare
 
 
-def _blend_direct(cells, grid_h, grid_w, xs, ys, out, windowed) -> None:
+def _blend(cells, y0, y1, x0, x1, fy, fx, top, bot, spare) -> None:
+    """``top = (v00 (1 - fx) + v01 fx) (1 - fy) + (v10 (1 - fx) + v11 fx) fy``
+    in that order, in place in ``top``, ``bot`` and ``spare``, where
+    ``v01`` is row ``y0 + x1`` of ``cells`` and so on (all broadcast)."""
+    _lerp(cells, y0 + x0, y0 + x1, fx, top, spare)
+    _lerp(cells, y1 + x0, y1 + x1, fx, bot, spare)
+    top *= 1 - fy
+    bot *= fy
+    top += bot
+
+
+def _blend_direct(cells, grid_h, grid_w, xs, ys, out) -> None:
     """Blend every box's samples on their own, in chunks of about
     ``_CHUNK_BYTES`` of boxes, in place in ``out`` and two spare buffers."""
     roi = ROI_SIZE
     depth = out.shape[-1]
     x0, x1, fx = _bilinear_axis(xs, grid_w)
     y0, y1, fy = _bilinear_axis(ys, grid_h)
-    window = np.arange(roi * roi).reshape(roi, roi) * (grid_h * grid_w) if windowed else 0
-    y0 = y0[:, :, None] * grid_w + window
-    y1 = y1[:, :, None] * grid_w + window
+    y0 = y0[:, :, None] * grid_w
+    y1 = y1[:, :, None] * grid_w
     x0, x1 = x0[:, None, :], x1[:, None, :]
     fy = fy[:, :, None, None]
     fx = fx[:, None, :, None]
@@ -310,11 +322,7 @@ def _blend_direct(cells, grid_h, grid_w, xs, ys, out, windowed) -> None:
         part = slice(start, start + step)
         top = out[part]
         right, bot = spare[:, : len(top)]
-        _lerp(cells, y0[part] + x0[part], y0[part] + x1[part], fx[part], top, right)
-        _lerp(cells, y1[part] + x0[part], y1[part] + x1[part], fx[part], bot, right)
-        top *= 1 - fy[part]
-        bot *= fy[part]
-        top += bot
+        _blend(cells, y0[part], y1[part], x0[part], x1[part], fy[part], fx[part], top, bot, right)
 
 
 def _lerp_rows(table, lo, hi, frac, out, spare) -> None:
@@ -378,25 +386,9 @@ def _blend_shared(cells, grid_w, x_axis, x_of, y_axis, y_of, out) -> bool:
     return True
 
 
-def _pool(
-    pyramid: FeaturePyramid, layer_id: int, boxes, values: np.ndarray, windowed: bool = False
-) -> np.ndarray:
-    """Bilinearly sample each box's roi x roi window from a layer's cells.
-
-    ``values`` is a C-contiguous (H, W, D) array over the layer's grid
-    cells or, if ``windowed``, a (roi, roi, H, W, D) stack of such arrays
-    of which window cell (i, j) samples the (i, j)-th. Returns
-    (N, roi, roi, D). Each bilinear corner is one ``take`` from the flat
-    (cells, D) view of ``values``, at row ``(i * roi + j) * H * W + y * W
-    + x``; a gather only copies, so this equals indexing ``values`` with
-    one index array per axis, at less cost. Every element is computed
-    with the operations of
-    ``(v00 (1 - fx) + v01 fx) (1 - fy) + (v10 (1 - fx) + v11 fx) fy`` in
-    that order, whether on its own or once for all boxes that share it.
-    """
-    grid_h, grid_w, depth = values.shape[-3:]
-    cells = values.reshape(-1, depth)
-    stride = pyramid.strides[layer_id]
+def _corners(boxes):
+    """Float64 (N, 4) boxes and their far corners (N, 2), x + w and y + h;
+    a ``ValueError`` names a box with a non-finite coordinate or corner."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     with np.errstate(over="ignore"):
         far = boxes[:, :2] + boxes[:, 2:]  # x + w and y + h, inf where they overflow
@@ -404,12 +396,29 @@ def _pool(
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(f"box {row} has a non-finite coordinate or corner: {boxes[row].tolist()}")
+    return boxes, far
 
+
+def _pool(pyramid: FeaturePyramid, layer_id: int, boxes, values: np.ndarray) -> np.ndarray:
+    """Bilinearly sample each box's roi x roi window from a layer's cells.
+
+    ``values`` is a C-contiguous (H, W, D) array over the layer's grid
+    cells. Returns (N, roi, roi, D). Each bilinear corner is one ``take``
+    from the flat (cells, D) view of ``values``, at row ``y * W + x``; a
+    gather only copies, so this equals indexing ``values`` with one index
+    array per axis, at less cost. Every element is computed with the
+    operations of :func:`_blend`, in its order, whether on its own or
+    once for all boxes that share it.
+    """
+    grid_h, grid_w, depth = values.shape
+    cells = values.reshape(-1, depth)
+    stride = pyramid.strides[layer_id]
+    boxes, far = _corners(boxes)
     xs = _sample_axis(boxes[:, 0] / stride, far[:, 0] / stride)
     ys = _sample_axis(boxes[:, 1] / stride, far[:, 1] / stride)
     roi = ROI_SIZE
     out = np.empty((len(boxes), roi, roi, depth), dtype=values.dtype)
-    if not windowed and out.nbytes >= _SHARED_MIN_BYTES:
+    if out.nbytes >= _SHARED_MIN_BYTES:
         x_values, x_of = np.unique(xs, return_inverse=True)
         y_values, y_of = np.unique(ys, return_inverse=True)
         x_axis = _bilinear_axis(x_values, grid_w)
@@ -420,9 +429,9 @@ def _pool(
             part = slice(start, start + step)
             group = out[part]
             if not _blend_shared(cells, grid_w, x_axis, x_of[part], y_axis, y_of[part], group):
-                _blend_direct(cells, grid_h, grid_w, xs[part], ys[part], group, False)
+                _blend_direct(cells, grid_h, grid_w, xs[part], ys[part], group)
         return out
-    _blend_direct(cells, grid_h, grid_w, xs, ys, out, windowed)
+    _blend_direct(cells, grid_h, grid_w, xs, ys, out)
     return out
 
 
@@ -463,34 +472,103 @@ def roi_pool_many(
     return _pool(pyramid, layer_id, boxes, grid)
 
 
-def roi_pool_project(
-    pyramid: FeaturePyramid, layer_id: int, boxes: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Linear map of pooled boxes, without pooling them; returns (N, K).
-
-    Equal, up to the order of floating-point sums, to
-    ``roi_pool_many(pyramid, layer_id, boxes).reshape(N, -1) @ weights.T``
-    for ``weights`` of shape (K, roi * roi * C). Bilinear sampling is
-    linear in the grid, so the weights are first contracted with every
-    grid cell, (K * roi^2, C) @ (C, H * W), and each box then samples
-    those K * roi^2 maps at its own sample points and sums over the
-    window. This touches K values per sample point instead of C, which
-    pays off when many boxes share one grid and K is small.
-    """
-    grid = _of_layer(pyramid.grids, layer_id)
-    c, grid_h, grid_w = grid.shape
+def sample_plan(boxes, layer_ids, cfg: PyramidConfig, extent) -> tuple:
+    """``(extent, strides, layer_ids, cells, fracs)``: where each (x, y,
+    w, h) box samples its own layer of a ``cfg`` pyramid over ``extent``.
+    Sample (i, j) of box n blends rows ``cells[0, a, i, n] + cells[1, b,
+    j, n]`` of its layer's (roi, roi, H, W) window maps by ``fracs[0, i,
+    n]`` and ``fracs[1, j, n]``: ``(i roi H + y) W`` for its top (a = 0)
+    or bottom corners, ``j H W + x`` for its left (b = 0) or right ones.
+    The 6,300 desk anchors of a 640 x 480 image take 0.8 MB."""
+    width, height = _extent(extent)
+    strides = {spec.layer_id: spec.stride for spec in cfg.layers}
+    boxes, far = _corners(boxes)
+    layer_ids = np.asarray(layer_ids)
+    if layer_ids.shape != (len(boxes),):
+        raise ValueError(f"{len(boxes)} boxes need as many layer ids, got shape {layer_ids.shape}")
+    for layer_id in np.unique(layer_ids).tolist():
+        _of_layer(strides, layer_id)
+    ids = sorted(strides)
+    stride = np.array([strides[l] for l in ids], dtype=np.int64)[np.searchsorted(ids, layer_ids)]
+    grid_h, grid_w = -(-height // stride), -(-width // stride)
     roi = ROI_SIZE
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[0] < 1 or weights.shape[1] != roi * roi * c:
+    window = np.arange(roi)[:, None] * (grid_h * grid_w)  # (roi, N): j H W
+    small = roi * roi * np.max(grid_h * grid_w, initial=0) <= 2**31  # rows fit an int32
+    cells = np.empty((2, 2, roi, len(boxes)), dtype=np.int32 if small else np.int64)
+    fracs = np.empty((2, roi, len(boxes)))
+    # Column parts x + j H W, then row parts y W + i roi H W. Boxes that
+    # share an extent along an axis, as a row of anchors does, share its
+    # samples, so each distinct (stride, lo, hi) is sampled once.
+    for axis, size, scale, offset in ((0, grid_w, 1, window), (1, grid_h, grid_w, window * roi)):
+        first, of = _distinct(far[:, axis], boxes[:, axis], stride)
+        s = stride[first]
+        coords = _sample_axis(boxes[first, axis] / s, far[first, axis] / s)
+        i0, i1, frac = _bilinear_axis(coords, size[first, None])
+        for side, i in enumerate((i0, i1)):
+            cells[1 - axis, side] = i.T.take(of, axis=1) * scale + offset
+        fracs[1 - axis] = frac.T.take(of, axis=1)
+    return (width, height), strides, layer_ids, cells, fracs
+
+
+def _distinct(*keys):
+    """The rows of equal-length ``keys`` grouped by their tuple of values:
+    one row per distinct tuple, and each row's index into those."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return order[new], ids
+
+
+def roi_pool_project(pyramid: FeaturePyramid, plan: tuple, rows, weights: dict) -> np.ndarray:
+    """Linear maps of the pooled boxes ``rows`` of a :func:`sample_plan`,
+    without pooling them; returns (len(rows), K).
+
+    Equal, up to the order of floating-point sums, to a row's pooled block
+    on its layer l times ``weights[l].T``, a (K, roi * roi * C) matrix
+    with one K >= 1. Sampling is linear in the grid, so each reached
+    layer's weights are first applied to every cell, (K * roi^2, C) @ (C,
+    H * W), and all rows then sample one table of those window maps in
+    one gather, touching K values per sample point instead of C.
+    """
+    extent, strides, layer_ids, cells, fracs = plan
+    roi = ROI_SIZE
+    ks = {np.shape(w)[0] if np.ndim(w) == 2 else 0 for w in weights.values()}
+    k = ks.pop() if len(ks) == 1 else 0
+    for layer_id, w in weights.items():
+        want = roi * roi * _of_layer(pyramid.grids, layer_id).shape[0]
+        if k < 1 or np.shape(w) != (k, want):
+            raise ValueError(
+                f"layer {layer_id}: expected (K, {want}) weights with K >= 1, one K for "
+                f"all layers, got {np.shape(w)}"
+            )
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    reached, which = np.unique(layer_ids[rows], return_inverse=True)
+    reached = reached.tolist()
+    moved = [l for l in reached if pyramid.strides.get(l) != strides[l]]
+    if tuple(pyramid.extent) != extent or moved:
         raise ValueError(
-            f"layer {layer_id}: expected (K, {roi * roi * c}) weights with K >= 1, "
-            f"got {weights.shape}"
+            f"plan for {extent}, {strides}; pyramid {pyramid.extent}, {pyramid.strides}"
         )
-    k = weights.shape[0]
-    maps = weights.reshape(k * roi * roi, c) @ grid.reshape(c, -1)
-    # (roi, roi, H, W, K): maps[i, j] applies the weights of window cell (i, j).
-    maps = np.ascontiguousarray(np.moveaxis(maps.reshape(k, roi, roi, grid_h, grid_w), 0, -1))
-    return _pool(pyramid, layer_id, boxes, maps, windowed=True).sum(axis=(1, 2))
+    maps = []
+    for layer_id in reached:
+        grid = pyramid.grids[layer_id]
+        w = np.asarray(_of_layer(weights, layer_id), dtype=np.float64)
+        # Row ((i roi + j) H + y) W + x applies window cell (i, j)'s weights to cell (y, x).
+        maps.append((w.reshape(k * roi * roi, -1) @ grid.reshape(len(grid), -1)).reshape(k, -1).T)
+    table = np.concatenate([np.empty((0, k)), *maps])
+    starts = np.cumsum([0] + [len(m) for m in maps])[which]
+    (y0, y1), (x0, x1) = cells.take(rows, axis=-1)  # contiguous, as indexing is not
+    fy, fx = fracs.take(rows, axis=-1)[..., None]
+    y0, y1 = (y0 + starts)[:, None], (y1 + starts)[:, None]
+    # Window-major, (roi, roi, rows, K): each elementwise step runs along the rows.
+    out, bot, spare = np.empty((3, roi, roi, len(rows), k))
+    _blend(table, y0, y1, x0, x1, fy[:, None], fx, out, bot, spare)
+    return np.ascontiguousarray(np.moveaxis(out, 2, 0)).sum(axis=(1, 2))
 
 
 def roi_pool(pyramid: FeaturePyramid, layer_id: int, box: BBox) -> np.ndarray:

@@ -207,9 +207,12 @@ def action_distribution(params: PolicyParams, state: PolicyState) -> np.ndarray:
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from the action distribution."""
-    u = rng.random()
+    """Inverse-CDF draw from the action distribution, which must be finite
+    with a positive sum (a diverged policy's is not)."""
     cum = np.cumsum(dist)
+    if not (np.all(np.isfinite(dist)) and cum[-1] > 0):
+        raise ValueError(f"action distribution must be finite with a positive sum, got {dist}")
+    u = rng.random()
     return int(np.searchsorted(cum, u * cum[-1], side="right").clip(0, len(dist) - 1))
 
 
@@ -229,8 +232,9 @@ def episode_backward(
     over steps run only the n-dimensional gated core, forward and then
     backpropagating through time; every gradient is then one matrix
     product over all steps. Layers never visited get zero gradient
-    blocks laid out as their parameters; a visited ``theta_o``'s
-    gradient is row-major. The sums run in a different order from a
+    blocks laid out as their parameters, and a visited ``theta_o``'s
+    gradient is column-major like its parameter, ``(phi.T @ dz).T``.
+    The sums run in a different order from a
     step-by-step replay with one outer product per step, so the two
     agree within rounding (rtol 1e-9, atol 1e-12 of the largest entry),
     not bit for bit.
@@ -298,7 +302,7 @@ def episode_backward(
     grads = {"theta_a": dlogits.T @ S[1:], "wx": dz.T @ obs, "wh": dz.T @ S[:-1]}
     dz_obs = (dz @ wx) * (z_obs > 0)
     for layer_id, (rows, phi) in stacked.items():
-        grads[f"theta_o/{layer_id}"] = dz_obs[rows].T @ phi
+        grads[f"theta_o/{layer_id}"] = (phi.T @ dz_obs[rows]).T
     return {
         name: grads[name] if name in grads else _zeros_as(arr)
         for name, arr in params.params.items()

@@ -95,6 +95,7 @@ def _sample_height(rng: np.random.Generator, cfg: GenConfig) -> float:
 
 def sample_dataset(cfg: GenConfig, seed: int, id_prefix: str = "scene") -> list[Scene]:
     """Generate a deterministic list of scenes for (cfg, seed)."""
+    _count("seed", seed, least=0)
     master = np.random.default_rng(seed)
     width, height = cfg.extent
     scenes = []

@@ -19,6 +19,7 @@ from scaleloc.featpyr import (
     roi_pool,
     roi_pool_many,
     roi_pool_project,
+    sample_plan,
 )
 from scaleloc.geometry import BBox, boxes_to_array
 from scaleloc.proposal import LayerWeightConfig
@@ -134,6 +135,22 @@ def oracle_roi_pool_project(pyramid, layer_id, boxes, weights):
     maps = np.ascontiguousarray(np.moveaxis(maps.reshape(k, roi, roi, grid_h, grid_w), 0, -1))
     window = (np.arange(roi)[:, None], np.arange(roi)[None, :])
     return oracle_gather_pool(pyramid, layer_id, boxes, maps, window).sum(axis=(1, 2))
+
+
+def pyramid_config(pyr):
+    """The config of a pyramid's layers, with their strides and channels."""
+    layers = sorted((stride, layer_id) for layer_id, stride in pyr.strides.items())
+    return PyramidConfig(
+        layers=tuple(LayerSpec(l, stride, pyr.grids[l].shape[0]) for stride, l in layers)
+    )
+
+
+def project(pyr, layer_id, boxes, weights):
+    """``roi_pool_project`` of boxes that all sample one layer, through
+    their sample plan."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    plan = sample_plan(boxes, np.full(len(boxes), layer_id), pyramid_config(pyr), pyr.extent)
+    return roi_pool_project(pyr, plan, np.arange(len(boxes)), {layer_id: weights})
 
 
 def random_boxes(rng, n, extent):
@@ -440,7 +457,7 @@ class TestSharedSamples:
         assert got.shape == (len(boxes), ROI_SIZE, ROI_SIZE, channels)
         assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
         weights = rng.normal(size=(2, ROI_SIZE * ROI_SIZE * channels))
-        got = roi_pool_project(pyr, 3, boxes, weights)
+        got = project(pyr, 3, boxes, weights)
         assert got.tobytes() == oracle_roi_pool_project(pyr, 3, boxes, weights).tobytes()
 
     @pytest.mark.parametrize(
@@ -480,11 +497,11 @@ class TestSharedSamples:
         anchors = lattice_anchors((640, 480), 8, 40.0)[:256]
         crossover = _SHARED_MIN_BYTES // (ROI_SIZE * ROI_SIZE * 256 * 8)  # boxes at 256 channels
         # Below the crossover: a single box, a desk-width minibatch and a
-        # few wide boxes; then the windowed projection maps.
+        # few wide boxes; then a projection, which samples its maps directly.
         roi_pool_many(wide, 3, anchors[:1])
         roi_pool_many(narrow, 3, anchors[:128])
         roi_pool_many(wide, 3, anchors[: crossover - 1])
-        roi_pool_project(wide, 3, anchors, rng.normal(size=(1, ROI_SIZE * ROI_SIZE * 256)))
+        project(wide, 3, anchors, rng.normal(size=(1, ROI_SIZE * ROI_SIZE * 256)))
         assert shared == []
         # From the crossover up, random boxes try and give way; anchors share.
         roi_pool_many(wide, 3, random_boxes(rng, 256, (640, 480)))
@@ -527,7 +544,7 @@ class TestRoiPoolProject:
     def check(pyr, layer_id, boxes, k, rng):
         pooled = roi_pool_many(pyr, layer_id, boxes).reshape(len(boxes), -1)
         weights = rng.normal(size=(k, pooled.shape[1]))
-        got = roi_pool_project(pyr, layer_id, boxes, weights)
+        got = project(pyr, layer_id, boxes, weights)
         assert got.shape == (len(boxes), k)
         np.testing.assert_allclose(got, pooled @ weights.T, rtol=1e-9, atol=1e-12)
 
@@ -564,7 +581,7 @@ class TestRoiPoolProject:
         pyr = single_layer_pyramid(rng.uniform(-1, 1, size=grid_shape), stride, extent)
         boxes = random_boxes(rng, 70, extent)
         weights = rng.normal(size=(k, ROI_SIZE * ROI_SIZE * grid_shape[0]))
-        got = roi_pool_project(pyr, 3, boxes, weights)
+        got = project(pyr, 3, boxes, weights)
         assert got.tobytes() == oracle_roi_pool_project(pyr, 3, boxes, weights).tobytes()
 
     def test_boxes_narrower_than_the_window(self):
@@ -576,9 +593,9 @@ class TestRoiPoolProject:
     def test_rejects_misshapen_weights_and_unknown_layers(self):
         pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
         with pytest.raises(ValueError, match="weights"):
-            roi_pool_project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros((1, 31)))
+            project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros((1, 31)))
         with pytest.raises(ValueError, match=r"layer 9 is not one of \[3\]"):
-            roi_pool_project(pyr, 9, np.array([[0, 0, 8, 8]]), np.zeros((1, 32)))
+            project(pyr, 9, np.array([[0, 0, 8, 8]]), np.zeros((1, 32)))
 
     @pytest.mark.parametrize(
         "shape", [(0, 32), (32,), (1, 32, 1), ()], ids=["no-rows", "1d", "3d", "0d"]
@@ -587,7 +604,177 @@ class TestRoiPoolProject:
         # Zero rows used to reach a ZeroDivisionError in the chunk size.
         pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
         with pytest.raises(ValueError, match=r"expected \(K, 32\) weights with K >= 1"):
-            roi_pool_project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros(shape))
+            project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros(shape))
+
+
+def oracle_plan_projection(pyr, boxes, layer_ids, rows, weights):
+    """The per-layer windowed projection (``oracle_roi_pool_project``)
+    of each layer's rows, put back in row order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    k = next(iter(weights.values())).shape[0]
+    out = np.empty((len(rows), k))
+    for layer_id in np.unique(layer_ids[rows]).tolist():
+        sel = layer_ids[rows] == layer_id
+        out[sel] = oracle_roi_pool_project(pyr, layer_id, boxes[rows[sel]], weights[layer_id])
+    return out
+
+
+def random_grids(rng, cfg, extent):
+    """A pyramid of uniform random grids for ``cfg``'s layers over
+    ``extent``: unlike ``build_pyramid``'s, no two channels are equal."""
+    width, height = extent
+    grids = {
+        spec.layer_id: rng.uniform(
+            -1, 1, size=(spec.channels, -(-height // spec.stride), -(-width // spec.stride))
+        )
+        for spec in cfg.layers
+    }
+    return FeaturePyramid(extent=extent, strides={l.layer_id: l.stride for l in cfg.layers}, grids=grids)
+
+
+class TestSamplePlan:
+    """``roi_pool_project`` blends the rows of every layer in one gather
+    through a plan computed once per box set; each row's values equal
+    the per-layer windowed projection bit for bit."""
+
+    @given(
+        extent=st.sampled_from([(640, 480), (97, 61)]),
+        grids=st.sampled_from(["built", "random"]),
+        boxes=st.sampled_from(["anchors", "random", "each-layer"]),
+        pool=st.sampled_from(["empty", "single", "all"]),
+        k=st.sampled_from([1, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_projection_equals_per_layer_oracle(self, extent, grids, boxes, pool, k, seed):
+        rng = np.random.default_rng(seed)
+        width, height = extent
+        if grids == "built":  # channel c repeats channel c % 8
+            pyr = build_pyramid(rng.uniform(0, 1, size=(height, width)), CYCLING)
+        else:
+            pyr = random_grids(rng, CYCLING, extent)
+        if boxes == "anchors":
+            anchors = generate_anchors(CYCLING, extent, {3: 30.0, 4: 70.0, 5: 150.0})
+            all_boxes, layer_ids, plan = anchors.clipped, anchors.layer_ids, anchors.plan
+        elif boxes == "random":
+            all_boxes = random_boxes(rng, 400, extent)
+            layer_ids = rng.choice(CYCLING.layer_ids(), size=len(all_boxes))
+            plan = sample_plan(all_boxes, layer_ids, CYCLING, extent)
+        else:  # the same boxes on every layer, in shuffled order
+            order = rng.permutation(3 * 130)
+            all_boxes = np.repeat(random_boxes(rng, 130, extent), 3, axis=0)[order]
+            layer_ids = np.tile(CYCLING.layer_ids(), 130)[order]
+            plan = sample_plan(all_boxes, layer_ids, CYCLING, extent)
+        if pool == "empty":
+            rows = np.zeros(0, dtype=np.int64)
+        elif pool == "single":
+            rows = rng.permutation(np.flatnonzero(layer_ids == rng.choice(CYCLING.layer_ids())))
+        else:
+            per_layer = [rng.permutation(np.flatnonzero(layer_ids == l)) for l in CYCLING.layer_ids()]
+            rows = rng.permutation(np.concatenate([sel[:100] for sel in per_layer]))
+        rows = rows[:300]
+        weights = {l: rng.normal(size=(k, d)) for l, d in CYCLING.flat_dims().items()}
+        got = roi_pool_project(pyr, plan, rows, weights)
+        assert got.shape == (len(rows), k)
+        want = oracle_plan_projection(pyr, all_boxes, layer_ids, rows, weights)
+        assert got.tobytes() == want.tobytes()
+
+    def test_anchor_plan_is_compact(self):
+        """At 640 x 480 the 6,300 desk anchors' plan holds 0.8 MB: int32
+        corner rows and float64 fractions, 128 B per anchor."""
+        cfg, heights = PyramidConfig(), LayerWeightConfig().base_heights()
+        generate_anchors(cfg, (640, 480), heights)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            anchors = generate_anchors(cfg, (640, 480), heights)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extent, strides, layer_ids, cells, fracs = anchors.plan
+        assert extent == (640, 480) and strides == {3: 8, 4: 16, 5: 32}
+        assert layer_ids is anchors.layer_ids and cells.dtype == np.int32
+        assert cells.nbytes + fracs.nbytes == 128 * len(anchors) <= 2**20
+        arrays = anchors.boxes.nbytes + anchors.clipped.nbytes + anchors.layer_ids.nbytes
+        assert held - arrays <= 2**20, held - arrays
+        assert peak <= 3 * 2**20, peak
+
+    def test_corner_rows_index_each_layers_window_maps(self):
+        """Row part ``(i roi H + y) W`` and column part ``j H W + x``;
+        at 2**20 x 2**20 cells they no longer fit an int32."""
+        cfg = PyramidConfig(layers=(LayerSpec(2, 1, 1), LayerSpec(3, 8, 1)))
+        # On layer 3 the box spans cells [0.5, 2.5) x [4, 8), so the x
+        # samples expand to 0..3 and the y samples are 4.5..7.5.
+        box = [[4.0, 32.0, 16.0, 32.0]]
+        _, _, _, cells, fracs = sample_plan(box, [3], cfg, (80, 64))
+        h, w = 8, 10
+        window = np.arange(ROI_SIZE) * h * w
+        assert cells.dtype == np.int32
+        np.testing.assert_array_equal(cells[0, 0, :, 0], window * ROI_SIZE + np.arange(4, 8) * w)
+        np.testing.assert_array_equal(cells[0, 1, :, 0], window * ROI_SIZE + np.array([5, 6, 7, 7]) * w)
+        np.testing.assert_array_equal(cells[1, 0, :, 0], window + [0, 0, 1, 2])
+        np.testing.assert_array_equal(cells[1, 1, :, 0], window + [1, 1, 2, 3])
+        np.testing.assert_array_equal(fracs[:, :, 0], [[0.0] * 4, [0.0, 0.5, 0.5, 0.5]])
+        _, _, layer_ids, cells, fracs = sample_plan(np.zeros((0, 4)), [], cfg, (80, 64))
+        assert cells.shape == (2, 2, ROI_SIZE, 0) and fracs.shape == (2, ROI_SIZE, 0)
+        side = 2**20  # y samples 36..60 on layer 2
+        _, _, _, cells, _ = sample_plan(box, [2], cfg, (side, side))
+        assert cells.dtype == np.int64
+        assert cells[0, 0, -1, 0] == 3 * ROI_SIZE * side * side + 59 * side
+        # 12 H W stays under 2**31 here, but a bottom row part of window row 3 does not.
+        side = 12900
+        _, _, _, cells, _ = sample_plan([[12890.0, 12890.0, 4.0, 4.0]], [2], cfg, (side, side))
+        assert cells.dtype == np.int64
+        assert cells[0, 1, -1, 0] == (3 * ROI_SIZE * side + 12894) * side > 2**31 > 12 * side**2
+
+    def test_rejects_a_pyramid_the_plan_was_not_made_for(self):
+        rng = np.random.default_rng(50)
+        pyr = random_grids(rng, CYCLING, (97, 61))
+        boxes = random_boxes(rng, 12, (97, 61))
+        weights = {l: np.zeros((1, d)) for l, d in CYCLING.flat_dims().items()}
+        rows = np.arange(12)
+        plan = sample_plan(boxes, np.full(12, 4), CYCLING, (96, 61))
+        with pytest.raises(ValueError, match=r"plan for \(96, 61\), .*; pyramid \(97, 61\)"):
+            roi_pool_project(pyr, plan, rows, weights)
+        other = PyramidConfig(layers=(LayerSpec(3, 8, 11), LayerSpec(4, 12, 17)))
+        plan = sample_plan(boxes, np.full(12, 4), other, (97, 61))
+        want = r"plan for \(97, 61\), \{3: 8, 4: 12\}; pyramid \(97, 61\), \{3: 8, 4: 16, 5: 32\}"
+        with pytest.raises(ValueError, match=want):
+            roi_pool_project(pyr, plan, rows, weights)
+        # A stride the rows do not reach does not matter.
+        plan = sample_plan(boxes, np.full(12, 3), other, (97, 61))
+        assert roi_pool_project(pyr, plan, rows, weights).shape == (12, 1)
+
+    def test_every_reached_layer_needs_weights_with_one_k(self):
+        rng = np.random.default_rng(51)
+        pyr = random_grids(rng, CYCLING, (97, 61))
+        layer_ids = np.array([3, 4, 4, 5])
+        plan = sample_plan(random_boxes(rng, 4, (97, 61)), layer_ids, CYCLING, (97, 61))
+        dims = CYCLING.flat_dims()
+        weights = {3: np.zeros((2, dims[3])), 4: np.zeros((2, dims[4]))}
+        assert roi_pool_project(pyr, plan, [0, 2, 1], weights).shape == (3, 2)
+        with pytest.raises(ValueError, match=r"layer 5 is not one of \[3, 4\]"):
+            roi_pool_project(pyr, plan, [0, 3], weights)
+        with pytest.raises(ValueError, match=r"layer 3 is not one of \[\]"):
+            roi_pool_project(pyr, plan, [0], {})
+        weights[5] = np.zeros((1, dims[5]))
+        want = r"expected \(K, 176\) weights with K >= 1, one K for all layers, got \(2, 176\)"
+        with pytest.raises(ValueError, match=want):
+            roi_pool_project(pyr, plan, [0], weights)
+
+    @pytest.mark.parametrize(
+        "layer_ids, want",
+        [
+            ([3, 4], r"3 boxes need as many layer ids, got shape \(2,\)"),
+            ([[3, 4, 5]], r"3 boxes need as many layer ids, got shape \(1, 3\)"),
+            ([3.0, 4.0, 5.0], r"layer 3.0 is not one of \[3, 4, 5\]"),
+            ([3, 6, 5], r"layer 6 is not one of \[3, 4, 5\]"),
+        ],
+        ids=["short", "2d", "float", "unknown"],
+    )
+    def test_one_known_layer_id_per_box(self, layer_ids, want):
+        boxes = random_boxes(np.random.default_rng(52), 3, (97, 61))
+        with pytest.raises(ValueError, match=want):
+            sample_plan(boxes, np.array(layer_ids), CYCLING, (97, 61))
 
 
 class TestRoiPoolManyProperties:
@@ -774,7 +961,7 @@ class TestRoiPool:
         with pytest.raises(ValueError, match="box 1 has a non-finite coordinate"):
             roi_pool_many(pyr, 3, boxes)
         with pytest.raises(ValueError, match="box 1 has a non-finite coordinate"):
-            roi_pool_project(pyr, 3, boxes, np.zeros((1, 32)))
+            project(pyr, 3, boxes, np.zeros((1, 32)))
 
     @pytest.mark.parametrize(
         "box", [[1e308, 0, 1e308, 8], [0, 1e308, 8, 1e308], [-1e308, 0, -1e308, 8]],
@@ -789,7 +976,7 @@ class TestRoiPool:
         with pytest.raises(ValueError, match=want):
             roi_pool_many(pyr, 3, boxes)
         with pytest.raises(ValueError, match=want):
-            roi_pool_project(pyr, 3, boxes, np.zeros((1, 32)))
+            project(pyr, 3, boxes, np.zeros((1, 32)))
 
     def test_huge_finite_box_pools_without_overflow(self):
         """On a stride-1 layer the box's corners, 1e308 and 1.5e308 cells,

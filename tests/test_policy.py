@@ -299,6 +299,23 @@ class TestSampling:
         sigma = np.sqrt(dist * (1 - dist) / n)
         assert np.all(np.abs(freqs - dist) <= 3 * sigma)
 
+    @pytest.mark.parametrize(
+        "dist",
+        [np.full(N_ACTIONS, np.nan), np.r_[np.nan, np.full(N_ACTIONS - 1, 0.1)], np.zeros(N_ACTIONS)],
+        ids=["all-nan", "one-nan", "all-zero"],
+    )
+    def test_diverged_distribution_rejected(self, dist):
+        # An all-NaN distribution used to return action 9 without an error.
+        with pytest.raises(ValueError, match="action distribution must be finite with a positive sum"):
+            sample_action(dist, np.random.default_rng(17))
+
+    def test_valid_distribution_draws_one_uniform(self):
+        dist = np.full(N_ACTIONS, 0.1)
+        rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+        want = int(np.searchsorted(np.cumsum(dist), twin.random() * np.cumsum(dist)[-1], side="right"))
+        assert sample_action(dist, rng) == want
+        assert rng.random() == twin.random()
+
     def test_log_prob_uniform(self):
         dist = np.full(N_ACTIONS, 0.1)
         assert log_prob(dist, 3) == pytest.approx(-math.log(10.0), abs=1e-12)
@@ -339,6 +356,20 @@ class TestEpisodeBackward:
         assert not grads["theta_o/5"].any()
         assert grads["theta_o/5"].shape == params.params["theta_o/5"].shape
         assert grads["theta_o/3"].any()
+
+    @pytest.mark.parametrize("layers", [[3, 3, 4, 3], [5], [4, 5, 3, 5, 4]])
+    def test_every_gradient_has_its_parameters_memory_order(self, layers):
+        """A visited ``theta_o`` gradient used to be row-major beside its
+        column-major parameter, so an in-place step mixed layouts."""
+        params = init_params(28, SMALL)
+        steps = make_steps(SMALL, np.random.default_rng(28), len(layers), layers=layers)
+        grads = episode_backward(params, steps)
+        assert grads["theta_o/3"].flags.f_contiguous and not grads["theta_o/3"].flags.c_contiguous
+        for name, arr in params.params.items():
+            got = grads[name].flags
+            assert (got.c_contiguous, got.f_contiguous) == (
+                arr.flags.c_contiguous, arr.flags.f_contiguous
+            ), name
 
     @pytest.mark.parametrize(
         "edit, message",

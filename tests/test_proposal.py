@@ -562,6 +562,25 @@ class TestScoring:
         digest.update(layer_ids.tobytes())
         assert digest.hexdigest() == want
 
+    @pytest.mark.parametrize("pyramid_cfg", [TINY_PYR, PyramidConfig()], ids=["tiny", "desk"])
+    def test_objectness_scores_only_the_pool(self, pyramid_cfg):
+        """Bootstrapping's scores: the pooled head's logits for the pool,
+        up to the order of sums, and -inf for every other anchor."""
+        model, pyramid, anchors = self.setup_scene(pyramid_cfg)
+        rng = np.random.default_rng(4)
+        pool = rng.choice(len(anchors), size=len(anchors) // 3, replace=False)
+        scores = proposal._objectness(model, pyramid, anchors, pool)
+        outside = np.setdiff1d(np.arange(len(anchors)), pool)
+        assert scores.shape == (len(anchors),) and len(outside) > 0
+        assert np.all(scores[outside] == -np.inf)
+        want = np.empty(len(pool))
+        for layer_id in np.unique(anchors.layer_ids[pool]).tolist():
+            sel = anchors.layer_ids[pool] == layer_id
+            feats = roi_pool_many(pyramid, layer_id, anchors.clipped[pool[sel]])
+            want[sel] = model.forward(layer_id, feats.reshape(sel.sum(), -1))[0]
+        np.testing.assert_allclose(scores[pool], want, rtol=1e-9, atol=1e-12)
+        assert np.all(proposal._objectness(model, pyramid, anchors, pool[:0]) == -np.inf)
+
     def test_top_k_zero(self):
         model, pyramid, anchors = self.setup_scene()
         scored = score_proposals(model, pyramid, anchors)

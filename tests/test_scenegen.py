@@ -132,6 +132,17 @@ class TestSampling:
         with pytest.raises(ValueError, match=r"^extent must be a \(width, height\) pair, got"):
             GenConfig(extent=extent)
 
+    @pytest.mark.parametrize(
+        "seed", [True, 2.5, np.float64(3), -1], ids=["bool", "fraction", "numpy-float", "negative"]
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # True used to give seed 1's scenes, and 2.5 or np.float64(3) to
+        # fail inside NumPy with a TypeError.
+        with pytest.raises(ValueError, match=r"^seed must be an integer of at least 0, got"):
+            sample_dataset(GenConfig(scenes=1, extent=(64, 48)), seed)
+        cfg = GenConfig(scenes=2, extent=(64, 48))
+        assert sample_dataset(cfg, np.int64(3)) == sample_dataset(cfg, 3)
+
     def test_min_height_must_fit_the_extent(self):
         """Heights are drawn from [min_height, 0.95 * extent height]; an
         empty range is rejected up front, not after 1,000 draws."""
