@@ -1,10 +1,10 @@
 """Helpers both model stages share: the checkpoint loader, the parameter
-shape check, the layer lookup (which RoI pooling uses too), Glorot
-initialization and the sigmoid and softmax. A checkpoint is a model's
-``params``, as ``np.savez(path, **model.params)`` writes it. Every
-numeric setting is checked by ``_count`` (an integer of at least a
-bound), ``_positive`` (a finite real number above a bound) or ``_extent``
-(a (width, height) pair of counts): one implementation per rule."""
+shape check, the layer lookup and box check (which RoI pooling and
+labeling use too), Glorot initialization and the sigmoid and softmax.
+A checkpoint is a model's ``params``, as ``np.savez(path, **model.params)``
+writes it. Every numeric setting is checked by ``_count`` (an integer of
+at least a bound), ``_positive`` (a finite real number above a bound) or
+``_extent`` (a (width, height) pair of counts): one implementation per rule."""
 
 from __future__ import annotations
 
@@ -78,6 +78,19 @@ def _of_layer(by_layer: dict, layer_id):
     if not isinstance(layer_id, (int, np.integer)) or layer_id not in by_layer:
         raise ValueError(f"layer {layer_id!r} is not one of {sorted(by_layer)}")
     return by_layer[layer_id]
+
+
+def _corners(boxes):
+    """Float64 (N, 4) boxes and their far corners (N, 2), x + w and y + h;
+    a ``ValueError`` names a box with a non-finite coordinate or corner."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    with np.errstate(over="ignore"):
+        far = boxes[:, :2] + boxes[:, 2:]  # x + w and y + h, inf where they overflow
+    finite = np.isfinite(boxes).all(axis=1) & np.isfinite(far).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"box {row} has a non-finite coordinate or corner: {boxes[row].tolist()}")
+    return boxes, far
 
 
 # Row block of a draw. In column-major storage each block writes a short

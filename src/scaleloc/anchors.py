@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._model import _count, _extent
+from ._model import _corners, _count, _extent, _positive
 from .featpyr import PyramidConfig, sample_plan
 from .geometry import clip_boxes, iou_matrix
 from .scenegen import ASPECT_RATIO
@@ -66,6 +66,7 @@ def generate_anchors(
     row-major order. Anchors sticking out of the image are kept, and
     their clipped boxes, on which labeling and pooling work, are stored
     alongside, as is the clipped boxes' sample plan on ``cfg``'s layers.
+    Each layer's base height must be a finite number above 0.
     """
     missing = [spec.layer_id for spec in cfg.layers if spec.layer_id not in base_heights]
     if missing:
@@ -73,6 +74,7 @@ def generate_anchors(
     width, height = _extent(extent)
     boxes, layer_ids = [], []
     for spec in cfg.layers:
+        _positive(f"layer {spec.layer_id} base height", base_heights[spec.layer_id])
         h = float(base_heights[spec.layer_id])
         w = ASPECT_RATIO * h
         cy = (np.arange(-(-height // spec.stride)) + 0.5) * spec.stride
@@ -103,9 +105,12 @@ def label_arrays(anchors: AnchorSet, gt_boxes: np.ndarray):
     truth (ties to the lowest index); every other anchor has match -1
     and keeps its base height as target height. Remaining anchors with
     best IoU strictly below ``IOU_NEGATIVE`` are negative, the rest
-    ignored.
+    ignored. A malformed ground-truth row is a ``ValueError`` that names it.
     """
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    gt_boxes, _ = _corners(gt_boxes)
+    bad = np.flatnonzero((gt_boxes[:, 2:] <= 0).any(axis=1))
+    if len(bad):
+        raise ValueError(f"box {bad[0]} has a side of at most 0: {gt_boxes[bad[0]].tolist()}")
     n = len(anchors)
 
     labels = np.full(n, NEGATIVE, dtype=np.int64)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._model import _count, _extent, _of_layer
+from ._model import _corners, _count, _extent, _of_layer
 from .geometry import BBox, boxes_to_array
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "LayerSpec",
     "PyramidConfig",
     "FeaturePyramid",
-    "FeatureShapeError",
     "build_pyramid",
     "roi_pool",
     "roi_pool_many",
@@ -109,8 +108,8 @@ class FeaturePyramid:
     Each stored grid is float64 and channel-last in memory,
     ``np.moveaxis(hwc, -1, 0)`` of an (H, W, channels) buffer, so that
     pooling reads a cell's channels contiguously. A grid given in another
-    layout or another real dtype is copied into one; any other dtype is a
-    ``FeatureShapeError``.
+    layout or another real dtype is copied into one. Any other dtype, and
+    an extent, stride or grid shape that does not fit, is a ``ValueError``.
     """
 
     extent: tuple[int, int]
@@ -118,41 +117,26 @@ class FeaturePyramid:
     grids: dict[int, np.ndarray]
 
     def __post_init__(self):
-        try:
-            width, height = _extent(self.extent)
-        except ValueError as err:
-            raise FeatureShapeError(
-                f"extent must be a (width, height) pair, got {self.extent!r}"
-            ) from err
+        width, height = _extent(self.extent)
         channel_last = {}
         for layer_id, grid in self.grids.items():
             stride = self.strides.get(layer_id)
-            try:
-                _count(f"layer {layer_id} stride", stride)
-            except ValueError as err:
-                raise FeatureShapeError(*err.args) from None
+            _count(f"layer {layer_id} stride", stride)
             want = (-(-height // stride), -(-width // stride))
             if grid.ndim != 3 or grid.shape[1:] != want:
-                raise FeatureShapeError(
+                raise ValueError(
                     f"layer {layer_id}: expected spatial shape {want}, got {grid.shape[1:]}"
                 )
             if grid.shape[0] < 1:
-                raise FeatureShapeError(f"layer {layer_id}: grid has no channels")
+                raise ValueError(f"layer {layer_id}: grid has no channels")
             if grid.dtype.kind not in "iuf":
-                raise FeatureShapeError(
-                    f"layer {layer_id}: grid holds {grid.dtype}, not real numbers"
-                )
+                raise ValueError(f"layer {layer_id}: grid holds {grid.dtype}, not real numbers")
             if not np.all(np.isfinite(grid)):
-                raise FeatureShapeError(f"layer {layer_id}: non-finite feature values")
+                raise ValueError(f"layer {layer_id}: non-finite feature values")
             channel_last[layer_id] = np.moveaxis(
                 np.ascontiguousarray(np.moveaxis(grid, 0, -1), dtype=np.float64), -1, 0
             )
         object.__setattr__(self, "grids", channel_last)
-
-
-class FeatureShapeError(ValueError):
-    """Feature tensor is malformed or does not match the expected pyramid
-    geometry."""
 
 
 def _blocks(img: np.ndarray, stride: int) -> np.ndarray:
@@ -384,19 +368,6 @@ def _blend_shared(cells, grid_w, x_axis, x_of, y_axis, y_of, out) -> bool:
     _lerp_rows(blends, blend_of[: len(pairs)], blend_of[len(pairs) :], fy[sy], samples, spare)
     samples.take(sample_of.reshape(-1), axis=0, out=flat, mode="clip")
     return True
-
-
-def _corners(boxes):
-    """Float64 (N, 4) boxes and their far corners (N, 2), x + w and y + h;
-    a ``ValueError`` names a box with a non-finite coordinate or corner."""
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    with np.errstate(over="ignore"):
-        far = boxes[:, :2] + boxes[:, 2:]  # x + w and y + h, inf where they overflow
-    finite = np.isfinite(boxes).all(axis=1) & np.isfinite(far).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"box {row} has a non-finite coordinate or corner: {boxes[row].tolist()}")
-    return boxes, far
 
 
 def _pool(pyramid: FeaturePyramid, layer_id: int, boxes, values: np.ndarray) -> np.ndarray:

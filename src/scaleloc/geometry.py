@@ -42,6 +42,9 @@ _DECODE_SIZE_FLOOR = 1.0
 # Normalized log size ratios are clamped here before exp, as in Faster
 # R-CNN, so a diverging head cannot overflow the decode.
 _DECODE_LOG_RATIO_MAX = math.log(1000.0 / 16.0)
+# Side, in pixels, of the square that clip_boxes makes of a box missing the
+# image, and the default floor of StepConfig.min_side.
+MIN_SIDE = 2.0
 
 
 @dataclass(frozen=True)
@@ -56,14 +59,6 @@ class BBox:
     def __post_init__(self):
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
-
-    @property
-    def cx(self) -> float:
-        return self.x + self.w / 2.0
-
-    @property
-    def cy(self) -> float:
-        return self.y + self.h / 2.0
 
     @property
     def x2(self) -> float:
@@ -90,7 +85,7 @@ class TransformAction(IntEnum):
     NARROWER = 7
 
 
-# Canonical ordering; env indexes its action space against this tuple.
+# Canonical ordering; apply_transforms and perfbench's episodes number actions by it.
 TRANSFORM_ACTIONS: tuple[TransformAction, ...] = tuple(TransformAction)
 
 
@@ -99,12 +94,13 @@ class StepConfig:
     """Step sizes for the transform actions.
 
     Steps are relative to the current box size, so behavior is
-    scale-invariant across near and far instances.
+    scale-invariant across near and far instances. Both sides are then
+    floored at ``min_side``, by default ``MIN_SIDE``.
     """
 
     move_ratio: float = 0.1
     scale_factor: float = 1.2
-    min_side: float = 2.0
+    min_side: float = MIN_SIDE
 
     def __post_init__(self):
         _positive("move_ratio", self.move_ratio)
@@ -163,24 +159,23 @@ def apply_transforms(boxes, actions, cfg: StepConfig) -> np.ndarray:
     return np.stack([cx - w / 2.0, cy - h / 2.0, w, h], axis=1)
 
 
-def clip(b: BBox, extent: tuple[int, int], min_side: float = 2.0) -> BBox:
+def clip(b: BBox, extent: tuple[int, int]) -> BBox:
     """One-box form of :func:`clip_boxes`."""
-    return BBox(*clip_boxes([b.as_tuple()], extent, min_side)[0].tolist())
+    return BBox(*clip_boxes([b.as_tuple()], extent)[0].tolist())
 
 
-def clip_boxes(boxes, extent: tuple[int, int], min_side: float = 2.0) -> np.ndarray:
+def clip_boxes(boxes, extent: tuple[int, int]) -> np.ndarray:
     """Intersect (N, 4) boxes with the image rectangle [0, W] x [0, H].
 
     A box whose intersection is empty along either axis becomes a
-    ``min_side`` square (narrowed to the image if it is smaller) inside
+    ``MIN_SIDE`` square (narrowed to the image if it is smaller) inside
     the image, as close as possible to the box center.
     """
     width, height = _extent(extent)
-    _positive("min_side", min_side)
     rows = _rows(boxes)
     corner, sides = rows[:2], rows[2:]
     size = np.array([[width], [height]], dtype=np.float64)
-    side = np.minimum(min_side, size)
+    side = np.minimum(MIN_SIDE, size)
     lo = np.maximum(corner, 0.0)
     hi = np.minimum(corner + sides, size)
     center = np.minimum(np.maximum(corner + sides / 2.0, side / 2.0), size - side / 2.0)

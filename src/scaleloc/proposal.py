@@ -288,7 +288,8 @@ def score_proposals(
         raise ValueError(f"anchors for extent {anchors.extent}, pyramid of {pyramid.extent}")
     heads = np.empty((len(anchors), ProposalModel.N_OUT))
     for layer_id, sel, clipped in _by_layer(anchors, np.arange(len(anchors))):
-        for part in _score_blocks(len(sel), model.feature_dims[layer_id] * heads.itemsize):
+        dim = _of_layer(model.feature_dims, layer_id)
+        for part in _score_blocks(len(sel), dim * heads.itemsize):
             feats = roi_pool_many(pyramid, layer_id, clipped[part])
             rows = sel[part]
             heads[rows, 0], heads[rows, 1:] = model.forward(layer_id, feats.reshape(len(feats), -1))

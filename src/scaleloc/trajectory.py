@@ -1,4 +1,4 @@
-"""Episode records shared by the environment, policy, and trainer."""
+"""Episode records: perfbench's episodes build them, ``policy.episode_backward`` replays them."""
 
 from __future__ import annotations
 

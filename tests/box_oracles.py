@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from scaleloc.geometry import BBox, TransformAction
+from scaleloc.geometry import MIN_SIDE, BBox, TransformAction
 
 SIZE_FLOOR = 1.0  # decoded sides never drop below one pixel
 LOG_RATIO_MAX = math.log(1000.0 / 16.0)  # normalized size ratios clamp here
@@ -24,9 +24,9 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (a.w * a.h + b.w * b.h - inter)
 
 
-def clip(b: BBox, extent, min_side: float = 2.0) -> BBox:
+def clip(b: BBox, extent) -> BBox:
     """Intersect a box with [0, W] x [0, H]; an empty intersection gives a
-    ``min_side`` square inside the image nearest the box center."""
+    ``MIN_SIDE`` square inside the image nearest the box center."""
     width, height = extent
     if width <= 0 or height <= 0:
         raise ValueError("extent sides must be positive")
@@ -37,10 +37,10 @@ def clip(b: BBox, extent, min_side: float = 2.0) -> BBox:
     if x1 > x0 and y1 > y0:
         return BBox(x0, y0, x1 - x0, y1 - y0)
 
-    side_w = min(min_side, float(width))
-    side_h = min(min_side, float(height))
-    cx = min(max(b.cx, side_w / 2.0), width - side_w / 2.0)
-    cy = min(max(b.cy, side_h / 2.0), height - side_h / 2.0)
+    side_w = min(MIN_SIDE, float(width))
+    side_h = min(MIN_SIDE, float(height))
+    cx = min(max(b.x + b.w / 2.0, side_w / 2.0), width - side_w / 2.0)
+    cy = min(max(b.y + b.h / 2.0, side_h / 2.0), height - side_h / 2.0)
     return BBox(cx - side_w / 2.0, cy - side_h / 2.0, side_w, side_h)
 
 
@@ -76,7 +76,7 @@ def transform(b: BBox, action: TransformAction, cfg) -> BBox:
     sides or scale one side by ``scale_factor``, then floor both sides
     at ``min_side``."""
     w, h = b.w, b.h
-    cx, cy = b.cx, b.cy
+    cx, cy = b.x + b.w / 2.0, b.y + b.h / 2.0
 
     if action is TransformAction.MOVE_LEFT:
         cx -= cfg.move_ratio * w

@@ -122,8 +122,8 @@ class TestGenerateAnchors:
         strides = {spec.layer_id: spec.stride for spec in CFG.layers}
         for a, layer_id in zip(anchor_bboxes(anchors), anchors.layer_ids.tolist()):
             stride = strides[layer_id]
-            assert (a.cx / stride) % 1.0 == pytest.approx(0.5)
-            assert (a.cy / stride) % 1.0 == pytest.approx(0.5)
+            assert ((a.x + a.w / 2.0) / stride) % 1.0 == pytest.approx(0.5)
+            assert ((a.y + a.h / 2.0) / stride) % 1.0 == pytest.approx(0.5)
 
     @pytest.mark.parametrize("extent", [(640, 480), (300, 220), (97, 61), (1, 1)])
     def test_equals_per_cell_loop(self, extent):
@@ -151,6 +151,18 @@ class TestGenerateAnchors:
             generate_anchors(CFG, (64, 48), {3: 48.0, 4: 96.0})
         with pytest.raises(ValueError, match=r"pyramid layers \[3, 5\] have no base height"):
             generate_anchors(CFG, (64, 48), {4: 96.0})
+
+    @pytest.mark.parametrize("bad", [-48.0, 0, np.nan, np.inf, True])
+    def test_base_height_must_be_positive(self, bad):
+        # -48 used to give anchors of sides (-19.68, -48) that clip to 2 px
+        # squares, and NaN to fail later in the sample plan without naming it.
+        want = f"^layer 4 base height must be a finite number above 0, got {bad!r}$"
+        with pytest.raises(ValueError, match=want):
+            generate_anchors(CFG, (64, 48), {**HEIGHTS, 4: bad})
+
+    def test_unused_base_height_is_not_checked(self):
+        anchors = generate_anchors(CFG, (64, 48), {**HEIGHTS, 9: -1.0})
+        assert np.array_equal(anchors.boxes, generate_anchors(CFG, (64, 48), HEIGHTS).boxes)
 
 
 class TestLabeling:
@@ -190,9 +202,28 @@ class TestLabeling:
         assert labels[best] == POSITIVE
 
     def test_empty_gt_list_all_negative(self):
-        labels, matched, _ = label(self.anchors(), [])
+        anchors = self.anchors()
+        labels, matched, target_h = label_arrays(anchors, np.zeros((0, 4)))
         assert np.all(labels == NEGATIVE)
         assert np.all(matched == -1)
+        assert np.array_equal(target_h, anchors.boxes[:, 3])
+
+    @pytest.mark.parametrize(
+        "bad, want",
+        [
+            ([10.0, 10.0, -5.0, 20.0], r"has a side of at most 0: \[10\.0, 10\.0, -5\.0, 20\.0\]$"),
+            ([10.0, 10.0, 0.0, 0.0], "has a side of at most 0"),
+            ([10.0, np.nan, 8.0, 20.0], "has a non-finite coordinate or corner"),
+            ([1e308, 0.0, 1e308, 8.0], "has a non-finite coordinate or corner"),
+        ],
+        ids=["negative-width", "zero-by-zero", "nan-corner", "overflowing-corner"],
+    )
+    def test_malformed_gt_box_names_its_row(self, bad, want):
+        # The first three used to give zero positives without an error, the
+        # last an overflow warning.
+        gt_boxes = np.array([[40.0, 30.0, 30.0, 73.0], bad])
+        with pytest.raises(ValueError, match=f"^box 1 {want}"):
+            label_arrays(self.anchors(), gt_boxes)
 
     def test_every_overlapped_gt_has_a_positive(self):
         cfg = GenConfig(scenes=10, extent=self.extent, objects_min=2, objects_max=5)

@@ -58,7 +58,6 @@ class TestBBox:
 
     def test_derived_coordinates(self):
         b = BBox(2, 3, 10, 20)
-        assert (b.cx, b.cy) == (7, 13)
         assert (b.x2, b.y2) == (12, 23)
         assert b.as_tuple() == (2, 3, 10, 20)
 
@@ -141,7 +140,7 @@ class TestApplyTransform:
                 self.cfg,
             )
             assert back.h == pytest.approx(b.h, rel=1e-12)
-            assert back.cy == pytest.approx(b.cy, rel=1e-12)
+            assert back.y + back.h / 2.0 == pytest.approx(b.y + b.h / 2.0, rel=1e-12)
 
     def test_move_left_right_inverse(self):
         b = BBox(30, 40, 16, 24)
@@ -234,29 +233,28 @@ class TestClip:
         assert clip(BBox(95, 95, 20, 20), (100, 100)) == BBox(95, 95, 5, 5)
 
     def test_fully_outside_returns_min_side_box(self):
-        got = clip(BBox(-30, -30, 10, 10), (100, 100), min_side=2.0)
+        got = clip(BBox(-30, -30, 10, 10), (100, 100))
         assert (got.w, got.h) == (2.0, 2.0)
         assert (got.x, got.y) == (0.0, 0.0)
 
     def test_outside_one_axis(self):
-        got = clip(BBox(105, 50, 10, 10), (100, 100), min_side=2.0)
+        got = clip(BBox(105, 50, 10, 10), (100, 100))
         assert (got.w, got.h) == (2.0, 2.0)
         assert got.x == pytest.approx(98.0)
         assert got.y == pytest.approx(54.0)
 
     def test_array_clip_matches_scalar(self):
         # Boxes inside, straddling and wholly off the image, the last
-        # taking the min_side fallback (narrowed on a 1 px wide image).
+        # taking the MIN_SIDE fallback (narrowed on a 1 px wide image).
         rng = np.random.default_rng(5)
         boxes = random_float_boxes(rng, 300)
         for extent in [(100, 100), (37, 120), (1, 3)]:
-            for min_side in [2.0, 0.5]:
-                arr = clip_boxes(boxes_to_array(boxes), extent, min_side)
-                assert arr.shape == (300, 4)
-                for row, b in zip(arr.tolist(), boxes):
-                    want = oracle.clip(b, extent, min_side)
-                    assert tuple(row) == want.as_tuple()
-                    assert clip(b, extent, min_side) == want
+            arr = clip_boxes(boxes_to_array(boxes), extent)
+            assert arr.shape == (300, 4)
+            for row, b in zip(arr.tolist(), boxes):
+                want = oracle.clip(b, extent)
+                assert tuple(row) == want.as_tuple()
+                assert clip(b, extent) == want
 
     def test_disjoint_rows_take_the_fallback(self):
         arr = clip_boxes([[-30, -30, 10, 10], [10, 20, 30, 40], [105, 50, 10, 10]], (100, 100))
@@ -272,15 +270,6 @@ class TestClip:
             clip(BBox(0, 0, 1, 1), (10, -1))
         with pytest.raises(ValueError, match=r"^extent must be a \(width, height\) pair, got"):
             clip_boxes(np.zeros((1, 4)), (10, 10, 10))
-
-    @pytest.mark.parametrize("min_side", [0.0, -3.0, math.nan, math.inf, True])
-    def test_min_side_must_be_positive(self, min_side):
-        # Unchecked, -3 gives a box with negative sides, 0 an empty box
-        # and NaN a row of NaNs.
-        with pytest.raises(ValueError, match="^min_side must be a finite number above 0, got"):
-            clip_boxes([[-50, -50, 10, 10]], (64, 48), min_side)
-        with pytest.raises(ValueError, match="^min_side must be"):
-            clip(BBox(-50, -50, 10, 10), (64, 48), min_side)
 
     @pytest.mark.parametrize(
         "extent, name",

@@ -1,10 +1,11 @@
 """Static checks of the source with the standard-library ``ast`` module:
 every exported name exists and is read by the package or the benchmark,
 every imported name is used, every ``*Config`` field is read by some
-code outside its own class and set by some call, and every function
-parameter is read by its function. One guard then constructs each
-``*Config`` these checks find, to see that every numeric field rejects
-the values its type cannot mean."""
+code outside its own class and set by some call, every function
+parameter is read by its function, and every method or property is read
+and every defaulted parameter passed by the package or the benchmark.
+One guard then constructs each ``*Config`` these checks find, to see
+that every numeric field rejects the values its type cannot mean."""
 
 import ast
 import dataclasses
@@ -435,6 +436,142 @@ def test_parameter_check_flags_a_knob_left_behind():
     assert unread_parameters(tree) == [
         "label(extent)", "label(args)", "method(y)", "<lambda>(b)",
     ]
+
+
+def unread_members(tree, trees):
+    """``Class.member`` for each method or property of a class in
+    ``tree`` that no attribute load in ``trees`` reads, such as a
+    property that only tests use. Dunders are exempt: Python calls them."""
+    reads = attribute_reads(trees, None)
+    return [
+        f"{cls.name}.{fn.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in reads
+    ]
+
+
+# Members that nothing in src/ or perfbench/ reads yet, each with the
+# reason it stays.
+UNREAD_MEMBERS = {
+    "PolicyParams.from_arrays": "checkpoint loader for ROADMAP item 6's training and eval",
+    "ProposalModel.from_arrays": "checkpoint loader for ROADMAP item 6's training and eval",
+}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_class_members_are_read(path):
+    trees = [parse(p) for p in PACKAGE + PERFBENCH]
+    unread = [m for m in unread_members(parse(path), trees) if m not in UNREAD_MEMBERS]
+    assert not unread, f"{path.name}: members that nothing in src/ or perfbench/ reads {unread}"
+
+
+def test_unread_member_exemptions_are_still_unread():
+    trees = [parse(p) for p in PACKAGE + PERFBENCH]
+    unread = {m for p in PACKAGE for m in unread_members(parse(p), trees)}
+    assert set(UNREAD_MEMBERS) <= unread, "drop the exemptions of members that are now read"
+
+
+def test_member_check_flags_a_property_only_tests_read():
+    tree = ast.parse(
+        "class Box:\n"
+        "    def __len__(self): return 4\n"
+        "    @property\n"
+        "    def cx(self): return 0\n"
+        "    @property\n"
+        "    def x2(self): return 0\n"
+        "    def area(self): return self.x2\n"
+        "    @classmethod\n"
+        "    def load(cls): return cls()\n"
+    )
+    caller = ast.parse("from pkg import Box\nBox.load().area()\ncx = 1\nprint(cx)\n")
+    assert unread_members(tree, [tree, caller]) == ["Box.cx"]
+
+
+def unpassed_defaults(tree, trees):
+    """``function(parameter)`` for each defaulted parameter of a function
+    in ``tree`` that no call in ``trees`` passes, by position or by
+    keyword, such as a knob that only tests set. A call counts for every
+    function of the name it calls, on whatever object, except ``np.*``
+    calls, whose names (``clip``, ``take``) the package reuses. A call
+    with ``*args`` passes every position, one with ``**kwargs`` every
+    keyword. A method's positions skip its ``self`` or ``cls``."""
+    calls = {}
+    for t in trees:
+        for node in ast.walk(t):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                if not (isinstance(func.value, ast.Name) and func.value.id == "np"):
+                    calls.setdefault(func.attr, []).append(node)
+            elif isinstance(func, ast.Name):
+                calls.setdefault(func.id, []).append(node)
+
+    def passed(call, name, position):
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return position is not None and (starred or len(call.args) > position)
+
+    methods = {
+        fn
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    }
+    unpassed = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        skip = 1 if fn in methods else 0
+        defaulted = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+        defaulted += [
+            (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        unpassed += [
+            f"{fn.name}({name})"
+            for name, position in defaulted
+            if not any(passed(c, name, position) for c in calls.get(fn.name, []))
+        ]
+    return unpassed
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_defaulted_parameters_are_passed(path):
+    trees = [parse(p) for p in PACKAGE + PERFBENCH]
+    unpassed = unpassed_defaults(parse(path), trees)
+    assert not unpassed, f"{path.name}: defaults that no call in src/ or perfbench/ sets {unpassed}"
+
+
+def test_default_check_flags_a_knob_only_tests_set():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def clip(boxes, extent, min_side=2.0): return boxes\n"
+        "def count(name, value, least=1): return value >= least\n"
+        "def pool(x, *, order='C', scale=1): return x * scale\n"
+        "class Model:\n"
+        "    def step(self, x, rate=0.1): return x * rate\n"
+        "    def fit(self, x, epochs=1): return x * epochs\n"
+        "    @staticmethod\n"
+        "    def make(seed=0): return seed\n"
+        "def use(m, kw, args):\n"
+        "    np.clip(1, 0, 2)\n"
+        "    count('k', 3, 0)\n"
+        "    pool(1, order='F')\n"
+        "    m.step(1, 0.5)\n"
+        "    m.fit(1, **kw)\n"
+        "    Model.make(*args)\n"
+    )
+    assert unpassed_defaults(tree, [tree]) == ["clip(min_side)", "pool(scale)"]
 
 
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}

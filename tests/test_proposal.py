@@ -696,6 +696,15 @@ class TestScoring:
         with pytest.raises(ValueError, match=r"extent \(168, 120\), pyramid of \(160, 120\)"):
             score_proposals(model, pyramid, anchors)
 
+    def test_anchors_of_a_layer_without_a_head_rejected(self):
+        # A layers-3/4 model on 3/4/5 anchors used to fail with a bare KeyError: 5.
+        _, pyramid, anchors = self.setup_scene()
+        model = ProposalModel.init(PyramidConfig(layers=TINY_PYR.layers[:2]), seed=3)
+        with pytest.raises(ValueError, match=r"^layer 5 is not one of \[3, 4\]$"):
+            score_proposals(model, pyramid, anchors)
+        with pytest.raises(ValueError, match=r"^layer 5 is not one of \[3, 4\]$"):
+            proposal._objectness(model, pyramid, anchors, np.arange(len(anchors)))
+
     def test_boxes_clipped_and_layer_tagged(self):
         model, pyramid, anchors = self.setup_scene()
         boxes, scores, layer_ids = score_proposals(model, pyramid, anchors)
