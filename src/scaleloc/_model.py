@@ -1,8 +1,8 @@
 """Helpers both model stages share: the checkpoint loader, the parameter
-shape check, the layer lookup and box check (which RoI pooling and
-labeling use too), Glorot initialization and the sigmoid and softmax.
-A checkpoint is a model's ``params``, as ``np.savez(path, **model.params)``
-writes it. Every numeric setting is checked by ``_count`` (an integer of
+shape check, the layer lookup and the box checks (which RoI pooling,
+labeling and box arithmetic use too), Glorot initialization and the
+sigmoid and softmax. A checkpoint is a model's ``params``, as
+``np.savez(path, **model.params)`` writes it. Every numeric setting is checked by ``_count`` (an integer of
 at least a bound), ``_positive`` (a finite real number above a bound) or
 ``_extent`` (a (width, height) pair of counts): one implementation per rule."""
 
@@ -80,10 +80,19 @@ def _of_layer(by_layer: dict, layer_id):
     return by_layer[layer_id]
 
 
+def _boxes(boxes) -> np.ndarray:
+    """``boxes`` as a float64 (N, 4) array; a ``ValueError`` names any
+    other shape, rather than regrouping its values four by four."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"expected (N, 4) boxes, got shape {boxes.shape}")
+    return boxes
+
+
 def _corners(boxes):
     """Float64 (N, 4) boxes and their far corners (N, 2), x + w and y + h;
     a ``ValueError`` names a box with a non-finite coordinate or corner."""
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    boxes = _boxes(boxes)
     with np.errstate(over="ignore"):
         far = boxes[:, :2] + boxes[:, 2:]  # x + w and y + h, inf where they overflow
     finite = np.isfinite(boxes).all(axis=1) & np.isfinite(far).all(axis=1)

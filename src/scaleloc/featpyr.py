@@ -24,18 +24,9 @@ contiguous run instead of C values H * W apart, and one row of a flat
 ``roi_pool_many`` blends its samples in chunks of boxes of about
 ``_CHUNK_BYTES`` each, so the blend's temporaries stay in cache and its
 peak memory is the output plus a few chunks, not several output-sized
-buffers.
-
-Boxes on a lattice, as anchors are, visit the same sample points again
-and again: layer 3's 4,800 anchors at 640 x 480 sample 11,748 distinct
-points out of 76,800. So a ``roi_pool_many`` call with at least 1 MiB of
-output takes its boxes in groups, and in each group blends each distinct
-horizontal pair of cells once, then each distinct sample once, and
-gathers the boxes' rows from that table. A group whose samples rarely
-repeat, as random boxes' do, gives way to the direct blend, which blends
-every box's samples on their own. Smaller calls keep the direct blend:
-single policy boxes and desk-width training minibatches. Both blends
-give the same bits.
+buffers. Its callers pool a few boxes at a time: training minibatches,
+the proposals that scoring keeps, and single policy boxes. Scoring
+every anchor goes through ``roi_pool_project``.
 """
 
 from __future__ import annotations
@@ -261,9 +252,6 @@ def _bilinear_axis(coords: np.ndarray, size: int):
 
 
 _CHUNK_BYTES = 512 * 1024  # gathered values per pooling chunk; sized to stay in L2
-_GROUP_BYTES = 16 * _CHUNK_BYTES  # output per group of boxes whose samples are shared
-_GROUP_SAMPLES = 32 * 1024  # samples per group at most; each holds about 48 B of sort indices
-_SHARED_MIN_BYTES = 2 * _CHUNK_BYTES  # smallest output worth sorting samples for
 
 
 def _lerp(table, lo, hi, frac, out, spare) -> None:
@@ -288,159 +276,42 @@ def _blend(cells, y0, y1, x0, x1, fy, fx, top, bot, spare) -> None:
     top += bot
 
 
-def _blend_direct(cells, grid_h, grid_w, xs, ys, out) -> None:
-    """Blend every box's samples on their own, in chunks of about
-    ``_CHUNK_BYTES`` of boxes, in place in ``out`` and two spare buffers."""
-    roi = ROI_SIZE
-    depth = out.shape[-1]
-    x0, x1, fx = _bilinear_axis(xs, grid_w)
-    y0, y1, fy = _bilinear_axis(ys, grid_h)
-    y0 = y0[:, :, None] * grid_w
-    y1 = y1[:, :, None] * grid_w
-    x0, x1 = x0[:, None, :], x1[:, None, :]
-    fy = fy[:, :, None, None]
-    fx = fx[:, None, :, None]
-    step = max(1, _CHUNK_BYTES // (roi * roi * depth * out.itemsize))
-    spare = np.empty((2, min(step, len(out)), roi, roi, depth), dtype=out.dtype)
-    for start in range(0, len(out), step):
-        part = slice(start, start + step)
-        top = out[part]
-        right, bot = spare[:, : len(top)]
-        _blend(cells, y0[part], y1[part], x0[part], x1[part], fy[part], fx[part], top, bot, right)
-
-
-def _lerp_rows(table, lo, hi, frac, out, spare) -> None:
-    """``_lerp`` row by row, in chunks of ``len(spare)`` rows."""
-    step = len(spare)
-    for start in range(0, len(lo), step):
-        part = slice(start, start + step)
-        rows = out[part]
-        _lerp(table, lo[part], hi[part], frac[part, None], rows, spare[: len(rows)])
-
-
-def _blend_shared(cells, grid_w, x_axis, x_of, y_axis, y_of, out) -> bool:
-    """Blend each distinct sample of a group of boxes once, then gather
-    the boxes' samples from that table into ``out``.
-
-    ``x_axis`` is ``_bilinear_axis`` of the distinct x-samples and
-    ``x_of`` (n, roi) each box's x-sample ids; ``y_axis`` and ``y_of``
-    likewise for y. A horizontal blend is a (cell row, x-sample) pair,
-    ``v[row, x0] (1 - fx) + v[row, x1] fx``, and a sample a (y-sample,
-    x-sample) pair, the blend of its top and bottom rows' horizontal
-    blends by ``fy``. Equal coordinates give equal corners and fractions,
-    so each table row is the value that the direct blend computes for
-    every sample mapped to it.
-
-    Blending rows first is faster than blending each distinct sample
-    from its four corners, because adjacent y-samples share cell rows:
-    on one full-size 640 x 480 scene's 31 scoring calls, 84 against
-    108 ms (median of 18 runs each, 2-vCPU Xeon, one BLAS thread).
-
-    The horizontal blends and a spare chunk live in ``out``'s rows until
-    the samples are gathered into them. So besides ``out`` the group
-    holds its sample table, under half of ``out``, and the index arrays
-    of the two ``np.unique`` calls: about 48 B per sample whatever the
-    channel count, which at desk channels outweighs a 64 B sample row.
-    Returns False, having written nothing, when the distinct samples
-    would fill half of ``out`` or more: then the group shares too little
-    to pay. Otherwise the horizontal blends, at most two per sample, fit
-    in ``out`` with room to spare.
-    """
-    roi = ROI_SIZE
-    x0, x1, fx = x_axis
-    y0, y1, fy = y_axis
-    n_x = len(x0)
-    pairs, sample_of = np.unique(
-        y_of.reshape(-1, roi, 1) * n_x + x_of.reshape(-1, 1, roi), return_inverse=True
-    )
-    flat = out.reshape(-1, out.shape[-1])
-    if 2 * len(pairs) >= len(flat):
-        return False
-    sy, sx = np.divmod(pairs, n_x)
-    row_x, blend_of = np.unique(
-        np.concatenate([y0[sy] * n_x + sx, y1[sy] * n_x + sx]), return_inverse=True
-    )
-    row, bx = np.divmod(row_x, n_x)
-    step = max(1, _CHUNK_BYTES // flat[0].nbytes)
-    blends, spare = flat[: len(row_x)], flat[len(row_x) : len(row_x) + step]
-    _lerp_rows(cells, row * grid_w + x0[bx], row * grid_w + x1[bx], fx[bx], blends, spare)
-    samples = np.empty((len(pairs), flat.shape[1]), dtype=flat.dtype)
-    _lerp_rows(blends, blend_of[: len(pairs)], blend_of[len(pairs) :], fy[sy], samples, spare)
-    samples.take(sample_of.reshape(-1), axis=0, out=flat, mode="clip")
-    return True
-
-
-def _pool(pyramid: FeaturePyramid, layer_id: int, boxes, values: np.ndarray) -> np.ndarray:
-    """Bilinearly sample each box's roi x roi window from a layer's cells.
-
-    ``values`` is a C-contiguous (H, W, D) array over the layer's grid
-    cells. Returns (N, roi, roi, D). Each bilinear corner is one ``take``
-    from the flat (cells, D) view of ``values``, at row ``y * W + x``; a
-    gather only copies, so this equals indexing ``values`` with one index
-    array per axis, at less cost. Every element is computed with the
-    operations of :func:`_blend`, in its order, whether on its own or
-    once for all boxes that share it.
-    """
-    grid_h, grid_w, depth = values.shape
-    cells = values.reshape(-1, depth)
-    stride = pyramid.strides[layer_id]
-    boxes, far = _corners(boxes)
-    xs = _sample_axis(boxes[:, 0] / stride, far[:, 0] / stride)
-    ys = _sample_axis(boxes[:, 1] / stride, far[:, 1] / stride)
-    roi = ROI_SIZE
-    out = np.empty((len(boxes), roi, roi, depth), dtype=values.dtype)
-    if out.nbytes >= _SHARED_MIN_BYTES:
-        x_values, x_of = np.unique(xs, return_inverse=True)
-        y_values, y_of = np.unique(ys, return_inverse=True)
-        x_axis = _bilinear_axis(x_values, grid_w)
-        y_axis = _bilinear_axis(y_values, grid_h)
-        x_of, y_of = x_of.reshape(xs.shape), y_of.reshape(ys.shape)
-        step = max(1, min(_GROUP_BYTES // out[0].nbytes, _GROUP_SAMPLES // (roi * roi)))
-        for start in range(0, len(boxes), step):
-            part = slice(start, start + step)
-            group = out[part]
-            if not _blend_shared(cells, grid_w, x_axis, x_of[part], y_axis, y_of[part], group):
-                _blend_direct(cells, grid_h, grid_w, xs[part], ys[part], group)
-        return out
-    _blend_direct(cells, grid_h, grid_w, xs, ys, out)
-    return out
-
-
 def roi_pool_many(
     pyramid: FeaturePyramid, layer_id: int, boxes: np.ndarray
 ) -> np.ndarray:
     """Pool many (x, y, w, h) boxes at once; returns (N, roi, roi, C).
 
-    The grid's channel-last memory makes each sample's C values one
-    contiguous read. A call whose output holds at least
-    ``_SHARED_MIN_BYTES`` (1 MiB) shares samples: per group of boxes
-    with at most ``_GROUP_BYTES`` (8 MiB) of output and
-    ``_GROUP_SAMPLES`` (32,768) samples, it blends each distinct sample
-    once and gathers the boxes' rows from that table. A group whose
-    distinct samples would fill half its output or more shares too
-    little and is blended directly. Every other call blends each box's
-    samples directly, in chunks of about ``_CHUNK_BYTES``. Either way
-    the values are the same bits, and peak memory is the output plus a
-    few chunks. A shared group adds its sample table, under half its
-    output (1-3 MiB on the 8 MiB blocks of full-size anchors), and its
-    sort indices, which scale with its samples and not with channels:
-    about 48 B each, so at most about 1.5 MiB. The sample cap matters
-    only at desk channels, where a layer-3 block of 4,800 anchors would
-    otherwise hold 3.7 MiB of indices beside 4.7 MiB of output. Cut into
-    groups of 2,048 boxes, that block took 8.0 ms against 7.7 ms whole
-    and 11.4 ms blended directly (median of 30 calls).
-
-    The 1 MiB rule is the measured crossover. On consecutive 640 x 480
-    anchors at the full-size channels (2-vCPU Xeon, one BLAS thread,
-    best of 40 calls, direct against shared), 256 KiB of output broke
-    even (8 boxes at 256 channels: 358 against 345 us; 2 at 1,024: 360
-    against 408 us), 512 KiB still lost on layer 5 (4 boxes at 1,024:
-    620 against 654 us), 1 MiB won on every layer (1,197-1,259 against
-    599-719 us), and an 8 MiB scoring block took 9.2-9.5 against
-    2.7-3.1 ms.
+    Every sample is a bilinear blend computed with the operations of
+    :func:`_blend`, in its order. The grid's channel-last memory makes a
+    cell's C values one contiguous read, and each bilinear corner one
+    ``take`` from the flat (cells, C) view, at row ``y * W + x``; a
+    gather only copies, so this equals indexing the grid with one index
+    array per axis, at less cost. Boxes are blended in chunks of about
+    ``_CHUNK_BYTES``, in place in the output and two spare buffers, so
+    peak memory is the output plus a few chunks.
     """
-    grid = np.moveaxis(_of_layer(pyramid.grids, layer_id), 0, -1)  # (H, W, C), contiguous
-    return _pool(pyramid, layer_id, boxes, grid)
+    values = np.moveaxis(_of_layer(pyramid.grids, layer_id), 0, -1)  # (H, W, C), contiguous
+    grid_h, grid_w, depth = values.shape
+    cells = values.reshape(-1, depth)
+    stride = pyramid.strides[layer_id]
+    boxes, far = _corners(boxes)
+    x0, x1, fx = _bilinear_axis(_sample_axis(boxes[:, 0] / stride, far[:, 0] / stride), grid_w)
+    y0, y1, fy = _bilinear_axis(_sample_axis(boxes[:, 1] / stride, far[:, 1] / stride), grid_h)
+    y0 = y0[:, :, None] * grid_w
+    y1 = y1[:, :, None] * grid_w
+    x0, x1 = x0[:, None, :], x1[:, None, :]
+    fy = fy[:, :, None, None]
+    fx = fx[:, None, :, None]
+    roi = ROI_SIZE
+    out = np.empty((len(boxes), roi, roi, depth))
+    step = max(1, _CHUNK_BYTES // (roi * roi * depth * out.itemsize))
+    spare = np.empty((2, min(step, len(out)), roi, roi, depth))
+    for start in range(0, len(out), step):
+        part = slice(start, start + step)
+        top = out[part]
+        right, bot = spare[:, : len(top)]
+        _blend(cells, y0[part], y1[part], x0[part], x1[part], fy[part], fx[part], top, bot, right)
+    return out
 
 
 def sample_plan(boxes, layer_ids, cfg: PyramidConfig, extent) -> tuple:

@@ -18,7 +18,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._model import _extent, _positive
+from ._model import _boxes, _extent, _positive
 
 __all__ = [
     "BBox",
@@ -115,8 +115,7 @@ def iou(a: BBox, b: BBox) -> float:
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU for (N, 4) and (G, 4) arrays of (x, y, w, h) boxes."""
-    boxes_a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    boxes_b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
+    boxes_a, boxes_b = _boxes(boxes_a), _boxes(boxes_b)
     ax0, ay0 = boxes_a[:, 0:1], boxes_a[:, 1:2]
     ax1, ay1 = ax0 + boxes_a[:, 2:3], ay0 + boxes_a[:, 3:4]
     bx0, by0 = boxes_b[:, 0], boxes_b[:, 1]
@@ -214,7 +213,7 @@ def decode_regression(anchors, offsets) -> np.ndarray:
 def _rows(boxes) -> np.ndarray:
     """Contiguous (4, N) rows x, y, w, h of (N, 4) boxes, so that every
     operation runs along N values rather than along pairs."""
-    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T.copy()
+    return _boxes(boxes).T.copy()
 
 
 def boxes_to_array(boxes) -> np.ndarray:

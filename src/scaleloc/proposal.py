@@ -5,7 +5,10 @@ features to an objectness logit plus four box-regression offsets,
 evaluated for the anchors of an :class:`~scaleloc.anchors.AnchorSet`.
 The offsets are normalized corner shifts and log size ratios relative
 to the anchor (:func:`~scaleloc.geometry.encode_regression`).
-The trained objective is :func:`proposal_loss_and_grad`: it weights
+The head is linear, so :func:`score_proposals` gets every anchor's
+objectness from one score map per layer, sampled at the anchor, as
+R-FCN does; :func:`top_k` then pools and regresses only the anchors it
+keeps. The trained objective is :func:`proposal_loss_and_grad`: it weights
 every example by a height-dependent softmax over per-layer sigmoids.
 Within each layer's batch it balances positives against bootstrapped
 hard negatives and averages the box regression over that layer's
@@ -254,57 +257,44 @@ class ScoredBox:
     layer_id: int
 
 
-_SCORE_BLOCK_BYTES = 8 * 1024 * 1024  # pooled features per scoring block
-
-
-def _score_blocks(n: int, row_bytes: int) -> list[slice]:
-    """Slices that cover ``range(n)`` in blocks of ``_SCORE_BLOCK_BYTES //
-    row_bytes`` rows, the last block taking the remainder. Whenever there
-    is more than one block, each holds over 4 MiB of features, far above
-    the sizes at which BLAS switches to a small-matrix kernel, so every
-    row of a block's product equals that row of the whole product."""
-    rows = max(1, _SCORE_BLOCK_BYTES // row_bytes)
-    starts = list(range(0, n, rows))[: max(1, n // rows)]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
 def score_proposals(
     model: ProposalModel,
     pyramid: FeaturePyramid,
     anchors: AnchorSet,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decoded, clipped ``boxes`` (N, 4), objectness ``scores`` (N,) and
-    ``layer_ids`` (N,) of every anchor, in anchor order. The anchors must
-    have been generated for the pyramid's extent.
+) -> tuple:
+    """``(model, pyramid, anchors, scores)``: the inputs, for :func:`top_k`,
+    and every anchor's objectness ``scores`` (N,), in anchor order. The
+    anchors must have been generated for the pyramid's extent.
 
-    Each layer's anchors are pooled and run through the head in blocks
-    of about ``_SCORE_BLOCK_BYTES`` of features, so the call never holds
-    a whole layer's pooled features (150 MiB for layer 3 of a 640x480
-    scene at the full-size channels). Block after block reuses the same
-    heap memory, so peak memory does not depend on how much freed memory
-    the allocator happens to keep. The results equal the whole-layer
-    computation bit for bit."""
+    The scores are sigmoids of :func:`_objectness`' logits: one score map
+    per layer, sampled at the anchors' plan, so no anchor is pooled here.
+    """
     if tuple(pyramid.extent) != anchors.extent:
         raise ValueError(f"anchors for extent {anchors.extent}, pyramid of {pyramid.extent}")
-    heads = np.empty((len(anchors), ProposalModel.N_OUT))
-    for layer_id, sel, clipped in _by_layer(anchors, np.arange(len(anchors))):
-        dim = _of_layer(model.feature_dims, layer_id)
-        for part in _score_blocks(len(sel), dim * heads.itemsize):
-            feats = roi_pool_many(pyramid, layer_id, clipped[part])
-            rows = sel[part]
-            heads[rows, 0], heads[rows, 1:] = model.forward(layer_id, feats.reshape(len(feats), -1))
-            del feats  # freed before the next block is pooled
-    boxes = clip_boxes(decode_regression(anchors.boxes, heads[:, 1:]), pyramid.extent)
-    return boxes, _sigmoid(heads[:, 0]), anchors.layer_ids.copy()
+    logits = _objectness(model, pyramid, anchors, np.arange(len(anchors)))
+    return model, pyramid, anchors, _sigmoid(logits)
 
 
-def top_k(scored: tuple[np.ndarray, np.ndarray, np.ndarray], k: int) -> list[ScoredBox]:
-    """Best k rows of :func:`score_proposals`' ``(boxes, scores, layer_ids)``
-    by score, ties broken by input order, as :class:`ScoredBox` records."""
-    boxes, scores, layer_ids = scored
+def top_k(scored: tuple, k: int) -> list[ScoredBox]:
+    """The best k anchors of :func:`score_proposals`' result by score,
+    ties broken by anchor order, as :class:`ScoredBox` records.
+
+    Only the kept anchors are pooled, layer by layer, and run through
+    their head, whose offsets decode each anchor into its box, clipped to
+    the image. Each record keeps its anchor's score, so the list is
+    sorted by the scores it reports. With k = N every anchor is pooled,
+    a whole layer at once: 150 MiB of features for layer 3 of a 640x480
+    scene at the full-size channels.
+    """
+    model, pyramid, anchors, scores = scored
     _count("k", k, least=0)
-    keep = np.argsort(-scores, kind="stable")[:k]  # stable keeps input order
-    rows = zip(boxes[keep].tolist(), scores[keep].tolist(), layer_ids[keep].tolist())
+    keep = np.argsort(-scores, kind="stable")[:k]  # stable keeps anchor order
+    offsets = np.empty((len(anchors), 4))
+    for layer_id, sel, clipped in _by_layer(anchors, keep):
+        feats = roi_pool_many(pyramid, layer_id, clipped)
+        offsets[sel] = model.forward(layer_id, feats.reshape(len(sel), -1))[1]
+    boxes = clip_boxes(decode_regression(anchors.boxes[keep], offsets[keep]), pyramid.extent)
+    rows = zip(boxes.tolist(), scores[keep].tolist(), anchors.layer_ids[keep].tolist())
     return [ScoredBox(box=BBox(*box), score=score, layer_id=layer) for box, score, layer in rows]
 
 
@@ -363,13 +353,19 @@ def _objectness(model: ProposalModel, pyramid: FeaturePyramid, anchors: AnchorSe
     The head is applied to the layer grids before sampling at the anchors'
     plan (:func:`roi_pool_project`), so no pooled block is built; the logits
     equal the pooled forward pass up to the order of floating-point sums.
+    Only the layers the anchors reach need a head in the model and a grid
+    in the pyramid.
     """
-    layers = sorted(model.feature_dims)
-    heads = {l: model.params[f"head{l}/w"][:1] for l in layers}
-    bias = np.array([model.params[f"head{l}/b"][0] for l in layers])
     scores = np.full(len(anchors), -np.inf)
-    logits = roi_pool_project(pyramid, anchors.plan, indices, heads)[:, 0]
-    scores[indices] = logits + bias[np.searchsorted(layers, anchors.layer_ids[indices])]
+    reached, which = np.unique(anchors.layer_ids[indices], return_inverse=True)
+    if len(reached):
+        heads, bias = {}, []
+        for layer_id in reached.tolist():
+            _of_layer(model.feature_dims, layer_id)
+            heads[layer_id] = model.params[f"head{layer_id}/w"][:1]
+            bias.append(model.params[f"head{layer_id}/b"][0])
+        logits = roi_pool_project(pyramid, anchors.plan, indices, heads)[:, 0]
+        scores[indices] = logits + np.array(bias)[which]
     return scores
 
 

@@ -9,7 +9,6 @@ from scaleloc import featpyr
 from scaleloc.anchors import generate_anchors
 from scaleloc.featpyr import (
     _CHUNK_BYTES,
-    _SHARED_MIN_BYTES,
     ROI_SIZE,
     FeaturePyramid,
     LayerSpec,
@@ -407,31 +406,15 @@ def boxes_of_kind(kind, rng, extent, stride, height, limit):
     return random_boxes(rng, limit, extent)
 
 
-def record_shared_blends(monkeypatch):
-    """Replace ``featpyr._blend_shared`` with a wrapper that records, per
-    group, whether the shared blend ran (True) or gave way (False)."""
-    results, real = [], featpyr._blend_shared
-
-    def spy(*args):
-        results.append(real(*args))
-        return results[-1]
-
-    monkeypatch.setattr(featpyr, "_blend_shared", spy)
-    return results
-
-
 class TestSharedSamples:
-    """A ``roi_pool_many`` call with at least 1 MiB of output blends each
-    distinct sample of a group of boxes once, unless the group shares too
-    little. Whichever blend runs, the output equals the out-of-place
-    oracle bit for bit."""
+    """Boxes whose samples repeat, as lattice anchors' do, and boxes whose
+    samples do not, pool to the out-of-place oracle bit for bit."""
 
     @given(
         extent=st.tuples(st.integers(24, 320), st.integers(24, 240)),
         stride=st.sampled_from([4, 8, 16, 32]),
         cells_high=st.floats(0.5, 12),
-        # Per box: 384 B, 5 KiB, 40 KiB and 125 KiB of output; the shared
-        # blend needs _SHARED_MIN_BYTES (1 MiB) in the call.
+        # Per box: 384 B, 5 KiB, 40 KiB and 125 KiB of output.
         channels=st.sampled_from([3, 40, 320, 1000]),
         kind=st.sampled_from(["anchors", "unclipped", "mixed", "duplicates", "column", "random"]),
         limit=st.integers(0, 300),
@@ -462,60 +445,23 @@ class TestSharedSamples:
     @pytest.mark.parametrize(
         "stride,channels,count", [(8, 256, 600), (16, 512, 300), (32, 1024, 150), (8, 8, 4800)]
     )
-    def test_anchor_layers_share_in_groups(self, monkeypatch, stride, channels, count):
-        """Anchors of a 640 x 480 layer, each group blended through its
-        table. At full-size channels about 2.3 groups of 8 MiB; at 8
-        channels, all 4,800 layer-3 anchors hold 4.7 MiB of output but
-        76,800 samples, so groups stop at ``_GROUP_SAMPLES``."""
-        shared = record_shared_blends(monkeypatch)
+    def test_anchor_layers_share_in_groups(self, stride, channels, count):
+        """Anchors of a 640 x 480 layer: about 2.3 times 8 MiB of output
+        at full-size channels, and all 4,800 layer-3 anchors at 8."""
         rng = np.random.default_rng(stride)
         pyr = random_grid_pyramid(rng, channels, stride, (640, 480))
         boxes = lattice_anchors((640, 480), stride, stride * 5.0)[:count]
         got = roi_pool_many(pyr, 3, boxes)
+        assert len(boxes) == count
         assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
-        assert len(boxes) == count and shared and all(shared)
-        if channels > 8:
-            assert len(shared) == -(-got.nbytes // featpyr._GROUP_BYTES)
-        else:
-            assert len(shared) == -(-got[..., 0].size // featpyr._GROUP_SAMPLES)
-
-    def test_a_group_that_shares_too_little_is_blended_directly(self, monkeypatch):
-        shared = record_shared_blends(monkeypatch)
-        rng = np.random.default_rng(41)
-        pyr = random_grid_pyramid(rng, 256, 8, (640, 480))
-        boxes = boxes_of_kind("column", rng, (640, 480), 8, 40.0, 300)
-        got = roi_pool_many(pyr, 3, boxes)
-        assert shared == [False, False]
-        assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
-
-    def test_only_calls_of_at_least_a_mebibyte_try_to_share(self, monkeypatch):
-        shared = record_shared_blends(monkeypatch)
-        rng = np.random.default_rng(42)
-        wide = random_grid_pyramid(rng, 256, 8, (640, 480))
-        narrow = random_grid_pyramid(rng, 8, 8, (640, 480))
-        anchors = lattice_anchors((640, 480), 8, 40.0)[:256]
-        crossover = _SHARED_MIN_BYTES // (ROI_SIZE * ROI_SIZE * 256 * 8)  # boxes at 256 channels
-        # Below the crossover: a single box, a desk-width minibatch and a
-        # few wide boxes; then a projection, which samples its maps directly.
-        roi_pool_many(wide, 3, anchors[:1])
-        roi_pool_many(narrow, 3, anchors[:128])
-        roi_pool_many(wide, 3, anchors[: crossover - 1])
-        project(wide, 3, anchors, rng.normal(size=(1, ROI_SIZE * ROI_SIZE * 256)))
-        assert shared == []
-        # From the crossover up, random boxes try and give way; anchors share.
-        roi_pool_many(wide, 3, random_boxes(rng, 256, (640, 480)))
-        roi_pool_many(wide, 3, anchors[:crossover])
-        roi_pool_many(wide, 3, anchors)
-        assert shared == [False, True, True]
 
     @pytest.mark.parametrize(
         "case", ["anchor-block", "desk-anchor-block", "random-boxes", "repeated-boxes"]
     )
     def test_peak_memory_is_the_output_plus_a_few_chunks(self, case):
-        """A full 8 MiB scoring block of layer-3 anchors at 256 channels,
-        the desk block of all 4,800 layer-3 anchors at 8 channels, whose
-        sort indices outweigh its 64 B sample rows, and 4,000 random
-        boxes, alone or repeated, at 128 channels."""
+        """8 MiB of layer-3 anchors at 256 channels, all 4,800 layer-3
+        anchors at 8 channels, and 4,000 random boxes, alone or repeated,
+        at 128 channels."""
         rng = np.random.default_rng(43)
         if case in ("anchor-block", "desk-anchor-block"):
             channels = 256 if case == "anchor-block" else 8

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import box_oracles as oracle
+from scaleloc.anchors import generate_anchors, label_arrays
+from scaleloc.featpyr import FeaturePyramid, LayerSpec, PyramidConfig, roi_pool_many, sample_plan
 from scaleloc.geometry import (
     TRANSFORM_ACTIONS,
     BBox,
@@ -402,3 +405,41 @@ class TestStepConfig:
         want = f"^{field} must be a finite number above {bound}, got {value!r}"
         with pytest.raises(ValueError, match=want):
             StepConfig(**{field: value})
+
+
+ONE_BOX = np.array([[1.0, 2.0, 8.0, 8.0]])
+ONE_LAYER = PyramidConfig(layers=(LayerSpec(3, 8, 2),))
+# Each public function that takes an array of boxes, with ``b`` in that
+# place and well-formed arguments elsewhere.
+BOX_ENTRY_POINTS = {
+    "iou_matrix(a)": lambda b: iou_matrix(b, ONE_BOX),
+    "iou_matrix(b)": lambda b: iou_matrix(ONE_BOX, b),
+    "clip_boxes": lambda b: clip_boxes(b, (32, 24)),
+    "apply_transforms": lambda b: apply_transforms(b, [0], StepConfig()),
+    "encode_regression(anchors)": lambda b: encode_regression(b, ONE_BOX),
+    "encode_regression(targets)": lambda b: encode_regression(ONE_BOX, b),
+    "decode_regression(anchors)": lambda b: decode_regression(b, ONE_BOX),
+    "decode_regression(offsets)": lambda b: decode_regression(ONE_BOX, b),
+    "roi_pool_many": lambda b: roi_pool_many(
+        FeaturePyramid(extent=(32, 24), strides={3: 8}, grids={3: np.ones((2, 3, 4))}), 3, b
+    ),
+    "sample_plan": lambda b: sample_plan(b, [3], ONE_LAYER, (32, 24)),
+    "label_arrays": lambda b: label_arrays(generate_anchors(ONE_LAYER, (32, 24), {3: 16.0}), b),
+}
+
+
+class TestBoxArrayShape:
+    @pytest.mark.parametrize(
+        "shape", [(4, 5), (4, 3), (4,), (8,), (0,), (2, 2, 4)], ids=lambda s: "x".join(map(str, s))
+    )
+    @pytest.mark.parametrize("entry", sorted(BOX_ENTRY_POINTS))
+    def test_rows_must_be_four_wide(self, entry, shape):
+        # (4, 5) used to pool 5 boxes and (4, 3) to clip 3: values regrouped four by four.
+        boxes = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+        want = re.escape(f"expected (N, 4) boxes, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            BOX_ENTRY_POINTS[entry](boxes)
+
+    @pytest.mark.parametrize("entry", sorted(BOX_ENTRY_POINTS))
+    def test_one_row_of_four_accepted(self, entry):
+        assert len(BOX_ENTRY_POINTS[entry](ONE_BOX.tolist())) > 0

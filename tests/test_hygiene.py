@@ -1,9 +1,10 @@
 """Static checks of the source with the standard-library ``ast`` module:
-every exported name exists and is read by the package or the benchmark,
-every imported name is used, every ``*Config`` field is read by some
-code outside its own class and set by some call, every function
-parameter is read by its function, and every method or property is read
-and every defaulted parameter passed by the package or the benchmark.
+every exported name exists, every module-level name is read by the
+package or the benchmark, every imported name is used, every
+``*Config`` field is read by some code outside its own class and set by
+some call, every function parameter is read by its function, and every
+method or property is read and every defaulted parameter passed by the
+package or the benchmark.
 One guard then constructs each ``*Config`` these checks find, to see
 that every numeric field rejects the values its type cannot mean."""
 
@@ -179,6 +180,40 @@ def test_export_check_flags_a_name_only_its_definition_and_all_mention():
     )
     caller = ast.parse("from pkg.mod import sample as draw\nimport pkg\npkg.mod.Scene\n")
     assert unread_exports(module, [module, caller]) == ["write", "read"]
+
+
+def unread_module_names(tree, trees):
+    """Names that ``tree`` binds at module level, other than imports and
+    dunders, that no code in ``trees`` reads, such as a constant left
+    behind by deleted code. Reads count as in :func:`names_read`."""
+    reads = names_read(trees)
+    imports = {name for node in tree.body for name in imported(node)}
+    bound = top_level_names(tree) - imports
+    return sorted(n for n in bound if not n.startswith("__") and n not in reads)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_level_names_are_read(path):
+    trees = [parse(p) for p in PACKAGE + PERFBENCH]
+    unread = unread_module_names(parse(path), trees)
+    where = "module-level names that nothing in src/ or perfbench/ reads"
+    assert not unread, f"{path.name}: {where} {unread}"
+
+
+def test_module_name_check_flags_a_constant_left_behind():
+    module = ast.parse(
+        "import math\n"
+        "__all__ = ['pool']\n"
+        "_CHUNK_BYTES = 512\n"
+        "_GROUP_BYTES = 16 * _CHUNK_BYTES\n"
+        "LIMIT: int = 3\n"
+        "def pool(): return _CHUNK_BYTES * math.pi\n"
+        "def _blend_shared(): return LIMIT\n"
+        "class _Unused: pass\n"
+    )
+    caller = ast.parse("from pkg.mod import pool\n")
+    unread = unread_module_names(module, [module, caller])
+    assert unread == ["_GROUP_BYTES", "_Unused", "_blend_shared"]
 
 
 def is_class_var(annotation):

@@ -28,8 +28,6 @@ from scaleloc.proposal import (
     ProposalTrainConfig,
     ScoredBox,
     TrainingDivergedError,
-    _score_blocks,
-    _SCORE_BLOCK_BYTES,
     layer_weights,
     proposal_loss_and_grad,
     score_proposals,
@@ -523,11 +521,61 @@ class TestForward:
 
 
 def records(boxes, scores, layer_ids) -> list[ScoredBox]:
-    """One record per row, the form scoring returned before it moved to arrays."""
+    """One record per row, the form top_k returns."""
     return [
         ScoredBox(box=BBox(*b), score=s, layer_id=l)
         for b, s, l in zip(boxes.tolist(), scores.tolist(), layer_ids.tolist())
     ]
+
+
+def pooled_scoring(model, pyramid, anchors):
+    """Decoded, clipped boxes (N, 4), objectness scores (N,) and layer ids
+    (N,) of every anchor, from each layer's anchors pooled whole and run
+    through its head: the route scoring took before score maps."""
+    logits, offsets = np.empty(len(anchors)), np.empty((len(anchors), 4))
+    for layer_id in np.unique(anchors.layer_ids).tolist():
+        sel = np.flatnonzero(anchors.layer_ids == layer_id)
+        feats = roi_pool_many(pyramid, layer_id, anchors.clipped[sel])
+        logits[sel], offsets[sel] = model.forward(layer_id, feats.reshape(len(sel), -1))
+    boxes = clip_boxes(decode_regression(anchors.boxes, offsets), pyramid.extent)
+    return boxes, _sigmoid(logits), anchors.layer_ids
+
+
+def ranked(scores) -> list[int]:
+    """Row indices by descending score, ties in row order (a stable sort)."""
+    return sorted(range(len(scores)), key=lambda i: -scores[i])
+
+
+def assert_matches_pooled(picked, oracle, rows):
+    """The records are ``pooled_scoring``'s ``rows``, in order: the same
+    layers, the scores within ``_objectness``' tolerance and the boxes
+    within rtol 1e-12."""
+    boxes, scores, layer_ids = oracle
+    assert [s.layer_id for s in picked] == layer_ids[rows].tolist()
+    np.testing.assert_allclose([s.score for s in picked], scores[rows], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(boxes_to_array(s.box for s in picked), boxes[rows], rtol=1e-12)
+
+
+FULL_PYR = PyramidConfig(
+    layers=(LayerSpec(3, 8, 256), LayerSpec(4, 16, 512), LayerSpec(5, 32, 1024))
+)
+
+
+def random_grid_scene(extent):
+    """A full-size model, a pyramid of random grids (not block statistics,
+    whose channels repeat) over ``extent`` and its anchors."""
+    rng = np.random.default_rng(5)
+    width, height = extent
+    grids = {
+        l.layer_id: rng.uniform(
+            -1, 1, size=(l.channels, -(-height // l.stride), -(-width // l.stride))
+        )
+        for l in FULL_PYR.layers
+    }
+    strides = {l.layer_id: l.stride for l in FULL_PYR.layers}
+    pyramid = featpyr.FeaturePyramid(extent=extent, strides=strides, grids=grids)
+    anchors = generate_anchors(FULL_PYR, extent, LayerWeightConfig().base_heights())
+    return ProposalModel.init(FULL_PYR, seed=4), pyramid, anchors
 
 
 class TestScoring:
@@ -539,28 +587,47 @@ class TestScoring:
         model = ProposalModel.init(pyramid_cfg, seed=3)
         return model, pyramid, anchors
 
-    # sha256 of score_proposals' boxes (N, 4), scores (N,) as float64 and
-    # layer ids (N,) as int64, recorded before the hidden-layer heads, the
-    # raw box regression and the column-pair box codec were removed, and
-    # before scoring returned arrays.
+    # sha256 of the boxes (N, 4) and scores (N,) as float64 and the layer
+    # ids (N,) as int64 of top_k(scored, N), recorded when scoring moved
+    # to score maps.
     SCORE_DIGESTS = {
-        "tiny": (TINY_PYR, "a2bfda5d655b73630b9e602a4aeb0cd8e828365d16e8732d3d8fdbaa2c9dce73"),
+        "tiny": (TINY_PYR, "cf8867a3fc54c2417651efb481b3ad9bf611fb50b4dfbe57754697084e144865"),
         "desk": (
             PyramidConfig(),
-            "fc01a65b23249bb3dbc78ee4f9e4a78bf3cab3742929c344e9c24599db25f907",
+            "fa2e1194a14ba961f282609ac7aee5b50da13371f112583a51cf8cd4d5872302",
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(SCORE_DIGESTS))
     def test_scores_match_recorded_digest(self, case):
         pyramid_cfg, want = self.SCORE_DIGESTS[case]
-        boxes, scores, layer_ids = score_proposals(*self.setup_scene(pyramid_cfg))
-        assert (boxes.dtype, scores.dtype, layer_ids.dtype) == (np.float64, np.float64, np.int64)
+        model, pyramid, anchors = self.setup_scene(pyramid_cfg)
+        picked = top_k(score_proposals(model, pyramid, anchors), len(anchors))
+        assert len(picked) == len(anchors)
         digest = hashlib.sha256()
-        digest.update(boxes.tobytes())
-        digest.update(scores.tobytes())
-        digest.update(layer_ids.tobytes())
+        digest.update(boxes_to_array(s.box for s in picked).tobytes())
+        digest.update(np.array([s.score for s in picked], dtype=np.float64).tobytes())
+        digest.update(np.array([s.layer_id for s in picked], dtype=np.int64).tobytes())
         assert digest.hexdigest() == want
+
+    @pytest.mark.parametrize("case", ["tiny", "desk", "full"])
+    def test_matches_pooled_scoring_oracle(self, case):
+        """Score maps rank the anchors as pooled scoring does, and the
+        kept rows' boxes are the pooled route's."""
+        if case == "full":
+            model, pyramid, anchors = random_grid_scene((320, 240))
+        else:
+            model, pyramid, anchors = self.setup_scene(
+                TINY_PYR if case == "tiny" else PyramidConfig()
+            )
+        scored = score_proposals(model, pyramid, anchors)
+        assert scored[:3] == (model, pyramid, anchors)
+        oracle = pooled_scoring(model, pyramid, anchors)
+        np.testing.assert_allclose(scored[3], oracle[1], rtol=1e-9, atol=1e-12)
+        rows = ranked(oracle[1])
+        assert ranked(scored[3]) == rows
+        for k in (100, len(anchors)):
+            assert_matches_pooled(top_k(scored, k), oracle, rows[:k])
 
     @pytest.mark.parametrize("pyramid_cfg", [TINY_PYR, PyramidConfig()], ids=["tiny", "desk"])
     def test_objectness_scores_only_the_pool(self, pyramid_cfg):
@@ -588,8 +655,8 @@ class TestScoring:
 
     @pytest.mark.parametrize("k", [True, -5, 2.5])
     def test_top_k_rejects_a_k_that_is_not_a_count(self, k):
-        # Unchecked, True keeps one record, -5 none, and 2.5 fails in slicing.
-        scored = (np.ones((3, 4)), np.array([0.1, 0.3, 0.2]), np.array([3, 4, 5]))
+        # Unchecked, True keeps one record, -5 all but five, and 2.5 fails in slicing.
+        scored = score_proposals(*self.setup_scene())
         with pytest.raises(ValueError, match="^k must be an integer of at least 0, got"):
             top_k(scored, k)
 
@@ -603,10 +670,14 @@ class TestScoring:
     def test_top_k_matches_full_sort_oracle(self):
         model, pyramid, anchors = self.setup_scene()
         scored = score_proposals(model, pyramid, anchors)
+        boxes, _, layer_ids = pooled_scoring(model, pyramid, anchors)
+        oracle = sorted(records(boxes, scored[3], layer_ids), key=lambda s: -s.score)[:300]
         picked = top_k(scored, 300)
-        oracle = sorted(records(*scored), key=lambda s: -s.score)[:300]
         assert [s.score for s in picked] == [s.score for s in oracle]
-        assert picked == oracle
+        assert [s.layer_id for s in picked] == [s.layer_id for s in oracle]
+        np.testing.assert_allclose(
+            boxes_to_array(s.box for s in picked), boxes_to_array(s.box for s in oracle), rtol=1e-12
+        )
 
     def test_top_k_beyond_available_returns_all(self):
         model, pyramid, anchors = self.setup_scene()
@@ -632,31 +703,27 @@ class TestScoring:
         assert sorted(built) == ["BBox"] * 7 + ["ScoredBox"] * 7
 
     @given(
-        rows=st.lists(
-            st.tuples(
-                st.tuples(*[st.floats(-50.0, 50.0)] * 2, *[st.floats(0.5, 80.0)] * 2),
-                st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
-                st.sampled_from([3, 4, 5]),
-            ),
-            max_size=30,
-        )
+        levels=st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=4
+        ),
+        seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_top_k_equals_stable_sort_oracle(self, rows):
-        """Random scores, often tied: top_k keeps the first k of a stable
-        sort by descending score, as Python floats and ints."""
-        n = len(rows)
-        boxes, scores, layer_ids = zip(*rows) if rows else ((), (), ())
-        scored = (
-            np.array(boxes, dtype=np.float64).reshape(n, 4),
-            np.array(scores, dtype=np.float64),
-            np.array(layer_ids, dtype=np.int64),
-        )
-        ranked = sorted(records(*scored), key=lambda s: -s.score)
-        for k in (0, 1, n, n + 5):
-            picked = top_k(scored, k)
-            assert picked == ranked[:k]
-            assert top_k(scored, np.int64(k)) == picked
+    def test_top_k_equals_stable_sort_oracle(self, levels, seed):
+        """Scores drawn from a few levels, so mostly tied: top_k keeps the
+        first k anchors of a stable sort by descending score, each with
+        its pooled box, as Python floats and ints."""
+        model, pyramid, anchors = self.setup_scene()
+        scores = np.random.default_rng(seed).choice(levels, size=len(anchors))
+        oracle = pooled_scoring(model, pyramid, anchors)
+        rows = ranked(scores)
+        for k in (0, 1, 37, len(anchors), len(anchors) + 5):
+            picked = top_k((model, pyramid, anchors, scores), k)
+            assert [s.score for s in picked] == scores[rows[:k]].tolist()
+            assert [s.layer_id for s in picked] == oracle[2][rows[:k]].tolist()
+            got = boxes_to_array(s.box for s in picked)
+            np.testing.assert_allclose(got, oracle[0][rows[:k]], rtol=1e-12)
+            assert top_k((model, pyramid, anchors, scores), np.int64(k)) == picked
             for s in picked:
                 assert type(s.score) is float and type(s.layer_id) is int
                 assert all(type(v) is float for v in s.box.as_tuple())
@@ -670,9 +737,10 @@ class TestScoring:
         model = ProposalModel.init(TINY_PYR, seed=3)
         for layer_id in model.feature_dims:
             model.params[f"head{layer_id}/w"][1:] *= gain
-        boxes, scores, layer_ids = score_proposals(model, pyramid, anchors)
-        assert len(boxes) == len(scores) == len(layer_ids) == len(anchors)
-        assert scores.dtype == np.float64 and layer_ids.dtype == np.int64
+        scored = score_proposals(model, pyramid, anchors)
+        picked = top_k(scored, len(anchors))
+        assert len(picked) == len(anchors)
+        of_anchor = dict(zip(ranked(scored[3]), picked))
         extent = pyramid.extent
         fallbacks = 0
         for layer_id in model.feature_dims:
@@ -686,8 +754,10 @@ class TestScoring:
                 decoded = oracle.decode(cell, vec)
                 want = oracle.clip(decoded, extent)
                 fallbacks += want.as_tuple()[2:] == (2.0, 2.0)
-                np.testing.assert_allclose(boxes[i], want.as_tuple(), rtol=1e-12)
-                assert (scores[i], layer_ids[i]) == (prob, layer_id)
+                got = of_anchor[i]
+                np.testing.assert_allclose(got.box.as_tuple(), want.as_tuple(), rtol=1e-12)
+                assert (got.score, got.layer_id) == (scored[3][i], layer_id)
+                assert got.score == pytest.approx(prob, rel=1e-9, abs=1e-12)
         assert (fallbacks > 0) == (gain > 1.0)
 
     def test_anchors_of_another_extent_rejected(self):
@@ -705,84 +775,60 @@ class TestScoring:
         with pytest.raises(ValueError, match=r"^layer 5 is not one of \[3, 4\]$"):
             proposal._objectness(model, pyramid, anchors, np.arange(len(anchors)))
 
+    def test_model_with_a_layer_the_pyramid_lacks_scores_it(self):
+        """A layers-3/4/5 model scores a layers-3/4 pyramid and its
+        anchors: only the heads of the layers the anchors reach apply."""
+        _, pyramid, anchors = self.setup_scene(PyramidConfig(layers=TINY_PYR.layers[:2]))
+        model = ProposalModel.init(TINY_PYR, seed=3)
+        scored = score_proposals(model, pyramid, anchors)
+        oracle = pooled_scoring(model, pyramid, anchors)
+        np.testing.assert_allclose(scored[3], oracle[1], rtol=1e-9, atol=1e-12)
+        assert_matches_pooled(top_k(scored, len(anchors)), oracle, ranked(oracle[1]))
+
     def test_boxes_clipped_and_layer_tagged(self):
         model, pyramid, anchors = self.setup_scene()
-        boxes, scores, layer_ids = score_proposals(model, pyramid, anchors)
-        assert np.all(np.isin(layer_ids, (3, 4, 5)))
+        picked = top_k(score_proposals(model, pyramid, anchors), len(anchors))
+        boxes = boxes_to_array(s.box for s in picked)
+        scores = np.array([s.score for s in picked])
+        assert sorted(s.layer_id for s in picked) == sorted(anchors.layer_ids.tolist())
         assert np.all(boxes[:, :2] >= 0)
         assert np.all(boxes[:, 0] + boxes[:, 2] <= 160) and np.all(boxes[:, 1] + boxes[:, 3] <= 120)
         assert np.all((0.0 <= scores) & (scores <= 1.0))
 
 
-class TestBlockedScoring:
-    """score_proposals pools and scores each layer in blocks of about
-    _SCORE_BLOCK_BYTES of features. At the full-size channels a 320x240
-    scene has 1,200 / 300 / 75 anchors on layers 3 / 4 / 5, which makes
-    4, 2 and 1 blocks."""
-
-    FULL = PyramidConfig(
-        layers=(LayerSpec(3, 8, 256), LayerSpec(4, 16, 512), LayerSpec(5, 32, 1024))
-    )
-    EXTENT = (320, 240)
-
-    def setup_scene(self):
-        # Random grids, not block statistics, whose channels repeat.
-        rng = np.random.default_rng(5)
-        width, height = self.EXTENT
-        grids = {
-            l.layer_id: rng.uniform(
-                -1, 1, size=(l.channels, -(-height // l.stride), -(-width // l.stride))
-            )
-            for l in self.FULL.layers
-        }
-        strides = {l.layer_id: l.stride for l in self.FULL.layers}
-        pyramid = featpyr.FeaturePyramid(extent=self.EXTENT, strides=strides, grids=grids)
-        anchors = generate_anchors(self.FULL, self.EXTENT, LayerWeightConfig().base_heights())
-        return ProposalModel.init(self.FULL, seed=4), pyramid, anchors
-
-    def test_layers_span_several_blocks(self):
-        model, _, anchors = self.setup_scene()
-        counts = [
-            len(_score_blocks(int((anchors.layer_ids == l).sum()), model.feature_dims[l] * 8))
-            for l in model.feature_dims
-        ]
-        assert counts == [4, 2, 1]
+class TestFullSizeScoring:
+    """Full-size channels on random grids. A 320x240 scene has 1,200 /
+    300 / 75 anchors on layers 3 / 4 / 5."""
 
     def test_equals_whole_layer_scoring(self):
-        model, pyramid, anchors = self.setup_scene()
-        got_boxes, got_scores, got_layers = score_proposals(model, pyramid, anchors)
+        model, pyramid, anchors = random_grid_scene((320, 240))
+        scored = score_proposals(model, pyramid, anchors)
+        of_anchor = dict(zip(ranked(scored[3]), top_k(scored, len(anchors))))
         for layer_id in model.feature_dims:
             sel = np.flatnonzero(anchors.layer_ids == layer_id)
             feats = roi_pool_many(pyramid, layer_id, anchors.clipped[sel])
             logits, offsets = model.forward(layer_id, feats.reshape(len(sel), -1))
             boxes = clip_boxes(decode_regression(anchors.boxes[sel], offsets), pyramid.extent)
-            assert np.array_equal(got_boxes[sel], boxes)
-            assert np.array_equal(got_scores[sel], _sigmoid(logits))
-            assert set(got_layers[sel].tolist()) == {layer_id}
+            got = [of_anchor[i] for i in sel.tolist()]
+            np.testing.assert_allclose(boxes_to_array(s.box for s in got), boxes, rtol=1e-12)
+            np.testing.assert_allclose(
+                [s.score for s in got], _sigmoid(logits), rtol=1e-9, atol=1e-12
+            )
+            assert {s.layer_id for s in got} == {layer_id}
 
-    def test_peak_memory_is_a_block_not_a_layer(self):
-        model, pyramid, anchors = self.setup_scene()
-        layer3 = int((anchors.layer_ids == 3).sum()) * model.feature_dims[3] * 8
+    def test_peak_memory_is_under_half_of_pooled_scorings(self):
+        """At 640x480, score maps and the 100 kept rows' pooling peak at
+        about 7 MiB, most of it the projection's (roi, roi, N) blend
+        buffers. Pooled scoring held two 8 MiB blocks of features and
+        peaked at 17.0 MiB on this scene."""
+        model, pyramid, anchors = random_grid_scene((640, 480))
         tracemalloc.start()
         try:
-            score_proposals(model, pyramid, anchors)
+            top_k(score_proposals(model, pyramid, anchors), 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One block alive at a time, and the last block of a layer, which
-        # takes the remainder, holds under two blocks' bytes.
-        bound = 2 * _SCORE_BLOCK_BYTES + 8 * featpyr._CHUNK_BYTES + (1 << 20)
-        assert bound < layer3
-        assert peak <= bound, peak / _SCORE_BLOCK_BYTES
-
-    @pytest.mark.parametrize("n", [0, 1, 255, 256, 511, 512, 4800])
-    @pytest.mark.parametrize("row_bytes", [1024, 32 * 1024, 5 << 20, 9 << 20])
-    def test_blocks_cover_rows_in_order(self, n, row_bytes):
-        blocks = _score_blocks(n, row_bytes)
-        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
-        if len(blocks) > 1:
-            # Far above BLAS's small-matrix sizes, so rows match the whole product.
-            assert min((b.stop - b.start) * row_bytes for b in blocks) > 4 << 20
+        assert peak <= 8 << 20, peak / 2**20
 
 
 class TestTraining:
