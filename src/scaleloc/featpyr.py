@@ -72,6 +72,8 @@ class PyramidConfig:
     )
 
     def __post_init__(self):
+        if not self.layers:
+            raise ValueError("need at least one layer")
         for l in self.layers:
             _count("layer id", l.layer_id, least=0)  # parameter names hold it as digits
             # build_pyramid sizes its grids and blocks with these.

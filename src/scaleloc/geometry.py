@@ -49,7 +49,7 @@ MIN_SIDE = 2.0
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box: top-left corner (x, y), width w > 0, height h > 0."""
+    """Axis-aligned box: finite top-left corner (x, y), width w > 0, height h > 0."""
 
     x: float
     y: float
@@ -57,6 +57,8 @@ class BBox:
     h: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError(f"box coordinates must be finite, got {self}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
 
@@ -168,10 +170,14 @@ def clip_boxes(boxes, extent: tuple[int, int]) -> np.ndarray:
 
     A box whose intersection is empty along either axis becomes a
     ``MIN_SIDE`` square (narrowed to the image if it is smaller) inside
-    the image, as close as possible to the box center.
+    the image, as close as possible to the box center. A +-inf corner, from
+    an overflowing decode, puts it at that edge; a NaN is a ``ValueError``.
     """
     width, height = _extent(extent)
     rows = _rows(boxes)
+    if np.isnan(rows).any():
+        row = int(np.argmax(np.isnan(rows).any(axis=0)))
+        raise ValueError(f"box {row} has a NaN coordinate: {rows[:, row].tolist()}")
     corner, sides = rows[:2], rows[2:]
     size = np.array([[width], [height]], dtype=np.float64)
     side = np.minimum(MIN_SIDE, size)

@@ -15,7 +15,7 @@ hard negatives and averages the box regression over that layer's
 positives; it then sums over the layers.
 
 The softmax of values in [0, 1] caps any weight at e / (e + 2) ~ 0.58,
-so no layer ever dominates. With the default constants layer 4 leads
+so no layer ever dominates. With these constants layer 4 leads
 below 32 px, but by less than 0.01; layer 3 gets the largest weight at
 every height from 32 px up (at most 0.546, at 67 px); layer 4 peaks at
 0.387 near 140 px; layer 5 never leads; and above 200 px all three lie
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import featpyr
-from ._model import _check_shapes, _count, _glorot, _load_params, _of_layer, _positive
+from ._model import _check_shapes, _count, _glorot, _load_params, _of_layer
 from ._model import _sigmoid, _softmax
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
@@ -54,39 +54,31 @@ __all__ = [
 
 PROB_EPS = 1e-7
 # Faster R-CNN's fixed training settings (Ren et al., NeurIPS 2015).
+LR = 0.001
 MOMENTUM = 0.9
 WEIGHT_DECAY = 0.0005
 TRADEOFF = 10.0  # weight of box regression against classification
+POS_COUNT = 32  # most positives in one minibatch
+NEG_POOL = 1024  # negatives pre-sampled for bootstrapping to rank
 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss or parameter goes non-finite."""
 
 
-@dataclass(frozen=True)
 class LayerWeightConfig:
     """Constants of the height-weighted multi-layer objective."""
 
-    layer_ids: tuple[int, ...] = (3, 4, 5)
-    mean_heights: tuple[float, ...] = (48.0, 96.0, 156.0)
-    scale_factors: tuple[float, ...] = (5.0, 20.0, 10.0)
-    balance: int = 3  # the sampler keeps this many negatives per positive
-
-    def __post_init__(self):
-        if not (len(self.layer_ids) == len(self.mean_heights) == len(self.scale_factors)):
-            raise ValueError("per-layer constants must align with layer_ids")
-        if len(set(self.layer_ids)) != len(self.layer_ids):
-            raise ValueError(f"layer ids must be unique, got {self.layer_ids}")
-        for layer_id, height, scale in zip(self.layer_ids, self.mean_heights, self.scale_factors):
-            _positive(f"layer {layer_id} mean height", height)
-            _positive(f"layer {layer_id} scale factor", scale)
-        _count("balance", self.balance)
+    layer_ids = (3, 4, 5)
+    mean_heights = (48.0, 96.0, 156.0)
+    scale_factors = (5.0, 20.0, 10.0)
+    balance = 3  # the sampler keeps this many negatives per positive
 
     def base_heights(self) -> dict[int, float]:
         return dict(zip(self.layer_ids, self.mean_heights))
 
 
-def layer_weights(h, cfg: LayerWeightConfig = LayerWeightConfig()) -> np.ndarray:
+def layer_weights(h) -> np.ndarray:
     """Per-layer loss weights for an instance of height ``h``.
 
     Each layer gets a sigmoid response in how far h sits above that
@@ -94,8 +86,8 @@ def layer_weights(h, cfg: LayerWeightConfig = LayerWeightConfig()) -> np.ndarray
     weights always sum to one. Accepts scalars or arrays of heights.
     """
     h = np.asarray(h, dtype=np.float64)
-    hbar = np.array(cfg.mean_heights)
-    gamma = np.array(cfg.scale_factors)
+    hbar = np.array(LayerWeightConfig.mean_heights)
+    gamma = np.array(LayerWeightConfig.scale_factors)
     return _softmax(_sigmoid((h[..., None] - hbar) / gamma))
 
 
@@ -183,7 +175,7 @@ class LayerBatch:
     target_heights: np.ndarray  # (N,)
 
 
-def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg: LayerWeightConfig):
+def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch]):
     """Training loss and its exact parameter gradient, summed over batches.
 
     Each batch (in training, one layer's slice of the minibatch) is
@@ -197,17 +189,18 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg:
     weight as all the positives of another, and TRADEOFF weighs
     regression against classification within a layer.
     """
+    balance = LayerWeightConfig.balance
     total_loss = 0.0
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
     for batch in batches:
         n = batch.labels.shape[0]
         if n == 0:
             continue
-        m = cfg.layer_ids.index(batch.layer_id)
+        m = LayerWeightConfig.layer_ids.index(batch.layer_id)
         logits, offsets = model.forward(batch.layer_id, batch.features)
         p_hat = _sigmoid(logits)
         p_clamped = np.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
-        alpha = layer_weights(batch.target_heights, cfg)[:, m]
+        alpha = layer_weights(batch.target_heights)[:, m]
 
         pos = batch.labels == 1
         neg = ~pos
@@ -215,9 +208,9 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch], cfg:
         n_neg = int(neg.sum())
         w = np.zeros(n)
         if n_pos:
-            w[pos] = 1.0 / ((1.0 + cfg.balance) * n_pos)
+            w[pos] = 1.0 / ((1.0 + balance) * n_pos)
         if n_neg:
-            w[neg] = cfg.balance / ((1.0 + cfg.balance) * n_neg)
+            w[neg] = balance / ((1.0 + balance) * n_neg)
 
         ce = np.where(pos, -np.log(p_clamped), -np.log(1.0 - p_clamped))
         total_loss += float(np.sum(alpha * w * ce))
@@ -304,19 +297,16 @@ def top_k(scored: tuple, k: int) -> list[ScoredBox]:
 
 @dataclass(frozen=True)
 class ProposalTrainConfig:
+    """A run's pyramid, step count and seed; its other settings are constants."""
+
     loss: ClassVar[LayerWeightConfig] = LayerWeightConfig()
     pyramid: PyramidConfig = PyramidConfig()
     steps: int = 2000
-    lr: float = 0.001
-    pos_count: int = 32
-    neg_pool: int = 1024
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("steps", "pos_count", "neg_pool"):
-            _count(name, getattr(self, name))
+        _count("steps", self.steps)
         _count("seed", self.seed, least=0)
-        _positive("lr", self.lr)  # lr 0 returns the initial model; lr < 0 climbs the loss
         missing = [i for i in self.pyramid.layer_ids() if i not in self.loss.layer_ids]
         if missing:
             raise ValueError(f"pyramid layers {missing} have no loss constants")
@@ -374,12 +364,13 @@ def train_proposal_model(
     cfg: ProposalTrainConfig,
     log=None,
 ) -> ProposalModel:
-    """SGD with momentum and weight decay over per-image minibatches.
+    """SGD (rate ``LR``, ``MOMENTUM``, ``WEIGHT_DECAY``) over per-image
+    minibatches of at most ``POS_COUNT`` positives.
 
     Negatives are sampled uniformly for the first ``len(dataset)`` steps
-    and bootstrapped by objectness afterwards. Scenes are drawn with
-    replacement, so those steps need not visit every scene.
-    Deterministic given the seed.
+    and afterwards bootstrapped by objectness from ``NEG_POOL`` draws.
+    Scenes are drawn with replacement, so those steps need not visit
+    every scene. Deterministic given the seed.
 
     Each scene is rendered, turned into a pyramid and labelled once per
     call: the result is cached by dataset index for the life of the
@@ -410,7 +401,7 @@ def train_proposal_model(
             # and let the sampler keep only the hardest ones.
             neg_idx = np.flatnonzero(labels == anchors_mod.NEGATIVE)
             pool = rng.choice(
-                neg_idx, size=min(cfg.neg_pool, len(neg_idx)), replace=False
+                neg_idx, size=min(NEG_POOL, len(neg_idx)), replace=False
             )
             scores = _objectness(model, pyramid, anchors, pool)
             # Anything outside the pool must not be picked.
@@ -421,7 +412,7 @@ def train_proposal_model(
             labels_for_sampling = labels
 
         pos_take, neg_take = sample_minibatch_indices(
-            labels_for_sampling, scores, rng, cfg.pos_count, cfg.loss.balance
+            labels_for_sampling, scores, rng, POS_COUNT, cfg.loss.balance
         )
         chosen = np.concatenate([pos_take, neg_take]).astype(np.int64)
         if len(chosen) == 0:
@@ -444,12 +435,12 @@ def train_proposal_model(
                 )
             )
 
-        loss, grads = proposal_loss_and_grad(model, batches, cfg.loss)
+        loss, grads = proposal_loss_and_grad(model, batches)
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss {loss} at step {step}")
         for name in model.params:
             g = grads[name] + WEIGHT_DECAY * model.params[name]
-            velocity[name] = MOMENTUM * velocity[name] - cfg.lr * g
+            velocity[name] = MOMENTUM * velocity[name] - LR * g
             model.params[name] += velocity[name]
             if not np.all(np.isfinite(model.params[name])):
                 raise TrainingDivergedError(

@@ -29,6 +29,7 @@ ASPECT_RATIO = 0.41
 ASPECT_BAND = (0.31, 0.51)
 RATIO_JITTER = 0.1  # figure width ratios are uniform in ASPECT_RATIO +- this
 HEIGHT_SIGMA = 0.6  # log-sd of figure heights
+OBJECTS = (1, 6)  # fewest and most figures per scene
 
 # Appearance of a rendered scene, in gray levels of [0, 1].
 BACKGROUND_LEVEL = 0.35
@@ -40,7 +41,7 @@ PIXEL_NOISE = 0.02
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs for dataset sampling.
+    """Scene count, extent and figure-height law of a scene set.
 
     Heights are log-normal (median ``height_median``, log-sd
     ``HEIGHT_SIGMA``), truncated to [min_height, 0.95 * extent height].
@@ -48,16 +49,12 @@ class GenConfig:
 
     scenes: int = 100
     extent: tuple[int, int] = (640, 480)
-    objects_min: int = 1
-    objects_max: int = 6
     height_median: float = 48.0
     min_height: float = 24.0
 
     def __post_init__(self):
         height = _extent(self.extent)[1]
         _count("scenes", self.scenes)
-        _count("objects_min", self.objects_min)
-        _count("objects_max", self.objects_max, least=self.objects_min)
         _positive("height_median", self.height_median)
         _positive("min_height", self.min_height)
         if self.min_height > 0.95 * height:
@@ -90,7 +87,10 @@ def _sample_height(rng: np.random.Generator, cfg: GenConfig) -> float:
         h = float(np.exp(mu + HEIGHT_SIGMA * rng.standard_normal()))
         if cfg.min_height <= h <= hi:
             return h
-    raise RuntimeError("height sampling failed; check the configured law")
+    raise ValueError(
+        f"no height in [min_height {cfg.min_height!r}, 0.95 * extent height {hi:g}] "
+        f"in 1000 draws around height_median {cfg.height_median!r}"
+    )
 
 
 def sample_dataset(cfg: GenConfig, seed: int, id_prefix: str = "scene") -> list[Scene]:
@@ -102,7 +102,7 @@ def sample_dataset(cfg: GenConfig, seed: int, id_prefix: str = "scene") -> list[
     for index in range(cfg.scenes):
         scene_seed = int(master.integers(0, 2**63 - 1))
         rng = np.random.default_rng(scene_seed)
-        count = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
+        count = int(rng.integers(OBJECTS[0], OBJECTS[1] + 1))
         objects = []
         for _ in range(count):
             h = _sample_height(rng, cfg)

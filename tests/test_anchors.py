@@ -226,7 +226,7 @@ class TestLabeling:
             label_arrays(self.anchors(), gt_boxes)
 
     def test_every_overlapped_gt_has_a_positive(self):
-        cfg = GenConfig(scenes=10, extent=self.extent, objects_min=2, objects_max=5)
+        cfg = GenConfig(scenes=10, extent=self.extent)
         anchors = self.anchors()
         boxes = anchor_bboxes(anchors)
         for scene in sample_dataset(cfg, seed=31):
@@ -239,7 +239,7 @@ class TestLabeling:
                     assert np.any((labels == POSITIVE) & (matched >= 0))
 
     def test_matches_brute_force_oracle(self):
-        cfg = GenConfig(scenes=12, extent=self.extent, objects_min=1, objects_max=5)
+        cfg = GenConfig(scenes=12, extent=self.extent)
         anchors = self.anchors()
         for scene in sample_dataset(cfg, seed=77):
             got = label(anchors, scene.gt_boxes)

@@ -796,6 +796,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PyramidConfig(layers=(LayerSpec(3, 8, 4), LayerSpec(3, 16, 4)))
 
+    def test_no_layers_rejected(self):
+        # () used to build a pyramid of no grids, and generate_anchors then
+        # failed inside NumPy with "need at least one array to concatenate".
+        with pytest.raises(ValueError, match="^need at least one layer$"):
+            PyramidConfig(layers=())
+
     @pytest.mark.parametrize(
         "spec, name",
         [

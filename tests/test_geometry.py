@@ -59,6 +59,15 @@ class TestBBox:
         with pytest.raises(ValueError):
             BBox(0, 0, 10, -1)
 
+    @pytest.mark.parametrize("field", range(4), ids=["x", "y", "w", "h"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_coordinate(self, field, bad):
+        # BBox(nan, 0, 5, 5) used to construct, and clip kept its NaN.
+        values = [0.0, 0.0, 5.0, 5.0]
+        values[field] = bad
+        with pytest.raises(ValueError, match=r"^box coordinates must be finite, got BBox\("):
+            BBox(*values)
+
     def test_derived_coordinates(self):
         b = BBox(2, 3, 10, 20)
         assert (b.x2, b.y2) == (12, 23)
@@ -273,6 +282,16 @@ class TestClip:
             clip(BBox(0, 0, 1, 1), (10, -1))
         with pytest.raises(ValueError, match=r"^extent must be a \(width, height\) pair, got"):
             clip_boxes(np.zeros((1, 4)), (10, 10, 10))
+
+    @pytest.mark.parametrize("column", range(4), ids=["x", "y", "w", "h"])
+    def test_row_with_a_nan_rejected(self, column):
+        """clip_boxes([[nan, 0, 5, 5]], (64, 48)) used to return
+        [[nan, 1.5, 2, 2]]: a NaN box passed as a clipped one."""
+        boxes = np.array([[1.0, 2.0, 5.0, 5.0], [3.0, 4.0, 5.0, 5.0], [5.0, 6.0, 5.0, 5.0]])
+        boxes[1, column] = math.nan
+        want = re.escape(f"box 1 has a NaN coordinate: {boxes[1].tolist()}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            clip_boxes(boxes, (64, 48))
 
     @pytest.mark.parametrize(
         "extent, name",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_oracles as oracle
-from scaleloc import featpyr, proposal
+from scaleloc import featpyr, proposal, scenegen
 from scaleloc.anchors import generate_anchors
 from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid, roi_pool_many
 from scaleloc._model import _sigmoid
@@ -98,7 +98,7 @@ def multitask_loss(p, anchor, gt, p_hat, pred_offsets, lam=10.0, eps=PROB_EPS):
     return -math.log(1.0 - p_hat)
 
 
-def total_objective(batches, cfg=LayerWeightConfig()) -> float:
+def total_objective(batches) -> float:
     """Double sum over layers and examples of alpha-weighted losses.
 
     ``batches`` maps layer id to tuples (p, anchor_box, gt_box,
@@ -108,18 +108,18 @@ def total_objective(batches, cfg=LayerWeightConfig()) -> float:
     """
     total = 0.0
     for layer_id, examples in batches.items():
-        m = cfg.layer_ids.index(layer_id)
+        m = LayerWeightConfig.layer_ids.index(layer_id)
         for p, anchor, gt, target_h, p_hat, offsets in examples:
-            alpha = float(layer_weights(target_h, cfg)[m])
+            alpha = float(layer_weights(target_h)[m])
             total += alpha * multitask_loss(p, anchor, gt, p_hat, offsets, lam=TRADEOFF)
     return total
 
 
-def scalar_alpha(h, cfg=LayerWeightConfig()):
+def scalar_alpha(h):
     """Direct scalar evaluation of the stated closed form."""
     alpha_hat = [
         1.0 / (1.0 + math.exp(-(h - hb) / g))
-        for hb, g in zip(cfg.mean_heights, cfg.scale_factors)
+        for hb, g in zip(LayerWeightConfig.mean_heights, LayerWeightConfig.scale_factors)
     ]
     exps = [math.exp(a) for a in alpha_hat]
     total = sum(exps)
@@ -146,17 +146,15 @@ class TestLayerWeights:
             np.testing.assert_allclose(layer_weights(h), expect, atol=1e-9)
 
     def test_sigmoid_is_half_at_own_mean_height(self):
-        cfg = LayerWeightConfig()
-        for m, h in enumerate(cfg.mean_heights):
-            alpha_hat, _ = scalar_alpha(h, cfg)
+        for m, h in enumerate(LayerWeightConfig.mean_heights):
+            alpha_hat, _ = scalar_alpha(h)
             assert alpha_hat[m] == pytest.approx(0.5, abs=1e-15)
 
     def test_each_component_monotone_in_height(self):
         # Strict within the float64-resolvable band, non-strict beyond
         # (the sigmoids saturate to exactly 1.0 far above each mean).
-        cfg = LayerWeightConfig()
-        hbar = np.array(cfg.mean_heights)
-        gam = np.array(cfg.scale_factors)
+        hbar = np.array(LayerWeightConfig.mean_heights)
+        gam = np.array(LayerWeightConfig.scale_factors)
 
         hs = np.linspace(5, 400, 200)
         alpha_hat = 1.0 / (1.0 + np.exp(-(hs[:, None] - hbar) / gam))
@@ -170,7 +168,7 @@ class TestLayerWeights:
     @settings(max_examples=200, deadline=None)
     def test_weights_are_capped_and_layer_3_leads_from_32px(self, h):
         """What the weights really do: a softmax of sigmoids can never
-        give one layer more than e / (e + 2), and with the default
+        give one layer more than e / (e + 2), and with these
         constants layer 3 gets the most weight at every height from
         32 px up, so the weights do not track the matching scale."""
         w = layer_weights(h)
@@ -185,35 +183,25 @@ class TestLayerWeights:
         assert out.shape == (3, 3)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LayerWeightConfig(mean_heights=(48.0, 96.0))
-        with pytest.raises(ValueError):
-            LayerWeightConfig(balance=0.5)
-        with pytest.raises(ValueError, match="^balance must be an integer of at least 1, got 2.5"):
-            LayerWeightConfig(balance=2.5)
-        assert LayerWeightConfig(balance=4).balance == 4
 
-    @pytest.mark.parametrize(
-        "kwargs, want",
-        [
-            ({"mean_heights": (math.nan, 96.0, 156.0)}, "layer 3 mean height"),
-            ({"mean_heights": (48.0, math.inf, 156.0)}, "layer 4 mean height"),
-            ({"scale_factors": (5.0, 20.0, -10.0)}, "layer 5 scale factor"),
-            ({"balance": True}, "balance"),
-            ({"balance": 3.0}, "balance"),
-        ],
+def test_constants_keep_the_rules_of_their_former_checks():
+    """The training and scene constants keep what their config checks
+    enforced: a NaN mean height made every layer weight NaN, and duplicate
+    layer ids gave base_heights() a layer's second height while the loss
+    weighted it by its first."""
+    ids, heights, scales = (
+        LayerWeightConfig.layer_ids, LayerWeightConfig.mean_heights, LayerWeightConfig.scale_factors
     )
-    def test_non_finite_or_non_integer_constants_rejected(self, kwargs, want):
-        # A NaN mean height used to make every layer weight NaN.
-        with pytest.raises(ValueError, match=f"^{want} must be"):
-            LayerWeightConfig(**kwargs)
-
-    def test_duplicate_layer_ids_rejected(self):
-        # base_heights() used to give layer 3 the second height, while the
-        # loss weighted it by the first.
-        with pytest.raises(ValueError, match=r"layer ids must be unique, got \(3, 3, 5\)"):
-            LayerWeightConfig(layer_ids=(3, 3, 5))
+    assert len(ids) == len(heights) == len(scales)
+    assert len(set(ids)) == len(ids)
+    assert LayerWeightConfig().base_heights() == dict(zip(ids, heights))
+    for value in heights + scales + (proposal.LR,):
+        assert type(value) is float and 0 < value < math.inf
+    for value in (LayerWeightConfig.balance, proposal.POS_COUNT, proposal.NEG_POOL):
+        assert type(value) is int and value >= 1
+    assert len(scenegen.OBJECTS) == 2
+    fewest, most = scenegen.OBJECTS
+    assert type(fewest) is type(most) is int and 1 <= fewest <= most
 
 
 # Rows with norm exactly 0 and exactly 1, and rows on either side of the knee.
@@ -363,25 +351,23 @@ class TestTotalObjective:
         assert total_objective({}) == 0.0
 
     def test_single_layer_uses_softmax_alpha(self):
-        cfg = LayerWeightConfig()
         anchor = BBox(0, 0, 10, 20)
         examples = [(1, anchor, anchor, 20.0, 0.7, np.zeros(4))]
-        got = total_objective({3: examples}, cfg)
-        alpha = layer_weights(20.0, cfg)[0]
+        got = total_objective({3: examples})
+        alpha = layer_weights(20.0)[0]
         assert alpha < 1.0
         expect = alpha * multitask_loss(1, anchor, anchor, 0.7, np.zeros(4), TRADEOFF)
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_double_sum_over_layers(self):
-        cfg = LayerWeightConfig()
         anchor = BBox(0, 0, 10, 20)
         batches = {
             3: [(0, anchor, None, 48.0, 0.2, np.zeros(4))],
             4: [(0, anchor, None, 96.0, 0.1, np.zeros(4))],
         }
-        got = total_objective(batches, cfg)
-        expect = layer_weights(48.0, cfg)[0] * multitask_loss(0, anchor, None, 0.2, np.zeros(4)) + (
-            layer_weights(96.0, cfg)[1] * multitask_loss(0, anchor, None, 0.1, np.zeros(4))
+        got = total_objective(batches)
+        expect = layer_weights(48.0)[0] * multitask_loss(0, anchor, None, 0.2, np.zeros(4)) + (
+            layer_weights(96.0)[1] * multitask_loss(0, anchor, None, 0.1, np.zeros(4))
         )
         assert got == pytest.approx(expect, abs=1e-12)
 
@@ -413,9 +399,8 @@ class TestLossGradient:
     def test_parameter_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         model = ProposalModel.init(TINY_PYR, seed=5)
-        cfg = LayerWeightConfig()
         batches = make_batches(model, rng)
-        _, grads = proposal_loss_and_grad(model, batches, cfg)
+        _, grads = proposal_loss_and_grad(model, batches)
 
         worst = 0.0
         step = 1e-4
@@ -425,9 +410,9 @@ class TestLossGradient:
             for idx in picks:
                 orig = flat[idx]
                 flat[idx] = orig + step
-                hi, _ = proposal_loss_and_grad(model, batches, cfg)
+                hi, _ = proposal_loss_and_grad(model, batches)
                 flat[idx] = orig - step
-                lo, _ = proposal_loss_and_grad(model, batches, cfg)
+                lo, _ = proposal_loss_and_grad(model, batches)
                 flat[idx] = orig
                 fd = (hi - lo) / (2 * step)
                 a = grads[name].reshape(-1)[idx]
@@ -442,14 +427,13 @@ class TestLossGradient:
         sum of their gradients."""
         rng = np.random.default_rng(seed)
         model = ProposalModel.init(TINY_PYR, seed=seed)
-        cfg = LayerWeightConfig()
         batches = make_batches(model, rng)
-        loss, grads = proposal_loss_and_grad(model, batches, cfg)
-        alone = [proposal_loss_and_grad(model, [batch], cfg) for batch in batches]
+        loss, grads = proposal_loss_and_grad(model, batches)
+        alone = [proposal_loss_and_grad(model, [batch]) for batch in batches]
         assert loss == pytest.approx(sum(part for part, _ in alone), rel=1e-12)
         for name in grads:
             np.testing.assert_array_equal(grads[name], sum(g[name] for _, g in alone))
-        pair, pair_grads = proposal_loss_and_grad(model, batches[:2], cfg)
+        pair, pair_grads = proposal_loss_and_grad(model, batches[:2])
         assert pair == pytest.approx(alone[0][0] + alone[1][0], rel=1e-12)
         for name in pair_grads:
             np.testing.assert_array_equal(pair_grads[name], alone[0][1][name] + alone[1][1][name])
@@ -460,8 +444,12 @@ class TestTrainedLossOracle:
     the balance-weighted cross-entropy plus the positives' mean box
     regression term of the per-example multitask loss."""
 
-    cfg = LayerWeightConfig(layer_ids=(3,), mean_heights=(48.0,), scale_factors=(5.0,))
     pyr = PyramidConfig(layers=(LayerSpec(3, 8, 2),))
+
+    @pytest.fixture(autouse=True)
+    def one_layer(self, monkeypatch):
+        for name, value in (("layer_ids", (3,)), ("mean_heights", (48.0,)), ("scale_factors", (5.0,))):
+            monkeypatch.setattr(LayerWeightConfig, name, value)
 
     @pytest.mark.parametrize("n_pos, n_neg", [(3, 9), (5, 0), (0, 7)])
     def test_value_equals_scalar_oracles(self, n_pos, n_neg):
@@ -481,12 +469,12 @@ class TestTrainedLossOracle:
         feats = rng.uniform(-1, 1, size=(n, model.feature_dims[3]))
         batch = LayerBatch(3, feats, labels, vecs, heights)
 
-        assert np.all(layer_weights(heights, self.cfg) == 1.0)
-        loss, _ = proposal_loss_and_grad(model, [batch], self.cfg)
+        assert np.all(layer_weights(heights) == 1.0)
+        loss, _ = proposal_loss_and_grad(model, [batch])
 
         logits, offsets = model.forward(3, feats)
         p_hat = 1.0 / (1.0 + np.exp(-logits))
-        expect = cls_loss(labels, p_hat, gamma=self.cfg.balance)
+        expect = cls_loss(labels, p_hat, gamma=LayerWeightConfig.balance)
         reg = [
             multitask_loss(1, anchors[i], gts[i], p_hat[i], offsets[i], TRADEOFF)
             + math.log(p_hat[i])
@@ -561,6 +549,14 @@ FULL_PYR = PyramidConfig(
 )
 
 
+def sample_scenes(cfg, seed, objects):
+    """``sample_dataset(cfg, seed)`` with ``objects`` as scenegen's
+    ``OBJECTS``: the scenes that the recorded digests were taken on."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenegen, "OBJECTS", objects)
+        return sample_dataset(cfg, seed)
+
+
 def random_grid_scene(extent):
     """A full-size model, a pyramid of random grids (not block statistics,
     whose channels repeat) over ``extent`` and its anchors."""
@@ -580,8 +576,7 @@ def random_grid_scene(extent):
 
 class TestScoring:
     def setup_scene(self, pyramid_cfg=TINY_PYR):
-        cfg = GenConfig(scenes=1, extent=(160, 120), objects_min=2, objects_max=2)
-        scene = sample_dataset(cfg, seed=2)[0]
+        scene = sample_scenes(GenConfig(scenes=1, extent=(160, 120)), 2, objects=(2, 2))[0]
         pyramid = build_pyramid(rasterize(scene), pyramid_cfg)
         anchors = generate_anchors(pyramid_cfg, scene.extent, LayerWeightConfig().base_heights())
         model = ProposalModel.init(pyramid_cfg, seed=3)
@@ -832,12 +827,17 @@ class TestFullSizeScoring:
 
 
 class TestTraining:
+    @pytest.fixture(autouse=True)
+    def small_minibatches(self, monkeypatch):
+        """Minibatch sizes for tiny scenes, which the digests were recorded with."""
+        monkeypatch.setattr(proposal, "POS_COUNT", 8)
+        monkeypatch.setattr(proposal, "NEG_POOL", 128)
+
     def small_dataset(self, n=6):
-        cfg = GenConfig(scenes=n, extent=(160, 120), objects_min=1, objects_max=3)
-        return sample_dataset(cfg, seed=11)
+        return sample_scenes(GenConfig(scenes=n, extent=(160, 120)), 11, objects=(1, 3))
 
     def train_cfg(self, **kw):
-        defaults = dict(pyramid=TINY_PYR, steps=25, seed=7, neg_pool=128, pos_count=8)
+        defaults = dict(pyramid=TINY_PYR, steps=25, seed=7)
         defaults.update(kw)
         return ProposalTrainConfig(**defaults)
 
@@ -866,17 +866,6 @@ class TestTraining:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("lr", 0.0),
-            ("lr", -0.001),
-            ("lr", math.inf),
-            ("lr", math.nan),
-            ("pos_count", 0),
-            ("pos_count", -1),
-            ("pos_count", 8.0),
-            ("neg_pool", 0),
-            ("neg_pool", -1),
-            ("neg_pool", 128.5),
-            ("neg_pool", True),
             ("steps", 2.5),
             ("steps", True),
             ("seed", -1),
@@ -884,29 +873,26 @@ class TestTraining:
         ],
     )
     def test_settings_that_cannot_train_rejected(self, field, value):
-        """lr 0 or pos_count 0 would return the initial model, lr < 0
-        would climb the loss, and pos_count -1 failed inside NumPy; steps
-        2.5 and seed -1 failed only once training started."""
-        want = {"lr": "a finite number above 0", "seed": "an integer of at least 0"}.get(
-            field, "an integer of at least 1"
-        )
+        """Steps 2.5 and seed -1 failed only once training started."""
+        want = "an integer of at least 0" if field == "seed" else "an integer of at least 1"
         with pytest.raises(ValueError, match=rf"^{field} must be {want}, got"):
             self.train_cfg(**{field: value})
 
     def test_smallest_valid_settings_accepted(self):
-        cfg = self.train_cfg(lr=1e-12, pos_count=1, neg_pool=np.int64(1), steps=1, seed=0)
-        assert (cfg.lr, cfg.pos_count, cfg.neg_pool, cfg.steps, cfg.seed) == (1e-12, 1, 1, 1, 0)
+        cfg = self.train_cfg(steps=np.int64(1), seed=0)
+        assert (cfg.steps, cfg.seed) == (1, 0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_proposal_model([], self.train_cfg())
 
-    def test_divergence_raises_naming_the_step(self):
-        """The first update at lr 1e300 sends the heads to about 1e300,
+    def test_divergence_raises_naming_the_step(self, monkeypatch):
+        """The first update at LR 1e300 sends the heads to about 1e300,
         and the next step's box regression loss overflows."""
+        monkeypatch.setattr(proposal, "LR", 1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match=r"^non-finite loss inf at step 1$"):
-                train_proposal_model(self.small_dataset(), self.train_cfg(lr=1e300))
+                train_proposal_model(self.small_dataset(), self.train_cfg())
 
     def test_each_scene_rendered_once_per_call(self, monkeypatch):
         data = self.small_dataset()

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scaleloc import scenegen
 from scaleloc.scenegen import (
     ASPECT_BAND,
     BACKGROUND_LEVEL,
@@ -17,7 +18,7 @@ from scaleloc.scenegen import (
 from scaleloc.scenegen import _background
 
 
-SMALL = GenConfig(scenes=20, extent=(160, 120), objects_min=1, objects_max=4)
+SMALL = GenConfig(scenes=20, extent=(160, 120))
 
 
 def oracle_background(rng, shape):
@@ -57,9 +58,10 @@ class TestSampling:
         b = sample_dataset(SMALL, seed=10)
         assert a != b
 
-    def test_far_scale_fraction_under_defaults(self):
+    def test_far_scale_fraction_under_defaults(self, monkeypatch):
         # Enough scenes for ~1000 objects under the default law.
-        cfg = GenConfig(scenes=300, objects_min=3, objects_max=4)
+        monkeypatch.setattr(scenegen, "OBJECTS", (3, 4))
+        cfg = GenConfig(scenes=300)
         heights = [
             g.box.h for s in sample_dataset(cfg, seed=7) for g in s.objects
         ]
@@ -67,9 +69,9 @@ class TestSampling:
         far = np.mean([h < 80.0 for h in heights])
         assert 0.60 <= far <= 0.85
 
-    def test_single_object_range(self):
-        cfg = GenConfig(scenes=10, objects_min=1, objects_max=1)
-        for scene in sample_dataset(cfg, seed=3):
+    def test_single_object_range(self, monkeypatch):
+        monkeypatch.setattr(scenegen, "OBJECTS", (1, 1))
+        for scene in sample_dataset(GenConfig(scenes=10), seed=3):
             assert len(scene.objects) == 1
 
     def test_boxes_inside_extent_and_aspect_band(self):
@@ -89,8 +91,6 @@ class TestSampling:
         with pytest.raises(ValueError):
             GenConfig(scenes=0)
         with pytest.raises(ValueError):
-            GenConfig(objects_min=3, objects_max=2)
-        with pytest.raises(ValueError):
             GenConfig(height_median=-5)
 
     @pytest.mark.parametrize(
@@ -99,8 +99,8 @@ class TestSampling:
             ({"scenes": 2.5}, "scenes"),
             ({"extent": (640.5, 480)}, "extent width"),
             ({"extent": (640, 480.0)}, "extent height"),
-            ({"objects_min": 1.5, "objects_max": 3}, "objects_min"),
-            ({"objects_max": 6.0}, "objects_max"),
+            ({"scenes": 0}, "scenes"),
+            ({"extent": (640, 0)}, "extent height"),
             ({"scenes": True}, "scenes"),
             ({"extent": (True, 480)}, "extent width"),
         ],
@@ -117,12 +117,12 @@ class TestSampling:
             ({"height_median": float("inf")}, "height_median must be a finite number above 0"),
             ({"height_median": float("nan")}, "height_median must be a finite number above 0"),
             ({"min_height": float("nan")}, "min_height must be a finite number above 0"),
-            ({"objects_min": 3, "objects_max": 2}, "objects_max must be an integer of at least 3"),
         ],
     )
     def test_non_finite_size_or_inverted_counts_rejected(self, kwargs, want):
         """height_median inf used to construct, and nan to fail in
-        sample_dataset after 1,000 rejected draws."""
+        sample_dataset after 1,000 rejected draws. The figure counts are
+        the constant OBJECTS, no longer settable."""
         with pytest.raises(ValueError, match=f"^{want}, got"):
             GenConfig(**kwargs)
 
@@ -151,6 +151,23 @@ class TestSampling:
         assert GenConfig(extent=(32, 32), min_height=8).min_height == 8
         assert GenConfig(extent=(96, 20), min_height=19).extent == (96, 20)
 
+    @pytest.mark.parametrize(
+        "kwargs, want",
+        [
+            (dict(height_median=1e6), "[min_height 24.0, 0.95 * extent height 456] "
+             "in 1000 draws around height_median 1000000.0"),
+            (dict(extent=(64, 48), min_height=45, height_median=1.0),
+             "[min_height 45, 0.95 * extent height 45.6] in 1000 draws around height_median 1.0"),
+        ],
+        ids=["median-far-above", "median-far-below"],
+    )
+    def test_law_with_no_reachable_height_is_a_value_error(self, kwargs, want):
+        """A law whose draws all miss [min_height, 0.95 * extent height]
+        used to raise a bare RuntimeError after 1,000 draws."""
+        with pytest.raises(ValueError) as err:
+            sample_dataset(GenConfig(scenes=1, **kwargs), 0)
+        assert str(err.value) == f"no height in {want}"
+
 
 class TestRasterize:
     def test_empty_scene_is_pure_background(self):
@@ -161,10 +178,11 @@ class TestRasterize:
         # No object patch: the grid stays near the background level.
         assert abs(img.mean() - BACKGROUND_LEVEL) < 0.05
 
-    def test_images_match_recorded_digest(self):
+    def test_images_match_recorded_digest(self, monkeypatch):
         """sha256 of three rendered scenes, recorded while the appearance
         constants were still fields of a render configuration."""
-        cfg = GenConfig(scenes=3, extent=(160, 120), objects_min=2, objects_max=6)
+        monkeypatch.setattr(scenegen, "OBJECTS", (2, 6))
+        cfg = GenConfig(scenes=3, extent=(160, 120))
         digest = hashlib.sha256()
         for scene in sample_dataset(cfg, seed=31):
             digest.update(rasterize(scene).tobytes())
@@ -178,8 +196,9 @@ class TestRasterize:
         b = rasterize(scene)
         assert np.array_equal(a, b)
 
-    def test_object_contrast(self):
-        scene = sample_dataset(GenConfig(scenes=1, extent=(320, 240), objects_min=2, objects_max=2), seed=8)[0]
+    def test_object_contrast(self, monkeypatch):
+        monkeypatch.setattr(scenegen, "OBJECTS", (2, 2))
+        scene = sample_dataset(GenConfig(scenes=1, extent=(320, 240)), seed=8)[0]
         img = rasterize(scene)
         mask = np.zeros(img.shape, dtype=bool)
         for g in scene.objects:
@@ -199,11 +218,12 @@ class TestRasterize:
         assert got.shape == shape
         assert got.tobytes() == want.tobytes()
 
-    def test_peak_memory_is_a_few_images(self):
+    def test_peak_memory_is_a_few_images(self, monkeypatch):
         """At 640x480 rasterize holds at most 3.5 images' worth of
         full-resolution buffers at once; the out-of-place background and
         clip held over four."""
-        scene = sample_dataset(GenConfig(scenes=1, objects_min=6, objects_max=6), seed=2)[0]
+        monkeypatch.setattr(scenegen, "OBJECTS", (6, 6))
+        scene = sample_dataset(GenConfig(scenes=1), seed=2)[0]
         image_bytes = 480 * 640 * 8
         tracemalloc.start()
         try:
