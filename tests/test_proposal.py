@@ -204,6 +204,27 @@ def test_constants_keep_the_rules_of_their_former_checks():
     assert type(fewest) is type(most) is int and 1 <= fewest <= most
 
 
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (ProposalTrainConfig, "lr", 0.01),
+        (ProposalTrainConfig, "pos_count", 8),
+        (ProposalTrainConfig, "neg_pool", 128),
+        (LayerWeightConfig, "layer_ids", (3,)),
+        (LayerWeightConfig, "mean_heights", (48.0,)),
+        (LayerWeightConfig, "scale_factors", (5.0,)),
+        (LayerWeightConfig, "balance", 1),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_constants_are_not_config_keywords(cls, field, value):
+    """A call that still passes a former field fails at once, instead of
+    training with the constant it meant to replace."""
+    kwargs = {"pyramid": TINY_PYR} if cls is ProposalTrainConfig else {}
+    with pytest.raises(TypeError):
+        cls(**kwargs, **{field: value})
+
+
 # Rows with norm exactly 0 and exactly 1, and rows on either side of the knee.
 KNEE_ROWS = np.array(
     [
@@ -885,6 +906,67 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_proposal_model([], self.train_cfg())
+
+    def minibatch_sizes(self, monkeypatch, steps):
+        """Train for ``steps`` on the small dataset and return each step's
+        (positives, negatives) and each bootstrap pool's size."""
+        sizes, pools = [], []
+        loss_and_grad, objectness = proposal.proposal_loss_and_grad, proposal._objectness
+
+        def counting_loss_and_grad(model, batches):
+            pos = sum(int(b.labels.sum()) for b in batches)
+            sizes.append((pos, sum(len(b.labels) for b in batches) - pos))
+            return loss_and_grad(model, batches)
+
+        def counting_objectness(model, pyramid, anchors, indices):
+            pools.append(len(indices))
+            return objectness(model, pyramid, anchors, indices)
+
+        monkeypatch.setattr(proposal, "proposal_loss_and_grad", counting_loss_and_grad)
+        monkeypatch.setattr(proposal, "_objectness", counting_objectness)
+        train_proposal_model(self.small_dataset(), self.train_cfg(steps=steps))
+        return sizes, pools
+
+    @pytest.mark.parametrize("pos_count", [1, 2, 8])
+    def test_positives_capped_at_pos_count(self, monkeypatch, pos_count):
+        monkeypatch.setattr(proposal, "POS_COUNT", pos_count)
+        sizes, _ = self.minibatch_sizes(monkeypatch, steps=12)
+        assert len(sizes) == 12
+        assert max(pos for pos, _ in sizes) == pos_count
+
+    @pytest.mark.parametrize("balance", [1, 3])
+    def test_negatives_are_balance_per_positive(self, monkeypatch, balance):
+        """Each minibatch keeps ``balance`` negatives per positive taken,
+        or per POS_COUNT when the scene has none."""
+        monkeypatch.setattr(LayerWeightConfig, "balance", balance)
+        sizes, _ = self.minibatch_sizes(monkeypatch, steps=12)
+        assert sizes
+        for pos, neg in sizes:
+            assert neg == balance * (pos or proposal.POS_COUNT)
+
+    @pytest.mark.parametrize("neg_pool", [1, 16, 128])
+    def test_bootstrap_scores_neg_pool_draws(self, monkeypatch, neg_pool):
+        """From step len(dataset) on, each step scores NEG_POOL negatives,
+        and the minibatch's negatives come from that pool."""
+        monkeypatch.setattr(proposal, "NEG_POOL", neg_pool)
+        steps, scenes = 12, 6
+        sizes, pools = self.minibatch_sizes(monkeypatch, steps)
+        assert pools == [neg_pool] * (steps - scenes)
+        assert all(neg <= neg_pool for _, neg in sizes[len(sizes) - len(pools):])
+
+    def test_first_update_is_lr_times_the_gradient(self, monkeypatch):
+        """With no velocity yet, one step moves each parameter by -LR times
+        its gradient, so doubling LR doubles the move."""
+        data = self.small_dataset()
+        start = ProposalModel.init(TINY_PYR, seed=7).params
+        moves = []
+        for lr in (proposal.LR, 2 * proposal.LR):
+            monkeypatch.setattr(proposal, "LR", lr)
+            model = train_proposal_model(data, self.train_cfg(steps=1))
+            moves.append({name: model.params[name] - start[name] for name in start})
+        for name in start:
+            assert np.any(moves[0][name] != 0), name
+            np.testing.assert_allclose(moves[1][name], 2 * moves[0][name], rtol=1e-6, atol=1e-15)
 
     def test_divergence_raises_naming_the_step(self, monkeypatch):
         """The first update at LR 1e300 sends the heads to about 1e300,

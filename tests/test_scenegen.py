@@ -74,6 +74,23 @@ class TestSampling:
         for scene in sample_dataset(GenConfig(scenes=10), seed=3):
             assert len(scene.objects) == 1
 
+    @pytest.mark.parametrize("objects", [None, (2, 2), (3, 5)], ids=["default", "2-2", "3-5"])
+    def test_figure_counts_span_objects_inclusive(self, monkeypatch, objects):
+        """Each scene holds from OBJECTS[0] to OBJECTS[1] figures, both
+        ends included, and the sampler reads OBJECTS when it is called."""
+        if objects is not None:
+            monkeypatch.setattr(scenegen, "OBJECTS", objects)
+        fewest, most = scenegen.OBJECTS
+        counts = {len(s.objects) for s in sample_dataset(GenConfig(scenes=60, extent=(160, 120)), 5)}
+        assert counts == set(range(fewest, most + 1))
+
+    @pytest.mark.parametrize("field", ["objects_min", "objects_max"])
+    def test_figure_counts_are_not_config_fields(self, field):
+        """The counts are the constant OBJECTS: a call that still passes
+        one fails at once instead of being ignored."""
+        with pytest.raises(TypeError, match=field):
+            GenConfig(**{field: 2})
+
     def test_boxes_inside_extent_and_aspect_band(self):
         for scene in sample_dataset(SMALL, seed=21):
             w, h = scene.extent
