@@ -91,7 +91,8 @@ def _boxes(boxes) -> np.ndarray:
 
 def _corners(boxes):
     """Float64 (N, 4) boxes and their far corners (N, 2), x + w and y + h;
-    a ``ValueError`` names a box with a non-finite coordinate or corner."""
+    a ``ValueError`` names a box with a non-finite coordinate or corner,
+    or with a side of at most 0."""
     boxes = _boxes(boxes)
     with np.errstate(over="ignore"):
         far = boxes[:, :2] + boxes[:, 2:]  # x + w and y + h, inf where they overflow
@@ -99,6 +100,9 @@ def _corners(boxes):
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(f"box {row} has a non-finite coordinate or corner: {boxes[row].tolist()}")
+    bad = np.flatnonzero((boxes[:, 2:] <= 0).any(axis=1))
+    if len(bad):
+        raise ValueError(f"box {bad[0]} has a side of at most 0: {boxes[bad[0]].tolist()}")
     return boxes, far
 
 

@@ -6,7 +6,8 @@ per layer (the layer is the scale). The anchors of an image are one
 arrays aligned with it, and minibatches are index arrays into it.
 Labeling follows the two positive rules (IoU above the high threshold;
 per-ground-truth best match), negatives fall below the low threshold,
-everything else is ignored.
+everything else is ignored. Minibatches keep Faster R-CNN's fixed quotas,
+``POS_COUNT`` positives at most and ``BALANCE`` negatives per positive.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._model import _corners, _count, _extent, _positive
+from ._model import _corners, _extent, _positive
 from .featpyr import PyramidConfig, sample_plan
 from .geometry import clip_boxes, iou_matrix
 from .scenegen import ASPECT_RATIO
@@ -36,6 +37,8 @@ IGNORE = -1
 
 IOU_POSITIVE = 0.5
 IOU_NEGATIVE = 0.3
+POS_COUNT = 32  # most positives in one minibatch
+BALANCE = 3  # negatives kept per positive
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,6 @@ def label_arrays(anchors: AnchorSet, gt_boxes: np.ndarray):
     ignored. A malformed ground-truth row is a ``ValueError`` that names it.
     """
     gt_boxes, _ = _corners(gt_boxes)
-    bad = np.flatnonzero((gt_boxes[:, 2:] <= 0).any(axis=1))
-    if len(bad):
-        raise ValueError(f"box {bad[0]} has a side of at most 0: {gt_boxes[bad[0]].tolist()}")
     n = len(anchors)
 
     labels = np.full(n, NEGATIVE, dtype=np.int64)
@@ -135,25 +135,16 @@ def label_arrays(anchors: AnchorSet, gt_boxes: np.ndarray):
     return labels, matched, target_h
 
 
-def sample_minibatch_indices(
-    labels: np.ndarray,
-    scores: np.ndarray | None,
-    rng: np.random.Generator,
-    pos_count: int,
-    gamma: int,
-):
+def sample_minibatch_indices(labels: np.ndarray, scores: np.ndarray | None, rng):
     """Pick minibatch indices: uniform positives plus bootstrapped negatives.
 
-    Returns (positive indices, negative indices). Negatives are drawn
-    uniformly when ``scores`` is None (first pass) and as the
-    highest-scoring (hardest) ones afterwards. The negative quota is
-    gamma times the positives actually taken, or gamma times
-    ``pos_count`` when the image has no positives at all. ``pos_count``
-    and ``gamma`` are integers of at least 1, and ``scores`` has one
-    entry per label.
+    Returns (positive indices, negative indices): at most ``POS_COUNT``
+    positives, drawn uniformly, and ``BALANCE`` negatives per positive
+    taken, or per ``POS_COUNT`` when the image has no positives at all.
+    Negatives are drawn uniformly when ``scores`` is None (first pass)
+    and as the highest-scoring (hardest) ones afterwards; ``scores`` has
+    one entry per label.
     """
-    _count("pos_count", pos_count)
-    _count("gamma", gamma)
     labels = np.asarray(labels)
     if scores is not None and np.shape(scores) != labels.shape:
         raise ValueError(
@@ -162,13 +153,13 @@ def sample_minibatch_indices(
     pos_idx = np.flatnonzero(labels == POSITIVE)
     neg_idx = np.flatnonzero(labels == NEGATIVE)
 
-    if len(pos_idx) > pos_count:
-        pos_take = rng.choice(pos_idx, size=pos_count, replace=False)
+    if len(pos_idx) > POS_COUNT:
+        pos_take = rng.choice(pos_idx, size=POS_COUNT, replace=False)
         pos_take.sort()
     else:
         pos_take = pos_idx
 
-    neg_quota = gamma * (len(pos_take) if len(pos_take) > 0 else pos_count)
+    neg_quota = BALANCE * (len(pos_take) if len(pos_take) > 0 else POS_COUNT)
     neg_quota = min(neg_quota, len(neg_idx))
     if scores is None:
         neg_take = rng.choice(neg_idx, size=neg_quota, replace=False)

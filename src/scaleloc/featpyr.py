@@ -10,11 +10,11 @@ range folds rows before columns, exact as max and min are in any order.
 RoI pooling maps a pixel-space box onto a layer grid and resamples it to
 a fixed ``ROI_SIZE`` x ``ROI_SIZE`` window. Regions smaller than the
 window are symmetrically expanded first, pulling in surrounding context
-instead of upsampling a couple of cells. When only a linear map of the
-pooled block is wanted, ``roi_pool_project`` applies the map to the
-grids first and samples the result, which never builds the pooled
-blocks; it blends boxes of all layers in one gather, at the sample
-points of a :func:`sample_plan` that a fixed box set computes once.
+instead of upsampling a couple of cells. For one weighted sum of the
+pooled block, a score map's logit, ``roi_pool_project`` applies one
+weight vector per layer to the grids and samples the result, never
+building the pooled blocks; it blends boxes of all layers in one gather,
+at the sample points of a :func:`sample_plan` that a box set computes once.
 
 Grids are (channels, H, W) arrays laid out channel-last in memory: each
 is a transposed view of an (H, W, channels) buffer. A pooling sample
@@ -369,27 +369,22 @@ def _distinct(*keys):
 
 
 def roi_pool_project(pyramid: FeaturePyramid, plan: tuple, rows, weights: dict) -> np.ndarray:
-    """Linear maps of the pooled boxes ``rows`` of a :func:`sample_plan`,
-    without pooling them; returns (len(rows), K).
+    """A weighted sum of each pooled box ``rows`` of a :func:`sample_plan`,
+    without pooling them; returns (len(rows),).
 
-    Equal, up to the order of floating-point sums, to a row's pooled block
-    on its layer l times ``weights[l].T``, a (K, roi * roi * C) matrix
-    with one K >= 1. Sampling is linear in the grid, so each reached
-    layer's weights are first applied to every cell, (K * roi^2, C) @ (C,
-    H * W), and all rows then sample one table of those window maps in
-    one gather, touching K values per sample point instead of C.
+    Equal, up to the order of floating-point sums, to a row's flattened
+    pooled block on its layer l dotted with ``weights[l]``, a (roi * roi
+    * C,) vector. Sampling is linear in the grid, so each reached layer's
+    weights are first applied to every cell, (roi^2, C) @ (C, H * W),
+    and all rows then sample one table of those window maps in one
+    gather, touching one value per sample point instead of C.
     """
     extent, strides, layer_ids, cells, fracs = plan
     roi = ROI_SIZE
-    ks = {np.shape(w)[0] if np.ndim(w) == 2 else 0 for w in weights.values()}
-    k = ks.pop() if len(ks) == 1 else 0
     for layer_id, w in weights.items():
-        want = roi * roi * _of_layer(pyramid.grids, layer_id).shape[0]
-        if k < 1 or np.shape(w) != (k, want):
-            raise ValueError(
-                f"layer {layer_id}: expected (K, {want}) weights with K >= 1, one K for "
-                f"all layers, got {np.shape(w)}"
-            )
+        want = (roi * roi * _of_layer(pyramid.grids, layer_id).shape[0],)
+        if np.shape(w) != want:
+            raise ValueError(f"layer {layer_id}: expected {want} weights, got {np.shape(w)}")
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     reached, which = np.unique(layer_ids[rows], return_inverse=True)
     reached = reached.tolist()
@@ -403,14 +398,14 @@ def roi_pool_project(pyramid: FeaturePyramid, plan: tuple, rows, weights: dict) 
         grid = pyramid.grids[layer_id]
         w = np.asarray(_of_layer(weights, layer_id), dtype=np.float64)
         # Row ((i roi + j) H + y) W + x applies window cell (i, j)'s weights to cell (y, x).
-        maps.append((w.reshape(k * roi * roi, -1) @ grid.reshape(len(grid), -1)).reshape(k, -1).T)
-    table = np.concatenate([np.empty((0, k)), *maps])
+        maps.append((w.reshape(roi * roi, -1) @ grid.reshape(len(grid), -1)).reshape(-1))
+    table = np.concatenate([np.empty(0), *maps])
     starts = np.cumsum([0] + [len(m) for m in maps])[which]
     (y0, y1), (x0, x1) = cells.take(rows, axis=-1)  # contiguous, as indexing is not
-    fy, fx = fracs.take(rows, axis=-1)[..., None]
+    fy, fx = fracs.take(rows, axis=-1)
     y0, y1 = (y0 + starts)[:, None], (y1 + starts)[:, None]
-    # Window-major, (roi, roi, rows, K): each elementwise step runs along the rows.
-    out, bot, spare = np.empty((3, roi, roi, len(rows), k))
+    # Window-major, (roi, roi, rows): each elementwise step runs along the rows.
+    out, bot, spare = np.empty((3, roi, roi, len(rows)))
     _blend(table, y0, y1, x0, x1, fy[:, None], fx, out, bot, spare)
     return np.ascontiguousarray(np.moveaxis(out, 2, 0)).sum(axis=(1, 2))
 

@@ -171,18 +171,21 @@ def clip_boxes(boxes, extent: tuple[int, int]) -> np.ndarray:
     A box whose intersection is empty along either axis becomes a
     ``MIN_SIDE`` square (narrowed to the image if it is smaller) inside
     the image, as close as possible to the box center. A +-inf corner, from
-    an overflowing decode, puts it at that edge; a NaN is a ``ValueError``.
+    an overflowing decode, puts it at that edge; a NaN coordinate or far
+    corner, as -inf + inf, is a ``ValueError``.
     """
     width, height = _extent(extent)
     rows = _rows(boxes)
-    if np.isnan(rows).any():
-        row = int(np.argmax(np.isnan(rows).any(axis=0)))
-        raise ValueError(f"box {row} has a NaN coordinate: {rows[:, row].tolist()}")
     corner, sides = rows[:2], rows[2:]
+    with np.errstate(invalid="ignore"):  # a NaN, or inf + -inf
+        far = corner + sides
+    if np.isnan(far).any():
+        row = int(np.argmax(np.isnan(far).any(axis=0)))
+        raise ValueError(f"box {row} has a NaN coordinate: {rows[:, row].tolist()}")
     size = np.array([[width], [height]], dtype=np.float64)
     side = np.minimum(MIN_SIDE, size)
     lo = np.maximum(corner, 0.0)
-    hi = np.minimum(corner + sides, size)
+    hi = np.minimum(far, size)
     center = np.minimum(np.maximum(corner + sides / 2.0, side / 2.0), size - side / 2.0)
     inside = (hi > lo).all(axis=0)
     fallback = center - side / 2.0

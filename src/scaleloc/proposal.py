@@ -10,9 +10,9 @@ objectness from one score map per layer, sampled at the anchor, as
 R-FCN does; :func:`top_k` then pools and regresses only the anchors it
 keeps. The trained objective is :func:`proposal_loss_and_grad`: it weights
 every example by a height-dependent softmax over per-layer sigmoids.
-Within each layer's batch it balances positives against bootstrapped
-hard negatives and averages the box regression over that layer's
-positives; it then sums over the layers.
+Within each layer's batch it weighs positives against bootstrapped hard
+negatives in the sampler's ratio, ``anchors.BALANCE``, and averages the
+box regression over that layer's positives; then it sums the layers.
 
 The softmax of values in [0, 1] caps any weight at e / (e + 2) ~ 0.58,
 so no layer ever dominates. With these constants layer 4 leads
@@ -58,7 +58,6 @@ LR = 0.001
 MOMENTUM = 0.9
 WEIGHT_DECAY = 0.0005
 TRADEOFF = 10.0  # weight of box regression against classification
-POS_COUNT = 32  # most positives in one minibatch
 NEG_POOL = 1024  # negatives pre-sampled for bootstrapping to rank
 
 
@@ -67,12 +66,11 @@ class TrainingDivergedError(RuntimeError):
 
 
 class LayerWeightConfig:
-    """Constants of the height-weighted multi-layer objective."""
+    """Each layer's id, mean height and scale factor in the weighted loss."""
 
     layer_ids = (3, 4, 5)
     mean_heights = (48.0, 96.0, 156.0)
     scale_factors = (5.0, 20.0, 10.0)
-    balance = 3  # the sampler keeps this many negatives per positive
 
     def base_heights(self) -> dict[int, float]:
         return dict(zip(self.layer_ids, self.mean_heights))
@@ -181,22 +179,23 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch]):
     Each batch (in training, one layer's slice of the minibatch) is
     normalized on its own. Its classification term is the cross-entropy
     weighted by each example's layer weight alpha and by a balance weight:
-    the positives' balance weights sum to 1 / (1 + balance), the
-    negatives' to balance / (1 + balance). Its regression term is
+    the positives' balance weights sum to 1 / (1 + b), the negatives' to
+    b / (1 + b), with the sampler's b = ``BALANCE``. Its regression term is
     TRADEOFF times the alpha-weighted smooth-L1 averaged over its
     positives. The loss of several batches is the sum of their losses, so
     a lone positive in one layer's batch carries as much classification
     weight as all the positives of another, and TRADEOFF weighs
     regression against classification within a layer.
     """
-    balance = LayerWeightConfig.balance
+    balance = anchors_mod.BALANCE
+    column = {layer_id: m for m, layer_id in enumerate(LayerWeightConfig.layer_ids)}
     total_loss = 0.0
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
     for batch in batches:
         n = batch.labels.shape[0]
         if n == 0:
             continue
-        m = LayerWeightConfig.layer_ids.index(batch.layer_id)
+        m = _of_layer(column, batch.layer_id)
         logits, offsets = model.forward(batch.layer_id, batch.features)
         p_hat = _sigmoid(logits)
         p_clamped = np.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
@@ -348,14 +347,13 @@ def _objectness(model: ProposalModel, pyramid: FeaturePyramid, anchors: AnchorSe
     """
     scores = np.full(len(anchors), -np.inf)
     reached, which = np.unique(anchors.layer_ids[indices], return_inverse=True)
-    if len(reached):
-        heads, bias = {}, []
-        for layer_id in reached.tolist():
-            _of_layer(model.feature_dims, layer_id)
-            heads[layer_id] = model.params[f"head{layer_id}/w"][:1]
-            bias.append(model.params[f"head{layer_id}/b"][0])
-        logits = roi_pool_project(pyramid, anchors.plan, indices, heads)[:, 0]
-        scores[indices] = logits + np.array(bias)[which]
+    heads, bias = {}, []
+    for layer_id in reached.tolist():
+        _of_layer(model.feature_dims, layer_id)
+        heads[layer_id] = model.params[f"head{layer_id}/w"][0]
+        bias.append(model.params[f"head{layer_id}/b"][0])
+    logits = roi_pool_project(pyramid, anchors.plan, indices, heads)
+    scores[indices] = logits + np.array(bias)[which]
     return scores
 
 
@@ -365,7 +363,7 @@ def train_proposal_model(
     log=None,
 ) -> ProposalModel:
     """SGD (rate ``LR``, ``MOMENTUM``, ``WEIGHT_DECAY``) over per-image
-    minibatches of at most ``POS_COUNT`` positives.
+    minibatches of at most :data:`~scaleloc.anchors.POS_COUNT` positives.
 
     Negatives are sampled uniformly for the first ``len(dataset)`` steps
     and afterwards bootstrapped by objectness from ``NEG_POOL`` draws.
@@ -411,9 +409,7 @@ def train_proposal_model(
         else:
             labels_for_sampling = labels
 
-        pos_take, neg_take = sample_minibatch_indices(
-            labels_for_sampling, scores, rng, POS_COUNT, cfg.loss.balance
-        )
+        pos_take, neg_take = sample_minibatch_indices(labels_for_sampling, scores, rng)
         chosen = np.concatenate([pos_take, neg_take]).astype(np.int64)
         if len(chosen) == 0:
             continue

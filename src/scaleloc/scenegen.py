@@ -53,7 +53,9 @@ class GenConfig:
     min_height: float = 24.0
 
     def __post_init__(self):
-        height = _extent(self.extent)[1]
+        width, height = _extent(self.extent)
+        if width < 2 or height < 2:  # build_pyramid's least image
+            raise ValueError(f"extent {self.extent!r} is too small: need at least 2 x 2")
         _count("scenes", self.scenes)
         _positive("height_median", self.height_median)
         _positive("min_height", self.min_height)

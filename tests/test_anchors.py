@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_oracles as oracle
+from scaleloc import anchors as anchors_mod
 from scaleloc.anchors import (
     IGNORE,
     NEGATIVE,
@@ -301,8 +302,8 @@ class TestMinibatch:
     def build(self, n_pos, n_neg, n_ign=5):
         return np.array([POSITIVE] * n_pos + [NEGATIVE] * n_neg + [IGNORE] * n_ign)
 
-    def sample(self, labels, rng, pos_count=32, gamma=3):
-        pos_take, neg_take = sample_minibatch_indices(labels, None, rng, pos_count, gamma)
+    def sample(self, labels, rng):
+        pos_take, neg_take = sample_minibatch_indices(labels, None, rng)
         return np.concatenate([pos_take, neg_take])
 
     def test_batch_composition_32_96(self):
@@ -322,7 +323,7 @@ class TestMinibatch:
         labels = self.build(n_pos=40, n_neg=400)
         rng = np.random.default_rng(3)
         scores = rng.uniform(0, 1, size=len(labels))
-        _, neg_take = sample_minibatch_indices(labels, scores, rng, pos_count=32, gamma=3)
+        _, neg_take = sample_minibatch_indices(labels, scores, rng)
         neg_idx = np.flatnonzero(labels == NEGATIVE)
         expect = neg_idx[np.argsort(-scores[neg_idx], kind="stable")][:96]
         assert sorted(neg_take.tolist()) == sorted(expect.tolist())
@@ -339,25 +340,6 @@ class TestMinibatch:
         assert sum(batch == POSITIVE) == 5
         assert sum(batch == NEGATIVE) == 15
 
-    def test_gamma_validated(self):
-        labels = self.build(n_pos=2, n_neg=10)
-        with pytest.raises(ValueError):
-            self.sample(labels, np.random.default_rng(0), gamma=0)
-
-    @pytest.mark.parametrize("gamma", [2.5, 3.0, "3", None, True])
-    def test_non_integer_gamma_rejected(self, gamma):
-        # 2.5 used to reach a TypeError from NumPy's choice.
-        labels = self.build(n_pos=2, n_neg=10)
-        with pytest.raises(ValueError, match="gamma must be an integer of at least 1"):
-            self.sample(labels, np.random.default_rng(0), gamma=gamma)
-
-    @pytest.mark.parametrize("pos_count", [0, -1, 2.5, True])
-    def test_pos_count_below_one_rejected(self, pos_count):
-        # -1 used to reach "negative dimensions are not allowed".
-        labels = self.build(n_pos=2, n_neg=10)
-        with pytest.raises(ValueError, match="pos_count must be an integer of at least 1"):
-            self.sample(labels, np.random.default_rng(0), pos_count=pos_count)
-
     @pytest.mark.parametrize("extra", [-1, 1, 4], ids=["short", "long", "longer"])
     def test_scores_must_match_the_labels(self, extra):
         # A short array used to raise IndexError; a long one was read at
@@ -365,12 +347,13 @@ class TestMinibatch:
         labels = self.build(n_pos=2, n_neg=10)
         scores = np.zeros(len(labels) + extra)
         with pytest.raises(ValueError, match=r"scores of shape \(\d+,\) do not match labels"):
-            sample_minibatch_indices(labels, scores, np.random.default_rng(0), 32, 3)
+            sample_minibatch_indices(labels, scores, np.random.default_rng(0))
 
-    def test_numpy_integer_counts_and_matching_scores_accepted(self):
+    def test_numpy_integer_counts_and_matching_scores_accepted(self, monkeypatch):
+        """The quotas are read at call time, so patching them reaches the sampler."""
+        monkeypatch.setattr(anchors_mod, "POS_COUNT", np.int64(1))
+        monkeypatch.setattr(anchors_mod, "BALANCE", np.int32(3))
         labels = self.build(n_pos=2, n_neg=10)
         scores = np.linspace(0, 1, len(labels))
-        pos, neg = sample_minibatch_indices(
-            labels, scores, np.random.default_rng(0), np.int64(1), np.int32(3)
-        )
+        pos, neg = sample_minibatch_indices(labels, scores, np.random.default_rng(0))
         assert len(pos) == 1 and len(neg) == 3

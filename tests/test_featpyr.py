@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -128,11 +129,10 @@ def oracle_roi_pool_project(pyramid, layer_id, boxes, weights):
     grid = pyramid.grids[layer_id]
     c, grid_h, grid_w = grid.shape
     roi = ROI_SIZE
-    k = weights.shape[0]
-    maps = weights.reshape(k * roi * roi, c) @ grid.reshape(c, -1)
-    maps = np.ascontiguousarray(np.moveaxis(maps.reshape(k, roi, roi, grid_h, grid_w), 0, -1))
+    maps = weights.reshape(roi * roi, c) @ grid.reshape(c, -1)
+    maps = maps.reshape(roi, roi, grid_h, grid_w, 1)  # one value per cell
     window = (np.arange(roi)[:, None], np.arange(roi)[None, :])
-    return oracle_gather_pool(pyramid, layer_id, boxes, maps, window).sum(axis=(1, 2))
+    return oracle_gather_pool(pyramid, layer_id, boxes, maps, window).sum(axis=(1, 2))[:, 0]
 
 
 def pyramid_config(pyr):
@@ -438,7 +438,7 @@ class TestSharedSamples:
         got = roi_pool_many(pyr, 3, boxes)
         assert got.shape == (len(boxes), ROI_SIZE, ROI_SIZE, channels)
         assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
-        weights = rng.normal(size=(2, ROI_SIZE * ROI_SIZE * channels))
+        weights = rng.normal(size=ROI_SIZE * ROI_SIZE * channels)
         got = project(pyr, 3, boxes, weights)
         assert got.tobytes() == oracle_roi_pool_project(pyr, 3, boxes, weights).tobytes()
 
@@ -486,20 +486,19 @@ class TestSharedSamples:
 
 class TestRoiPoolProject:
     @staticmethod
-    def check(pyr, layer_id, boxes, k, rng):
+    def check(pyr, layer_id, boxes, rng):
         pooled = roi_pool_many(pyr, layer_id, boxes).reshape(len(boxes), -1)
-        weights = rng.normal(size=(k, pooled.shape[1]))
+        weights = rng.normal(size=pooled.shape[1])
         got = project(pyr, layer_id, boxes, weights)
-        assert got.shape == (len(boxes), k)
-        np.testing.assert_allclose(got, pooled @ weights.T, rtol=1e-9, atol=1e-12)
+        assert got.shape == (len(boxes),)
+        np.testing.assert_allclose(got, pooled @ weights, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("k", [1, 5])
-    def test_matches_pooling_on_cycled_channels(self, k):
-        rng = np.random.default_rng(20 + k)
+    def test_matches_pooling_on_cycled_channels(self):
+        rng = np.random.default_rng(21)
         pyr = build_pyramid(rng.uniform(0, 1, size=(50, 70)), CYCLING)
         boxes = random_boxes(rng, 80, pyr.extent)
         for layer_id in CYCLING.layer_ids():
-            self.check(pyr, layer_id, boxes, k, rng)
+            self.check(pyr, layer_id, boxes, rng)
 
     @pytest.mark.parametrize("grid_shape,stride,extent", [
         ((5, 7, 9), 8, (70, 50)),  # ragged: 70 and 50 are not multiples of 8
@@ -510,22 +509,21 @@ class TestRoiPoolProject:
         rng = np.random.default_rng(grid_shape[0])
         grid = rng.uniform(-1, 1, size=grid_shape)
         pyr = single_layer_pyramid(grid, stride, extent)
-        self.check(pyr, 3, random_boxes(rng, 50, extent), 3, rng)
+        self.check(pyr, 3, random_boxes(rng, 50, extent), rng)
 
-    @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize(
         "grid_shape,stride,extent",
         [((5, 7, 9), 8, (70, 50)), ((3, 1, 4), 16, (49, 3)), ((2, 5, 1), 4, (3, 20))],
         ids=["ragged", "one-row", "one-column"],
     )
-    def test_windowed_gather_equals_advanced_indexing_oracle(self, grid_shape, stride, extent, k):
+    def test_windowed_gather_equals_advanced_indexing_oracle(self, grid_shape, stride, extent):
         """Gathering rows of the flat (window, cell) maps is the same
         gather as indexing the maps by window row, window column, row and
         column, bit for bit."""
-        rng = np.random.default_rng(grid_shape[0] * 10 + k)
+        rng = np.random.default_rng(grid_shape[0] * 10 + 1)
         pyr = single_layer_pyramid(rng.uniform(-1, 1, size=grid_shape), stride, extent)
         boxes = random_boxes(rng, 70, extent)
-        weights = rng.normal(size=(k, ROI_SIZE * ROI_SIZE * grid_shape[0]))
+        weights = rng.normal(size=ROI_SIZE * ROI_SIZE * grid_shape[0])
         got = project(pyr, 3, boxes, weights)
         assert got.tobytes() == oracle_roi_pool_project(pyr, 3, boxes, weights).tobytes()
 
@@ -533,22 +531,22 @@ class TestRoiPoolProject:
         rng = np.random.default_rng(23)
         pyr = single_layer_pyramid(rng.uniform(-1, 1, size=(4, 10, 10)))
         boxes = np.array([[8, 8, 16, 16], [0, 0, 2, 2], [78, 78, 1, 1], [30, 5, 0.5, 60]])
-        self.check(pyr, 3, boxes, 2, rng)
+        self.check(pyr, 3, boxes, rng)
 
     def test_rejects_misshapen_weights_and_unknown_layers(self):
         pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
         with pytest.raises(ValueError, match="weights"):
-            project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros((1, 31)))
+            project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros(31))
         with pytest.raises(ValueError, match=r"layer 9 is not one of \[3\]"):
-            project(pyr, 9, np.array([[0, 0, 8, 8]]), np.zeros((1, 32)))
+            project(pyr, 9, np.array([[0, 0, 8, 8]]), np.zeros(32))
 
     @pytest.mark.parametrize(
-        "shape", [(0, 32), (32,), (1, 32, 1), ()], ids=["no-rows", "1d", "3d", "0d"]
+        "shape", [(0,), (1, 32), (32, 1), ()], ids=["empty", "row", "column", "0d"]
     )
-    def test_weights_must_be_a_matrix_with_rows(self, shape):
-        # Zero rows used to reach a ZeroDivisionError in the chunk size.
+    def test_weights_must_be_one_vector_per_layer(self, shape):
+        # A (1, 32) row was the one-K form; a vector is now the only one.
         pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
-        with pytest.raises(ValueError, match=r"expected \(K, 32\) weights with K >= 1"):
+        with pytest.raises(ValueError, match=r"^layer 3: expected \(32,\) weights, got"):
             project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros(shape))
 
 
@@ -556,8 +554,7 @@ def oracle_plan_projection(pyr, boxes, layer_ids, rows, weights):
     """The per-layer windowed projection (``oracle_roi_pool_project``)
     of each layer's rows, put back in row order."""
     rows = np.asarray(rows, dtype=np.int64)
-    k = next(iter(weights.values())).shape[0]
-    out = np.empty((len(rows), k))
+    out = np.empty(len(rows))
     for layer_id in np.unique(layer_ids[rows]).tolist():
         sel = layer_ids[rows] == layer_id
         out[sel] = oracle_roi_pool_project(pyr, layer_id, boxes[rows[sel]], weights[layer_id])
@@ -587,11 +584,10 @@ class TestSamplePlan:
         grids=st.sampled_from(["built", "random"]),
         boxes=st.sampled_from(["anchors", "random", "each-layer"]),
         pool=st.sampled_from(["empty", "single", "all"]),
-        k=st.sampled_from([1, 5]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_projection_equals_per_layer_oracle(self, extent, grids, boxes, pool, k, seed):
+    def test_projection_equals_per_layer_oracle(self, extent, grids, boxes, pool, seed):
         rng = np.random.default_rng(seed)
         width, height = extent
         if grids == "built":  # channel c repeats channel c % 8
@@ -618,9 +614,9 @@ class TestSamplePlan:
             per_layer = [rng.permutation(np.flatnonzero(layer_ids == l)) for l in CYCLING.layer_ids()]
             rows = rng.permutation(np.concatenate([sel[:100] for sel in per_layer]))
         rows = rows[:300]
-        weights = {l: rng.normal(size=(k, d)) for l, d in CYCLING.flat_dims().items()}
+        weights = {l: rng.normal(size=d) for l, d in CYCLING.flat_dims().items()}
         got = roi_pool_project(pyr, plan, rows, weights)
-        assert got.shape == (len(rows), k)
+        assert got.shape == (len(rows),)
         want = oracle_plan_projection(pyr, all_boxes, layer_ids, rows, weights)
         assert got.tobytes() == want.tobytes()
 
@@ -675,7 +671,7 @@ class TestSamplePlan:
         rng = np.random.default_rng(50)
         pyr = random_grids(rng, CYCLING, (97, 61))
         boxes = random_boxes(rng, 12, (97, 61))
-        weights = {l: np.zeros((1, d)) for l, d in CYCLING.flat_dims().items()}
+        weights = {l: np.zeros(d) for l, d in CYCLING.flat_dims().items()}
         rows = np.arange(12)
         plan = sample_plan(boxes, np.full(12, 4), CYCLING, (96, 61))
         with pytest.raises(ValueError, match=r"plan for \(96, 61\), .*; pyramid \(97, 61\)"):
@@ -687,23 +683,23 @@ class TestSamplePlan:
             roi_pool_project(pyr, plan, rows, weights)
         # A stride the rows do not reach does not matter.
         plan = sample_plan(boxes, np.full(12, 3), other, (97, 61))
-        assert roi_pool_project(pyr, plan, rows, weights).shape == (12, 1)
+        assert roi_pool_project(pyr, plan, rows, weights).shape == (12,)
 
-    def test_every_reached_layer_needs_weights_with_one_k(self):
+    def test_every_reached_layer_needs_weights(self):
         rng = np.random.default_rng(51)
         pyr = random_grids(rng, CYCLING, (97, 61))
         layer_ids = np.array([3, 4, 4, 5])
         plan = sample_plan(random_boxes(rng, 4, (97, 61)), layer_ids, CYCLING, (97, 61))
         dims = CYCLING.flat_dims()
-        weights = {3: np.zeros((2, dims[3])), 4: np.zeros((2, dims[4]))}
-        assert roi_pool_project(pyr, plan, [0, 2, 1], weights).shape == (3, 2)
+        weights = {3: np.zeros(dims[3]), 4: np.zeros(dims[4])}
+        assert roi_pool_project(pyr, plan, [0, 2, 1], weights).shape == (3,)
         with pytest.raises(ValueError, match=r"layer 5 is not one of \[3, 4\]"):
             roi_pool_project(pyr, plan, [0, 3], weights)
         with pytest.raises(ValueError, match=r"layer 3 is not one of \[\]"):
             roi_pool_project(pyr, plan, [0], {})
-        weights[5] = np.zeros((1, dims[5]))
-        want = r"expected \(K, 176\) weights with K >= 1, one K for all layers, got \(2, 176\)"
-        with pytest.raises(ValueError, match=want):
+        # Every given layer's weights are checked, reached or not.
+        weights[5] = np.zeros(dims[5] + 1)
+        with pytest.raises(ValueError, match=r"^layer 5: expected \(48,\) weights, got \(49,\)"):
             roi_pool_project(pyr, plan, [0], weights)
 
     @pytest.mark.parametrize(
@@ -912,7 +908,7 @@ class TestRoiPool:
         with pytest.raises(ValueError, match="box 1 has a non-finite coordinate"):
             roi_pool_many(pyr, 3, boxes)
         with pytest.raises(ValueError, match="box 1 has a non-finite coordinate"):
-            project(pyr, 3, boxes, np.zeros((1, 32)))
+            project(pyr, 3, boxes, np.zeros(32))
 
     @pytest.mark.parametrize(
         "box", [[1e308, 0, 1e308, 8], [0, 1e308, 8, 1e308], [-1e308, 0, -1e308, 8]],
@@ -927,7 +923,21 @@ class TestRoiPool:
         with pytest.raises(ValueError, match=want):
             roi_pool_many(pyr, 3, boxes)
         with pytest.raises(ValueError, match=want):
-            project(pyr, 3, boxes, np.zeros((1, 32)))
+            project(pyr, 3, boxes, np.zeros(32))
+
+    @pytest.mark.parametrize(
+        "box", [[10, 10, 0, 5], [10, 10, 5, -1], [10, 10, -5, 5], [10, 10, 5, 0]],
+        ids=["zero-width", "negative-height", "negative-width", "zero-height"],
+    )
+    def test_box_with_a_side_of_at_most_0_rejected(self, box):
+        # [10, 10, -5, 5] used to pool as a window expanded about x = 7.5.
+        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        boxes = np.array([[0, 0, 8, 8], box], dtype=np.float64)
+        want = f"^{re.escape(f'box 1 has a side of at most 0: {boxes[1].tolist()}')}$"
+        with pytest.raises(ValueError, match=want):
+            roi_pool_many(pyr, 3, boxes)
+        with pytest.raises(ValueError, match=want):
+            sample_plan(boxes, [3, 3], pyramid_config(pyr), pyr.extent)
 
     def test_huge_finite_box_pools_without_overflow(self):
         """On a stride-1 layer the box's corners, 1e308 and 1.5e308 cells,

@@ -294,6 +294,23 @@ class TestClip:
             clip_boxes(boxes, (64, 48))
 
     @pytest.mark.parametrize(
+        "box",
+        [[-math.inf, 0, math.inf, 5], [0, math.inf, 5, -math.inf], [math.inf, 0, -math.inf, 5]],
+        ids=["x", "y", "positive-corner"],
+    )
+    def test_row_with_a_nan_far_corner_rejected(self, box):
+        """clip_boxes([[-inf, 0, inf, 5]], (64, 48)) used to warn of an
+        invalid value and return [[nan, 1.5, 2, 2]]: x + w is NaN."""
+        boxes = np.array([[1.0, 2.0, 5.0, 5.0], box])
+        want = re.escape(f"box 1 has a NaN coordinate: {boxes[1].tolist()}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            clip_boxes(boxes, (64, 48))
+
+    def test_infinite_corner_with_a_finite_side_goes_to_the_edge(self):
+        got = clip_boxes([[-math.inf, 0, 5, 5], [math.inf, 0, 5, 5]], (64, 48))
+        np.testing.assert_array_equal(got, [[0, 1.5, 2, 2], [62, 1.5, 2, 2]])
+
+    @pytest.mark.parametrize(
         "extent, name",
         [((math.nan, 10), "extent width"), ((10, math.inf), "extent height"),
          ((10.5, 10), "extent width"), ((True, 10), "extent width")],

@@ -4,7 +4,8 @@ package or the benchmark, every imported name is used, every
 ``*Config`` field is read by some code outside its own class, every
 function parameter is read by its function, and every ``*Config`` field
 is set, every method or property read and every defaulted parameter
-passed by the package or the benchmark. A test is never a caller.
+passed by the package or the benchmark, and that no parameter gets one
+constant from every call. A test is never a caller.
 One guard then constructs each ``*Config`` these checks find, to see
 that every numeric field rejects the values its type cannot mean."""
 
@@ -541,14 +542,10 @@ def test_member_check_flags_a_property_only_tests_read():
     assert unread_members(tree, [tree, caller]) == ["Box.cx"]
 
 
-def unpassed_defaults(tree, trees):
-    """``function(parameter)`` for each defaulted parameter of a function
-    in ``tree`` that no call in ``trees`` passes, by position or by
-    keyword, such as a knob that only tests set. A call counts for every
-    function of the name it calls, on whatever object, except ``np.*``
-    calls, whose names (``clip``, ``take``) the package reuses. A call
-    with ``*args`` passes every position, one with ``**kwargs`` every
-    keyword. A method's positions skip its ``self`` or ``cls``."""
+def calls_by_name(trees):
+    """Every call in ``trees`` by the name it calls, on whatever object,
+    except ``np.*`` calls, whose names (``clip``, ``take``) the package
+    reuses."""
     calls = {}
     for t in trees:
         for node in ast.walk(t):
@@ -560,13 +557,13 @@ def unpassed_defaults(tree, trees):
                     calls.setdefault(func.attr, []).append(node)
             elif isinstance(func, ast.Name):
                 calls.setdefault(func.id, []).append(node)
+    return calls
 
-    def passed(call, name, position):
-        if any(kw.arg in (name, None) for kw in call.keywords):
-            return True
-        starred = any(isinstance(a, ast.Starred) for a in call.args)
-        return position is not None and (starred or len(call.args) > position)
 
+def parameters(tree):
+    """(function, [(parameter, position or None, default or None)]) for
+    each function in ``tree``. A method's positions skip its ``self`` or
+    ``cls``; a keyword-only parameter has no position."""
     methods = {
         fn
         for cls in ast.walk(tree)
@@ -575,24 +572,82 @@ def unpassed_defaults(tree, trees):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
     }
-    unpassed = []
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         args = fn.args
         positional = args.posonlyargs + args.args
-        first = len(positional) - len(args.defaults)
         skip = 1 if fn in methods else 0
-        defaulted = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
-        defaulted += [
-            (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-        ]
-        unpassed += [
-            f"{fn.name}({name})"
-            for name, position in defaulted
-            if not any(passed(c, name, position) for c in calls.get(fn.name, []))
-        ]
-    return unpassed
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        params = [(a.arg, i - skip, d) for i, (a, d) in enumerate(zip(positional, defaults))]
+        params += [(a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+        yield fn, params[skip:]
+
+
+def unpassed_defaults(tree, trees):
+    """``function(parameter)`` for each defaulted parameter of a function
+    in ``tree`` that no call in ``trees`` passes, by position or by
+    keyword, such as a knob that only tests set. A call counts for every
+    function of the name it calls (:func:`calls_by_name`). A call with
+    ``*args`` passes every position, one with ``**kwargs`` every
+    keyword."""
+    calls = calls_by_name(trees)
+
+    def passed(call, name, position):
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return position is not None and (starred or len(call.args) > position)
+
+    return [
+        f"{fn.name}({name})"
+        for fn, params in parameters(tree)
+        for name, position, default in params
+        if default is not None
+        and not any(passed(c, name, position) for c in calls.get(fn.name, []))
+    ]
+
+
+def is_constant(node):
+    """Whether an argument is a literal or an ALL-CAPS name or attribute."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return getattr(node, "id", getattr(node, "attr", "")).isupper()
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False
+    return True
+
+
+def one_value_arguments(tree, trees):
+    """``function(parameter) <- value`` for each parameter of a function
+    in ``tree`` that every call in ``trees`` passes, each the same
+    literal or ALL-CAPS constant: an argument that could be the constant
+    itself. Calls count as in :func:`unpassed_defaults`; one that passes
+    ``*args`` or ``**kwargs``, or leaves the parameter to its default,
+    may pass anything, and a function that nothing calls is skipped."""
+    calls = calls_by_name(trees)
+
+    def argument(call, name, position):
+        """The node passed for the parameter, or None if it is unknown."""
+        for kw in call.keywords:
+            if kw.arg == name:
+                return kw.value
+        if position is None or position >= len(call.args):
+            return None
+        if any(isinstance(a, ast.Starred) for a in call.args[: position + 1]):
+            return None
+        return call.args[position]
+
+    flagged = []
+    for fn, params in parameters(tree):
+        reached = calls.get(fn.name, [])
+        for name, position, _ in params:
+            values = [argument(c, name, position) for c in reached]
+            if values and all(v is not None and is_constant(v) for v in values):
+                if len({ast.dump(v) for v in values}) == 1:
+                    flagged.append(f"{fn.name}({name}) <- {ast.unparse(values[0])}")
+    return flagged
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -622,6 +677,48 @@ def test_default_check_flags_a_knob_only_tests_set():
         "    Model.make(*args)\n"
     )
     assert unpassed_defaults(tree, [tree]) == ["clip(min_side)", "pool(scale)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_argument_that_one_value_reaches(path):
+    """A parameter that every caller fills with one constant is that
+    constant: the function should read it, as the sampler reads its
+    quotas, rather than take it."""
+    trees = [parse(p) for p in CALLERS]
+    flagged = one_value_arguments(parse(path), trees)
+    where = "arguments that every call in src/ or perfbench/ fixes"
+    assert not flagged, f"{path.name}: {where} {flagged}"
+
+
+def test_one_value_check_flags_a_quota_every_caller_passes():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "POS_COUNT = 32\n"
+        "def sample(labels, rng, pos_count, gamma, order='C'):\n"
+        "    return labels, rng, pos_count, gamma, order\n"
+        "def count(name, value, least=1): return value >= least\n"
+        "def pool(x, *, scale): return x * scale\n"
+        "def unused(x, limit): return x + limit\n"
+        "class Model:\n"
+        "    def step(self, x, rate): return x * rate\n"
+        "def use(m, cfg, args, kw):\n"
+        "    sample(1, 2, POS_COUNT, 3, 'F')\n"
+        "    sample(4, 5, pos_count=POS_COUNT, gamma=3, order='F')\n"
+        "    sample(6, 7, POS_COUNT, cfg.gamma)\n"
+        "    count('a', 1, 0)\n"
+        "    count('b', 2)\n"
+        "    pool(1, scale=cfg.SCALE)\n"
+        "    pool(2, scale=cfg.SCALE)\n"
+        "    m.step(1, -0.5)\n"
+        "    m.step(*args)\n"
+        "    np.clip(1, 0, 2)\n"
+        "    sample(8, 9, **kw)\n"
+    )
+    # The **kw call may pass any pos_count.
+    assert one_value_arguments(tree, [tree]) == ["pool(scale) <- cfg.SCALE"]
+    source = ast.unparse(tree).replace("sample(8, 9, **kw)", "pool(3, scale=2)")
+    other = ast.parse(source)
+    assert one_value_arguments(other, [other]) == ["sample(pos_count) <- POS_COUNT"]
 
 
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}

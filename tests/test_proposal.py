@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_oracles as oracle
+from scaleloc import anchors as anchors_mod
 from scaleloc import featpyr, proposal, scenegen
 from scaleloc.anchors import generate_anchors
 from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid, roi_pool_many
@@ -197,8 +198,10 @@ def test_constants_keep_the_rules_of_their_former_checks():
     assert LayerWeightConfig().base_heights() == dict(zip(ids, heights))
     for value in heights + scales + (proposal.LR,):
         assert type(value) is float and 0 < value < math.inf
-    for value in (LayerWeightConfig.balance, proposal.POS_COUNT, proposal.NEG_POOL):
+    for value in (anchors_mod.POS_COUNT, anchors_mod.BALANCE, proposal.NEG_POOL):
         assert type(value) is int and value >= 1
+    # The sampler's quotas have one copy each, which the loss reads too.
+    assert not hasattr(proposal, "POS_COUNT") and not hasattr(LayerWeightConfig, "balance")
     assert len(scenegen.OBJECTS) == 2
     fewest, most = scenegen.OBJECTS
     assert type(fewest) is type(most) is int and 1 <= fewest <= most
@@ -459,6 +462,16 @@ class TestLossGradient:
         for name in pair_grads:
             np.testing.assert_array_equal(pair_grads[name], alone[0][1][name] + alone[1][1][name])
 
+    def test_batch_of_a_layer_without_loss_constants_names_it(self):
+        # Layer 6 used to fail with "tuple.index(x): x not in tuple".
+        pyramid = PyramidConfig(layers=(LayerSpec(3, 8, 2), LayerSpec(6, 16, 2)))
+        model = ProposalModel.init(pyramid, seed=5)
+        batches = make_batches(model, np.random.default_rng(5))
+        assert [b.layer_id for b in batches] == [3, 6]
+        assert proposal_loss_and_grad(model, batches[:1])[0] > 0
+        with pytest.raises(ValueError, match=r"^layer 6 is not one of \[3, 4, 5\]$"):
+            proposal_loss_and_grad(model, batches)
+
 
 class TestTrainedLossOracle:
     """With one layer every alpha is exactly 1, and the trained loss is
@@ -495,7 +508,7 @@ class TestTrainedLossOracle:
 
         logits, offsets = model.forward(3, feats)
         p_hat = 1.0 / (1.0 + np.exp(-logits))
-        expect = cls_loss(labels, p_hat, gamma=LayerWeightConfig.balance)
+        expect = cls_loss(labels, p_hat, gamma=anchors_mod.BALANCE)
         reg = [
             multitask_loss(1, anchors[i], gts[i], p_hat[i], offsets[i], TRADEOFF)
             + math.log(p_hat[i])
@@ -851,7 +864,7 @@ class TestTraining:
     @pytest.fixture(autouse=True)
     def small_minibatches(self, monkeypatch):
         """Minibatch sizes for tiny scenes, which the digests were recorded with."""
-        monkeypatch.setattr(proposal, "POS_COUNT", 8)
+        monkeypatch.setattr(anchors_mod, "POS_COUNT", 8)
         monkeypatch.setattr(proposal, "NEG_POOL", 128)
 
     def small_dataset(self, n=6):
@@ -929,7 +942,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("pos_count", [1, 2, 8])
     def test_positives_capped_at_pos_count(self, monkeypatch, pos_count):
-        monkeypatch.setattr(proposal, "POS_COUNT", pos_count)
+        monkeypatch.setattr(anchors_mod, "POS_COUNT", pos_count)
         sizes, _ = self.minibatch_sizes(monkeypatch, steps=12)
         assert len(sizes) == 12
         assert max(pos for pos, _ in sizes) == pos_count
@@ -938,11 +951,11 @@ class TestTraining:
     def test_negatives_are_balance_per_positive(self, monkeypatch, balance):
         """Each minibatch keeps ``balance`` negatives per positive taken,
         or per POS_COUNT when the scene has none."""
-        monkeypatch.setattr(LayerWeightConfig, "balance", balance)
+        monkeypatch.setattr(anchors_mod, "BALANCE", balance)
         sizes, _ = self.minibatch_sizes(monkeypatch, steps=12)
         assert sizes
         for pos, neg in sizes:
-            assert neg == balance * (pos or proposal.POS_COUNT)
+            assert neg == balance * (pos or anchors_mod.POS_COUNT)
 
     @pytest.mark.parametrize("neg_pool", [1, 16, 128])
     def test_bootstrap_scores_neg_pool_draws(self, monkeypatch, neg_pool):

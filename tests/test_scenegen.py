@@ -1,10 +1,12 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from scaleloc import scenegen
+from scaleloc.featpyr import PyramidConfig, build_pyramid
 from scaleloc.scenegen import (
     ASPECT_BAND,
     BACKGROUND_LEVEL,
@@ -159,6 +161,24 @@ class TestSampling:
             sample_dataset(GenConfig(scenes=1, extent=(64, 48)), seed)
         cfg = GenConfig(scenes=2, extent=(64, 48))
         assert sample_dataset(cfg, np.int64(3)) == sample_dataset(cfg, 3)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(extent=(1, 480)), dict(extent=(64, 1), min_height=0.5, height_median=0.9)],
+        ids=["one-column", "one-row"],
+    )
+    def test_extent_below_2_by_2_rejected(self, kwargs):
+        """(1, 480) used to fail in sample_dataset with "box sides must be
+        positive", and (64, 1) in build_pyramid with "too small"."""
+        want = rf"^extent {re.escape(repr(kwargs['extent']))} is too small: need at least 2 x 2$"
+        with pytest.raises(ValueError, match=want):
+            GenConfig(scenes=3, **kwargs)
+
+    def test_smallest_extent_samples_and_renders(self):
+        cfg = GenConfig(scenes=2, extent=(2, 2), min_height=0.5, height_median=1.0)
+        for scene in sample_dataset(cfg, 0):
+            assert build_pyramid(rasterize(scene), PyramidConfig()).extent == (2, 2)
+            assert all(0 < b.w <= 1 and 0.5 <= b.h <= 1.9 for b in scene.gt_boxes)
 
     def test_min_height_must_fit_the_extent(self):
         """Heights are drawn from [min_height, 0.95 * extent height]; an
