@@ -1,10 +1,10 @@
 """Helpers both model stages share: the checkpoint loader, the parameter
 shape check, the layer lookup and the box checks (which RoI pooling,
 labeling and box arithmetic use too), Glorot initialization and the
-sigmoid and softmax. A checkpoint is a model's ``params``, as
-``np.savez(path, **model.params)`` writes it. Every numeric setting is checked by ``_count`` (an integer of
-at least a bound), ``_positive`` (a finite real number above a bound) or
-``_extent`` (a (width, height) pair of counts): one implementation per rule."""
+sigmoid and softmax. A checkpoint is a model's ``params``, as ``np.savez(path, **model.params)``
+writes it. Every numeric setting is checked by ``_count`` (an integer of at least a bound),
+``_positive`` (a finite real number above a bound) or ``_extent`` (a (width, height) pair of
+counts), and every numeric array by ``_real`` (integers or floats): one implementation per rule."""
 
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ def _load_params(arrays: dict[str, np.ndarray], layer_matrix: str, layer_order: 
     is not 2-D with columns, and arrays without one."""
     params, dims = {}, {}
     for name, value in arrays.items():
-        value = np.asarray(value)
-        if value.dtype.kind not in "iuf":
-            raise ValueError(f"parameter {name} holds {value.dtype}, not real numbers")
+        value = _real(f"parameter {name}", value)
         layer = re.fullmatch(layer_matrix.format("(0|[1-9][0-9]*)"), name)
         params[name] = value = value.astype(np.float64, order=layer_order if layer else "K")
         if not np.all(np.isfinite(value)):
@@ -59,6 +57,14 @@ def _positive(name: str, value, above: float = 0.0) -> None:
     real = (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, real) or not above < value < math.inf:
         raise ValueError(f"{name} must be a finite number above {above:g}, got {value!r}")
+
+
+def _real(name: str, values) -> np.ndarray:
+    """``values`` as an array; a ``ValueError`` names any dtype but integer or float."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} holds {values.dtype}, not real numbers")
+    return values
 
 
 def _extent(extent) -> tuple[int, int]:

@@ -16,9 +16,8 @@ weight vector per layer to the grids and samples the result, never
 building the pooled blocks; it blends boxes of all layers in one gather,
 at the sample points of a :func:`sample_plan` that a box set computes once.
 
-Grids are (channels, H, W) arrays laid out channel-last in memory: each
-is a transposed view of an (H, W, channels) buffer. A pooling sample
-reads all C channels of one cell, so this layout makes that read one
+Grids are C-contiguous (H, W, channels) arrays. A pooling sample reads
+all C channels of one cell, so this layout makes that read one
 contiguous run instead of C values H * W apart, and one row of a flat
 (cells, C) view, so each bilinear corner is one exact ``take`` of rows.
 ``roi_pool_many`` blends its samples in chunks of boxes of about
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._model import _corners, _count, _extent, _of_layer
+from ._model import _corners, _count, _extent, _of_layer, _real
 from .geometry import BBox, boxes_to_array
 
 __all__ = [
@@ -96,12 +95,11 @@ class PyramidConfig:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Per-layer (channels, H, W) grids plus the source image extent.
+    """Per-layer (H, W, channels) grids plus the source image extent.
 
-    Each stored grid is float64 and channel-last in memory,
-    ``np.moveaxis(hwc, -1, 0)`` of an (H, W, channels) buffer, so that
-    pooling reads a cell's channels contiguously. A grid given in another
-    layout or another real dtype is copied into one. Any other dtype, and
+    Each stored grid is a C-contiguous float64 array, so that pooling
+    reads a cell's channels contiguously. A grid given in another memory
+    order or another real dtype is copied into one. Any other dtype, and
     an extent, stride or grid shape that does not fit, is a ``ValueError``.
     """
 
@@ -111,25 +109,22 @@ class FeaturePyramid:
 
     def __post_init__(self):
         width, height = _extent(self.extent)
-        channel_last = {}
+        stored = {}
         for layer_id, grid in self.grids.items():
             stride = self.strides.get(layer_id)
             _count(f"layer {layer_id} stride", stride)
             want = (-(-height // stride), -(-width // stride))
-            if grid.ndim != 3 or grid.shape[1:] != want:
+            if grid.ndim != 3 or grid.shape[:2] != want:
                 raise ValueError(
-                    f"layer {layer_id}: expected spatial shape {want}, got {grid.shape[1:]}"
+                    f"layer {layer_id}: expected spatial shape {want}, got {grid.shape[:2]}"
                 )
-            if grid.shape[0] < 1:
+            if grid.shape[2] < 1:
                 raise ValueError(f"layer {layer_id}: grid has no channels")
-            if grid.dtype.kind not in "iuf":
-                raise ValueError(f"layer {layer_id}: grid holds {grid.dtype}, not real numbers")
+            _real(f"layer {layer_id}: grid", grid)
             if not np.all(np.isfinite(grid)):
                 raise ValueError(f"layer {layer_id}: non-finite feature values")
-            channel_last[layer_id] = np.moveaxis(
-                np.ascontiguousarray(np.moveaxis(grid, 0, -1), dtype=np.float64), -1, 0
-            )
-        object.__setattr__(self, "grids", channel_last)
+            stored[layer_id] = np.ascontiguousarray(grid, dtype=np.float64)
+        object.__setattr__(self, "grids", stored)
 
 
 def _blocks(img: np.ndarray, stride: int) -> np.ndarray:
@@ -186,9 +181,9 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
     memory is the gradient pair, one field and the std's deviations.
     Statistics no layer uses are not reduced. Each layer's statistics go
     into a small (H, W, 8) array, which one broadcast copy then repeats
-    across the channel-last grid.
+    across the layer's (H, W, channels) grid.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(_real("image", image), dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("expected a 2-d grayscale image")
     height, width = image.shape
@@ -222,7 +217,7 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
         cycles = hwc[:, :, : repeats * _N_BASE].reshape(rows, cols, repeats, _N_BASE)
         cycles[...] = base[:, :, None, :]
         hwc[:, :, repeats * _N_BASE :] = base[:, :, :tail]
-        grids[spec.layer_id] = np.moveaxis(hwc, -1, 0)
+        grids[spec.layer_id] = hwc
     strides = {spec.layer_id: spec.stride for spec in cfg.layers}
     return FeaturePyramid(extent=(width, height), strides=strides, grids=grids)
 
@@ -284,17 +279,17 @@ def roi_pool_many(
     """Pool many (x, y, w, h) boxes at once; returns (N, roi, roi, C).
 
     Every sample is a bilinear blend computed with the operations of
-    :func:`_blend`, in its order. The grid's channel-last memory makes a
-    cell's C values one contiguous read, and each bilinear corner one
-    ``take`` from the flat (cells, C) view, at row ``y * W + x``; a
+    :func:`_blend`, in its order. The (H, W, C) grid makes a cell's C
+    values one contiguous read, and each bilinear corner one ``take``
+    from its flat (cells, C) view, at row ``y * W + x``; a
     gather only copies, so this equals indexing the grid with one index
     array per axis, at less cost. Boxes are blended in chunks of about
     ``_CHUNK_BYTES``, in place in the output and two spare buffers, so
     peak memory is the output plus a few chunks.
     """
-    values = np.moveaxis(_of_layer(pyramid.grids, layer_id), 0, -1)  # (H, W, C), contiguous
-    grid_h, grid_w, depth = values.shape
-    cells = values.reshape(-1, depth)
+    grid = _of_layer(pyramid.grids, layer_id)
+    grid_h, grid_w, depth = grid.shape
+    cells = grid.reshape(-1, depth)
     stride = pyramid.strides[layer_id]
     boxes, far = _corners(boxes)
     x0, x1, fx = _bilinear_axis(_sample_axis(boxes[:, 0] / stride, far[:, 0] / stride), grid_w)
@@ -382,7 +377,7 @@ def roi_pool_project(pyramid: FeaturePyramid, plan: tuple, rows, weights: dict) 
     extent, strides, layer_ids, cells, fracs = plan
     roi = ROI_SIZE
     for layer_id, w in weights.items():
-        want = (roi * roi * _of_layer(pyramid.grids, layer_id).shape[0],)
+        want = (roi * roi * _of_layer(pyramid.grids, layer_id).shape[2],)
         if np.shape(w) != want:
             raise ValueError(f"layer {layer_id}: expected {want} weights, got {np.shape(w)}")
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
@@ -398,7 +393,7 @@ def roi_pool_project(pyramid: FeaturePyramid, plan: tuple, rows, weights: dict) 
         grid = pyramid.grids[layer_id]
         w = np.asarray(_of_layer(weights, layer_id), dtype=np.float64)
         # Row ((i roi + j) H + y) W + x applies window cell (i, j)'s weights to cell (y, x).
-        maps.append((w.reshape(roi * roi, -1) @ grid.reshape(len(grid), -1)).reshape(-1))
+        maps.append((w.reshape(roi * roi, -1) @ grid.reshape(-1, grid.shape[2]).T).reshape(-1))
     table = np.concatenate([np.empty(0), *maps])
     starts = np.cumsum([0] + [len(m) for m in maps])[which]
     (y0, y1), (x0, x1) = cells.take(rows, axis=-1)  # contiguous, as indexing is not

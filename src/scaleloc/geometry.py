@@ -171,14 +171,15 @@ def clip_boxes(boxes, extent: tuple[int, int]) -> np.ndarray:
     A box whose intersection is empty along either axis becomes a
     ``MIN_SIDE`` square (narrowed to the image if it is smaller) inside
     the image, as close as possible to the box center. A +-inf corner, from
-    an overflowing decode, puts it at that edge; a NaN coordinate or far
-    corner, as -inf + inf, is a ``ValueError``.
+    an overflowing decode or a sum past the largest float, puts it at that
+    edge; a NaN coordinate or far corner, as -inf + inf, is a ``ValueError``.
     """
     width, height = _extent(extent)
     rows = _rows(boxes)
     corner, sides = rows[:2], rows[2:]
-    with np.errstate(invalid="ignore"):  # a NaN, or inf + -inf
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past 1.8e308; NaN from inf + -inf
         far = corner + sides
+        mid = corner + sides / 2.0
     if np.isnan(far).any():
         row = int(np.argmax(np.isnan(far).any(axis=0)))
         raise ValueError(f"box {row} has a NaN coordinate: {rows[:, row].tolist()}")
@@ -186,7 +187,7 @@ def clip_boxes(boxes, extent: tuple[int, int]) -> np.ndarray:
     side = np.minimum(MIN_SIDE, size)
     lo = np.maximum(corner, 0.0)
     hi = np.minimum(far, size)
-    center = np.minimum(np.maximum(corner + sides / 2.0, side / 2.0), size - side / 2.0)
+    center = np.minimum(np.maximum(mid, side / 2.0), size - side / 2.0)
     inside = (hi > lo).all(axis=0)
     fallback = center - side / 2.0
     return np.concatenate([np.where(inside, lo, fallback), np.where(inside, hi - lo, side)]).T

@@ -207,11 +207,12 @@ def action_distribution(params: PolicyParams, state: PolicyState) -> np.ndarray:
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from the action distribution, which must be finite
-    with a positive sum (a diverged policy's is not)."""
+    """Inverse-CDF draw from the action distribution: finite, with no negative
+    entry (its running sum must not fall) and a positive sum, unlike a diverged policy's."""
     cum = np.cumsum(dist)
-    if not (np.all(np.isfinite(dist)) and cum[-1] > 0):
-        raise ValueError(f"action distribution must be finite with a positive sum, got {dist}")
+    if not (np.all(np.isfinite(dist)) and np.min(dist) >= 0 and cum[-1] > 0):
+        rule = "action distribution must be finite with a positive sum and no negative entry"
+        raise ValueError(f"{rule}, got {dist}")
     u = rng.random()
     return int(np.searchsorted(cum, u * cum[-1], side="right").clip(0, len(dist) - 1))
 

@@ -162,22 +162,14 @@ class ProposalModel:
 # Loss with gradients
 
 
-@dataclass
-class LayerBatch:
-    """Arrays for one layer's slice of a minibatch."""
-
-    layer_id: int
-    features: np.ndarray  # (N, D)
-    labels: np.ndarray  # (N,) in {1, 0}
-    target_vecs: np.ndarray  # (N, 4), zeros for negatives
-    target_heights: np.ndarray  # (N,)
-
-
-def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch]):
+def proposal_loss_and_grad(model: ProposalModel, batches: list[tuple]):
     """Training loss and its exact parameter gradient, summed over batches.
 
-    Each batch (in training, one layer's slice of the minibatch) is
-    normalized on its own. Its classification term is the cross-entropy
+    Each batch is a tuple ``(layer_id, features, labels, target_vecs,
+    target_heights)`` for one layer's head (in training, that layer's slice
+    of the minibatch): features (N, D), labels (N,) of 1 for a positive and
+    0 for a negative, targets (N, 4), zero for negatives, and heights (N,).
+    Each is normalized on its own. Its classification term is the cross-entropy
     weighted by each example's layer weight alpha and by a balance weight:
     the positives' balance weights sum to 1 / (1 + b), the negatives' to
     b / (1 + b), with the sampler's b = ``BALANCE``. Its regression term is
@@ -191,17 +183,17 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch]):
     column = {layer_id: m for m, layer_id in enumerate(LayerWeightConfig.layer_ids)}
     total_loss = 0.0
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
-    for batch in batches:
-        n = batch.labels.shape[0]
+    for layer_id, features, labels, target_vecs, target_heights in batches:
+        n = labels.shape[0]
         if n == 0:
             continue
-        m = _of_layer(column, batch.layer_id)
-        logits, offsets = model.forward(batch.layer_id, batch.features)
+        m = _of_layer(column, layer_id)
+        logits, offsets = model.forward(layer_id, features)
         p_hat = _sigmoid(logits)
         p_clamped = np.clip(p_hat, PROB_EPS, 1.0 - PROB_EPS)
-        alpha = layer_weights(batch.target_heights)[:, m]
+        alpha = layer_weights(target_heights)[:, m]
 
-        pos = batch.labels == 1
+        pos = labels == 1
         neg = ~pos
         n_pos = int(pos.sum())
         n_neg = int(neg.sum())
@@ -222,15 +214,15 @@ def proposal_loss_and_grad(model: ProposalModel, batches: list[LayerBatch]):
 
         doffsets = np.zeros_like(offsets)
         if n_pos:
-            reg, dreg = smooth_l1(batch.target_vecs[pos] - offsets[pos])
+            reg, dreg = smooth_l1(target_vecs[pos] - offsets[pos])
             scale = alpha[pos] * TRADEOFF / n_pos
             total_loss += float(np.sum(scale * reg))
             doffsets[pos] = -scale[:, None] * dreg
 
         # Head gradients; += so that a layer with two batches sums them.
         dout = np.concatenate([dlogits[:, None], doffsets], axis=1)
-        grads[f"head{batch.layer_id}/w"] += dout.T @ batch.features
-        grads[f"head{batch.layer_id}/b"] += dout.sum(axis=0)
+        grads[f"head{layer_id}/w"] += dout.T @ features
+        grads[f"head{layer_id}/b"] += dout.sum(axis=0)
     return total_loss, grads
 
 
@@ -256,13 +248,11 @@ def score_proposals(
 ) -> tuple:
     """``(model, pyramid, anchors, scores)``: the inputs, for :func:`top_k`,
     and every anchor's objectness ``scores`` (N,), in anchor order. The
-    anchors must have been generated for the pyramid's extent.
+    anchors must have been generated for the pyramid's extent and strides.
 
     The scores are sigmoids of :func:`_objectness`' logits: one score map
     per layer, sampled at the anchors' plan, so no anchor is pooled here.
     """
-    if tuple(pyramid.extent) != anchors.extent:
-        raise ValueError(f"anchors for extent {anchors.extent}, pyramid of {pyramid.extent}")
     logits = _objectness(model, pyramid, anchors, np.arange(len(anchors)))
     return model, pyramid, anchors, _sigmoid(logits)
 
@@ -421,15 +411,7 @@ def train_proposal_model(
             pos = sel[is_pos]
             vecs = np.zeros((len(sel), 4))
             vecs[is_pos] = encode_regression(anchors.boxes[pos], gt_arr[matched[pos]])
-            batches.append(
-                LayerBatch(
-                    layer_id=layer_id,
-                    features=feats,
-                    labels=is_pos.astype(np.int64),
-                    target_vecs=vecs,
-                    target_heights=target_h[sel],
-                )
-            )
+            batches.append((layer_id, feats, is_pos.astype(np.int64), vecs, target_h[sel]))
 
         loss, grads = proposal_loss_and_grad(model, batches)
         if not math.isfinite(loss):

@@ -29,6 +29,7 @@ ASPECT_RATIO = 0.41
 ASPECT_BAND = (0.31, 0.51)
 RATIO_JITTER = 0.1  # figure width ratios are uniform in ASPECT_RATIO +- this
 HEIGHT_SIGMA = 0.6  # log-sd of figure heights
+HEIGHT_CAP = 0.95  # tallest figure, as a share of the extent height
 OBJECTS = (1, 6)  # fewest and most figures per scene
 
 # Appearance of a rendered scene, in gray levels of [0, 1].
@@ -44,7 +45,7 @@ class GenConfig:
     """Scene count, extent and figure-height law of a scene set.
 
     Heights are log-normal (median ``height_median``, log-sd
-    ``HEIGHT_SIGMA``), truncated to [min_height, 0.95 * extent height].
+    ``HEIGHT_SIGMA``), truncated to [min_height, ``HEIGHT_CAP`` * extent height].
     """
 
     scenes: int = 100
@@ -59,8 +60,8 @@ class GenConfig:
         _count("scenes", self.scenes)
         _positive("height_median", self.height_median)
         _positive("min_height", self.min_height)
-        if self.min_height > 0.95 * height:
-            raise ValueError(f"min_height {self.min_height!r} exceeds 0.95 * extent height")
+        if self.min_height > HEIGHT_CAP * height:
+            raise ValueError(f"min_height {self.min_height!r} exceeds {HEIGHT_CAP} * extent height")
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,13 @@ class Scene:
 def _sample_height(rng: np.random.Generator, cfg: GenConfig) -> float:
     """Draw one truncated log-normal height."""
     mu = np.log(cfg.height_median)
-    hi = 0.95 * cfg.extent[1]
+    hi = HEIGHT_CAP * cfg.extent[1]
     for _ in range(1000):
         h = float(np.exp(mu + HEIGHT_SIGMA * rng.standard_normal()))
         if cfg.min_height <= h <= hi:
             return h
     raise ValueError(
-        f"no height in [min_height {cfg.min_height!r}, 0.95 * extent height {hi:g}] "
+        f"no height in [min_height {cfg.min_height!r}, {HEIGHT_CAP} * extent height {hi:g}] "
         f"in 1000 draws around height_median {cfg.height_median!r}"
     )
 

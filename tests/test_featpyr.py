@@ -76,7 +76,7 @@ def oracle_build_pyramid(image, cfg):
             _oracle_block_reduce(image, s, np.max) - _oracle_block_reduce(image, s, np.min),
             _oracle_block_reduce(np.hypot(gx, gy), s, np.mean),
         ]
-        grids[spec.layer_id] = np.stack([base[c % 8] for c in range(spec.channels)], axis=0)
+        grids[spec.layer_id] = np.stack([base[c % 8] for c in range(spec.channels)], axis=-1)
     return grids
 
 
@@ -119,17 +119,16 @@ def oracle_gather_pool(pyramid, layer_id, boxes, values, window=()):
 
 def oracle_roi_pool_many(pyramid, layer_id, boxes):
     """Out-of-place pooling of the grid; the in-place blend must equal it bit for bit."""
-    grid = np.moveaxis(pyramid.grids[layer_id], 0, -1)
-    return oracle_gather_pool(pyramid, layer_id, boxes, grid)
+    return oracle_gather_pool(pyramid, layer_id, boxes, pyramid.grids[layer_id])
 
 
 def oracle_roi_pool_project(pyramid, layer_id, boxes, weights):
     """The projection with each window cell's map gathered by advanced
     indexing over (window row, window column, row, column)."""
     grid = pyramid.grids[layer_id]
-    c, grid_h, grid_w = grid.shape
+    grid_h, grid_w, c = grid.shape
     roi = ROI_SIZE
-    maps = weights.reshape(roi * roi, c) @ grid.reshape(c, -1)
+    maps = weights.reshape(roi * roi, c) @ grid.reshape(-1, c).T
     maps = maps.reshape(roi, roi, grid_h, grid_w, 1)  # one value per cell
     window = (np.arange(roi)[:, None], np.arange(roi)[None, :])
     return oracle_gather_pool(pyramid, layer_id, boxes, maps, window).sum(axis=(1, 2))[:, 0]
@@ -139,7 +138,7 @@ def pyramid_config(pyr):
     """The config of a pyramid's layers, with their strides and channels."""
     layers = sorted((stride, layer_id) for layer_id, stride in pyr.strides.items())
     return PyramidConfig(
-        layers=tuple(LayerSpec(l, stride, pyr.grids[l].shape[0]) for stride, l in layers)
+        layers=tuple(LayerSpec(l, stride, pyr.grids[l].shape[2]) for stride, l in layers)
     )
 
 
@@ -184,7 +183,7 @@ def sum_center_sample_axis(lo, hi):
 
 
 def single_layer_pyramid(grid, stride=8, extent=None):
-    c, h, w = grid.shape
+    h, w, c = grid.shape
     extent = extent or (w * stride, h * stride)
     return FeaturePyramid(extent=extent, strides={3: stride}, grids={3: grid})
 
@@ -193,23 +192,23 @@ class TestBuildPyramid:
     def test_grid_shapes_use_ceiling(self):
         img = np.zeros((480, 640))
         pyr = build_pyramid(img, CFG)
-        assert pyr.grids[3].shape == (8, 60, 80)
-        assert pyr.grids[4].shape == (16, 30, 40)
-        assert pyr.grids[5].shape == (32, 15, 20)
+        assert pyr.grids[3].shape == (60, 80, 8)
+        assert pyr.grids[4].shape == (30, 40, 16)
+        assert pyr.grids[5].shape == (15, 20, 32)
 
     def test_ceiling_on_ragged_extent(self):
         img = np.zeros((50, 70))
         pyr = build_pyramid(img, CFG)
-        assert pyr.grids[3].shape[1:] == (7, 9)
-        assert pyr.grids[5].shape[1:] == (2, 3)
+        assert pyr.grids[3].shape[:2] == (7, 9)
+        assert pyr.grids[5].shape[:2] == (2, 3)
 
     def test_constant_image_has_zero_gradient_channels(self):
         img = np.full((64, 64), 0.7)
         pyr = build_pyramid(img, CFG)
         for layer_id in (3, 4, 5):
             grid = pyr.grids[layer_id]
-            np.testing.assert_allclose(grid[0], 0.7, atol=1e-12)  # block mean
-            np.testing.assert_allclose(grid[1:5], 0.0, atol=1e-12)  # gradients
+            np.testing.assert_allclose(grid[..., 0], 0.7, atol=1e-12)  # block mean
+            np.testing.assert_allclose(grid[..., 1:5], 0.0, atol=1e-12)  # gradients
 
     def test_block_mean_matches_brute_force(self):
         rng = np.random.default_rng(2)
@@ -217,7 +216,7 @@ class TestBuildPyramid:
         pyr = build_pyramid(img, CFG)
         for layer_id, stride in ((3, 8), (4, 16)):
             expect = brute_force_block_mean(img, stride)
-            assert np.abs(pyr.grids[layer_id][0] - expect).max() < 1e-6
+            assert np.abs(pyr.grids[layer_id][..., 0] - expect).max() < 1e-6
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -232,8 +231,8 @@ class TestBuildPyramid:
         rng = np.random.default_rng(4)
         img = rng.uniform(0, 1, size=(32, 32))
         pyr = build_pyramid(img, cfg)
-        np.testing.assert_array_equal(pyr.grids[3][8], pyr.grids[3][0])
-        np.testing.assert_array_equal(pyr.grids[3][9], pyr.grids[3][1])
+        np.testing.assert_array_equal(pyr.grids[3][..., 8], pyr.grids[3][..., 0])
+        np.testing.assert_array_equal(pyr.grids[3][..., 9], pyr.grids[3][..., 1])
 
 
 class TestOneShotPyramidAndInPlacePooling:
@@ -275,7 +274,7 @@ class TestOneShotPyramidAndInPlacePooling:
         img = rng.integers(-3, 4, size=(rows, cols)) * 0.5 if ties else rng.normal(size=(rows, cols))
         pyr = build_pyramid(img, PyramidConfig(layers=(LayerSpec(3, stride, 7),)))
         want = _oracle_block_reduce(img, stride, np.max) - _oracle_block_reduce(img, stride, np.min)
-        assert pyr.grids[3][6].tobytes() == np.ascontiguousarray(want).tobytes()
+        assert pyr.grids[3][..., 6].tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_peak_memory_is_a_few_images(self):
         """At 640x480 the desk build holds at most 3.5 images' worth of
@@ -296,7 +295,22 @@ class TestOneShotPyramidAndInPlacePooling:
         message = rf"image of shape \({shape[0]}, {shape[1]}\) is too small: need at least 2 x 2"
         with pytest.raises(ValueError, match=message):
             build_pyramid(np.zeros(shape), CFG)
-        assert build_pyramid(np.zeros((2, 2)), CFG).grids[3].shape == (8, 1, 1)
+        assert build_pyramid(np.zeros((2, 2)), CFG).grids[3].shape == (1, 1, 8)
+
+    @pytest.mark.parametrize(
+        "image",
+        [np.full((16, 16), 1 + 2j), np.ones((16, 16), dtype=bool), np.full((16, 16), "1")],
+        ids=["complex", "bool", "string"],
+    )
+    def test_image_of_other_than_real_numbers_rejected(self, image):
+        # A complex image used to lose its imaginary part with only a
+        # ComplexWarning, and a bool or numeric-string one became floats.
+        with pytest.raises(ValueError, match=f"^image holds {image.dtype}, not real numbers$"):
+            build_pyramid(image, CFG)
+        ints = build_pyramid(np.arange(256).reshape(16, 16), CFG)
+        floats = build_pyramid(np.arange(256.0).reshape(16, 16), CFG)
+        for layer_id in CFG.layer_ids():
+            assert np.array_equal(ints.grids[layer_id], floats.grids[layer_id])
 
     @pytest.mark.parametrize("shape", [(64, 96), (50, 70), (33, 17)])
     def test_roi_pool_many_equals_out_of_place_oracle(self, shape):
@@ -326,7 +340,7 @@ class TestChannelLastChunkedPooling:
             "above": chunk + 1, "several": 3 * chunk + 2,
         }[count]
         rng = np.random.default_rng(channels * 7 + n)
-        grid = rng.uniform(-1, 1, size=(channels, 7, 9))  # C-contiguous
+        grid = np.moveaxis(rng.uniform(-1, 1, size=(channels, 7, 9)), 0, -1)  # strided: stored as a copy
         pyr = single_layer_pyramid(grid, 8, (70, 50))
         assert np.array_equal(pyr.grids[3], grid)
         boxes = random_boxes(rng, n, pyr.extent)
@@ -334,16 +348,27 @@ class TestChannelLastChunkedPooling:
         assert got.shape == (n, ROI_SIZE, ROI_SIZE, channels)
         assert np.array_equal(got, oracle_roi_pool_many(pyr, 3, boxes))
 
-    def test_build_pyramid_grids_are_channel_last(self):
+    def test_build_pyramid_grids_are_channel_last(self, monkeypatch):
+        """Each grid is the (H, W, C) buffer that build_pyramid filled, stored without a copy."""
+        filled = {}
+
+        def spy(**fields):
+            filled.update(fields["grids"])
+            return FeaturePyramid(**fields)
+
+        monkeypatch.setattr(featpyr, "FeaturePyramid", spy)
         pyr = build_pyramid(np.random.default_rng(30).uniform(0, 1, size=(50, 70)), CYCLING)
-        for grid in pyr.grids.values():
-            assert np.moveaxis(grid, 0, -1).flags.c_contiguous
+        for spec in CYCLING.layers:
+            grid = pyr.grids[spec.layer_id]
+            assert grid.shape == (-(-50 // spec.stride), -(-70 // spec.stride), spec.channels)
+            assert grid.dtype == np.float64 and grid.flags.c_contiguous
+            assert np.shares_memory(grid, filled[spec.layer_id])
 
     def test_given_grids_are_stored_channel_last_and_copied_only_if_needed(self):
         rng = np.random.default_rng(31)
-        grid = rng.uniform(-1, 1, size=(5, 7, 9))
+        grid = np.moveaxis(rng.uniform(-1, 1, size=(5, 7, 9)), 0, -1)
         stored = single_layer_pyramid(grid, 8, (70, 50)).grids[3]
-        assert np.moveaxis(stored, 0, -1).flags.c_contiguous
+        assert stored.flags.c_contiguous
         assert np.array_equal(stored, grid) and not np.shares_memory(stored, grid)
         again = single_layer_pyramid(stored, 8, (70, 50)).grids[3]
         assert np.shares_memory(again, stored)
@@ -351,12 +376,12 @@ class TestChannelLastChunkedPooling:
     def test_projection_reads_the_grid_without_a_copy(self):
         pyr = build_pyramid(np.random.default_rng(32).uniform(0, 1, size=(50, 70)), CYCLING)
         for grid in pyr.grids.values():
-            assert np.shares_memory(grid.reshape(grid.shape[0], -1), grid)
+            assert np.shares_memory(grid.reshape(-1, grid.shape[2]).T, grid)
 
     def test_peak_memory_is_the_output_plus_a_few_chunks(self):
         """The whole-array blend held three output-sized buffers at once."""
         rng = np.random.default_rng(33)
-        pyr = single_layer_pyramid(rng.uniform(-1, 1, size=(64, 30, 40)))
+        pyr = single_layer_pyramid(np.moveaxis(rng.uniform(-1, 1, size=(64, 30, 40)), 0, -1))
         boxes = random_boxes(rng, 4000, pyr.extent)
         tracemalloc.start()
         try:
@@ -380,7 +405,7 @@ def lattice_anchors(extent, stride, height, clipped=True):
 def random_grid_pyramid(rng, channels, stride, extent):
     width, height = extent
     grid = rng.uniform(-1, 1, size=(channels, -(-height // stride), -(-width // stride)))
-    return single_layer_pyramid(grid, stride, extent)
+    return single_layer_pyramid(np.moveaxis(grid, 0, -1), stride, extent)
 
 
 def boxes_of_kind(kind, rng, extent, stride, height, limit):
@@ -507,7 +532,7 @@ class TestRoiPoolProject:
     ])
     def test_matches_pooling_on_random_grids(self, grid_shape, stride, extent):
         rng = np.random.default_rng(grid_shape[0])
-        grid = rng.uniform(-1, 1, size=grid_shape)
+        grid = np.moveaxis(rng.uniform(-1, 1, size=grid_shape), 0, -1)
         pyr = single_layer_pyramid(grid, stride, extent)
         self.check(pyr, 3, random_boxes(rng, 50, extent), rng)
 
@@ -521,7 +546,8 @@ class TestRoiPoolProject:
         gather as indexing the maps by window row, window column, row and
         column, bit for bit."""
         rng = np.random.default_rng(grid_shape[0] * 10 + 1)
-        pyr = single_layer_pyramid(rng.uniform(-1, 1, size=grid_shape), stride, extent)
+        grid = np.moveaxis(rng.uniform(-1, 1, size=grid_shape), 0, -1)
+        pyr = single_layer_pyramid(grid, stride, extent)
         boxes = random_boxes(rng, 70, extent)
         weights = rng.normal(size=ROI_SIZE * ROI_SIZE * grid_shape[0])
         got = project(pyr, 3, boxes, weights)
@@ -529,12 +555,12 @@ class TestRoiPoolProject:
 
     def test_boxes_narrower_than_the_window(self):
         rng = np.random.default_rng(23)
-        pyr = single_layer_pyramid(rng.uniform(-1, 1, size=(4, 10, 10)))
+        pyr = single_layer_pyramid(np.moveaxis(rng.uniform(-1, 1, size=(4, 10, 10)), 0, -1))
         boxes = np.array([[8, 8, 16, 16], [0, 0, 2, 2], [78, 78, 1, 1], [30, 5, 0.5, 60]])
         self.check(pyr, 3, boxes, rng)
 
     def test_rejects_misshapen_weights_and_unknown_layers(self):
-        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        pyr = single_layer_pyramid(np.zeros((4, 4, 2)))
         with pytest.raises(ValueError, match="weights"):
             project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros(31))
         with pytest.raises(ValueError, match=r"layer 9 is not one of \[3\]"):
@@ -545,7 +571,7 @@ class TestRoiPoolProject:
     )
     def test_weights_must_be_one_vector_per_layer(self, shape):
         # A (1, 32) row was the one-K form; a vector is now the only one.
-        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        pyr = single_layer_pyramid(np.zeros((4, 4, 2)))
         with pytest.raises(ValueError, match=r"^layer 3: expected \(32,\) weights, got"):
             project(pyr, 3, np.array([[0, 0, 8, 8]]), np.zeros(shape))
 
@@ -566,8 +592,12 @@ def random_grids(rng, cfg, extent):
     ``extent``: unlike ``build_pyramid``'s, no two channels are equal."""
     width, height = extent
     grids = {
-        spec.layer_id: rng.uniform(
-            -1, 1, size=(spec.channels, -(-height // spec.stride), -(-width // spec.stride))
+        spec.layer_id: np.moveaxis(
+            rng.uniform(
+                -1, 1, size=(spec.channels, -(-height // spec.stride), -(-width // spec.stride))
+            ),
+            0,
+            -1,
         )
         for spec in cfg.layers
     }
@@ -746,8 +776,8 @@ class TestRoiPoolManyProperties:
             (cols - 1) * stride + 1 + ragged[0] % stride,
             (rows - 1) * stride + 1 + ragged[1] % stride,
         )
-        g1 = rng.uniform(-1, 1, size=(channels, rows, cols))
-        g2 = rng.normal(0, 3, size=(channels, rows, cols))
+        g1 = np.moveaxis(rng.uniform(-1, 1, size=(channels, rows, cols)), 0, -1)
+        g2 = np.moveaxis(rng.normal(0, 3, size=(channels, rows, cols)), 0, -1)
         # Boxes over and around the image, a third narrower than the
         # window, and three wholly off it.
         width, height = extent
@@ -778,8 +808,8 @@ class TestRoiPoolManyProperties:
         )
 
         for grid, pooled in ((g1, p1), (g2, p2)):
-            lo = grid.min(axis=(1, 2)) - 1e-12 * np.abs(grid).max()
-            hi = grid.max(axis=(1, 2)) + 1e-12 * np.abs(grid).max()
+            lo = grid.min(axis=(0, 1)) - 1e-12 * np.abs(grid).max()
+            hi = grid.max(axis=(0, 1)) + 1e-12 * np.abs(grid).max()
             assert np.all((pooled >= lo) & (pooled <= hi))
 
 
@@ -833,14 +863,14 @@ class TestConfigValidation:
 class TestRoiPool:
     def test_flat_length_paper_channels(self):
         rng = np.random.default_rng(5)
-        grid = rng.uniform(-1, 1, size=(256, 16, 16))
+        grid = np.moveaxis(rng.uniform(-1, 1, size=(256, 16, 16)), 0, -1)
         pyr = single_layer_pyramid(grid)
         block = roi_pool(pyr, 3, BBox(10, 10, 60, 60))
         assert block.shape == (4, 4, 256)
         assert block.reshape(-1).shape == (4096,)
 
     def test_constant_grid_gives_constant_block(self):
-        pyr = single_layer_pyramid(np.full((6, 12, 12), 2.5))
+        pyr = single_layer_pyramid(np.full((12, 12, 6), 2.5))
         for box in (BBox(1, 1, 5, 5), BBox(0, 0, 90, 90), BBox(40, 40, 3, 3)):
             block = roi_pool(pyr, 3, box)
             np.testing.assert_allclose(block, 2.5, atol=1e-12)
@@ -849,30 +879,30 @@ class TestRoiPool:
         # Box maps to cells [1, 3) x [1, 3): expanded window is [0, 4) whose
         # sample points land exactly on the centers of cells 0..3.
         rng = np.random.default_rng(6)
-        grid = rng.uniform(-1, 1, size=(5, 10, 10))
+        grid = np.moveaxis(rng.uniform(-1, 1, size=(5, 10, 10)), 0, -1)
         pyr = single_layer_pyramid(grid)
         block = roi_pool(pyr, 3, BBox(8, 8, 16, 16))
-        expect = np.moveaxis(grid[:, 0:4, 0:4], 0, -1)
+        expect = grid[0:4, 0:4]
         np.testing.assert_allclose(block, expect, atol=1e-12)
 
     def test_exact_roi_sized_region_is_direct_gather(self):
         rng = np.random.default_rng(7)
-        grid = rng.uniform(-1, 1, size=(3, 8, 8))
+        grid = np.moveaxis(rng.uniform(-1, 1, size=(3, 8, 8)), 0, -1)
         pyr = single_layer_pyramid(grid)
         block = roi_pool(pyr, 3, BBox(16, 8, 32, 32))  # cells [2,6) x [1,5)
-        expect = np.moveaxis(grid[:, 1:5, 2:6], 0, -1)
+        expect = grid[1:5, 2:6]
         np.testing.assert_allclose(block, expect, atol=1e-12)
 
     def test_output_shape_independent_of_box_size(self):
         rng = np.random.default_rng(8)
-        grid = rng.uniform(-1, 1, size=(4, 12, 12))
+        grid = np.moveaxis(rng.uniform(-1, 1, size=(4, 12, 12)), 0, -1)
         pyr = single_layer_pyramid(grid)
         for box in (BBox(0, 0, 2, 2), BBox(5, 5, 40, 80), BBox(60, 60, 30, 30)):
             assert roi_pool(pyr, 3, box).shape == (4, 4, 4)
 
     def test_linearity_in_feature_values(self):
         rng = np.random.default_rng(9)
-        grid = rng.uniform(-1, 1, size=(4, 12, 12))
+        grid = np.moveaxis(rng.uniform(-1, 1, size=(4, 12, 12)), 0, -1)
         box = BBox(3, 7, 37, 53)
         a = roi_pool(single_layer_pyramid(grid), 3, box)
         b = roi_pool(single_layer_pyramid(3.5 * grid), 3, box)
@@ -880,16 +910,16 @@ class TestRoiPool:
 
     def test_edge_replication_near_border(self):
         rng = np.random.default_rng(10)
-        grid = rng.uniform(-1, 1, size=(2, 6, 6))
+        grid = np.moveaxis(rng.uniform(-1, 1, size=(2, 6, 6)), 0, -1)
         pyr = single_layer_pyramid(grid)
         # Tiny box at the very corner: expanded window pokes outside the
         # grid and must clamp to the corner cell rather than wrap or fail.
         block = roi_pool(pyr, 3, BBox(0, 0, 2, 2))
-        np.testing.assert_allclose(block[0, 0], grid[:, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(block[0, 0], grid[0, 0], atol=1e-12)
 
     def test_many_matches_single(self):
         rng = np.random.default_rng(11)
-        grid = rng.uniform(-1, 1, size=(4, 10, 14))
+        grid = np.moveaxis(rng.uniform(-1, 1, size=(4, 10, 14)), 0, -1)
         pyr = single_layer_pyramid(grid)
         boxes = []
         for _ in range(20):
@@ -902,7 +932,7 @@ class TestRoiPool:
     @pytest.mark.parametrize("column", [0, 3])
     def test_non_finite_box_rejected(self, bad, column):
         # A NaN coordinate used to reach an IndexError from a cast index.
-        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        pyr = single_layer_pyramid(np.zeros((4, 4, 2)))
         boxes = np.array([[0, 0, 8, 8], [4, 4, 8, 8], [1, 1, 2, 2]], dtype=np.float64)
         boxes[1, column] = bad
         with pytest.raises(ValueError, match="box 1 has a non-finite coordinate"):
@@ -917,7 +947,7 @@ class TestRoiPool:
     def test_far_corner_overflow_rejected(self, box):
         # x + w overflowing to inf used to warn, then pool whichever cell
         # the clamped index landed on.
-        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        pyr = single_layer_pyramid(np.zeros((4, 4, 2)))
         boxes = np.array([[0, 0, 8, 8], box], dtype=np.float64)
         want = "box 1 has a non-finite coordinate or corner"
         with pytest.raises(ValueError, match=want):
@@ -931,7 +961,7 @@ class TestRoiPool:
     )
     def test_box_with_a_side_of_at_most_0_rejected(self, box):
         # [10, 10, -5, 5] used to pool as a window expanded about x = 7.5.
-        pyr = single_layer_pyramid(np.zeros((2, 4, 4)))
+        pyr = single_layer_pyramid(np.zeros((4, 4, 2)))
         boxes = np.array([[0, 0, 8, 8], box], dtype=np.float64)
         want = f"^{re.escape(f'box 1 has a side of at most 0: {boxes[1].tolist()}')}$"
         with pytest.raises(ValueError, match=want):
@@ -944,7 +974,7 @@ class TestRoiPool:
         are finite, but their sum is not: the row center used to warn of
         an overflow in ``lo + hi``. Every x sample lies right of the grid,
         so the box pools as any box there does."""
-        grid = np.random.default_rng(12).uniform(-1, 1, size=(2, 4, 4))
+        grid = np.moveaxis(np.random.default_rng(12).uniform(-1, 1, size=(2, 4, 4)), 0, -1)
         pyr = single_layer_pyramid(grid, stride=1)
         far = roi_pool_many(pyr, 3, np.array([[1e308, 0, 5e307, 8]]))
         near = roi_pool_many(pyr, 3, np.array([[10, 0, 10, 8]]))
@@ -971,7 +1001,7 @@ class TestRoiPool:
         assert got.tobytes() == want.tobytes()
 
     def test_unknown_layer(self):
-        pyr = single_layer_pyramid(np.zeros((1, 4, 4)))
+        pyr = single_layer_pyramid(np.zeros((4, 4, 1)))
         with pytest.raises(ValueError, match=r"layer 9 is not one of \[3\]"):
             roi_pool(pyr, 9, BBox(0, 0, 4, 4))
         with pytest.raises(ValueError, match=r"layer 9 is not one of \[3\]"):
@@ -988,11 +1018,18 @@ class TestFeaturePyramidChecks:
         again = FeaturePyramid(extent=pyr.extent, strides=pyr.strides, grids=pyr.grids)
         assert again.extent == (70, 50)
 
-    @pytest.mark.parametrize("shape", [(2, 7, 8), (2, 6, 9), (2, 8, 9), (2, 0, 9)])
+    @pytest.mark.parametrize("shape", [(7, 8, 2), (6, 9, 2), (8, 9, 2), (0, 9, 2)])
     def test_wrong_spatial_shape_rejected(self, shape):
         # A 70x50 extent at stride 8 needs ceil(50/8) x ceil(70/8) = 7 x 9 cells.
         with pytest.raises(ValueError, match=r"expected spatial shape \(7, 9\)"):
             FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: np.zeros(shape)})
+
+    def test_channel_first_grid_rejected(self):
+        # The former (C, H, W) layout: 8 channels of 7 x 9 cells read as 8 x 7 cells.
+        grid = np.moveaxis(build_pyramid(np.zeros((50, 70)), CFG).grids[3], -1, 0)
+        want = r"^layer 3: expected spatial shape \(7, 9\), got \(8, 7\)$"
+        with pytest.raises(ValueError, match=want):
+            FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: grid})
 
     def test_two_dimensional_grid_rejected(self):
         with pytest.raises(ValueError, match="layer 3"):
@@ -1001,16 +1038,16 @@ class TestFeaturePyramidChecks:
     def test_grid_without_channels_rejected(self):
         # roi_pool_many on it used to fail with a ZeroDivisionError.
         with pytest.raises(ValueError, match="layer 3: grid has no channels"):
-            FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: np.zeros((0, 7, 9))})
+            FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: np.zeros((7, 9, 0))})
 
     def test_second_layer_checked_too(self):
-        grids = {3: np.zeros((2, 7, 9)), 4: np.zeros((2, 4, 4))}
+        grids = {3: np.zeros((7, 9, 2)), 4: np.zeros((4, 4, 2))}
         with pytest.raises(ValueError, match="layer 4"):
             FeaturePyramid(extent=(70, 50), strides={3: 8, 4: 16}, grids=grids)
 
     @pytest.mark.parametrize(
         "strides, grid_shape",
-        [({}, (2, 7, 9)), ({3: 0}, (2, 7, 9)), ({3: -8}, (2, 7, 9)), ({3: 8.5}, (2, 6, 9))],
+        [({}, (7, 9, 2)), ({3: 0}, (7, 9, 2)), ({3: -8}, (7, 9, 2)), ({3: 8.5}, (6, 9, 2))],
         ids=["missing", "zero", "negative", "fractional"],
     )
     def test_stride_must_be_a_positive_integer(self, strides, grid_shape):
@@ -1022,14 +1059,14 @@ class TestFeaturePyramidChecks:
     @pytest.mark.parametrize(
         "extent, grid_shape, want",
         [
-            ((0, 0), (2, 0, 0), "extent width must be an integer of at least 1, got 0$"),
-            ((70, 0), (2, 0, 9), "extent height must be an integer of at least 1, got 0$"),
-            ((-70, 50), (2, 7, 9), "extent width must be an integer of at least 1, got -70$"),
-            ((10.5, 8), (2, 1, 2), r"extent width must be an integer of at least 1, got 10\.5$"),
-            ((70.0, 50.0), (2, 7, 9), r"extent width must be an integer of at least 1, got 70\.0$"),
-            ((70,), (2, 7, 9), r"extent must be a \(width, height\) pair, got \(70,\)$"),
-            ((70, 50, 1), (2, 7, 9), r"extent must be a \(width, height\) pair, got \(70, 50, 1\)$"),
-            (70, (2, 7, 9), r"extent must be a \(width, height\) pair, got 70$"),
+            ((0, 0), (0, 0, 2), "extent width must be an integer of at least 1, got 0$"),
+            ((70, 0), (0, 9, 2), "extent height must be an integer of at least 1, got 0$"),
+            ((-70, 50), (7, 9, 2), "extent width must be an integer of at least 1, got -70$"),
+            ((10.5, 8), (1, 2, 2), r"extent width must be an integer of at least 1, got 10\.5$"),
+            ((70.0, 50.0), (7, 9, 2), r"extent width must be an integer of at least 1, got 70\.0$"),
+            ((70,), (7, 9, 2), r"extent must be a \(width, height\) pair, got \(70,\)$"),
+            ((70, 50, 1), (7, 9, 2), r"extent must be a \(width, height\) pair, got \(70, 50, 1\)$"),
+            (70, (7, 9, 2), r"extent must be a \(width, height\) pair, got 70$"),
         ],
         ids=["zero", "zero-height", "negative", "fractional", "floats", "one", "three", "scalar"],
     )
@@ -1041,7 +1078,7 @@ class TestFeaturePyramidChecks:
 
     def test_extent_of_numpy_integers_accepted(self):
         pyr = FeaturePyramid(
-            extent=(np.int64(70), np.int64(50)), strides={3: 8}, grids={3: np.zeros((2, 7, 9))}
+            extent=(np.int64(70), np.int64(50)), strides={3: 8}, grids={3: np.zeros((7, 9, 2))}
         )
         assert pyr.extent == (70, 50)
 
@@ -1049,23 +1086,23 @@ class TestFeaturePyramidChecks:
     def test_other_real_grids_are_stored_as_float64(self, dtype):
         # An int64 grid used to be kept, and pooling on it to fail with a
         # UFuncTypeError in the in-place blend.
-        grid = np.arange(2 * 7 * 9).reshape(2, 7, 9).astype(dtype)
+        grid = np.arange(2 * 7 * 9).reshape(7, 9, 2).astype(dtype)
         pyr = FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: grid})
         assert pyr.grids[3].dtype == np.float64
-        assert np.moveaxis(pyr.grids[3], 0, -1).flags.c_contiguous
+        assert pyr.grids[3].flags.c_contiguous
         boxes = random_boxes(np.random.default_rng(35), 12, (70, 50))
         want = single_layer_pyramid(grid.astype(np.float64), 8, (70, 50))
         assert np.array_equal(roi_pool_many(pyr, 3, boxes), roi_pool_many(want, 3, boxes))
 
     @pytest.mark.parametrize("dtype", [bool, complex, object, "U1"])
     def test_non_real_grid_rejected(self, dtype):
-        grid = np.zeros((2, 7, 9), dtype=dtype)
+        grid = np.zeros((7, 9, 2), dtype=dtype)
         with pytest.raises(ValueError, match=f"layer 3: grid holds {np.dtype(dtype)}, not real"):
             FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: grid})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_grid_rejected(self, bad):
-        grid = np.zeros((2, 7, 9))
-        grid[1, 6, 8] = bad
+        grid = np.zeros((7, 9, 2))
+        grid[6, 8, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: grid})

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,16 @@ class TestClip:
         got = clip_boxes([[-math.inf, 0, 5, 5], [math.inf, 0, 5, 5]], (64, 48))
         np.testing.assert_array_equal(got, [[0, 1.5, 2, 2], [62, 1.5, 2, 2]])
 
+    @pytest.mark.parametrize("x", [1e308, 1.7e308], ids=["far-corner", "far-corner-and-center"])
+    def test_overflowing_far_corner_goes_to_the_edge(self, x):
+        """clip_boxes([[1e308, 0, 1e308, 5]], (64, 48)) used to warn of an
+        overflow in x + w, and a row at 1.7e308 in x + w / 2 as well: a
+        sum past the largest float is +inf, as a +inf corner is."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = clip_boxes([[x, 0, x, 5]], (64, 48))
+        np.testing.assert_array_equal(got, [[62, 1.5, 2, 2]])
+
     @pytest.mark.parametrize(
         "extent, name",
         [((math.nan, 10), "extent width"), ((10, math.inf), "extent height"),
@@ -457,7 +468,7 @@ BOX_ENTRY_POINTS = {
     "decode_regression(anchors)": lambda b: decode_regression(b, ONE_BOX),
     "decode_regression(offsets)": lambda b: decode_regression(ONE_BOX, b),
     "roi_pool_many": lambda b: roi_pool_many(
-        FeaturePyramid(extent=(32, 24), strides={3: 8}, grids={3: np.ones((2, 3, 4))}), 3, b
+        FeaturePyramid(extent=(32, 24), strides={3: 8}, grids={3: np.ones((3, 4, 2))}), 3, b
     ),
     "sample_plan": lambda b: sample_plan(b, [3], ONE_LAYER, (32, 24)),
     "label_arrays": lambda b: label_arrays(generate_anchors(ONE_LAYER, (32, 24), {3: 16.0}), b),

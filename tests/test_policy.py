@@ -309,6 +309,16 @@ class TestSampling:
         with pytest.raises(ValueError, match="action distribution must be finite with a positive sum"):
             sample_action(dist, np.random.default_rng(17))
 
+    @pytest.mark.parametrize(
+        "dist", [[0.5, -0.4, 0.9], [-1.0] * 9 + [20.0]], ids=["middle", "all-but-last"]
+    )
+    def test_negative_entry_rejected(self, dist):
+        # [0.5, -0.4, 0.9] used to draw 0 or 2 but never 1, as its cumulative
+        # sum falls, and [-1] * 9 + [20] always 9.
+        want = "action distribution must be finite with a positive sum and no negative entry"
+        with pytest.raises(ValueError, match=want):
+            sample_action(dist, np.random.default_rng(17))
+
     def test_valid_distribution_draws_one_uniform(self):
         dist = np.full(N_ACTIONS, 0.1)
         rng, twin = np.random.default_rng(17), np.random.default_rng(17)

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import math
 import tracemalloc
 
@@ -23,7 +25,6 @@ from scaleloc.geometry import (
 from scaleloc.proposal import (
     PROB_EPS,
     TRADEOFF,
-    LayerBatch,
     LayerWeightConfig,
     ProposalModel,
     ProposalTrainConfig,
@@ -213,19 +214,21 @@ def test_constants_keep_the_rules_of_their_former_checks():
         (ProposalTrainConfig, "lr", 0.01),
         (ProposalTrainConfig, "pos_count", 8),
         (ProposalTrainConfig, "neg_pool", 128),
-        (LayerWeightConfig, "layer_ids", (3,)),
-        (LayerWeightConfig, "mean_heights", (48.0,)),
-        (LayerWeightConfig, "scale_factors", (5.0,)),
-        (LayerWeightConfig, "balance", 1),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
 def test_constants_are_not_config_keywords(cls, field, value):
     """A call that still passes a former field fails at once, instead of
     training with the constant it meant to replace."""
-    kwargs = {"pyramid": TINY_PYR} if cls is ProposalTrainConfig else {}
     with pytest.raises(TypeError):
-        cls(**kwargs, **{field: value})
+        cls(pyramid=TINY_PYR, **{field: value})
+
+
+def test_layer_weight_constants_take_no_arguments():
+    """``LayerWeightConfig`` holds constants only: it is no dataclass, and
+    its constructor has no parameter that a former field could fill."""
+    assert not dataclasses.is_dataclass(LayerWeightConfig)
+    assert not inspect.signature(LayerWeightConfig).parameters
 
 
 # Rows with norm exactly 0 and exactly 1, and rows on either side of the knee.
@@ -407,15 +410,7 @@ def make_batches(model, rng, n_per_layer=2):
         vecs = offsets + np.array([0.1, -0.1, 0.05, 0.08])
         vecs[labels == 0] = 0.0
         heights = rng.uniform(20, 150, size=n_per_layer)
-        batches.append(
-            LayerBatch(
-                layer_id=layer_id,
-                features=feats,
-                labels=labels,
-                target_vecs=vecs,
-                target_heights=heights,
-            )
-        )
+        batches.append((layer_id, feats, labels, vecs, heights))
     return batches
 
 
@@ -467,7 +462,7 @@ class TestLossGradient:
         pyramid = PyramidConfig(layers=(LayerSpec(3, 8, 2), LayerSpec(6, 16, 2)))
         model = ProposalModel.init(pyramid, seed=5)
         batches = make_batches(model, np.random.default_rng(5))
-        assert [b.layer_id for b in batches] == [3, 6]
+        assert [b[0] for b in batches] == [3, 6]
         assert proposal_loss_and_grad(model, batches[:1])[0] > 0
         with pytest.raises(ValueError, match=r"^layer 6 is not one of \[3, 4, 5\]$"):
             proposal_loss_and_grad(model, batches)
@@ -501,7 +496,7 @@ class TestTrainedLossOracle:
         )
         heights = rng.uniform(20, 200, size=n)
         feats = rng.uniform(-1, 1, size=(n, model.feature_dims[3]))
-        batch = LayerBatch(3, feats, labels, vecs, heights)
+        batch = (3, feats, labels, vecs, heights)
 
         assert np.all(layer_weights(heights) == 1.0)
         loss, _ = proposal_loss_and_grad(model, [batch])
@@ -596,9 +591,13 @@ def random_grid_scene(extent):
     whose channels repeat) over ``extent`` and its anchors."""
     rng = np.random.default_rng(5)
     width, height = extent
+    # Drawn channel-first and moved to (H, W, C), so each cell holds the
+    # values the recorded digests were computed from.
     grids = {
-        l.layer_id: rng.uniform(
-            -1, 1, size=(l.channels, -(-height // l.stride), -(-width // l.stride))
+        l.layer_id: np.moveaxis(
+            rng.uniform(-1, 1, size=(l.channels, -(-height // l.stride), -(-width // l.stride))),
+            0,
+            -1,
         )
         for l in FULL_PYR.layers
     }
@@ -792,7 +791,7 @@ class TestScoring:
     def test_anchors_of_another_extent_rejected(self):
         model, pyramid, _ = self.setup_scene()
         anchors = generate_anchors(TINY_PYR, (168, 120), LayerWeightConfig().base_heights())
-        with pytest.raises(ValueError, match=r"extent \(168, 120\), pyramid of \(160, 120\)"):
+        with pytest.raises(ValueError, match=r"^plan for \(168, 120\), .*; pyramid \(160, 120\), "):
             score_proposals(model, pyramid, anchors)
 
     def test_anchors_of_a_layer_without_a_head_rejected(self):
@@ -927,8 +926,8 @@ class TestTraining:
         loss_and_grad, objectness = proposal.proposal_loss_and_grad, proposal._objectness
 
         def counting_loss_and_grad(model, batches):
-            pos = sum(int(b.labels.sum()) for b in batches)
-            sizes.append((pos, sum(len(b.labels) for b in batches) - pos))
+            pos = sum(int(labels.sum()) for _, _, labels, _, _ in batches)
+            sizes.append((pos, sum(len(labels) for _, _, labels, _, _ in batches) - pos))
             return loss_and_grad(model, batches)
 
         def counting_objectness(model, pyramid, anchors, indices):
