@@ -6,6 +6,9 @@ as block statistics of the grayscale image. It shares full-resolution
 passes only where no value changes: a stride's block mean serves channel
 0 and the std, the five gradient fields reuse one buffer, and the block
 range folds rows before columns, exact as max and min are in any order.
+At strides up to 8, ``_block_sums`` makes NumPy's own pairwise-sum
+additions in its order, as a few whole-array additions instead of one
+NumPy call per block row, so the block sums keep NumPy's bits.
 
 RoI pooling maps a pixel-space box onto a layer grid and resamples it to
 a fixed ``ROI_SIZE`` x ``ROI_SIZE`` window. Regions smaller than the
@@ -114,17 +117,20 @@ class FeaturePyramid:
             stride = self.strides.get(layer_id)
             _count(f"layer {layer_id} stride", stride)
             want = (-(-height // stride), -(-width // stride))
+            grid = _real(f"layer {layer_id}: grid", grid)
             if grid.ndim != 3 or grid.shape[:2] != want:
                 raise ValueError(
                     f"layer {layer_id}: expected spatial shape {want}, got {grid.shape[:2]}"
                 )
             if grid.shape[2] < 1:
                 raise ValueError(f"layer {layer_id}: grid has no channels")
-            _real(f"layer {layer_id}: grid", grid)
             if not np.all(np.isfinite(grid)):
                 raise ValueError(f"layer {layer_id}: non-finite feature values")
             stored[layer_id] = np.ascontiguousarray(grid, dtype=np.float64)
         object.__setattr__(self, "grids", stored)
+
+
+_CHUNK_BYTES = 512 * 1024  # values per pooling chunk or block band; sized to stay in L2
 
 
 def _blocks(img: np.ndarray, stride: int) -> np.ndarray:
@@ -138,6 +144,36 @@ def _blocks(img: np.ndarray, stride: int) -> np.ndarray:
     if pad_r or pad_c:
         img = np.pad(img, ((0, pad_r), (0, pad_c)), mode="edge")
     return img.reshape(out_r, stride, out_c, stride)
+
+
+def _block_sums(blocks: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(blocks, axis=(1, 3))`` of a ``_blocks`` view, bit for bit.
+
+    NumPy adds each block row's s values in one inner-loop call with its
+    pairwise sum, then adds the rows in order. For s <= 8 that sum is
+    pairs, then pairs of pairs, then halves (s = 8) or one value at a time
+    from -0.0 (s < 8); here each step is one addition over a band of about
+    ``_CHUNK_BYTES`` of blocks. NumPy itself sums s > 8, where its pairwise
+    sum runs eight accumulators, and one block column, which it reads as
+    one run of s * s values.
+    """
+    rows, s, cols, _ = blocks.shape
+    if s > 8 or cols == 1:
+        return np.add.reduce(blocks, axis=(1, 3))
+    sums = np.empty((rows, cols))
+    band = max(1, _CHUNK_BYTES // blocks[0].nbytes)
+    for start in range(0, rows, band):
+        part = blocks[start : start + band]
+        if s == 8:
+            seg = part[..., 0::2] + part[..., 1::2]
+            seg = seg[..., 0::2] + seg[..., 1::2]
+            seg = seg[..., 0] + seg[..., 1]
+        else:
+            seg = np.add(-0.0, part[..., 0])
+            for j in range(1, s):
+                seg += part[..., j]
+        np.add.reduce(seg, axis=1, out=sums[start : start + band])
+    return sums
 
 
 def _block_range(blocks: np.ndarray) -> np.ndarray:
@@ -174,16 +210,18 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
     along x, y and the two diagonals; 5 block std; 6 block max - min;
     7 mean gradient magnitude. The image needs at least 2 x 2 pixels.
 
-    No value differs from computing each statistic on its own. Per stride,
-    one block mean is channel 0 and the mean ``std`` would compute itself.
-    The gradient is computed once, and its five fields are written in turn
-    into one buffer, each reduced at every stride before the next, so peak
-    memory is the gradient pair, one field and the std's deviations.
-    Statistics no layer uses are not reduced. Each layer's statistics go
-    into a small (H, W, 8) array, which one broadcast copy then repeats
-    across the layer's (H, W, channels) grid.
+    No value differs from computing each statistic on its own with
+    ``np.mean``, ``np.std`` and ``np.max - np.min`` over the edge-padded
+    blocks of the C-ordered image; every block sum, the std's included,
+    is :func:`_block_sums`'s exact one. Per stride, one block mean is
+    channel 0 and the std's mean. The gradient is computed once, and its
+    five fields are written in turn into one buffer, each reduced at every
+    stride before the next, so peak memory is the gradient pair, one field
+    and the std's deviations. One ``take`` repeats each layer's (H, W, 8)
+    statistics across its (H, W, channels) grid.
     """
-    image = np.asarray(_real("image", image), dtype=np.float64)
+    # One memory order, so one summation order (see _block_sums).
+    image = np.ascontiguousarray(_real("image", image), dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("expected a 2-d grayscale image")
     height, width = image.shape
@@ -193,31 +231,23 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
     bases = {}
     for spec in cfg.layers:
         blocks = _blocks(image, spec.stride)
+        area = spec.stride * spec.stride
         base = bases[spec.layer_id] = np.empty((*blocks.shape[::2], _N_BASE))
-        mean = blocks.mean(axis=(1, 3), keepdims=True)
-        base[:, :, 0] = mean[:, 0, :, 0]
-        if 5 < spec.channels:
-            base[:, :, 5] = blocks.std(axis=(1, 3), mean=mean)
-        if 6 < spec.channels:
-            base[:, :, 6] = _block_range(blocks)
+        mean = base[:, :, 0] = _block_sums(blocks) / area
+        dev = blocks - mean[:, None, :, None]
+        dev *= dev
+        base[:, :, 5] = np.sqrt(_block_sums(dev) / area)
+        del dev  # an image-sized buffer, freed before the next one and the gradient pair
+        base[:, :, 6] = _block_range(blocks)
     for channel, field in _gradient_fields(image):
         for spec in cfg.layers:
-            if channel < spec.channels:
-                bases[spec.layer_id][:, :, channel] = np.mean(
-                    _blocks(field, spec.stride), axis=(1, 3)
-                )
+            sums = _block_sums(_blocks(field, spec.stride))
+            bases[spec.layer_id][:, :, channel] = sums / (spec.stride * spec.stride)
 
-    grids = {}
-    for spec in cfg.layers:
-        base = bases[spec.layer_id]
-        rows, cols, _ = base.shape
-        repeats, tail = divmod(spec.channels, _N_BASE)
-        hwc = np.empty((rows, cols, spec.channels))
-        # Channel c is statistic c % 8: whole cycles of eight, then the rest.
-        cycles = hwc[:, :, : repeats * _N_BASE].reshape(rows, cols, repeats, _N_BASE)
-        cycles[...] = base[:, :, None, :]
-        hwc[:, :, repeats * _N_BASE :] = base[:, :, :tail]
-        grids[spec.layer_id] = hwc
+    grids = {
+        spec.layer_id: bases[spec.layer_id].take(np.arange(spec.channels) % _N_BASE, axis=2)
+        for spec in cfg.layers
+    }
     strides = {spec.layer_id: spec.stride for spec in cfg.layers}
     return FeaturePyramid(extent=(width, height), strides=strides, grids=grids)
 
@@ -246,9 +276,6 @@ def _bilinear_axis(coords: np.ndarray, size: int):
     i1 = np.minimum(i0 + 1, size - 1)
     frac = u - i0
     return i0, i1, frac
-
-
-_CHUNK_BYTES = 512 * 1024  # gathered values per pooling chunk; sized to stay in L2
 
 
 def _lerp(table, lo, hi, frac, out, spare) -> None:

@@ -207,8 +207,11 @@ def action_distribution(params: PolicyParams, state: PolicyState) -> np.ndarray:
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from the action distribution: finite, with no negative
-    entry (its running sum must not fall) and a positive sum, unlike a diverged policy's."""
+    """Inverse-CDF draw from the action distribution: a non-empty vector, finite, with no
+    negative entry (its running sum must not fall) and a positive sum, unlike a diverged policy's."""
+    if np.ndim(dist) != 1 or np.size(dist) == 0:
+        shape = np.shape(dist)
+        raise ValueError(f"action distribution must be a non-empty 1-D array, got shape {shape}")
     cum = np.cumsum(dist)
     if not (np.all(np.isfinite(dist)) and np.min(dist) >= 0 and cum[-1] > 0):
         rule = "action distribution must be finite with a positive sum and no negative entry"

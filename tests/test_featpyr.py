@@ -234,6 +234,22 @@ class TestBuildPyramid:
         np.testing.assert_array_equal(pyr.grids[3][..., 8], pyr.grids[3][..., 0])
         np.testing.assert_array_equal(pyr.grids[3][..., 9], pyr.grids[3][..., 1])
 
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda a: np.repeat(a, 2, axis=1)[:, ::2]],
+        ids=["fortran", "strided"],
+    )
+    def test_grids_do_not_depend_on_the_image_layout(self, layout):
+        # A Fortran-ordered image used to sum each block in another order,
+        # and so differ from its C-ordered copy in the last bits.
+        img = np.random.default_rng(36).uniform(0, 1, size=(97, 131))
+        other = layout(img)
+        assert np.array_equal(other, img) and not other.flags.c_contiguous
+        want = build_pyramid(img, CYCLING)
+        got = build_pyramid(other, CYCLING)
+        for layer_id in CYCLING.layer_ids():
+            assert got.grids[layer_id].tobytes() == want.grids[layer_id].tobytes()
+
 
 class TestOneShotPyramidAndInPlacePooling:
     @pytest.mark.parametrize("shape", [(64, 96), (50, 70), (33, 17), (97, 131)])
@@ -275,6 +291,52 @@ class TestOneShotPyramidAndInPlacePooling:
         pyr = build_pyramid(img, PyramidConfig(layers=(LayerSpec(3, stride, 7),)))
         want = _oracle_block_reduce(img, stride, np.max) - _oracle_block_reduce(img, stride, np.min)
         assert pyr.grids[3][..., 6].tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @given(
+        rows=st.integers(2, 70),
+        cols=st.integers(2, 70),
+        stride=st.integers(1, 96),
+        values=st.sampled_from(["normal", "ties", "negative-zero", "magnitudes"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(rows=64, cols=64, stride=8, values="negative-zero", seed=0)
+    @example(rows=33, cols=7, stride=8, values="ties", seed=1)  # one block column
+    @example(rows=70, cols=69, stride=9, values="normal", seed=2)  # NumPy's own sum
+    @example(rows=5, cols=70, stride=1, values="magnitudes", seed=3)
+    @example(rows=17, cols=70, stride=7, values="negative-zero", seed=4)
+    def test_block_sums_are_numpys_bits(self, rows, cols, stride, values, seed):
+        """``_block_sums`` equals ``np.add.reduce`` over the block axes byte
+        for byte, and the std taken with it equals ``np.std``, on both sides
+        of the stride-8 selection, on edge padding and one block column,
+        ties, blocks of -0.0 and magnitudes from 1e-200 to 1e200. Where
+        the statistics are finite, the pyramid equals its oracle bit for bit."""
+        rng = np.random.default_rng(seed)
+        shape = (rows, cols)
+        if values == "ties":
+            img = rng.integers(-3, 4, size=shape) * 0.5
+        elif values == "magnitudes":
+            img = rng.normal(size=shape) * 10.0 ** rng.integers(-200, 201, size=shape)
+        else:
+            img = rng.normal(size=shape)
+        if values == "negative-zero":
+            # Whole blocks, their edge padding included, hold -0.0.
+            zero = rng.random((-(-rows // stride), -(-cols // stride))) < 0.5
+            img[np.kron(zero, np.ones((stride, stride), dtype=bool))[:rows, :cols]] = -0.0
+        blocks = featpyr._blocks(img, stride)
+        area = stride * stride
+        with np.errstate(over="ignore"):
+            sums = featpyr._block_sums(blocks)
+            assert sums.tobytes() == np.add.reduce(blocks, axis=(1, 3)).tobytes()
+            mean = (sums / area)[:, None, :, None]
+            dev = blocks - mean
+            dev *= dev
+            std = np.sqrt(featpyr._block_sums(dev) / area)
+            assert std.tobytes() == blocks.std(axis=(1, 3), mean=mean).tobytes()
+            cfg = PyramidConfig(layers=(LayerSpec(3, stride, 8),))
+            want = oracle_build_pyramid(img, cfg)[3]
+        if np.all(np.isfinite(want)):
+            assert build_pyramid(img, cfg).grids[3].tobytes() == want.tobytes()
 
     def test_peak_memory_is_a_few_images(self):
         """At 640x480 the desk build holds at most 3.5 images' worth of
@@ -1099,6 +1161,17 @@ class TestFeaturePyramidChecks:
         grid = np.zeros((7, 9, 2), dtype=dtype)
         with pytest.raises(ValueError, match=f"layer 3: grid holds {np.dtype(dtype)}, not real"):
             FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: grid})
+
+    def test_nested_list_grid_is_converted_first(self):
+        # A nested list used to fail with "AttributeError: 'list' object
+        # has no attribute 'ndim'", one of strings too.
+        grid = np.random.default_rng(37).uniform(-1, 1, size=(7, 9, 2))
+        pyr = FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: grid.tolist()})
+        assert pyr.grids[3].dtype == np.float64 and pyr.grids[3].flags.c_contiguous
+        assert pyr.grids[3].tobytes() == grid.tobytes()
+        strings = np.full((7, 9, 2), "1").tolist()
+        with pytest.raises(ValueError, match="^layer 3: grid holds <U1, not real numbers$"):
+            FeaturePyramid(extent=(70, 50), strides={3: 8}, grids={3: strings})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_grid_rejected(self, bad):

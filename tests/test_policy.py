@@ -300,13 +300,20 @@ class TestSampling:
         assert np.all(np.abs(freqs - dist) <= 3 * sigma)
 
     @pytest.mark.parametrize(
-        "dist",
-        [np.full(N_ACTIONS, np.nan), np.r_[np.nan, np.full(N_ACTIONS - 1, 0.1)], np.zeros(N_ACTIONS)],
-        ids=["all-nan", "one-nan", "all-zero"],
+        "dist, want",
+        [
+            (np.full(N_ACTIONS, np.nan), "must be finite with a positive sum"),
+            (np.r_[np.nan, np.full(N_ACTIONS - 1, 0.1)], "must be finite with a positive sum"),
+            (np.zeros(N_ACTIONS), "must be finite with a positive sum"),
+            (np.zeros(0), r"must be a non-empty 1-D array, got shape \(0,\)$"),
+            (np.array([[0.5, 0.5]]), r"must be a non-empty 1-D array, got shape \(1, 2\)$"),
+        ],
+        ids=["all-nan", "one-nan", "all-zero", "empty", "two-d"],
     )
-    def test_diverged_distribution_rejected(self, dist):
-        # An all-NaN distribution used to return action 9 without an error.
-        with pytest.raises(ValueError, match="action distribution must be finite with a positive sum"):
+    def test_diverged_distribution_rejected(self, dist, want):
+        # An all-NaN distribution used to return action 9 without an error,
+        # an empty one to fail inside NumPy, and a (1, 2) one to draw an action.
+        with pytest.raises(ValueError, match=f"^action distribution {want}"):
             sample_action(dist, np.random.default_rng(17))
 
     @pytest.mark.parametrize(
