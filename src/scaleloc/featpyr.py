@@ -6,9 +6,9 @@ as block statistics of the grayscale image. It shares full-resolution
 passes only where no value changes: a stride's block mean serves channel
 0 and the std, the five gradient fields reuse one buffer, and the block
 range folds rows before columns, exact as max and min are in any order.
-At strides up to 8, ``_block_sums`` makes NumPy's own pairwise-sum
-additions in its order, as a few whole-array additions instead of one
-NumPy call per block row, so the block sums keep NumPy's bits.
+At stride 8, ``_block_sums`` makes NumPy's own pairwise-sum additions
+in its order, as three whole-array additions instead of one NumPy call
+per block row, so the block sums keep NumPy's bits.
 
 RoI pooling maps a pixel-space box onto a layer grid and resamples it to
 a fixed ``ROI_SIZE`` x ``ROI_SIZE`` window. Regions smaller than the
@@ -150,28 +150,22 @@ def _block_sums(blocks: np.ndarray) -> np.ndarray:
     """``np.add.reduce(blocks, axis=(1, 3))`` of a ``_blocks`` view, bit for bit.
 
     NumPy adds each block row's s values in one inner-loop call with its
-    pairwise sum, then adds the rows in order. For s <= 8 that sum is
-    pairs, then pairs of pairs, then halves (s = 8) or one value at a time
-    from -0.0 (s < 8); here each step is one addition over a band of about
-    ``_CHUNK_BYTES`` of blocks. NumPy itself sums s > 8, where its pairwise
-    sum runs eight accumulators, and one block column, which it reads as
-    one run of s * s values.
+    pairwise sum, then adds the rows in order. For s = 8 that sum is pairs,
+    then pairs of pairs, then halves; here each step is one addition over a
+    band of about ``_CHUNK_BYTES`` of blocks. Every other stride, and one
+    block column, which NumPy reads as one run of s * s values, is summed
+    by NumPy itself.
     """
     rows, s, cols, _ = blocks.shape
-    if s > 8 or cols == 1:
+    if s != 8 or cols == 1:
         return np.add.reduce(blocks, axis=(1, 3))
     sums = np.empty((rows, cols))
     band = max(1, _CHUNK_BYTES // blocks[0].nbytes)
     for start in range(0, rows, band):
         part = blocks[start : start + band]
-        if s == 8:
-            seg = part[..., 0::2] + part[..., 1::2]
-            seg = seg[..., 0::2] + seg[..., 1::2]
-            seg = seg[..., 0] + seg[..., 1]
-        else:
-            seg = np.add(-0.0, part[..., 0])
-            for j in range(1, s):
-                seg += part[..., j]
+        seg = part[..., 0::2] + part[..., 1::2]
+        seg = seg[..., 0::2] + seg[..., 1::2]
+        seg = seg[..., 0] + seg[..., 1]
         np.add.reduce(seg, axis=1, out=sums[start : start + band])
     return sums
 
