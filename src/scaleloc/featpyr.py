@@ -150,11 +150,10 @@ def _block_sums(blocks: np.ndarray) -> np.ndarray:
     """``np.add.reduce(blocks, axis=(1, 3))`` of a ``_blocks`` view, bit for bit.
 
     NumPy adds each block row's s values in one inner-loop call with its
-    pairwise sum, then adds the rows in order. For s = 8 that sum is pairs,
-    then pairs of pairs, then halves; here each step is one addition over a
-    band of about ``_CHUNK_BYTES`` of blocks. Every other stride, and one
-    block column, which NumPy reads as one run of s * s values, is summed
-    by NumPy itself.
+    pairwise sum, then adds the rows in order. At s = 8 that sum is pairs,
+    pairs of pairs, then halves; here each is one addition over a band of
+    ``_CHUNK_BYTES`` of blocks. Other strides, and one block column (one
+    run of s * s values to NumPy), go to NumPy itself.
     """
     rows, s, cols, _ = blocks.shape
     if s != 8 or cols == 1:
