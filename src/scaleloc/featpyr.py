@@ -260,15 +260,15 @@ def _sample_axis(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo[:, None] + offsets[None, :] * (hi - lo)[:, None]
 
 
-def _bilinear_axis(coords: np.ndarray, size: int):
-    """Indices and fractions for bilinear sampling at cell centers, with
-    edge replication outside the grid."""
-    u = np.clip(coords - 0.5, 0.0, size - 1.0)
-    i0 = np.floor(u).astype(np.int64)
-    i0 = np.minimum(i0, size - 1)
-    i1 = np.minimum(i0 + 1, size - 1)
-    frac = u - i0
-    return i0, i1, frac
+def _axis_samples(lo, hi, stride, size):
+    """Bilinear corner indices ``i0``, ``i1`` and fractions, (N, roi) each,
+    of the :func:`_sample_axis` samples of pixel spans [lo, hi) (N,) along
+    one axis of a grid of ``size`` cells, ``stride`` pixels each. Samples
+    blend cell centers, with edge replication outside the grid.
+    ``stride`` is a number or one per span, ``size`` a number or (N, 1)."""
+    u = np.clip(_sample_axis(lo / stride, hi / stride) - 0.5, 0.0, size - 1.0)
+    i0 = np.minimum(np.floor(u).astype(np.int64), size - 1)
+    return i0, np.minimum(i0 + 1, size - 1), u - i0
 
 
 def _lerp(table, lo, hi, frac, out, spare) -> None:
@@ -312,8 +312,8 @@ def roi_pool_many(
     cells = grid.reshape(-1, depth)
     stride = pyramid.strides[layer_id]
     boxes, far = _corners(boxes)
-    x0, x1, fx = _bilinear_axis(_sample_axis(boxes[:, 0] / stride, far[:, 0] / stride), grid_w)
-    y0, y1, fy = _bilinear_axis(_sample_axis(boxes[:, 1] / stride, far[:, 1] / stride), grid_h)
+    x0, x1, fx = _axis_samples(boxes[:, 0], far[:, 0], stride, grid_w)
+    y0, y1, fy = _axis_samples(boxes[:, 1], far[:, 1], stride, grid_h)
     y0 = y0[:, :, None] * grid_w
     y1 = y1[:, :, None] * grid_w
     x0, x1 = x0[:, None, :], x1[:, None, :]
@@ -338,7 +338,7 @@ def sample_plan(boxes, layer_ids, cfg: PyramidConfig, extent) -> tuple:
     j, n]`` of its layer's (roi, roi, H, W) window maps by ``fracs[0, i,
     n]`` and ``fracs[1, j, n]``: ``(i roi H + y) W`` for its top (a = 0)
     or bottom corners, ``j H W + x`` for its left (b = 0) or right ones.
-    The 6,300 desk anchors of a 640 x 480 image take 0.8 MB."""
+    The 6,300 desk anchors of a 640 x 480 image take 1.2 MB."""
     width, height = _extent(extent)
     strides = {spec.layer_id: spec.stride for spec in cfg.layers}
     boxes, far = _corners(boxes)
@@ -351,36 +351,17 @@ def sample_plan(boxes, layer_ids, cfg: PyramidConfig, extent) -> tuple:
     stride = np.array([strides[l] for l in ids], dtype=np.int64)[np.searchsorted(ids, layer_ids)]
     grid_h, grid_w = -(-height // stride), -(-width // stride)
     roi = ROI_SIZE
-    window = np.arange(roi)[:, None] * (grid_h * grid_w)  # (roi, N): j H W
-    small = roi * roi * np.max(grid_h * grid_w, initial=0) <= 2**31  # rows fit an int32
-    cells = np.empty((2, 2, roi, len(boxes)), dtype=np.int32 if small else np.int64)
+    cells = np.empty((2, 2, roi, len(boxes)), dtype=np.int64)
     fracs = np.empty((2, roi, len(boxes)))
-    # Column parts x + j H W, then row parts y W + i roi H W. Boxes that
-    # share an extent along an axis, as a row of anchors does, share its
-    # samples, so each distinct (stride, lo, hi) is sampled once.
-    for axis, size, scale, offset in ((0, grid_w, 1, window), (1, grid_h, grid_w, window * roi)):
-        first, of = _distinct(far[:, axis], boxes[:, axis], stride)
-        s = stride[first]
-        coords = _sample_axis(boxes[first, axis] / s, far[first, axis] / s)
-        i0, i1, frac = _bilinear_axis(coords, size[first, None])
-        for side, i in enumerate((i0, i1)):
-            cells[1 - axis, side] = i.T.take(of, axis=1) * scale + offset
-        fracs[1 - axis] = frac.T.take(of, axis=1)
+    # Column parts j H W + x, then row parts i roi H W + y W, summed in place.
+    for axis, size, scale, step in ((0, grid_w, 1, 1), (1, grid_h, grid_w, roi)):
+        i0, i1, frac = _axis_samples(boxes[:, axis], far[:, axis], stride, size[:, None])
+        cells[1 - axis] = np.arange(roi)[:, None] * step * (grid_h * grid_w)
+        cells[1 - axis, 0] += i0.T * scale
+        cells[1 - axis, 1] += i1.T * scale
+        fracs[1 - axis] = frac.T
+        del i0, i1, frac  # freed before the next axis is sampled
     return (width, height), strides, layer_ids, cells, fracs
-
-
-def _distinct(*keys):
-    """The rows of equal-length ``keys`` grouped by their tuple of values:
-    one row per distinct tuple, and each row's index into those."""
-    order = np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        key = key[order]
-        new[1:] |= key[1:] != key[:-1]
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return order[new], ids
 
 
 def roi_pool_project(pyramid: FeaturePyramid, plan: tuple, rows, weights: dict) -> np.ndarray:

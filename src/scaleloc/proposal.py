@@ -72,8 +72,9 @@ class LayerWeightConfig:
     mean_heights = (48.0, 96.0, 156.0)
     scale_factors = (5.0, 20.0, 10.0)
 
-    def base_heights(self) -> dict[int, float]:
-        return dict(zip(self.layer_ids, self.mean_heights))
+    @classmethod
+    def base_heights(cls) -> dict[int, float]:
+        return dict(zip(cls.layer_ids, cls.mean_heights))
 
 
 def layer_weights(h) -> np.ndarray:
@@ -288,6 +289,7 @@ def top_k(scored: tuple, k: int) -> list[ScoredBox]:
 class ProposalTrainConfig:
     """A run's pyramid, step count and seed; its other settings are constants."""
 
+    # src/ reads LayerWeightConfig itself; the benchmark's adapters read this.
     loss: ClassVar[LayerWeightConfig] = LayerWeightConfig()
     pyramid: PyramidConfig = PyramidConfig()
     steps: int = 2000
@@ -296,7 +298,7 @@ class ProposalTrainConfig:
     def __post_init__(self):
         _count("steps", self.steps)
         _count("seed", self.seed, least=0)
-        missing = [i for i in self.pyramid.layer_ids() if i not in self.loss.layer_ids]
+        missing = [i for i in self.pyramid.layer_ids() if i not in LayerWeightConfig.layer_ids]
         if missing:
             raise ValueError(f"pyramid layers {missing} have no loss constants")
 
@@ -306,7 +308,7 @@ def _scene_tensors(scene: Scene, cfg: ProposalTrainConfig, anchor_cache):
     extent = scene.extent
     if extent not in anchor_cache:
         anchor_cache[extent] = anchors_mod.generate_anchors(
-            cfg.pyramid, extent, cfg.loss.base_heights()
+            cfg.pyramid, extent, LayerWeightConfig.base_heights()
         )
     anchors = anchor_cache[extent]
 
@@ -365,7 +367,7 @@ def train_proposal_model(
     call. The cache holds every scene the call visits, about 0.5 MB per
     640x480 scene at the desk channels (8/16/32) and 17 MB at the
     full-size ones (256/512/1024). So are the anchors of each extent, with
-    the sample plan that bootstrapping scores through (1.3 MB at 640x480).
+    the sample plan that bootstrapping scores through (1.7 MB at 640x480).
     The caches draw no random numbers, so the trained parameters do not
     depend on them.
     """

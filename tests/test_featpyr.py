@@ -493,9 +493,9 @@ def boxes_of_kind(kind, rng, extent, stride, height, limit):
     return random_boxes(rng, limit, extent)
 
 
-class TestSharedSamples:
-    """Boxes whose samples repeat, as lattice anchors' do, and boxes whose
-    samples do not, pool to the out-of-place oracle bit for bit."""
+class TestLatticeRepeatedAndRandomBoxes:
+    """Lattice anchors, repeated boxes and random boxes pool, and project,
+    to the out-of-place oracles bit for bit."""
 
     @given(
         extent=st.tuples(st.integers(24, 320), st.integers(24, 240)),
@@ -514,7 +514,7 @@ class TestSharedSamples:
     @example(
         extent=(64, 48), stride=8, cells_high=5.0, channels=320, kind="anchors", limit=1, seed=0
     )
-    def test_equals_oracle_whichever_blend_runs(
+    def test_pooling_and_projection_equal_the_oracles(
         self, extent, stride, cells_high, channels, kind, limit, seed
     ):
         rng = np.random.default_rng(seed)
@@ -532,9 +532,10 @@ class TestSharedSamples:
     @pytest.mark.parametrize(
         "stride,channels,count", [(8, 256, 600), (16, 512, 300), (32, 1024, 150), (8, 8, 4800)]
     )
-    def test_anchor_layers_share_in_groups(self, stride, channels, count):
-        """Anchors of a 640 x 480 layer: about 2.3 times 8 MiB of output
-        at full-size channels, and all 4,800 layer-3 anchors at 8."""
+    def test_anchor_layers_equal_the_oracle(self, stride, channels, count):
+        """Pooling the anchors of a 640 x 480 layer equals the oracle: about
+        2.3 times 8 MiB of output at full-size channels, and all 4,800
+        layer-3 anchors at 8."""
         rng = np.random.default_rng(stride)
         pyr = random_grid_pyramid(rng, channels, stride, (640, 480))
         boxes = lattice_anchors((640, 480), stride, stride * 5.0)[:count]
@@ -713,8 +714,10 @@ class TestSamplePlan:
         assert got.tobytes() == want.tobytes()
 
     def test_anchor_plan_is_compact(self):
-        """At 640 x 480 the 6,300 desk anchors' plan holds 0.8 MB: int32
-        corner rows and float64 fractions, 128 B per anchor."""
+        """At 640 x 480 the 6,300 desk anchors' plan holds 1.2 MB: int64
+        corner rows and float64 fractions, 192 B per anchor. The anchor
+        set holds that plan's exact size plus its three anchor arrays and
+        at most 4 KiB of Python objects, and peaks under 3 MiB."""
         cfg, heights = PyramidConfig(), LayerWeightConfig().base_heights()
         generate_anchors(cfg, (640, 480), heights)  # numpy's first-call set-up
         tracemalloc.start()
@@ -725,15 +728,16 @@ class TestSamplePlan:
             tracemalloc.stop()
         extent, strides, layer_ids, cells, fracs = anchors.plan
         assert extent == (640, 480) and strides == {3: 8, 4: 16, 5: 32}
-        assert layer_ids is anchors.layer_ids and cells.dtype == np.int32
-        assert cells.nbytes + fracs.nbytes == 128 * len(anchors) <= 2**20
+        assert layer_ids is anchors.layer_ids and cells.dtype == np.int64
+        plan = cells.nbytes + fracs.nbytes
+        assert plan == 192 * len(anchors)
         arrays = anchors.boxes.nbytes + anchors.clipped.nbytes + anchors.layer_ids.nbytes
-        assert held - arrays <= 2**20, held - arrays
+        assert held - arrays - plan <= 4096, held - arrays - plan
         assert peak <= 3 * 2**20, peak
 
     def test_corner_rows_index_each_layers_window_maps(self):
-        """Row part ``(i roi H + y) W`` and column part ``j H W + x``;
-        at 2**20 x 2**20 cells they no longer fit an int32."""
+        """Row part ``(i roi H + y) W`` and column part ``j H W + x``,
+        also at 2**20 x 2**20 cells, where they pass 2**31."""
         cfg = PyramidConfig(layers=(LayerSpec(2, 1, 1), LayerSpec(3, 8, 1)))
         # On layer 3 the box spans cells [0.5, 2.5) x [4, 8), so the x
         # samples expand to 0..3 and the y samples are 4.5..7.5.
@@ -741,7 +745,6 @@ class TestSamplePlan:
         _, _, _, cells, fracs = sample_plan(box, [3], cfg, (80, 64))
         h, w = 8, 10
         window = np.arange(ROI_SIZE) * h * w
-        assert cells.dtype == np.int32
         np.testing.assert_array_equal(cells[0, 0, :, 0], window * ROI_SIZE + np.arange(4, 8) * w)
         np.testing.assert_array_equal(cells[0, 1, :, 0], window * ROI_SIZE + np.array([5, 6, 7, 7]) * w)
         np.testing.assert_array_equal(cells[1, 0, :, 0], window + [0, 0, 1, 2])
@@ -751,13 +754,14 @@ class TestSamplePlan:
         assert cells.shape == (2, 2, ROI_SIZE, 0) and fracs.shape == (2, ROI_SIZE, 0)
         side = 2**20  # y samples 36..60 on layer 2
         _, _, _, cells, _ = sample_plan(box, [2], cfg, (side, side))
-        assert cells.dtype == np.int64
         assert cells[0, 0, -1, 0] == 3 * ROI_SIZE * side * side + 59 * side
+        assert cells[0, 1, -1, 0] == 3 * ROI_SIZE * side * side + 60 * side
+        assert cells[1, 1, -1, 0] == 3 * side * side + 18  # x samples 6..18
         # 12 H W stays under 2**31 here, but a bottom row part of window row 3 does not.
         side = 12900
         _, _, _, cells, _ = sample_plan([[12890.0, 12890.0, 4.0, 4.0]], [2], cfg, (side, side))
-        assert cells.dtype == np.int64
         assert cells[0, 1, -1, 0] == (3 * ROI_SIZE * side + 12894) * side > 2**31 > 12 * side**2
+        assert cells[1, 1, -1, 0] == 3 * side * side + 12894
 
     def test_rejects_a_pyramid_the_plan_was_not_made_for(self):
         rng = np.random.default_rng(50)
