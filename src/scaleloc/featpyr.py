@@ -360,7 +360,7 @@ def sample_plan(boxes, layer_ids, cfg: PyramidConfig, extent) -> tuple:
         cells[1 - axis, 0] += i0.T * scale
         cells[1 - axis, 1] += i1.T * scale
         fracs[1 - axis] = frac.T
-        del i0, i1, frac  # freed before the next axis is sampled
+        del i0, i1, frac  # so two axes' samples are never held at once
     return (width, height), strides, layer_ids, cells, fracs
 
 

@@ -289,7 +289,7 @@ def top_k(scored: tuple, k: int) -> list[ScoredBox]:
 class ProposalTrainConfig:
     """A run's pyramid, step count and seed; its other settings are constants."""
 
-    # src/ reads LayerWeightConfig itself; the benchmark's adapters read this.
+    # src/ reads LayerWeightConfig itself; the benchmark's infer-full adapter reads this.
     loss: ClassVar[LayerWeightConfig] = LayerWeightConfig()
     pyramid: PyramidConfig = PyramidConfig()
     steps: int = 2000
