@@ -3,7 +3,7 @@ shape check, the layer lookup and the box checks (which RoI pooling,
 labeling and box arithmetic use too), Glorot initialization and the
 sigmoid and softmax. A checkpoint is a model's ``params``, as ``np.savez(path, **model.params)``
 writes it. Every numeric setting is checked by ``_count`` (an integer of at least a bound),
-``_positive`` (a finite real number above a bound) or ``_extent`` (a (width, height) pair of
+``_positive`` (a finite real number above 0) or ``_extent`` (a (width, height) pair of
 counts), and every numeric array by ``_real`` (integers or floats): one implementation per rule."""
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ def _count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-def _positive(name: str, value, above: float = 0.0) -> None:
-    """Require a real number, not a ``bool``, that is finite and above ``above``."""
+def _positive(name: str, value) -> None:
+    """Require a real number, not a ``bool``, that is finite and above 0."""
     real = (int, float, np.integer, np.floating)
-    if isinstance(value, bool) or not isinstance(value, real) or not above < value < math.inf:
-        raise ValueError(f"{name} must be a finite number above {above:g}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
 
 
 def _real(name: str, values) -> np.ndarray:

@@ -222,20 +222,22 @@ def build_pyramid(image: np.ndarray, cfg: PyramidConfig) -> FeaturePyramid:
         # np.gradient needs two samples along each axis.
         raise ValueError(f"image of shape {image.shape} is too small: need at least 2 x 2")
     bases = {}
-    for spec in cfg.layers:
-        blocks = _blocks(image, spec.stride)
-        area = spec.stride * spec.stride
-        base = bases[spec.layer_id] = np.empty((*blocks.shape[::2], _N_BASE))
-        mean = base[:, :, 0] = _block_sums(blocks) / area
-        dev = blocks - mean[:, None, :, None]
-        dev *= dev
-        base[:, :, 5] = np.sqrt(_block_sums(dev) / area)
-        del dev  # an image-sized buffer, freed before the next one and the gradient pair
-        base[:, :, 6] = _block_range(blocks)
-    for channel, field in _gradient_fields(image):
+    # An inf or huge pixel leaves a non-finite grid value, which FeaturePyramid rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
         for spec in cfg.layers:
-            sums = _block_sums(_blocks(field, spec.stride))
-            bases[spec.layer_id][:, :, channel] = sums / (spec.stride * spec.stride)
+            blocks = _blocks(image, spec.stride)
+            area = spec.stride * spec.stride
+            base = bases[spec.layer_id] = np.empty((*blocks.shape[::2], _N_BASE))
+            mean = base[:, :, 0] = _block_sums(blocks) / area
+            dev = blocks - mean[:, None, :, None]
+            dev *= dev
+            base[:, :, 5] = np.sqrt(_block_sums(dev) / area)
+            del dev  # an image-sized buffer, freed before the next one and the gradient pair
+            base[:, :, 6] = _block_range(blocks)
+        for channel, field in _gradient_fields(image):
+            for spec in cfg.layers:
+                sums = _block_sums(_blocks(field, spec.stride))
+                bases[spec.layer_id][:, :, channel] = sums / (spec.stride * spec.stride)
 
     grids = {
         spec.layer_id: bases[spec.layer_id].take(np.arange(spec.channels) % _N_BASE, axis=2)

@@ -18,7 +18,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._model import _boxes, _extent, _positive
+from ._model import _boxes, _extent
 
 __all__ = [
     "BBox",
@@ -43,7 +43,7 @@ _DECODE_SIZE_FLOOR = 1.0
 # R-CNN, so a diverging head cannot overflow the decode.
 _DECODE_LOG_RATIO_MAX = math.log(1000.0 / 16.0)
 # Side, in pixels, of the square that clip_boxes makes of a box missing the
-# image, and the default floor of StepConfig.min_side.
+# image, and the floor of both sides of a box that apply_transforms returns.
 MIN_SIDE = 2.0
 
 
@@ -91,23 +91,12 @@ class TransformAction(IntEnum):
 TRANSFORM_ACTIONS: tuple[TransformAction, ...] = tuple(TransformAction)
 
 
-@dataclass(frozen=True)
 class StepConfig:
-    """Step sizes for the transform actions.
+    """Step sizes of :func:`apply_transforms`, relative to the box's own
+    sides, so behavior is scale-invariant across near and far instances."""
 
-    Steps are relative to the current box size, so behavior is
-    scale-invariant across near and far instances. Both sides are then
-    floored at ``min_side``, by default ``MIN_SIDE``.
-    """
-
-    move_ratio: float = 0.1
-    scale_factor: float = 1.2
-    min_side: float = MIN_SIDE
-
-    def __post_init__(self):
-        _positive("move_ratio", self.move_ratio)
-        _positive("scale_factor", self.scale_factor, above=1.0)
-        _positive("min_side", self.min_side)
+    move_ratio = 0.1
+    scale_factor = 1.2
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -143,7 +132,7 @@ def apply_transforms(boxes, actions, cfg: StepConfig) -> np.ndarray:
     """Apply action ``actions[i]``, a :class:`TransformAction` index, to
     box ``boxes[i]`` of (K, 4): a move shifts the center by ``move_ratio``
     sides, a size change scales one side by ``scale_factor`` about the
-    center, and both sides are then floored at ``min_side``."""
+    center, and both sides are then floored at ``MIN_SIDE``."""
     x, y, w, h = _rows(boxes)
     a = np.asarray(actions).reshape(-1)
     if a.shape != x.shape or not (a.size == 0 or np.issubdtype(a.dtype, np.integer)):
@@ -155,8 +144,8 @@ def apply_transforms(boxes, actions, cfg: StepConfig) -> np.ndarray:
     dx, dy, s = cfg.move_ratio * w, cfg.move_ratio * h, cfg.scale_factor
     cx = np.where(left, cx - dx, np.where(right, cx + dx, cx))
     cy = np.where(up, cy - dy, np.where(down, cy + dy, cy))
-    h = np.maximum(np.where(taller, h * s, np.where(shorter, h / s, h)), cfg.min_side)
-    w = np.maximum(np.where(wider, w * s, np.where(narrower, w / s, w)), cfg.min_side)
+    h = np.maximum(np.where(taller, h * s, np.where(shorter, h / s, h)), MIN_SIDE)
+    w = np.maximum(np.where(wider, w * s, np.where(narrower, w / s, w)), MIN_SIDE)
     return np.stack([cx - w / 2.0, cy - h / 2.0, w, h], axis=1)
 
 

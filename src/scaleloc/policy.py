@@ -11,6 +11,7 @@ gradient can be audited against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,7 @@ def init_params(seed: int, cfg: PolicyConfig) -> PolicyParams:
     1 MiB blocks (medians of 30 alternated rounds); ``np.asfortranarray``
     after the row-major draw took 0.50 s against 0.15 s.
     """
+    _count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for layer_id in sorted(cfg.feature_dims):
@@ -221,8 +223,14 @@ def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def log_prob(dist: np.ndarray, action: int) -> float:
+    """Log of ``dist[action]``, floored at 1e-300. Only the shape and the chosen entry
+    are checked: 0.4 us a call, where ``sample_action`` takes 17 us (2-vCPU Xeon)."""
     _check_action(action)
-    return float(np.log(max(dist[action], 1e-300)))
+    if np.shape(dist) != (N_ACTIONS,):
+        raise ValueError(f"action distribution must have shape ({N_ACTIONS},), got {np.shape(dist)}")
+    if not math.isfinite(p := dist[action]):
+        raise ValueError(f"action {action} has a non-finite probability {p}")
+    return float(np.log(max(p, 1e-300)))
 
 
 def episode_backward(

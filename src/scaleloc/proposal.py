@@ -118,6 +118,7 @@ class ProposalModel:
 
     @classmethod
     def init(cls, pyramid_cfg: PyramidConfig, seed: int = 0) -> "ProposalModel":
+        _count("seed", seed, least=0)
         rng = np.random.default_rng(seed)
         dims = pyramid_cfg.flat_dims()
         params: dict[str, np.ndarray] = {}

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from scaleloc import geometry
 from scaleloc.geometry import MIN_SIDE, BBox, TransformAction
 
 SIZE_FLOOR = 1.0  # decoded sides never drop below one pixel
@@ -74,7 +75,7 @@ def decode(anchor: BBox, vec) -> BBox:
 def transform(b: BBox, action: TransformAction, cfg) -> BBox:
     """One transform action on one box: move the center by ``move_ratio``
     sides or scale one side by ``scale_factor``, then floor both sides
-    at ``min_side``."""
+    at ``geometry.MIN_SIDE``, read at each call."""
     w, h = b.w, b.h
     cx, cy = b.x + b.w / 2.0, b.y + b.h / 2.0
 
@@ -97,6 +98,6 @@ def transform(b: BBox, action: TransformAction, cfg) -> BBox:
     else:
         raise ValueError(f"unknown action {action!r}")
 
-    w = max(w, cfg.min_side)
-    h = max(h, cfg.min_side)
+    w = max(w, geometry.MIN_SIDE)
+    h = max(h, geometry.MIN_SIDE)
     return BBox(cx - w / 2.0, cy - h / 2.0, w, h)

@@ -218,6 +218,15 @@ class TestBuildPyramid:
             expect = brute_force_block_mean(img, stride)
             assert np.abs(pyr.grids[layer_id][..., 0] - expect).max() < 1e-6
 
+    @pytest.mark.parametrize("pixel", [np.inf, np.nan, 1e300], ids=["inf", "nan", "1e300"])
+    def test_non_finite_statistics_raise_the_layer_error_not_a_warning(self, pixel):
+        """An inf pixel made inf - inf, and a finite 1e300 overflowed in the
+        std: under the suite's filterwarnings both were RuntimeWarnings."""
+        img = np.zeros((64, 64))
+        img[10, 10] = pixel
+        with pytest.raises(ValueError, match="^layer 3: non-finite feature values"):
+            build_pyramid(img, CFG)
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         img = rng.uniform(0, 1, size=(48, 64))

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import re
 import warnings
@@ -8,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import box_oracles as oracle
+from scaleloc import geometry
 from scaleloc.anchors import generate_anchors, label_arrays
 from scaleloc.featpyr import FeaturePyramid, LayerSpec, PyramidConfig, roi_pool_many, sample_plan
 from scaleloc.geometry import (
+    MIN_SIDE,
     TRANSFORM_ACTIONS,
     BBox,
     StepConfig,
@@ -171,10 +175,9 @@ class TestApplyTransform:
     )
     @settings(max_examples=300, deadline=None)
     def test_min_side_always_respected(self, x, y, w, h, action):
-        cfg = StepConfig(min_side=2.0)
-        out = apply_transform(BBox(x, y, w, h), action, cfg)
-        assert out.w >= cfg.min_side
-        assert out.h >= cfg.min_side
+        out = apply_transform(BBox(x, y, w, h), action, StepConfig())
+        assert out.w >= MIN_SIDE
+        assert out.h >= MIN_SIDE
 
     def test_determinism(self):
         b = BBox(5, 6, 7, 8)
@@ -203,20 +206,25 @@ class TestApplyTransform:
             ),
             max_size=24,
         ),
-        cfg=st.sampled_from(
-            [StepConfig(), StepConfig(move_ratio=0.3, scale_factor=1.7, min_side=0.5)]
-        ),
+        steps=st.sampled_from([None, (0.3, 1.7, 0.5)]),
     )
-    @example(rows=[], cfg=StepConfig())
-    @example(rows=[(1.0, 2.0, 1.9, 2.3, TransformAction.SHORTER)], cfg=StepConfig())
+    @example(rows=[], steps=None)
+    @example(rows=[(1.0, 2.0, 1.9, 2.3, TransformAction.SHORTER)], steps=None)
     @settings(max_examples=300, deadline=None)
-    def test_rows_equal_scalar_oracle(self, rows, cfg):
+    def test_rows_equal_scalar_oracle(self, rows, steps):
         """Row by row, the array form gives the oracle's bits, with sides
-        on both sides of the ``min_side`` floor, for K = 0 and K = 1 too."""
+        on both sides of the ``MIN_SIDE`` floor, for K = 0 and K = 1 too,
+        at the constant step sizes and, patched in, at other ones."""
         boxes = np.array([r[:4] for r in rows], dtype=np.float64).reshape(-1, 4)
         actions = np.array([int(r[4]) for r in rows], dtype=np.int64)
-        want = [oracle.transform(BBox(*r[:4]), r[4], cfg).as_tuple() for r in rows]
-        got = apply_transforms(boxes, actions, cfg)
+        cfg = StepConfig()
+        with pytest.MonkeyPatch.context() as mp:
+            if steps is not None:
+                mp.setattr(StepConfig, "move_ratio", steps[0])
+                mp.setattr(StepConfig, "scale_factor", steps[1])
+                mp.setattr(geometry, "MIN_SIDE", steps[2])
+            want = [oracle.transform(BBox(*r[:4]), r[4], cfg).as_tuple() for r in rows]
+            got = apply_transforms(boxes, actions, cfg)
         assert got.shape == (len(rows), 4)
         assert np.array_equal(got, np.array(want).reshape(-1, 4))
 
@@ -429,29 +437,21 @@ class TestRegressionEncoding:
 
 
 class TestStepConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepConfig(move_ratio=0)
-        with pytest.raises(ValueError):
-            StepConfig(scale_factor=1.0)
-        with pytest.raises(ValueError):
-            StepConfig(min_side=-1)
+    def test_step_constants_take_no_arguments(self):
+        assert not dataclasses.is_dataclass(StepConfig)
+        assert not inspect.signature(StepConfig).parameters
+        with pytest.raises(TypeError):
+            StepConfig(move_ratio=0.3)
 
-    @pytest.mark.parametrize(
-        "field, value, bound",
-        [
-            ("move_ratio", math.nan, 0),
-            ("move_ratio", True, 0),
-            ("scale_factor", math.inf, 1),
-            ("scale_factor", math.nan, 1),
-            ("min_side", -math.inf, 0),
-        ],
-    )
-    def test_non_finite_steps_rejected(self, field, value, bound):
-        # move_ratio nan used to construct and make apply_transforms return a NaN box.
-        want = f"^{field} must be a finite number above {bound}, got {value!r}"
-        with pytest.raises(ValueError, match=want):
-            StepConfig(**{field: value})
+    def test_constants_keep_the_rules_of_their_former_checks(self):
+        """The rules ``StepConfig`` once checked its fields against."""
+        for value, above in [
+            (StepConfig.move_ratio, 0.0),
+            (StepConfig.scale_factor, 1.0),
+            (MIN_SIDE, 0.0),
+        ]:
+            assert type(value) is float
+            assert above < value < math.inf
 
 
 ONE_BOX = np.array([[1.0, 2.0, 8.0, 8.0]])

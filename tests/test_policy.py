@@ -78,6 +78,14 @@ def fd_check(params, steps, eps=1e-4):
 
 
 class TestInit:
+    @pytest.mark.parametrize("seed", [True, 1.5, -1], ids=["bool", "fraction", "negative"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # True used to seed with 1, and 1.5 or -1 to fail inside NumPy.
+        with pytest.raises(ValueError, match=r"^seed must be an integer of at least 0, got"):
+            init_params(seed, SMALL)
+        a, b = init_params(np.int64(3), SMALL), init_params(3, SMALL)
+        assert all(np.array_equal(a.params[name], b.params[name]) for name in a.params)
+
     def test_same_seed_identical(self):
         a = init_params(3, SMALL)
         b = init_params(3, SMALL)
@@ -337,6 +345,22 @@ class TestSampling:
         dist = np.full(N_ACTIONS, 0.1)
         assert log_prob(dist, 3) == pytest.approx(-math.log(10.0), abs=1e-12)
         assert log_prob(dist, np.int64(3)) == log_prob(dist, 3)  # only bool is refused
+
+    @pytest.mark.parametrize(
+        "dist, want",
+        [
+            (np.ones(3) / 3, r"^action distribution must have shape \(10,\), got \(3,\)"),
+            (np.full((2, N_ACTIONS), 0.1), r"^action distribution must have shape \(10,\), got \(2,"),
+            (np.full(N_ACTIONS, np.nan), r"^action 5 has a non-finite probability nan"),
+            (np.full(N_ACTIONS, np.inf), r"^action 5 has a non-finite probability inf"),
+        ],
+        ids=["short", "2-d", "nan", "inf"],
+    )
+    def test_log_prob_rejects_a_malformed_distribution(self, dist, want):
+        # The short one used to raise IndexError, and NaN to return a NaN
+        # log-probability that Trajectory's log_prob > 0 check let through.
+        with pytest.raises(ValueError, match=want):
+            log_prob(dist, 5)
 
     @pytest.mark.parametrize("action", [-1, N_ACTIONS, 2.5, True])
     def test_log_prob_rejects_action_outside_range(self, action):

@@ -514,6 +514,16 @@ class TestTrainedLossOracle:
         assert loss == pytest.approx(expect, rel=0, abs=1e-12)
 
 
+class TestInit:
+    @pytest.mark.parametrize("seed", [True, 1.5, -1], ids=["bool", "fraction", "negative"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # True used to seed with 1, and 1.5 or -1 to fail inside NumPy.
+        with pytest.raises(ValueError, match=r"^seed must be an integer of at least 0, got"):
+            ProposalModel.init(TINY_PYR, seed)
+        a, b = ProposalModel.init(TINY_PYR, np.int64(3)), ProposalModel.init(TINY_PYR, 3)
+        assert all(np.array_equal(a.params[name], b.params[name]) for name in a.params)
+
+
 class TestForward:
     @pytest.mark.parametrize("layer_id", [7, 3.0, "3", None])
     def test_unknown_layer_names_the_models_layers(self, layer_id):
