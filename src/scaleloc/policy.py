@@ -11,7 +11,6 @@ gradient can be audited against finite differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,8 +227,8 @@ def log_prob(dist: np.ndarray, action: int) -> float:
     _check_action(action)
     if np.shape(dist) != (N_ACTIONS,):
         raise ValueError(f"action distribution must have shape ({N_ACTIONS},), got {np.shape(dist)}")
-    if not math.isfinite(p := dist[action]):
-        raise ValueError(f"action {action} has a non-finite probability {p}")
+    if not 0.0 <= (p := dist[action]) <= 1.0:  # False for NaN too
+        raise ValueError(f"action {action} has probability {p}, not one in [0, 1]")
     return float(np.log(max(p, 1e-300)))
 
 

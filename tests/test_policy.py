@@ -351,14 +351,17 @@ class TestSampling:
         [
             (np.ones(3) / 3, r"^action distribution must have shape \(10,\), got \(3,\)"),
             (np.full((2, N_ACTIONS), 0.1), r"^action distribution must have shape \(10,\), got \(2,"),
-            (np.full(N_ACTIONS, np.nan), r"^action 5 has a non-finite probability nan"),
-            (np.full(N_ACTIONS, np.inf), r"^action 5 has a non-finite probability inf"),
+            (np.full(N_ACTIONS, np.nan), r"^action 5 has probability nan, not one in \[0, 1\]"),
+            (np.full(N_ACTIONS, np.inf), r"^action 5 has probability inf, not one in \[0, 1\]"),
+            (np.full(N_ACTIONS, -0.1), r"^action 5 has probability -0.1, not one in \[0, 1\]"),
+            (np.full(N_ACTIONS, 2.0), r"^action 5 has probability 2.0, not one in \[0, 1\]"),
         ],
-        ids=["short", "2-d", "nan", "inf"],
+        ids=["short", "2-d", "nan", "inf", "negative", "above-1"],
     )
     def test_log_prob_rejects_a_malformed_distribution(self, dist, want):
-        # The short one used to raise IndexError, and NaN to return a NaN
-        # log-probability that Trajectory's log_prob > 0 check let through.
+        # The short one used to raise IndexError, NaN to return a NaN
+        # log-probability that Trajectory's log_prob > 0 check let through,
+        # and -0.1 the floor's log(1e-300).
         with pytest.raises(ValueError, match=want):
             log_prob(dist, 5)
 
