@@ -443,15 +443,17 @@ class TestStepConfig:
         with pytest.raises(TypeError):
             StepConfig(move_ratio=0.3)
 
-    def test_constants_keep_the_rules_of_their_former_checks(self):
-        """The rules ``StepConfig`` once checked its fields against."""
-        for value, above in [
-            (StepConfig.move_ratio, 0.0),
-            (StepConfig.scale_factor, 1.0),
-            (MIN_SIDE, 0.0),
-        ]:
-            assert type(value) is float
-            assert above < value < math.inf
+    @pytest.mark.parametrize(
+        "owner, name, above",
+        [(StepConfig, "move_ratio", 0.0), (StepConfig, "scale_factor", 1.0), (geometry, "MIN_SIDE", 0.0)],
+        ids=["move_ratio", "scale_factor", "MIN_SIDE"],
+    )
+    def test_constants_keep_the_rules_of_their_former_checks(self, owner, name, above):
+        """The rule ``StepConfig`` once checked each of its fields against,
+        one case per former field."""
+        value = getattr(owner, name)
+        assert type(value) is float
+        assert above < value < math.inf
 
 
 ONE_BOX = np.array([[1.0, 2.0, 8.0, 8.0]])
