@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._model import _corners, _count, _extent, _of_layer, _real
-from .geometry import BBox, boxes_to_array
+from .geometry import BBox
 
 __all__ = [
     "ROI_SIZE",
@@ -410,5 +410,5 @@ def roi_pool_project(pyramid: FeaturePyramid, plan: tuple, rows, weights: dict) 
 
 def roi_pool(pyramid: FeaturePyramid, layer_id: int, box: BBox) -> np.ndarray:
     """Pool one box to a (roi, roi, C) block; flatten for the policy nets."""
-    return roi_pool_many(pyramid, layer_id, boxes_to_array([box]))[0]
+    return roi_pool_many(pyramid, layer_id, [box.as_tuple()])[0]
 

@@ -5,8 +5,9 @@ Box arithmetic (clip, IoU, regression encode and decode, and the
 transform actions of :func:`apply_transforms`) works on (N, 4) arrays
 of such rows. Regression offsets are Faster R-CNN's: corner shifts in
 anchor sides, and log size ratios. :class:`BBox` is the one-box record
-that scenes and policy episodes carry; :func:`clip`, :func:`iou` and
-:func:`apply_transform` are one-row calls of the array functions.
+that the benchmark adapters read (scenes carry rows); :func:`clip`,
+:func:`iou` and :func:`apply_transform` are one-row calls of the array
+functions.
 Everything here is pure and safe to call concurrently.
 """
 
@@ -33,7 +34,6 @@ __all__ = [
     "clip_boxes",
     "encode_regression",
     "decode_regression",
-    "boxes_to_array",
 ]
 
 # Decoded widths/heights are floored here, at one pixel, so a box never
@@ -61,14 +61,6 @@ class BBox:
             raise ValueError(f"box coordinates must be finite, got {self}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
-
-    @property
-    def x2(self) -> float:
-        return self.x + self.w
-
-    @property
-    def y2(self) -> float:
-        return self.y + self.h
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
@@ -214,7 +206,3 @@ def _rows(boxes) -> np.ndarray:
     operation runs along N values rather than along pairs."""
     return _boxes(boxes).T.copy()
 
-
-def boxes_to_array(boxes) -> np.ndarray:
-    """Stack an iterable of BBox into an (N, 4) float array."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)

@@ -30,7 +30,6 @@ __all__ = [
     "sample_action",
     "log_prob",
     "episode_backward",
-    "zero_grads",
 ]
 
 N_ACTIONS = 10
@@ -139,11 +138,6 @@ def _zeros_as(arr: np.ndarray) -> np.ndarray:
     # Zeros in arr's memory order. np.zeros takes calloc's zero pages;
     # np.zeros_like writes every byte.
     return np.zeros(arr.shape, arr.dtype, order="F" if arr.flags.f_contiguous else "C")
-
-
-def zero_grads(params: PolicyParams) -> dict[str, np.ndarray]:
-    """A zero gradient per parameter, each laid out as its parameter."""
-    return {name: _zeros_as(arr) for name, arr in params.params.items()}
 
 
 def _check_action(action) -> None:
@@ -261,8 +255,6 @@ def episode_backward(
             features.append(_as_features(params, step.layer_id, step.features))
         except ValueError as err:
             raise ValueError(f"step {t}: {err}") from None
-    if not steps:
-        return zero_grads(params)
     cfg = params.cfg
     n = cfg.state_dim
     n_steps = len(steps)

@@ -36,7 +36,7 @@ from ._model import _check_shapes, _count, _glorot, _load_params, _of_layer
 from ._model import _sigmoid, _softmax
 from .anchors import AnchorSet, sample_minibatch_indices
 from .featpyr import FeaturePyramid, PyramidConfig, roi_pool_many, roi_pool_project
-from .geometry import BBox, boxes_to_array, clip_boxes, decode_regression, encode_regression
+from .geometry import BBox, clip_boxes, decode_regression, encode_regression
 from .scenegen import Scene, rasterize
 
 __all__ = [
@@ -315,7 +315,7 @@ def _scene_tensors(scene: Scene, cfg: ProposalTrainConfig, anchor_cache):
 
     # Looked up at call time, so a rebound featpyr.build_pyramid is used.
     pyramid = featpyr.build_pyramid(rasterize(scene), cfg.pyramid)
-    gt_arr = boxes_to_array(scene.gt_boxes)
+    gt_arr = np.array([g.box for g in scene.objects], dtype=np.float64).reshape(-1, 4)
     labels, matched, target_h = anchors_mod.label_arrays(anchors, gt_arr)
     return pyramid, anchors, labels, matched, target_h, gt_arr
 

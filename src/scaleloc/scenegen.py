@@ -66,7 +66,9 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    box: BBox
+    """One figure: its (x, y, w, h) box row of floats and its texture seed."""
+
+    box: tuple[float, float, float, float]
     appearance_seed: int
 
 
@@ -79,7 +81,7 @@ class Scene:
 
     @property
     def gt_boxes(self) -> list[BBox]:
-        return [g.box for g in self.objects]
+        return [BBox(*g.box) for g in self.objects]
 
 
 def _sample_height(rng: np.random.Generator, cfg: GenConfig) -> float:
@@ -116,7 +118,7 @@ def sample_dataset(cfg: GenConfig, seed: int, id_prefix: str = "scene") -> list[
             y = rng.uniform(0.0, height - h)
             objects.append(
                 GroundTruth(
-                    box=BBox(x, y, w, h),
+                    box=(x, y, w, h),
                     appearance_seed=int(rng.integers(0, 2**31 - 1)),
                 )
             )
@@ -189,11 +191,11 @@ def rasterize(scene: Scene) -> np.ndarray:
     img = _background(rng, (height, width))
 
     for obj in scene.objects:
-        b = obj.box
-        x0 = max(int(round(b.x)), 0)
-        y0 = max(int(round(b.y)), 0)
-        x1 = min(int(round(b.x2)), width)
-        y1 = min(int(round(b.y2)), height)
+        x, y, w, h = obj.box
+        x0 = max(int(round(x)), 0)
+        y0 = max(int(round(y)), 0)
+        x1 = min(int(round(x + w)), width)
+        y1 = min(int(round(y + h)), height)
         if x1 <= x0 or y1 <= y0:
             continue
         obj_rng = np.random.default_rng(obj.appearance_seed)

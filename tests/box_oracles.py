@@ -1,7 +1,8 @@
 """Scalar reference forms of the box arithmetic in ``scaleloc.geometry``.
 
 ``geometry`` computes on (N, 4) arrays; these one-box loops are the
-independent oracles the tests check it against.
+independent oracles the tests check it against, and
+:func:`boxes_to_array` stacks their ``BBox`` results into such arrays.
 """
 
 import math
@@ -15,10 +16,15 @@ SIZE_FLOOR = 1.0  # decoded sides never drop below one pixel
 LOG_RATIO_MAX = math.log(1000.0 / 16.0)  # normalized size ratios clamp here
 
 
+def boxes_to_array(boxes) -> np.ndarray:
+    """Stack an iterable of BBox into an (N, 4) float array."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes, in [0, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x, b.x)
-    iy = min(a.y2, b.y2) - max(a.y, b.y)
+    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
+    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
@@ -33,8 +39,8 @@ def clip(b: BBox, extent) -> BBox:
         raise ValueError("extent sides must be positive")
     x0 = max(b.x, 0.0)
     y0 = max(b.y, 0.0)
-    x1 = min(b.x2, float(width))
-    y1 = min(b.y2, float(height))
+    x1 = min(b.x + b.w, float(width))
+    y1 = min(b.y + b.h, float(height))
     if x1 > x0 and y1 > y0:
         return BBox(x0, y0, x1 - x0, y1 - y0)
 

@@ -8,7 +8,7 @@ the independent oracle the tests check the batched form against.
 
 import numpy as np
 
-from scaleloc.policy import PolicyState, action_distribution, zero_grads
+from scaleloc.policy import PolicyState, action_distribution
 
 
 def _sigmoid(x):
@@ -35,7 +35,7 @@ def episode_backward(params, steps):
     caching, then backpropagates through time. Layers never visited get
     zero gradient blocks.
     """
-    grads = zero_grads(params)
+    grads = {name: np.zeros_like(arr) for name, arr in params.params.items()}
     if not steps:
         return grads
     n = params.cfg.state_dim

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_oracles as oracle
+from box_oracles import boxes_to_array
 from scaleloc import anchors as anchors_mod
 from scaleloc.anchors import (
     IGNORE,
@@ -14,7 +15,7 @@ from scaleloc.anchors import (
     sample_minibatch_indices,
 )
 from scaleloc.featpyr import PyramidConfig
-from scaleloc.geometry import BBox, boxes_to_array, clip_boxes
+from scaleloc.geometry import BBox, clip_boxes
 from scaleloc.proposal import LayerWeightConfig
 from scaleloc.scenegen import ASPECT_RATIO, GenConfig, sample_dataset
 

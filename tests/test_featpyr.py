@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from box_oracles import boxes_to_array
 from scaleloc import featpyr
 from scaleloc.anchors import generate_anchors
 from scaleloc.featpyr import (
@@ -20,7 +21,7 @@ from scaleloc.featpyr import (
     roi_pool_project,
     sample_plan,
 )
-from scaleloc.geometry import BBox, boxes_to_array
+from scaleloc.geometry import BBox
 from scaleloc.proposal import LayerWeightConfig
 
 

@@ -4,9 +4,10 @@ package or the benchmark, every imported name is used, every
 ``*Config`` field is read by some code outside its own class, every
 function parameter is read by its function, and every ``*Config`` field
 is set, every method or property read and every defaulted parameter
-passed by the package or the benchmark, and that no parameter gets one
-constant from every call. A test, under tests/ or perfbench/tests/, is
-never a caller.
+passed by the package or the benchmark, that no parameter gets one
+constant from every call, and that only the functions a benchmark
+adapter reaches build or read a ``BBox``. A test, under tests/ or
+perfbench/tests/, is never a caller.
 One guard then constructs each ``*Config`` these checks find, to see
 that every numeric field rejects the values its type cannot mean."""
 
@@ -542,6 +543,89 @@ def test_member_check_flags_a_property_only_tests_read():
     )
     caller = ast.parse("from pkg import Box\nBox.load().area()\ncx = 1\nprint(cx)\n")
     assert unread_members(tree, [tree, caller]) == ["Box.cx"]
+
+
+def bbox_users(tree, module):
+    """``module.function`` (``module.Class.method``) for each function or
+    method in ``tree`` that builds a ``BBox`` or reads ``.as_tuple`` or
+    ``.gt_boxes``, anywhere in its body; ``module.<body>`` or
+    ``module.Class.<body>`` for such code outside a function. ``BBox``'s
+    own methods are exempt."""
+
+    def uses(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call):
+                if getattr(n.func, "id", getattr(n.func, "attr", None)) == "BBox":
+                    return True
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                if n.attr in ("as_tuple", "gt_boxes"):
+                    return True
+        return False
+
+    users = []
+
+    def visit(scope, prefix):
+        for node in scope.body:
+            if isinstance(node, ast.ClassDef):
+                if node.name != "BBox":
+                    visit(node, f"{prefix}{node.name}.")
+            elif uses(node):
+                named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                users.append(prefix + (node.name if named else "<body>"))
+
+    visit(tree, f"{module}.")
+    return users
+
+
+# The functions in src/ that build or read a BBox, each with the benchmark
+# adapter that needs it: everything else works on (x, y, w, h) rows.
+BBOX_BOUNDARY = {
+    "geometry.clip": "policy-full clips each episode's box",
+    "geometry.iou": "policy-full's reward",
+    "geometry.apply_transform": "policy-full's transform actions",
+    "featpyr.roi_pool": "policy-full pools each episode's box",
+    "proposal.top_k": "infer-full reads each ScoredBox's box",
+    "scenegen.Scene.gt_boxes": "infer-full's coverage and policy-full's start boxes",
+}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_bbox_stays_at_the_adapter_boundary(path):
+    """Ground truths, anchors and proposals are rows: only a function
+    that a benchmark adapter's BBox reaches may build or read one."""
+    stray = [u for u in bbox_users(parse(path), path.stem) if u not in BBOX_BOUNDARY]
+    assert not stray, f"{path.name}: BBox use outside the adapter boundary {stray}"
+
+
+def test_bbox_boundary_entries_still_use_a_bbox():
+    users = {u for p in PACKAGE for u in bbox_users(parse(p), p.stem)}
+    assert set(BBOX_BOUNDARY) <= users, "drop the entries of functions that no longer use a BBox"
+
+
+def test_bbox_check_flags_every_way_off_rows():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from . import geometry\n"
+        "from .geometry import BBox\n"
+        "ORIGIN = BBox(0, 0, 1, 1)\n"
+        "class BBox:\n"
+        "    def as_tuple(self): return (self.x,)\n"
+        "    def __post_init__(self): self.as_tuple()\n"
+        "class Scene:\n"
+        "    box: BBox\n"
+        "    first = geometry.BBox(0, 0, 1, 1)\n"
+        "    @property\n"
+        "    def gt_boxes(self) -> list[BBox]: return [BBox(*g) for g in self.rows]\n"
+        "    def rows(self): return [g.box for g in self.objects]\n"
+        "def label(scene): return np.array([b.as_tuple() for b in scene.gt_boxes])\n"
+        "def count(scene, gt_boxes): return len(gt_boxes) + len(scene.rows())\n"
+        "def outer():\n"
+        "    def inner(b): return b.as_tuple()\n"
+        "    return inner\n"
+    )
+    assert bbox_users(tree, "mod") == [
+        "mod.<body>", "mod.Scene.<body>", "mod.Scene.gt_boxes", "mod.label", "mod.outer",
+    ]
 
 
 def calls_by_name(trees):

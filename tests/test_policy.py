@@ -23,7 +23,6 @@ from scaleloc.policy import (
     observe,
     recur,
     sample_action,
-    zero_grads,
 )
 from scaleloc.trajectory import Trajectory, TrajStep
 
@@ -464,7 +463,7 @@ class TestEpisodeBackward:
         with np.errstate(over="ignore"):
             got = episode_backward(params, steps)
             want = oracle.episode_backward(params, steps)
-        zeros = zero_grads(params)
+        zeros = episode_backward(params, [])
         assert list(got) == list(zeros)
         for name, arr in got.items():
             assert arr.shape == zeros[name].shape and arr.dtype == zeros[name].dtype
@@ -769,24 +768,29 @@ class TestCheckpointAdapters:
         with pytest.raises(ValueError):
             PolicyParams.from_arrays(arrays)
 
-    def test_zero_grads_mirror_shapes(self):
+    def test_empty_episode_grads_mirror_params(self):
+        """An empty episode takes the general path: each gradient is
+        zeros of its parameter's shape, dtype and memory order, with no
+        negative zero."""
         params = init_params(23, SMALL)
-        grads = zero_grads(params)
-        assert set(grads) == set(params.params)
-        for name in grads:
-            assert grads[name].shape == params.params[name].shape
-            assert grads[name].dtype == params.params[name].dtype
-            assert not grads[name].any()
+        grads = episode_backward(params, [])
+        assert list(grads) == list(params.params)
+        for name, arr in params.params.items():
+            assert grads[name].shape == arr.shape
+            assert grads[name].dtype == arr.dtype
+            assert grads[name].flags.c_contiguous == arr.flags.c_contiguous
+            assert grads[name].flags.f_contiguous == arr.flags.f_contiguous
+            assert not grads[name].any() and not np.signbit(grads[name]).any()
 
     def test_zero_blocks_follow_each_parameter_layout(self):
-        """``zero_grads`` and ``episode_backward``'s blocks for unvisited
-        layers are laid out as their parameters, column-major for
+        """The zero blocks of an empty episode, and of layers an episode
+        never visits, are laid out as their parameters, column-major for
         ``theta_o`` and row-major for a row-major copy."""
         params = init_params(23, SMALL)
         rows = PolicyParams(SMALL, {k: np.ascontiguousarray(v) for k, v in params.params.items()})
         steps = make_steps(SMALL, np.random.default_rng(23), 3, layers=[3, 3, 3])
         for p, fortran in [(params, True), (rows, False)]:
-            for grads in (zero_grads(p), episode_backward(p, steps)):
+            for grads in (episode_backward(p, []), episode_backward(p, steps)):
                 for layer_id in (4, 5):
                     block = grads[f"theta_o/{layer_id}"]
                     assert not block.any()

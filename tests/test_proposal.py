@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import box_oracles as oracle
+from box_oracles import boxes_to_array
 from scaleloc import anchors as anchors_mod
 from scaleloc import featpyr, proposal, scenegen
 from scaleloc.anchors import generate_anchors
@@ -17,7 +18,6 @@ from scaleloc.featpyr import LayerSpec, PyramidConfig, build_pyramid, roi_pool_m
 from scaleloc._model import _sigmoid
 from scaleloc.geometry import (
     BBox,
-    boxes_to_array,
     clip_boxes,
     decode_regression,
     encode_regression,

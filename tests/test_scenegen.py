@@ -1,17 +1,22 @@
 import hashlib
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scaleloc import scenegen
 from scaleloc.featpyr import PyramidConfig, build_pyramid
+from scaleloc.geometry import BBox
 from scaleloc.scenegen import (
     ASPECT_BAND,
     BACKGROUND_LEVEL,
     CLUTTER_AMPLITUDE,
     CONTRAST,
+    HEIGHT_CAP,
     PIXEL_NOISE,
     GenConfig,
     rasterize,
@@ -65,7 +70,7 @@ class TestSampling:
         monkeypatch.setattr(scenegen, "OBJECTS", (3, 4))
         cfg = GenConfig(scenes=300)
         heights = [
-            g.box.h for s in sample_dataset(cfg, seed=7) for g in s.objects
+            g.box[3] for s in sample_dataset(cfg, seed=7) for g in s.objects
         ]
         assert len(heights) >= 1000
         far = np.mean([h < 80.0 for h in heights])
@@ -93,14 +98,37 @@ class TestSampling:
         with pytest.raises(TypeError, match=field):
             GenConfig(**{field: 2})
 
-    def test_boxes_inside_extent_and_aspect_band(self):
-        for scene in sample_dataset(SMALL, seed=21):
-            w, h = scene.extent
-            for g in scene.objects:
-                assert g.box.x >= 0 and g.box.y >= 0
-                assert g.box.x2 <= w + 1e-9 and g.box.y2 <= h + 1e-9
-                ratio = g.box.w / g.box.h
-                assert ASPECT_BAND[0] - 1e-9 <= ratio <= ASPECT_BAND[1] + 1e-9
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        extent=st.tuples(st.integers(2, 700), st.integers(2, 500)),
+        min_share=st.floats(0.01, 0.5),
+        median_ratio=st.floats(0.5, 4.0),
+    )
+    @example(seed=21, extent=(160, 120), min_share=24 / (HEIGHT_CAP * 120), median_ratio=2.0)
+    @example(seed=0, extent=(4, 200), min_share=0.25, median_ratio=1.0)  # w = W - 1 binds
+    @settings(max_examples=100, deadline=None)
+    def test_rows_inside_extent_and_aspect_band(self, seed, extent, min_share, median_ratio):
+        """Every generated row is four finite floats inside the extent,
+        with min_height <= h <= HEIGHT_CAP * H and w = min(r * h, W - 1)
+        for a ratio r in ASPECT_BAND. min_height is at most half the
+        cap and the median within a factor 4 of it, so some height is
+        always drawn."""
+        width, height = extent
+        cap = HEIGHT_CAP * height
+        min_height = min_share * cap
+        cfg = GenConfig(
+            scenes=4, extent=extent, height_median=median_ratio * min_height, min_height=min_height
+        )
+        for scene in sample_dataset(cfg, seed):
+            for row in (g.box for g in scene.objects):
+                assert len(row) == 4 and all(type(v) is float and math.isfinite(v) for v in row)
+                x, y, w, h = row
+                assert x >= -1e-9 and x + w <= width + 1e-9
+                assert y >= -1e-9 and y + h <= height + 1e-9
+                assert min_height - 1e-9 <= h <= cap + 1e-9
+                assert w <= width - 1.0 and w <= ASPECT_BAND[1] * h + 1e-9
+                assert w == width - 1.0 or w >= ASPECT_BAND[0] * h - 1e-9
+            assert scene.gt_boxes == [BBox(*g.box) for g in scene.objects]
 
     def test_unique_ids(self):
         scenes = sample_dataset(SMALL, seed=4)
@@ -238,9 +266,8 @@ class TestRasterize:
         scene = sample_dataset(GenConfig(scenes=1, extent=(320, 240)), seed=8)[0]
         img = rasterize(scene)
         mask = np.zeros(img.shape, dtype=bool)
-        for g in scene.objects:
-            b = g.box
-            mask[int(round(b.y)) : int(round(b.y2)), int(round(b.x)) : int(round(b.x2))] = True
+        for x, y, w, h in (g.box for g in scene.objects):
+            mask[int(round(y)) : int(round(y + h)), int(round(x)) : int(round(x + w))] = True
         diff = img[mask].mean() - img[~mask].mean()
         assert diff == pytest.approx(CONTRAST, abs=0.05)
 
